@@ -90,6 +90,15 @@ def _outpath(args, name):
     return os.path.join(args.out, name)
 
 
+def _load(args):
+    """Config and subshift; an oversized --depth fails before any table is built."""
+    cfg = load_config(args.config)
+    shift = build_subshift_from_config(cfg)
+    if getattr(args, "depth", None) is not None:
+        shift.word_count(args.depth)
+    return cfg, shift
+
+
 def _solve_base(shift, cfg, rho, args):
     mu0 = build_base_measure_from_config(shift, cfg, rho=rho)
     if mu0 is None:
@@ -105,8 +114,7 @@ def _invariant_quiet(shift):
 
 
 def cmd_invariant(args):
-    cfg = load_config(args.config)
-    shift = build_subshift_from_config(cfg)
+    cfg, shift = _load(args)
     rho = _invariant_quiet(shift)
     defects = {
         str(d): float(verify_strong_invariance(rho, d))
@@ -139,8 +147,7 @@ def cmd_invariant(args):
 
 
 def cmd_fixpoint(args):
-    cfg = load_config(args.config)
-    shift = build_subshift_from_config(cfg)
+    cfg, shift = _load(args)
     v = build_weight_from_config(shift, cfg)
     result = iterate_fixed_function(shift, v, tol=args.tol, max_iter=args.max_iter)
     nu = left_fixed_functional(shift, v)
@@ -175,8 +182,7 @@ def cmd_fixpoint(args):
 
 
 def cmd_verify(args):
-    cfg = load_config(args.config)
-    shift = build_subshift_from_config(cfg)
+    cfg, shift = _load(args)
     v = build_weight_from_config(shift, cfg)
     rho = _invariant_quiet(shift)
     mu0 = _solve_base(shift, cfg, rho, args)
@@ -227,8 +233,7 @@ def cmd_verify(args):
 
 
 def cmd_sample(args):
-    cfg = load_config(args.config)
-    shift = build_subshift_from_config(cfg)
+    cfg, shift = _load(args)
     v = build_weight_from_config(shift, cfg)
     rho = _invariant_quiet(shift)
     mu0 = _solve_base(shift, cfg, rho, args)
@@ -271,8 +276,7 @@ def cmd_sample(args):
 
 
 def cmd_ergodicity(args):
-    cfg = load_config(args.config)
-    shift = build_subshift_from_config(cfg)
+    cfg, shift = _load(args)
     v = build_weight_from_config(shift, cfg)
     rho = _invariant_quiet(shift)
     mu0 = _solve_base(shift, cfg, rho, args)
@@ -320,37 +324,28 @@ def cmd_ergodicity(args):
     return EXIT_NON_EXTREMAL
 
 
-def _add_common(sp):
-    sp.add_argument("--config", required=True, help="path to the JSON system config")
-    sp.add_argument("--depth", type=int, default=3, help="cylinder depth (default 3)")
-    sp.add_argument(
-        "--tol", type=float, default=1e-10, help="identity tolerance (default 1e-10)"
-    )
-    sp.add_argument(
-        "--max-iter",
-        type=int,
-        default=10000,
-        help="iteration cap for solvers (default 10000)",
-    )
-    sp.add_argument(
-        "--samples",
-        type=int,
-        default=100000,
-        help="Monte Carlo sample count (default 100000)",
-    )
-    sp.add_argument("--seed", type=int, default=42, help="RNG seed (default 42)")
-    sp.add_argument(
-        "--steps",
-        type=int,
-        default=3,
-        help="trajectory steps / levels to check (default 3)",
-    )
-    sp.add_argument(
-        "--workers", type=int, default=1, help="sampler worker count (default 1)"
-    )
-    sp.add_argument(
-        "--out", default=".", help="directory for reports and CSV files (default .)"
-    )
+_FLAGS = {
+    "config": dict(required=True, help="path to the JSON system config"),
+    "depth": dict(type=int, default=3, help="cylinder depth (default 3)"),
+    "tol": dict(type=float, default=1e-10, help="identity tolerance (default 1e-10)"),
+    "max-iter": dict(type=int, default=10000, help="iteration cap for solvers (default 10000)"),
+    "samples": dict(type=int, default=100000, help="Monte Carlo sample count (default 100000)"),
+    "seed": dict(type=int, default=42, help="RNG seed (default 42)"),
+    "steps": dict(type=int, default=3, help="trajectory steps / levels to check (default 3)"),
+    "workers": dict(type=int, default=1, help="sampler worker count (default 1)"),
+    "out": dict(default=".", help="directory for reports and CSV files (default .)"),
+}
+
+_VERIFY_FLAGS = ("config", "depth", "steps", "tol", "max-iter", "out")
+
+# each subcommand takes only the flags it reads
+_COMMAND_FLAGS = {
+    "invariant": ("config", "depth", "tol", "out"),
+    "fixpoint": ("config", "tol", "max-iter", "out"),
+    "verify": _VERIFY_FLAGS,
+    "sample": _VERIFY_FLAGS + ("samples", "seed", "workers"),
+    "ergodicity": ("config", "depth", "tol", "max-iter", "out"),
+}
 
 
 def build_parser():
@@ -371,7 +366,8 @@ def build_parser():
         ("ergodicity", cmd_ergodicity, "extremality dimension and decomposition"),
     ):
         sp = sub.add_parser(name, help=help_text)
-        _add_common(sp)
+        for flag in _COMMAND_FLAGS[name]:
+            sp.add_argument(f"--{flag}", **_FLAGS[flag])
         sp.set_defaults(func=fn)
     return parser
 

@@ -21,6 +21,10 @@ class InadmissibleWord(ShiftPathError):
     """A word violates the transition matrix."""
 
 
+class TableTooLarge(ShiftPathError):
+    """A word table would exceed the size limit, so it is not built."""
+
+
 class DepthDowngrade(ShiftPathError):
     """Attempt to represent a cylinder function at a shallower depth than it needs."""
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NotFixedPoint
 from .measures import DensityMeasure, RawMeasure, check_fixed_point
-from .subshift import CylinderFunction
+from .subshift import CylinderFunction, branch_sum
 
 NULL_SPACE_RTOL = 1e-10
 ESSENTIAL_FLOOR = 1e-12
@@ -44,10 +44,8 @@ def conditional_expectation(shift, mu0, v, g):
     vg = (v * g).promote(e).values
     fine = mu0.masses_at(e)
     suf = shift.suffix_indices(e)
-    num = np.zeros(shift.word_count(dout), dtype=vg.dtype)
-    den = np.zeros(shift.word_count(dout))
-    np.add.at(num, suf, vg * fine)
-    np.add.at(den, suf, fine)
+    num = branch_sum(suf, vg * fine, shift.word_count(dout))
+    den = branch_sum(suf, fine, shift.word_count(dout))
     vals = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
     return CylinderFunction(shift, dout, vals)
 
@@ -90,9 +88,10 @@ def relative_ergodicity_dimension(shift, mu0, v, depth, tol=1e-10):
     minus_cols = shift.prefix_indices(dw, depth)[rows]
 
     n_unknowns = shift.word_count(depth)
-    system = np.zeros((shift.word_count(dw), n_unknowns))
-    np.add.at(system, (rows, plus_cols), coef)
-    np.add.at(system, (rows, minus_cols), -coef)
+    # every plus term before every minus term, the order of two scatter-adds
+    cols = np.concatenate([plus_cols, minus_cols])
+    shape = (shift.word_count(dw), n_unknowns)
+    system = branch_sum((np.tile(rows, 2), cols), np.concatenate([coef, -coef]), shape)
 
     _, sing, vt = np.linalg.svd(system)
     smax = sing[0] if len(sing) else 0.0

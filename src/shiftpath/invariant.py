@@ -190,9 +190,9 @@ def markov_measure_for_weight(shift, w):
         raise ValueError("normalized-weight construction needs depth(w) <= 2")
     w.require_nonnegative()
     w2 = w.promote(2)
+    a, j = shift.symbols_array(2).T - 1
     p = np.zeros((shift.k, shift.k))
-    for (a, j), val in zip(shift.words(2), w2.values):
-        p[a - 1, j - 1] = val / shift.column_sums[j - 1]
+    p[a, j] = w2.values / shift.column_sums[j]
     col = p.sum(axis=0)
     if not np.allclose(col, 1.0, atol=1e-12):
         raise ValueError(

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DegenerateH, DepthTooShallow, MassCollapse, NoConvergence
 from .invariant import MarkovMeasure, strongly_invariant_measure
-from .subshift import CylinderFunction, weight_product
+from .subshift import CylinderFunction, branch_sum
 from .transfer import apply_transfer, iterate_fixed_function, left_fixed_functional
 
 MASS_FLOOR = 1e-12
@@ -58,9 +58,7 @@ class RawMeasure:
                 f"measure stored at depth {self.depth} cannot resolve depth {depth}"
             )
         idx = self.shift.prefix_indices(self.depth, depth)
-        out = np.zeros(self.shift.word_count(depth))
-        np.add.at(out, idx, self.masses)
-        return out
+        return branch_sum(idx, self.masses, self.shift.word_count(depth))
 
     def mass(self, word):
         word = tuple(word)
@@ -70,8 +68,7 @@ class RawMeasure:
                 f"mass of [{''.join(map(str, word))}] needs depth {len(word)}, "
                 f"have {self.depth}"
             )
-        i = self.shift.word_index(len(word))[word]
-        return float(self.masses_at(len(word))[i])
+        return float(self.masses_at(len(word))[self.shift.word_index(word)])
 
     def integrate(self, f):
         if f.depth > self.depth:
@@ -113,9 +110,7 @@ class DensityMeasure:
             return f.promote(depth).values * self.rho.masses_at(depth)
         fine = f.values * self.rho.masses_at(f.depth)
         idx = self.shift.prefix_indices(f.depth, depth)
-        out = np.zeros(self.shift.word_count(depth))
-        np.add.at(out, idx, fine)
-        return out
+        return branch_sum(idx, fine, self.shift.word_count(depth))
 
     def mass(self, word):
         word = tuple(word)
@@ -123,15 +118,11 @@ class DensityMeasure:
         f = self.density
         if len(word) >= f.depth:
             return float(f.value(word) * self.rho.mass(word))
-        i = self.shift.word_index(len(word))[word]
-        return float(self.masses_at(len(word))[i])
+        return float(self.masses_at(len(word))[self.shift.word_index(word)])
 
     def integrate(self, g):
         e = max(g.depth, self.density.depth)
         return self.rho.integrate(g.promote(e) * self.density.promote(e))
-
-    def to_raw(self, depth):
-        return RawMeasure(self.shift, depth, self.masses_at(depth))
 
 
 def _pushforward_masses(shift, v, mu, out_depth):
@@ -146,9 +137,7 @@ def _pushforward_masses(shift, v, mu, out_depth):
     masses = mu.masses_at(e)  # DepthTooShallow for raw measures that are too coarse
     suf = shift.suffix_indices(e)
     target = suf if e - 1 == out_depth else shift.prefix_indices(e - 1, out_depth)[suf]
-    out = np.zeros(shift.word_count(out_depth))
-    np.add.at(out, target, ve * masses)
-    return out
+    return branch_sum(target, ve * masses, shift.word_count(out_depth))
 
 
 def transform_measure(shift, v, mu, out_depth=None):

@@ -26,13 +26,13 @@ from .errors import (
     ZeroMassConditioning,
 )
 from .measures import DensityMeasure, RawMeasure, _pushforward_masses, check_fixed_point
-from .subshift import CylinderFunction, weight_product
+from .subshift import CylinderFunction, branch_sum, weight_product
 
 
 def _drop_indices(shift, depth, steps):
     """Map each depth-`depth` word to the index of the word minus its first `steps` symbols."""
-    idx = np.arange(shift.word_count(depth), dtype=np.int64)
-    for d in range(depth, depth - steps, -1):
+    idx = shift.suffix_indices(depth)
+    for d in range(depth - 1, depth - steps, -1):
         idx = shift.suffix_indices(d)[idx]
     return idx
 
@@ -125,8 +125,7 @@ def check_consistency(pm, n, depth):
     """
     shift = pm.shift
     fine = pm.marginal(n + 1).masses_at(depth + 1)
-    lhs = np.zeros(shift.word_count(depth))
-    np.add.at(lhs, shift.suffix_indices(depth + 1), fine)
+    lhs = branch_sum(shift.suffix_indices(depth + 1), fine, shift.word_count(depth))
     rhs = pm.marginal(n).masses_at(depth)
     return float(np.abs(lhs - rhs).max())
 
@@ -150,8 +149,7 @@ def check_quasi_invariance(pm, depth, n_max):
         mu_n = pm.marginal(n)
         e = max(depth, vn.depth)
         weighted = vn.promote(e).values * mu_n.masses_at(e)
-        rhs = np.zeros(shift.word_count(depth))
-        np.add.at(rhs, shift.prefix_indices(e, depth), weighted)
+        rhs = branch_sum(shift.prefix_indices(e, depth), weighted, shift.word_count(depth))
         lhs = pm.marginal(n + 1).masses_at(depth)
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst
@@ -186,26 +184,21 @@ class _WalkKernel:
         cum0[-1] = 1.0
         self.cum0 = cum0
 
+        # state w moves along its branches a w, in the order of a, so the
+        # branch column is a's place among the preimages of w's first symbol
         e = d + 1
-        n_states = shift.word_count(d)
-        from_state = shift.suffix_indices(e)
-        branch_symbol = shift.symbols_array(e)[:, 0]
-        to_state = shift.prefix_indices(e, d)
-        weights = mu1.masses_at(e)
-
-        order = np.argsort(from_state, kind="stable")
-        fs = from_state[order]
-        counts = np.bincount(fs, minlength=n_states)
-        kmax = int(counts.max())
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        col = np.arange(len(fs)) - offsets[fs]
+        fs = shift.suffix_indices(e)
+        sym = shift.symbols_array(e)
+        col = (np.cumsum(shift.matrix, axis=0) - 1)[sym[:, 0] - 1, sym[:, 1] - 1]
+        counts = shift.column_sums[shift.symbols_array(d)[:, 0] - 1]
+        n_states, kmax = len(counts), int(counts.max())
 
         prob = np.zeros((n_states, kmax))
         nxt = np.zeros((n_states, kmax), dtype=np.int64)
         syms = np.zeros((n_states, kmax), dtype=np.int64)
-        prob[fs, col] = weights[order]
-        nxt[fs, col] = to_state[order]
-        syms[fs, col] = branch_symbol[order]
+        prob[fs, col] = mu1.masses_at(e)
+        nxt[fs, col] = shift.prefix_indices(e, d)
+        syms[fs, col] = sym[:, 0]
 
         rowsum = prob.sum(axis=1)
         self.invalid = (den <= 0) | (rowsum <= 0)
@@ -270,8 +263,8 @@ class SampleBatch:
             raise ValueError("records are too short for the requested depth")
         if n == 0:
             return self.base_words[:, :depth]
-        cols = np.hstack([self.prepends[:, n - 1 :: -1], self.base_words])
-        return cols[:, :depth]
+        recent = self.prepends[:, n - 1 :: -1][:, :depth]
+        return np.hstack([recent, self.base_words[:, : depth - recent.shape[1]]])
 
 
 def sample_paths(pm, n_steps, n_samples, base_depth, seed, workers=1):
@@ -343,12 +336,7 @@ def empirical_check(pm, n, n_samples, depth, seed, workers=1):
     batch = sample_paths(pm, n, n_samples, max(depth, 1), seed, workers=workers)
     arr = batch.theta_words(n, depth)
 
-    k = shift.k
-    weights = (k + 1) ** np.arange(depth - 1, -1, -1, dtype=np.int64)
-    codes = arr @ weights
-    table = shift.symbols_array(depth) @ weights  # ascending with lexicographic order
-    pos = np.searchsorted(table, codes)
-    counts = np.bincount(pos, minlength=len(table))
+    counts = np.bincount(shift.word_index(arr), minlength=shift.word_count(depth))
 
     exact = pm.marginal(n).masses_at(depth)
     p = exact / exact.sum()
@@ -406,8 +394,7 @@ def martingale_coordinates(pm, xi, level):
         xi_long = xi.promote(long).values
         top = mu_top.masses_at(long)
         drop = _drop_indices(shift, long, steps)
-        num = np.zeros(shift.word_count(dw), dtype=xi_long.dtype)
-        np.add.at(num, drop, xi_long * top)
+        num = branch_sum(drop, xi_long * top, shift.word_count(dw))
         den = pm.marginal(n).masses_at(dw)
         vals = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
         coords[n] = CylinderFunction(shift, dw, vals)
@@ -425,8 +412,7 @@ def project_once(pm, g, n):
     e = d + 1
     g_up = g.promote(e).values  # value at the prefix of each (a, w...) word
     fine = pm.marginal(n + 1).masses_at(e)
-    num = np.zeros(shift.word_count(d), dtype=g_up.dtype)
-    np.add.at(num, shift.suffix_indices(e), g_up * fine)
+    num = branch_sum(shift.suffix_indices(e), g_up * fine, shift.word_count(d))
     den = pm.marginal(n).masses_at(d)
     vals = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
     return CylinderFunction(shift, d, vals)

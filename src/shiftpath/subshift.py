@@ -10,19 +10,48 @@ kept in lexicographic word order.
 """
 
 import numpy as np
+from scipy.sparse import csgraph, csr_matrix
 
 from .errors import (
     DepthDowngrade,
     InadmissibleWord,
     NegativeWeight,
     NonBinaryEntry,
+    TableTooLarge,
     ZeroColumn,
 )
+
+# Largest word table built at any depth; 3**13 words fit, 2**22 do not.
+MAX_TABLE_WORDS = 2**21
 
 
 def word_string(word):
     """Render a word tuple as a digit string, e.g. (1, 2, 1) -> "121"."""
     return "".join(str(s) for s in word)
+
+
+def branch_sum(index, values, size):
+    """Sum over inverse branches: out[i] is the sum of values[j] over index[j] == i.
+
+    For a 2-D result pass index as a (rows, cols) pair and size as
+    (n_rows, n_cols).  Each bin is summed in index order, as numpy's
+    unbuffered add.at does, so the two agree bit for bit.
+    """
+    if isinstance(index, tuple):
+        flat = np.ravel_multi_index(index, size)
+        return branch_sum(flat, values, size[0] * size[1]).reshape(size)
+    if np.iscomplexobj(values):
+        out = np.empty(size, dtype=np.complex128)
+        out.real = np.bincount(index, values.real, size)
+        out.imag = np.bincount(index, values.imag, size)
+        return out
+    # bincount returns ints when there are no values at all
+    return np.bincount(index, values, size).astype(np.float64, copy=False)
+
+
+def _frozen(arr):
+    arr.setflags(write=False)
+    return arr
 
 
 class Subshift:
@@ -37,8 +66,10 @@ class Subshift:
 
     Notes
     -----
-    Instances are immutable after construction and safe for concurrent
-    reads.  Word tables per depth are cached lazily.
+    Each depth's words are two int arrays, the parent index (the word
+    minus its last symbol) and the last symbol, built lazily and cached
+    read-only.  Instances are immutable after construction and safe for
+    concurrent reads.
     """
 
     def __init__(self, matrix):
@@ -54,21 +85,18 @@ class Subshift:
             if cj == 0:
                 raise ZeroColumn(j + 1)
         self.k = int(a.shape[0])
-        self.matrix = a
-        self.matrix.setflags(write=False)
-        self.column_sums = cols
-        self.column_sums.setflags(write=False)
-        self._preimages = tuple(
-            tuple(int(i) + 1 for i in np.flatnonzero(a[:, j]))
-            for j in range(self.k)
-        )
-        self._successors = tuple(
-            tuple(int(j) + 1 for j in np.flatnonzero(a[i, :]))
-            for i in range(self.k)
-        )
-        self._words = {1: [(s,) for s in range(1, self.k + 1)]}
-        self._parent = {1: None}
-        self._index = {}
+        self.matrix = _frozen(a)
+        self.column_sums = _frozen(cols)
+        # the word tables form a tree rooted at the empty word (depth 0, symbol
+        # 0), which any symbol may follow; rank[a, b] is b's place among the
+        # symbols that may follow a, -1 if b may not
+        self._allowed = np.pad(a, ((1, 0), (1, 0))).astype(bool)
+        self._allowed[0, 1:] = True
+        self._rank = np.where(self._allowed, np.cumsum(self._allowed, axis=1) - 1, -1)
+        # keyed by depth, so that concurrent growth only rewrites equal arrays;
+        # _first[d][i] is the first child of depth-d word i
+        self._last, self._parent, self._first = {0: np.zeros(1, dtype=np.int64)}, {}, {}
+        self._suffix = {1: np.zeros(self.k, dtype=np.int64)}
         self._sym = {}
 
     def __repr__(self):
@@ -77,70 +105,91 @@ class Subshift:
     @property
     def irreducible(self):
         """True when the transition digraph is strongly connected."""
-        closure = np.linalg.matrix_power(
-            np.eye(self.k, dtype=np.int64) + self.matrix, self.k
+        n_comp, _ = csgraph.connected_components(
+            csr_matrix(self.matrix), directed=True, connection="strong"
         )
-        return bool((closure > 0).all())
+        return n_comp == 1
 
     def preimage_symbols(self, j):
         """Symbols a with matrix[a, j] == 1, i.e. the inverse branches at [j...]."""
         if not 1 <= j <= self.k:
             raise InadmissibleWord(f"symbol {j} outside 1..{self.k}")
-        return self._preimages[j - 1]
+        return tuple((np.flatnonzero(self.matrix[:, j - 1]) + 1).tolist())
 
     def branch_count(self, j):
         """Number of preimages of any point whose first symbol is j."""
         return int(self.column_sums[j - 1])
 
     def _grow(self, depth):
-        have = max(self._words)
-        while have < depth:
-            prev = self._words[have]
-            nxt = []
-            parent = []
-            for i, w in enumerate(prev):
-                for b in self._successors[w[-1] - 1]:
-                    nxt.append(w + (b,))
-                    parent.append(i)
-            self._words[have + 1] = nxt
-            self._parent[have + 1] = np.asarray(parent, dtype=np.int64)
-            have += 1
-
-    def words(self, depth):
-        """Admissible words of the given length, lexicographically ordered."""
+        """Build the tables down to `depth`, refusing any above MAX_TABLE_WORDS."""
         if depth < 1:
             raise ValueError("depth must be >= 1")
-        self._grow(depth)
-        return self._words[depth]
+        if depth < len(self._last):
+            return
+        # 1^T A^(depth-1) 1 in Python ints; counts never shrink with depth
+        rows, ends = self.matrix.tolist(), [1] * self.k
+        for _ in range(depth - 1):
+            if sum(ends) > MAX_TABLE_WORDS:
+                break
+            ends = [sum(e for e, r in zip(ends, rows) if r[b]) for b in range(self.k)]
+        if sum(ends) > MAX_TABLE_WORDS:
+            raise TableTooLarge(f"depth {depth} has over {MAX_TABLE_WORDS} words")
+        while len(self._last) <= depth:
+            d = len(self._last)
+            prev = self._last[d - 1]
+            # row-major order lists each parent's successors in symbol order
+            parent, last = np.nonzero(self._allowed[prev])
+            self._first[d - 1] = _frozen(np.searchsorted(parent, np.arange(len(prev))))
+            self._parent[d] = _frozen(parent)
+            self._last[d] = _frozen(last)
+
+    def words(self, depth):
+        """Admissible words of the given length as tuples, lexicographically ordered."""
+        return list(zip(*self.symbols_array(depth).T.tolist()))
 
     def word_count(self, depth):
-        return len(self.words(depth))
+        self._grow(depth)
+        return len(self._last[depth])
 
-    def word_index(self, depth):
-        """Dict mapping each admissible word of this length to its position."""
-        if depth not in self._index:
-            self._index[depth] = {w: i for i, w in enumerate(self.words(depth))}
-        return self._index[depth]
+    def word_index(self, words):
+        """Table positions of one word (an int) or an (n, depth) array of words.
+
+        Descends the table symbol by symbol through the contiguous
+        children.  Raises InadmissibleWord naming an inadmissible word.
+        """
+        arr = np.asarray(words, dtype=np.int64)
+        if arr.ndim == 1:
+            return int(self.word_index(arr[None, :])[0])
+        bad = ~((arr >= 1) & (arr <= self.k)).all(axis=1)
+        if arr.shape[1] and not bad.any():
+            self._grow(arr.shape[1])
+            pos = arr[:, 0] - 1
+            for d in range(1, arr.shape[1]):
+                rank = self._rank[arr[:, d - 1], arr[:, d]]
+                bad = rank < 0
+                if bad.any():
+                    break
+                rank += self._first[d][pos]
+                pos = rank
+            else:
+                return pos
+        word = word_string(arr[np.argmax(bad)].tolist())
+        raise InadmissibleWord(f"word {word} is not admissible")
 
     def symbols_array(self, depth):
         """Admissible words as an int array of shape (count, depth)."""
         if depth not in self._sym:
-            arr = np.asarray(self.words(depth), dtype=np.int64).reshape(-1, depth)
-            arr.setflags(write=False)
-            self._sym[depth] = arr
+            sym = np.empty((self.word_count(depth), depth), dtype=np.int64)
+            idx = np.arange(len(sym))
+            for d in range(depth, 0, -1):
+                sym[:, d - 1] = self._last[d][idx]
+                idx = self._parent[d][idx]
+            self._sym[depth] = _frozen(sym)
         return self._sym[depth]
 
     def is_admissible(self, word):
-        if len(word) == 0:
-            return False
-        a = self.matrix
-        for s in word:
-            if not 1 <= s <= self.k:
-                return False
-        for i in range(len(word) - 1):
-            if a[word[i] - 1, word[i + 1] - 1] == 0:
-                return False
-        return True
+        ok = len(word) > 0 and all(1 <= s <= self.k for s in word)
+        return ok and all(self.matrix[a - 1, b - 1] for a, b in zip(word, word[1:]))
 
     def require_admissible(self, word):
         if not self.is_admissible(tuple(word)):
@@ -150,7 +199,6 @@ class Subshift:
         """For each depth-`depth` word, the index of its length-`prefix_depth` prefix."""
         if prefix_depth > depth:
             raise ValueError("prefix depth exceeds word depth")
-        self._grow(depth)
         idx = np.arange(self.word_count(depth), dtype=np.int64)
         for d in range(depth, prefix_depth, -1):
             idx = self._parent[d][idx]
@@ -160,11 +208,14 @@ class Subshift:
         """For each depth-`depth` word w, the index of w[1:] among depth-(depth-1) words."""
         if depth < 2:
             raise ValueError("need depth >= 2 to drop the first symbol")
-        index = self.word_index(depth - 1)
-        out = np.empty(self.word_count(depth), dtype=np.int64)
-        for i, w in enumerate(self.words(depth)):
-            out[i] = index[w[1:]]
-        return out
+        self._grow(depth)
+        # the tail of u b is child b of the tail of u; children are contiguous
+        while len(self._suffix) < depth:
+            d = len(self._suffix) + 1
+            tail = self._suffix[d - 1][self._parent[d]]
+            rank = self._rank[self._last[d - 2][tail], self._last[d]]
+            self._suffix[d] = _frozen(self._first[d - 2][tail] + rank)
+        return self._suffix[depth]
 
 
 class CylinderFunction:
@@ -207,10 +258,9 @@ class CylinderFunction:
     @classmethod
     def indicator(cls, shift, word):
         """Indicator of the cylinder [word], at depth len(word)."""
-        word = tuple(word)
-        shift.require_admissible(word)
+        i = shift.word_index(word)
         vals = np.zeros(shift.word_count(len(word)))
-        vals[shift.word_index(len(word))[word]] = 1.0
+        vals[i] = 1.0
         return cls(shift, len(word), vals)
 
     @classmethod
@@ -236,7 +286,7 @@ class CylinderFunction:
                 f"function of depth {self.depth} is not constant on [{word_string(word)}]"
             )
         self.shift.require_admissible(word)
-        return self.values[self.shift.word_index(self.depth)[word[: self.depth]]]
+        return self.values[self.shift.word_index(word[: self.depth])]
 
     def promote(self, depth):
         """Represent the same function on X at a finer cylinder resolution."""
@@ -319,22 +369,6 @@ class CylinderFunction:
 def build_subshift(matrix):
     """Validate a 0/1 transition matrix and wrap it as a Subshift."""
     return Subshift(matrix)
-
-
-def admissible_words(shift, depth):
-    return shift.words(depth)
-
-
-def preimage_symbols(shift, j):
-    return shift.preimage_symbols(j)
-
-
-def promote_depth(f, depth):
-    return f.promote(depth)
-
-
-def compose_with_shift(f):
-    return f.compose_with_shift()
 
 
 def weight_product(v, n):

@@ -21,7 +21,7 @@ from .errors import (
     NoConvergence,
     NotSubNormalized,
 )
-from .subshift import CylinderFunction, weight_product
+from .subshift import CylinderFunction, branch_sum, weight_product
 
 DEGENERATE_SUP = 1e-9
 
@@ -45,10 +45,7 @@ def apply_transfer(shift, v, f):
     e = out_depth + 1
     ve = v.promote(e).values
     fe = f.promote(e).values
-    contrib = ve * fe
-    suf = shift.suffix_indices(e)
-    out = np.zeros(shift.word_count(out_depth), dtype=contrib.dtype)
-    np.add.at(out, suf, contrib)
+    out = branch_sum(shift.suffix_indices(e), ve * fe, shift.word_count(out_depth))
     first = shift.symbols_array(out_depth)[:, 0]
     out /= shift.column_sums[first - 1]
     return CylinderFunction(shift, out_depth, out)
@@ -86,9 +83,8 @@ def transfer_matrix(shift, v, depth):
     pre = shift.prefix_indices(e, depth)
     first = shift.symbols_array(depth)[:, 0]
     inv_c = 1.0 / shift.column_sums[first - 1]
-    mat = np.zeros((n, n))
     # word u at depth e contributes v(u)/c to entry (index of u[1:], index of u[:depth])
-    np.add.at(mat, (suf, pre), ve)
+    mat = branch_sum((suf, pre), ve, (n, n))
     mat *= inv_c[:, None]
     return TransferMatrix(shift, v, depth, mat)
 

@@ -1,6 +1,7 @@
 """Command line behavior: outputs, exit codes, and reproducibility."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -261,6 +262,38 @@ def test_config_errors_exit_two(tmp_path):
     zero_col["matrix"] = [[1, 0], [1, 0]]
     cfg = write_config(tmp_path, zero_col)
     assert run(["invariant", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+def test_oversized_depth_exits_two_before_allocating(tmp_path):
+    """The 2**40 depth-40 words exceed the table limit; nothing that size is built."""
+    cfg = write_config(tmp_path, FULL_HALF)
+    tracemalloc.start()
+    try:
+        code = run(["invariant", "--config", cfg, "--depth", "40", "--out", str(tmp_path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 2**23
+    assert not (tmp_path / "invariant_report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("invariant", "--max-iter"),
+        ("invariant", "--steps"),
+        ("fixpoint", "--depth"),
+        ("verify", "--samples"),
+        ("ergodicity", "--seed"),
+        ("ergodicity", "--workers"),
+    ],
+)
+def test_subcommands_reject_flags_they_do_not_read(tmp_path, command, flag):
+    cfg = write_config(tmp_path, FULL_HALF)
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--config", cfg, flag, "1", "--out", str(tmp_path)])
+    assert exc.value.code == 2
 
 
 def test_filter_mismatch_exit_two(tmp_path):

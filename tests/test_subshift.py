@@ -21,6 +21,7 @@ from shiftpath import (
     InadmissibleWord,
     NegativeWeight,
     NonBinaryEntry,
+    TableTooLarge,
     ZeroColumn,
     build_subshift,
     weight_product,
@@ -68,6 +69,19 @@ def test_irreducibility_flags():
     assert build_subshift(PERM2).irreducible
     assert not build_subshift(BLOCK4).irreducible
     assert not build_subshift([[1, 0], [0, 1]]).irreducible
+    # full shifts on which (I + A)^k overflows int64
+    for k in (16, 17, 18, 20, 25):
+        assert build_subshift(np.ones((k, k), dtype=int)).irreducible
+
+
+def test_oversized_tables_are_refused():
+    full = build_subshift(FULL2)
+    for build in (full.word_count, full.words, full.symbols_array, full.suffix_indices):
+        with pytest.raises(TableTooLarge):
+            build(40)
+    with pytest.raises(TableTooLarge):
+        CylinderFunction.constant(full, 1.0, depth=40)
+    assert full.word_count(3) == 8
 
 
 def test_admissibility_checks():
