@@ -9,7 +9,8 @@ Five subcommands cover the library's checkable claims:
     ergodicity   compute the invariant-function dimension, decompose
 
 Exit codes: 0 all checks passed, 1 an identity failed its tolerance,
-2 config or precondition problem, 3 the invariant vector is not unique,
+2 config or precondition problem (also a flag below its range, and
+fewer than 100 samples), 3 the invariant vector is not unique,
 4 the fixed density is degenerate, 5 sampling hit a zero-mass state or
 the iteration mass collapsed, 6 the fixed point is not extremal at the
 requested depth.
@@ -36,7 +37,7 @@ from .errors import (
     ShiftPathError,
     ZeroMassConditioning,
 )
-from .extremality import decompose, relative_ergodicity_dimension
+from .extremality import decompose_report, relative_ergodicity_dimension
 from .invariant import strongly_invariant_measure, verify_strong_invariance
 from .io import (
     build_base_measure_from_config,
@@ -46,26 +47,27 @@ from .io import (
     build_weight_from_config,
     config_sha256,
     load_config,
+    word_column,
     write_csv,
     write_function_csv,
     write_measure_csv,
     write_report,
 )
-from .measures import fixed_density_measure, masses_along_orbit
+from .measures import (
+    fixed_density_measure,
+    masses_along_orbit,
+    unit_pairing,
+    weight_pushforward_defect,
+)
 from .pathspace import (
     build_path_measure,
     check_consistency,
     check_isometry,
     check_quasi_invariance,
     empirical_check,
-    sample_paths,
 )
-from .subshift import CylinderFunction, word_string
-from .transfer import (
-    check_weight_pushforward,
-    iterate_fixed_function,
-    left_fixed_functional,
-)
+from .subshift import word_string
+from .transfer import iterate_fixed_function, left_fixed_functional
 
 EXIT_OK = 0
 EXIT_IDENTITY = 1
@@ -151,12 +153,8 @@ def cmd_fixpoint(args):
     v = build_weight_from_config(shift, cfg)
     result = iterate_fixed_function(shift, v, tol=args.tol, max_iter=args.max_iter)
     nu = left_fixed_functional(shift, v)
-    h = result.h
-    pairing = None
-    if nu is not None and h.depth >= nu.depth:
-        pairing = float(nu.integrate(h))
-        if result.status == "converged" and pairing > 1e-12:
-            h = h * (1.0 / pairing)
+    pairing, scaled = unit_pairing(result.h, nu)
+    h = scaled if scaled is not None and result.status == "converged" else result.h
     write_function_csv(_outpath(args, "fixed_function.csv"), h)
     if nu is not None:
         write_measure_csv(
@@ -195,11 +193,10 @@ def cmd_verify(args):
 
     residuals = {
         "base_fixed_point": float(pm.base_residual),
-        "strong_invariance": max(
-            float(verify_strong_invariance(rho, d)) for d in range(1, args.depth + 1)
-        ),
+        "strong_invariance": float(verify_strong_invariance(rho, args.depth)),
         "marginal_consistency": max(
-            float(check_consistency(pm, n, args.depth)) for n in range(args.steps)
+            (float(check_consistency(pm, n, args.depth)) for n in range(args.steps)),
+            default=0.0,
         ),
         "quasi_invariance": float(check_quasi_invariance(pm, args.depth, args.steps)),
     }
@@ -207,10 +204,8 @@ def cmd_verify(args):
     residuals["mass_conservation"] = float(
         np.abs(orbit - mu0.total_mass()).max()
     )
-    residuals["weight_pushforward"] = max(
-        float(check_weight_pushforward(shift, v, CylinderFunction.indicator(shift, w), rho, n))
-        for w in shift.words(args.depth)
-        for n in range(1, 4)
+    residuals["weight_pushforward"] = weight_pushforward_defect(
+        shift, v, rho, args.depth, 3
     )
     if filt is not None:
         residuals["isometry"] = float(check_isometry(pm, filt, args.depth))
@@ -241,22 +236,16 @@ def cmd_sample(args):
     pm = build_path_measure(
         shift, v, mu0, tol=args.tol, marginal_overrides=overrides
     )
-    batch = sample_paths(
-        pm, args.steps, args.samples, args.depth, args.seed, workers=args.workers
-    )
-    rows = (
-        (
-            str(i),
-            word_string(batch.base_words[i]),
-            word_string(batch.prepends[i]) if args.steps else "",
-        )
-        for i in range(len(batch))
-    )
-    write_csv(
-        _outpath(args, "samples.csv"), ("sample_id", "base_word", "prepends"), rows
-    )
     empirical = empirical_check(
         pm, args.steps, args.samples, args.depth, args.seed, workers=args.workers
+    )
+    batch = empirical.batch
+    write_csv(
+        _outpath(args, "samples.csv"),
+        ("sample_id", "base_word", "prepends"),
+        np.arange(len(batch)),
+        word_column(batch.base_words),
+        word_column(batch.prepends),
     )
     report = _base_report(args, cfg, "sample")
     report.update(
@@ -292,15 +281,11 @@ def cmd_ergodicity(args):
             "tolerance": args.tol,
         }
     )
-    if rep.extremal_certificate:
-        report["decomposition"] = None
-        write_report(_outpath(args, "ergodicity_report.json"), report)
-        return EXIT_OK
-    dec = decompose(shift, mu0, v, args.depth, tol=args.tol)
-    if dec is None:
-        report["decomposition"] = None
+    dec = decompose_report(shift, mu0, rep)
+    report["decomposition"] = None
+    if dec is None and not rep.extremal_certificate:
         report["note"] = "extra solutions vanish on the support of the base measure"
-    else:
+    elif dec is not None:
         report["decomposition"] = {
             "lambda": float(dec.lam),
             "component_masses": [
@@ -308,31 +293,42 @@ def cmd_ergodicity(args):
                 float(dec.mu2.total_mass()),
             ],
         }
-        write_measure_csv(
-            _outpath(args, "component_1.csv"),
-            shift,
-            args.depth,
-            dec.mu1.masses_at(args.depth),
-        )
-        write_measure_csv(
-            _outpath(args, "component_2.csv"),
-            shift,
-            args.depth,
-            dec.mu2.masses_at(args.depth),
-        )
+        for i, mu in enumerate((dec.mu1, dec.mu2), start=1):
+            write_measure_csv(
+                _outpath(args, f"component_{i}.csv"),
+                shift,
+                args.depth,
+                mu.masses_at(args.depth),
+            )
     write_report(_outpath(args, "ergodicity_report.json"), report)
-    return EXIT_NON_EXTREMAL
+    return EXIT_OK if rep.extremal_certificate else EXIT_NON_EXTREMAL
+
+
+def _int_at_least(low):
+    """argparse type for an int of at least `low`; smaller values exit 2."""
+
+    def parse(text):
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+
+    parse.__name__ = "int"  # named in argparse's "invalid int value" message
+    return parse
 
 
 _FLAGS = {
     "config": dict(required=True, help="path to the JSON system config"),
-    "depth": dict(type=int, default=3, help="cylinder depth (default 3)"),
+    "depth": dict(type=_int_at_least(1), default=3, help="cylinder depth (default 3)"),
     "tol": dict(type=float, default=1e-10, help="identity tolerance (default 1e-10)"),
     "max-iter": dict(type=int, default=10000, help="iteration cap for solvers (default 10000)"),
-    "samples": dict(type=int, default=100000, help="Monte Carlo sample count (default 100000)"),
+    "samples": dict(
+        type=_int_at_least(1), default=100000, help="Monte Carlo sample count (default 100000)"
+    ),
     "seed": dict(type=int, default=42, help="RNG seed (default 42)"),
-    "steps": dict(type=int, default=3, help="trajectory steps / levels to check (default 3)"),
-    "workers": dict(type=int, default=1, help="sampler worker count (default 1)"),
+    "steps": dict(
+        type=_int_at_least(0), default=3, help="trajectory steps / levels to check (default 3)"
+    ),
+    "workers": dict(type=_int_at_least(1), default=1, help="sampler worker count (default 1)"),
     "out": dict(default=".", help="directory for reports and CSV files (default .)"),
 }
 

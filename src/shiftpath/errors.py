@@ -86,6 +86,10 @@ class ZeroMassConditioning(ShiftPathError):
     """A sampled trajectory reached a cylinder of mass zero."""
 
 
+class TooFewSamples(ShiftPathError, ValueError):
+    """A Monte Carlo check was given too few samples to be meaningful."""
+
+
 class FilterMismatch(ShiftPathError):
     """The squared modulus of the filter does not reproduce the weight."""
 

@@ -128,7 +128,16 @@ def _component(shift, mu0, f):
 def decompose(shift, mu0, v, depth, tol=1e-10):
     """Split a non-extremal fixed point into two distinct fixed components.
 
-    Picks, from the invariant-function space at the given depth, the
+    Solves for the depth-d invariant-function space; see decompose_report.
+    """
+    report = relative_ergodicity_dimension(shift, mu0, v, depth, tol=tol)
+    return decompose_report(shift, mu0, report)
+
+
+def decompose_report(shift, mu0, report):
+    """Decomposition of mu0 along an already solved invariant-function space.
+
+    Picks, from the invariant-function space at the report's depth, the
     direction with the largest deviation from its mu0-mean on the
     support of mu0; directions invisible to mu0 cannot separate
     anything, so if none is essential the function returns None, as it
@@ -141,9 +150,9 @@ def decompose(shift, mu0, v, depth, tol=1e-10):
 
     exactly, with both components again fixed under the transformer.
     """
-    report = relative_ergodicity_dimension(shift, mu0, v, depth, tol=tol)
     if report.solution_dim <= 1:
         return None
+    depth = report.depth
 
     masses = mu0.masses_at(depth)
     total = masses.sum()

@@ -179,39 +179,44 @@ def build_overrides_from_config(shift, cfg):
     return {n: RawMeasure(shift, masses.depth, masses.values)}
 
 
-def float_token(x):
-    """Shortest decimal string that round-trips to the same float."""
-    return repr(float(x))
+# rows rendered and written per block, which bounds the text held in memory
+CSV_BLOCK_ROWS = 1 << 16
 
 
-def write_csv(path, header, rows):
+def word_column(symbols):
+    """Digit strings of the rows of an (n, depth) array of symbols 1..9 ("" at depth 0)."""
+    sym = np.asarray(symbols)
+    if sym.shape[1] == 0:
+        return np.full(len(sym), "")
+    digits = np.ascontiguousarray(sym + ord("0"), dtype=np.uint8)
+    return digits.view(f"S{sym.shape[1]}").ravel().astype(str)
+
+
+def _cells(column):
+    """Text of each cell: floats as the shortest round-tripping repr, else str."""
+    column = np.asarray(column)
+    return map(repr if column.dtype.kind == "f" else str, column.tolist())
+
+
+def write_csv(path, header, *columns):
+    """Write equal-length 1-D columns under a header, one row per line."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+            block = (_cells(c[start : start + CSV_BLOCK_ROWS]) for c in columns)
+            fh.write("\n".join(map(",".join, zip(*block, strict=True))) + "\n")
 
 
 def write_measure_csv(path, shift, depth, masses):
-    rows = (
-        (word_string(w), float_token(m))
-        for w, m in zip(shift.words(depth), masses)
-    )
-    write_csv(path, ("word", "mass"), rows)
+    write_csv(path, ("word", "mass"), word_column(shift.symbols_array(depth)), masses)
 
 
 def write_function_csv(path, f):
+    words = word_column(f.shift.symbols_array(f.depth))
     if np.iscomplexobj(f.values):
-        rows = (
-            (word_string(w), float_token(z.real), float_token(z.imag))
-            for w, z in zip(f.shift.words(f.depth), f.values)
-        )
-        write_csv(path, ("word", "real", "imag"), rows)
-        return
-    rows = (
-        (word_string(w), float_token(v))
-        for w, v in zip(f.shift.words(f.depth), f.values)
-    )
-    write_csv(path, ("word", "value"), rows)
+        write_csv(path, ("word", "real", "imag"), words, f.values.real, f.values.imag)
+    else:
+        write_csv(path, ("word", "value"), words, f.values)
 
 
 def write_report(path, payload):

@@ -21,10 +21,17 @@ import numpy as np
 
 from .errors import DegenerateH, DepthTooShallow, MassCollapse, NoConvergence
 from .invariant import MarkovMeasure, strongly_invariant_measure
-from .subshift import CylinderFunction, branch_sum
-from .transfer import apply_transfer, iterate_fixed_function, left_fixed_functional
+from .subshift import CylinderFunction, branch_sum, weight_product
+from .transfer import (
+    _operator_pieces,
+    apply_transfer,
+    iterate_fixed_function,
+    left_fixed_functional,
+)
 
 MASS_FLOOR = 1e-12
+# smallest pairing with the dual fixed vector that normalization divides by
+PAIRING_FLOOR = 1e-12
 
 
 class RawMeasure:
@@ -198,6 +205,38 @@ def masses_along_orbit(shift, v, mu0, n_max):
     return np.asarray(out)
 
 
+def weight_pushforward_defect(shift, v, rho, depth, n_max):
+    """Max of check_weight_pushforward over depth-d indicators and n = 1..n_max.
+
+    The transpose of the operator on depth-D tables, D = max(depth,
+    depth(v) - 1, 1), moves rho's masses once for all indicators; each
+    step, summed to depth d, is compared with rho reweighted by the
+    n-step weight product.  Agrees with the per-indicator max up to rounding.
+    """
+    big = max(depth, v.depth - 1, 1)
+    ve, suf, counts = _operator_pieces(shift, v, big)
+    pre, to_depth = shift.prefix_indices(big + 1, big), shift.prefix_indices(big, depth)
+    dual, worst = rho.masses_at(big), 0.0
+    for n in range(1, n_max + 1):
+        dual = branch_sum(pre, ve * (dual / counts)[suf], len(counts))
+        rhs = branch_sum(to_depth, dual, shift.word_count(depth))
+        lhs = DensityMeasure(weight_product(v, n), rho).masses_at(depth)
+        worst = max(worst, float(np.abs(lhs - rhs).max()))
+    return worst
+
+
+def unit_pairing(h, nu):
+    """(pairing of h with the dual fixed vector nu, h scaled to unit pairing).
+
+    The pairing is None when nu is missing or too coarse for h, and the
+    scaled h is None unless the pairing exceeds PAIRING_FLOOR.
+    """
+    if nu is None or h.depth < nu.depth:
+        return None, None
+    pairing = float(nu.integrate(h))
+    return pairing, (h * (1.0 / pairing) if pairing > PAIRING_FLOOR else None)
+
+
 def fixed_density_measure(shift, v, rho=None, tol=1e-13, max_iter=10000):
     """The canonical fixed measure h drho built from the monotone iteration.
 
@@ -213,12 +252,9 @@ def fixed_density_measure(shift, v, rho=None, tol=1e-13, max_iter=10000):
             f"monotone limit is identically zero (sup {res.h.sup_norm():.2e})"
         )
     h = res.h
-    nu = left_fixed_functional(shift, v)
-    if nu is not None and h.depth >= nu.depth:
-        pairing = nu.integrate(h)
-        if pairing > 1e-12:
-            h = h * (1.0 / pairing)
-            return DensityMeasure(h, rho)
+    _, scaled = unit_pairing(h, left_fixed_functional(shift, v))
+    if scaled is not None:
+        return DensityMeasure(scaled, rho)
     total = rho.integrate(h)
     if total <= 0:
         raise DegenerateH("fixed function integrates to zero mass")

@@ -14,7 +14,7 @@ identities, and the trajectory process can be sampled exactly because
 the one-step conditional masses are ratios of stored cylinder masses.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -23,10 +23,11 @@ from .errors import (
     DepthTooShallow,
     FilterMismatch,
     NotFixedPoint,
+    TooFewSamples,
     ZeroMassConditioning,
 )
 from .measures import DensityMeasure, RawMeasure, _pushforward_masses, check_fixed_point
-from .subshift import CylinderFunction, branch_sum, weight_product
+from .subshift import CylinderFunction, branch_sum, weight_product, word_string
 
 
 def _drop_indices(shift, depth, steps):
@@ -223,11 +224,8 @@ class _WalkKernel:
     def step(self, states, r):
         if self.invalid[states].any():
             bad = int(states[self.invalid[states]][0])
-            word = self.shift.words(self.depth)[bad]
-            raise ZeroMassConditioning(
-                f"trajectory reached the zero-mass cylinder "
-                f"[{''.join(map(str, word))}]"
-            )
+            word = word_string(self.shift.symbols_array(self.depth)[bad])
+            raise ZeroMassConditioning(f"trajectory reached the zero-mass cylinder [{word}]")
         choice = np.argmax(r[:, None] < self.cdf[states], axis=1)
         return self.nxt[states, choice], self.syms[states, choice]
 
@@ -321,6 +319,7 @@ class EmpiricalReport:
     sigma_bound: float
     passed: bool
     worst_word: tuple
+    batch: SampleBatch = field(repr=False, compare=False)
 
 
 def empirical_check(pm, n, n_samples, depth, seed, workers=1):
@@ -328,12 +327,14 @@ def empirical_check(pm, n, n_samples, depth, seed, workers=1):
 
     Draws n_samples trajectories and compares the empirical frequencies
     of the coordinate-n truncations with the exact marginal, word by
-    word, against a three-standard-deviation binomial band.
+    word, against a three-standard-deviation binomial band.  The report
+    carries the batch.  Fewer than 100 samples raise TooFewSamples after
+    the draw.
     """
-    if n_samples < 100:
-        raise ValueError("need at least 100 samples")
     shift = pm.shift
     batch = sample_paths(pm, n, n_samples, max(depth, 1), seed, workers=workers)
+    if n_samples < 100:
+        raise TooFewSamples("need at least 100 samples")
     arr = batch.theta_words(n, depth)
 
     counts = np.bincount(shift.word_index(arr), minlength=shift.word_count(depth))
@@ -352,6 +353,7 @@ def empirical_check(pm, n, n_samples, depth, seed, workers=1):
         sigma_bound=float(sigma3[worst]),
         passed=bool((dev <= sigma3).all()),
         worst_word=shift.words(depth)[worst],
+        batch=batch,
     )
 
 

@@ -26,6 +26,21 @@ from .subshift import CylinderFunction, branch_sum, weight_product
 DEGENERATE_SUP = 1e-9
 
 
+def _operator_pieces(shift, v, depth):
+    """Weights, suffix map and branch counts of the operator on depth-`depth` tables.
+
+    Over the words u one level deeper: v(u) and the index of u[1:].  Per
+    depth-`depth` word: its branch count, which divides the branch sum.
+    """
+    if depth < max(v.depth - 1, 1):
+        raise DepthTooShallow(
+            f"depth {depth} cannot carry the operator of a depth-{v.depth} weight"
+        )
+    v.require_nonnegative()
+    counts = shift.column_sums[shift.symbols_array(depth)[:, 0] - 1]
+    return v.promote(depth + 1).values, shift.suffix_indices(depth + 1), counts
+
+
 def apply_transfer(shift, v, f):
     """Apply the v-weighted transfer operator to a cylinder function.
 
@@ -40,15 +55,10 @@ def apply_transfer(shift, v, f):
     -------
     CylinderFunction at depth max(depth(v) - 1, depth(f) - 1, 1).
     """
-    v.require_nonnegative()
     out_depth = max(v.depth - 1, f.depth - 1, 1)
-    e = out_depth + 1
-    ve = v.promote(e).values
-    fe = f.promote(e).values
-    out = branch_sum(shift.suffix_indices(e), ve * fe, shift.word_count(out_depth))
-    first = shift.symbols_array(out_depth)[:, 0]
-    out /= shift.column_sums[first - 1]
-    return CylinderFunction(shift, out_depth, out)
+    ve, suf, counts = _operator_pieces(shift, v, out_depth)
+    out = branch_sum(suf, ve * f.promote(out_depth + 1).values, len(counts))
+    return CylinderFunction(shift, out_depth, out / counts)
 
 
 @dataclass(frozen=True)
@@ -71,21 +81,12 @@ def transfer_matrix(shift, v, depth):
     Requires depth >= max(depth(v) - 1, 1) so that depth-d tables map
     into depth-d tables.
     """
-    if depth < max(v.depth - 1, 1):
-        raise DepthTooShallow(
-            f"depth {depth} cannot carry the operator of a depth-{v.depth} weight"
-        )
-    v.require_nonnegative()
-    n = shift.word_count(depth)
-    e = depth + 1
-    ve = v.promote(e).values
-    suf = shift.suffix_indices(e)
-    pre = shift.prefix_indices(e, depth)
-    first = shift.symbols_array(depth)[:, 0]
-    inv_c = 1.0 / shift.column_sums[first - 1]
-    # word u at depth e contributes v(u)/c to entry (index of u[1:], index of u[:depth])
+    ve, suf, counts = _operator_pieces(shift, v, depth)
+    n = len(counts)
+    pre = shift.prefix_indices(depth + 1, depth)
+    # word u one level deeper adds v(u)/c to entry (index of u[1:], index of u[:depth])
     mat = branch_sum((suf, pre), ve, (n, n))
-    mat *= inv_c[:, None]
+    mat *= (1.0 / counts)[:, None]
     return TransferMatrix(shift, v, depth, mat)
 
 

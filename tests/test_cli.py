@@ -1,12 +1,16 @@
 """Command line behavior: outputs, exit codes, and reproducibility."""
 
 import json
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from shiftpath import extremality, pathspace, transfer
 from shiftpath.cli import main
+from shiftpath.io import word_column, write_csv
+from shiftpath.subshift import word_string
 
 GOLDEN_FLAT = {
     "k": 2,
@@ -294,6 +298,101 @@ def test_subcommands_reject_flags_they_do_not_read(tmp_path, command, flag):
     with pytest.raises(SystemExit) as exc:
         run([command, "--config", cfg, flag, "1", "--out", str(tmp_path)])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("invariant", "--depth", "0"),
+        ("verify", "--depth", "0"),
+        ("ergodicity", "--depth", "0"),
+        ("sample", "--depth", "0"),
+        ("verify", "--steps", "-1"),
+        ("sample", "--steps", "-1"),
+        ("sample", "--samples", "0"),
+        ("sample", "--workers", "0"),
+        ("sample", "--workers", "-3"),
+    ],
+)
+def test_out_of_range_flags_exit_two(tmp_path, command, flag, value):
+    cfg = write_config(tmp_path, FULL_HALF)
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--config", cfg, flag, value, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert not list(tmp_path.glob("*_report.json"))
+
+
+def test_verify_zero_steps_checks_no_levels(tmp_path):
+    cfg = write_config(tmp_path, FULL_HALF)
+    code = run(["verify", "--config", cfg, "--steps", "0", "--out", str(tmp_path)])
+    assert code == 0
+    report = load(tmp_path, "verify_report.json")
+    assert report["levels_checked"] == 0
+    assert report["residuals"]["marginal_consistency"] == 0.0
+
+
+def test_sample_too_few_samples_exits_two(tmp_path):
+    cfg = write_config(tmp_path, FULL_MARKOV)
+    code = run(["sample", "--config", cfg, "--samples", "50", "--out", str(tmp_path)])
+    assert code == 2
+    assert not (tmp_path / "sample_report.json").exists()
+
+
+def count_calls(monkeypatch, module, name):
+    """Record the arguments of every call to module.name, through every package binding."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "shiftpath":
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv, cfg, module, name, expected_code, expected_calls",
+    [
+        pytest.param(
+            ["sample", "--samples", "2000", "--steps", "2", "--seed", "6"],
+            FULL_MARKOV, pathspace, "sample_paths", 0, 1, id="sample",
+        ),
+        pytest.param(
+            ["ergodicity", "--depth", "1"],
+            BLOCK_FLAT, extremality, "relative_ergodicity_dimension", 6, 1, id="ergodicity",
+        ),
+        pytest.param(
+            ["verify", "--depth", "3"],
+            FULL_HALF, transfer, "check_weight_pushforward", 0, 0, id="verify",
+        ),
+    ],
+)
+def test_each_result_is_computed_once(
+    tmp_path, monkeypatch, argv, cfg, module, name, expected_code, expected_calls
+):
+    calls = count_calls(monkeypatch, module, name)
+    path = write_config(tmp_path, cfg)
+    assert run(argv + ["--config", path, "--out", str(tmp_path)]) == expected_code
+    assert len(calls) == expected_calls
+
+
+def test_csv_writer_matches_per_row_formatting(tmp_path):
+    rng = np.random.default_rng(3)
+    words = rng.integers(1, 10, size=(70000, 4))
+    values = rng.standard_normal(len(words)) * 10.0 ** rng.integers(-20, 20, len(words))
+    write_csv(tmp_path / "a.csv", ("id", "word", "none", "x"), np.arange(len(words)),
+              word_column(words), word_column(words[:, :0]), values)
+    expected = "id,word,none,x\n" + "".join(
+        f"{i},{word_string(w)},,{float(x)!r}\n" for i, (w, x) in enumerate(zip(words, values))
+    )
+    assert (tmp_path / "a.csv").read_text() == expected
+    write_csv(tmp_path / "empty.csv", ("word",), word_column(words[:0]))
+    assert (tmp_path / "empty.csv").read_text() == "word\n"
 
 
 def test_filter_mismatch_exit_two(tmp_path):

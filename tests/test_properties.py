@@ -3,7 +3,11 @@
 Hypothesis draws transition matrices with k <= 4 symbols and no zero
 column, and depths up to 6.  The word tables, index maps and word lookup
 are compared with the tuple oracle in conftest; the branch-sum primitive
-is compared bit for bit with numpy's unbuffered scatter-add.
+is compared bit for bit with numpy's unbuffered scatter-add.  On random
+nonnegative weights, the operator matrix is compared with the operator's
+action, the raw transform with the density route, the dual pushforward
+check with the per-indicator one, and sampled batches across worker
+counts.
 """
 
 import numpy as np
@@ -11,8 +15,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_words
-from shiftpath import InadmissibleWord, build_subshift
+from conftest import brute_words, quiet_invariant
+from shiftpath import (
+    CylinderFunction,
+    DensityMeasure,
+    InadmissibleWord,
+    apply_transfer,
+    build_path_measure,
+    build_subshift,
+    check_weight_pushforward,
+    markov_measure_for_weight,
+    sample_paths,
+    transfer_matrix,
+    transform_measure,
+    weight_pushforward_defect,
+)
 from shiftpath.subshift import branch_sum
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
@@ -98,3 +115,76 @@ def test_branch_sum_matches_add_at(size, data):
     np.add.at(expected, (index, col_index), re)
     got = branch_sum((index, col_index), re, (size, cols))
     assert got.tobytes() == expected.tobytes()
+
+
+def table(data, shift, depth, low=0.0, high=3.0):
+    """A cylinder function of the given depth with values drawn in [low, high]."""
+    n = shift.word_count(depth)
+    values = data.draw(st.lists(st.floats(low, high), min_size=n, max_size=n))
+    return CylinderFunction(shift, depth, values)
+
+
+def normalized_weight(data, shift):
+    """Depth-2 weight whose average over the preimages of every point is 1."""
+    k = shift.k
+    entries = data.draw(st.lists(st.floats(0.1, 1.0), min_size=k * k, max_size=k * k))
+    p = shift.matrix * np.reshape(entries, (k, k))
+    p = p / p.sum(axis=0)
+    a, j = shift.symbols_array(2).T - 1
+    return CylinderFunction(shift, 2, p[a, j] * shift.column_sums[j])
+
+
+@PROPERTY_SETTINGS
+@given(matrices(), st.integers(1, 3), st.data())
+def test_transfer_matrix_acts_like_apply_transfer(matrix, v_depth, data):
+    shift = build_subshift(matrix)
+    v = table(data, shift, v_depth)
+    depth = data.draw(st.integers(max(v_depth - 1, 1), 4))
+    f = table(data, shift, data.draw(st.integers(1, depth)), -2.0, 2.0)
+    got = transfer_matrix(shift, v, depth).matrix @ f.promote(depth).values
+    expected = apply_transfer(shift, v, f).promote(depth).values
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(matrices(), st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.data())
+def test_raw_transform_matches_density_route(matrix, v_depth, f_depth, depth, data):
+    shift = build_subshift(matrix)
+    v = table(data, shift, v_depth)
+    mu = DensityMeasure(table(data, shift, f_depth), quiet_invariant(shift))
+    density_route = transform_measure(shift, v, mu).masses_at(depth)
+    raw_route = transform_measure(shift, v, mu, out_depth=depth).masses
+    np.testing.assert_allclose(raw_route, density_route, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(matrices(), st.integers(1, 3), st.integers(1, 4), st.data())
+def test_dual_pushforward_defect_matches_per_indicator_check(matrix, v_depth, depth, data):
+    shift = build_subshift(matrix)
+    v = table(data, shift, v_depth)
+    # the strongly invariant reference, where the identity holds, and a
+    # consistent Markov reference of another kernel, where it need not
+    markov = markov_measure_for_weight(shift, normalized_weight(data, shift))
+    for rho in (quiet_invariant(shift), markov):
+        oracle = max(
+            check_weight_pushforward(shift, v, CylinderFunction.indicator(shift, w), rho, n)
+            for w in shift.words(depth)
+            for n in (1, 2, 3)
+        )
+        assert abs(weight_pushforward_defect(shift, v, rho, depth, 3) - oracle) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(matrices(), st.integers(0, 4), st.integers(1, 60), st.integers(1, 3), st.data())
+def test_sampled_batches_do_not_depend_on_workers(matrix, steps, samples, depth, data):
+    shift = build_subshift(matrix)
+    # a normalized weight fixes the strongly invariant measure itself
+    mu0 = DensityMeasure(CylinderFunction.constant(shift, 1.0), quiet_invariant(shift))
+    pm = build_path_measure(shift, normalized_weight(data, shift), mu0)
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    batches = [sample_paths(pm, steps, samples, depth, seed, workers=w) for w in (1, 2, 3)]
+    for batch in batches[1:]:
+        assert batch.base_words.tobytes() == batches[0].base_words.tobytes()
+        assert batch.prepends.tobytes() == batches[0].prepends.tobytes()
+        assert batch.base_words.shape == batches[0].base_words.shape
+        assert batch.prepends.shape == batches[0].prepends.shape
