@@ -9,11 +9,11 @@ Five subcommands cover the library's checkable claims:
     ergodicity   compute the invariant-function dimension, decompose
 
 Exit codes: 0 all checks passed, 1 an identity failed its tolerance,
-2 config or precondition problem (also a flag below its range, and
-fewer than 100 samples), 3 the invariant vector is not unique,
-4 the fixed density is degenerate, 5 sampling hit a zero-mass state or
-the iteration mass collapsed, 6 the fixed point is not extremal at the
-requested depth.
+2 config or precondition problem (also a flag out of its range, and
+fewer than 100 samples), 3 the invariant vector is not unique (more
+than one closed class), 4 the fixed density is degenerate, 5 sampling
+hit a zero-mass state or the iteration mass collapsed, 6 the fixed
+point is not extremal at the requested depth.
 
 Every JSON report embeds the tool version and a sha256 of the
 canonical config so downstream diffs can tell configs apart.  All
@@ -304,31 +304,36 @@ def cmd_ergodicity(args):
     return EXIT_OK if rep.extremal_certificate else EXIT_NON_EXTREMAL
 
 
-def _int_at_least(low):
-    """argparse type for an int of at least `low`; smaller values exit 2."""
+def _at_least(kind, low):
+    """argparse type for a finite `kind` value of at least `low`; others exit 2."""
 
     def parse(text):
-        if int(text) < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
-        return int(text)
+        value = kind(text)
+        if not low <= value < float("inf"):
+            raise argparse.ArgumentTypeError(f"must be finite and at least {low}, got {text}")
+        return value
 
-    parse.__name__ = "int"  # named in argparse's "invalid int value" message
+    parse.__name__ = kind.__name__  # named in argparse's "invalid int value" message
     return parse
 
 
 _FLAGS = {
     "config": dict(required=True, help="path to the JSON system config"),
-    "depth": dict(type=_int_at_least(1), default=3, help="cylinder depth (default 3)"),
-    "tol": dict(type=float, default=1e-10, help="identity tolerance (default 1e-10)"),
-    "max-iter": dict(type=int, default=10000, help="iteration cap for solvers (default 10000)"),
+    "depth": dict(type=_at_least(int, 1), default=3, help="cylinder depth (default 3)"),
+    "tol": dict(
+        type=_at_least(float, 0), default=1e-10, help="identity tolerance (default 1e-10)"
+    ),
+    "max-iter": dict(
+        type=_at_least(int, 1), default=10000, help="iteration cap for solvers (default 10000)"
+    ),
     "samples": dict(
-        type=_int_at_least(1), default=100000, help="Monte Carlo sample count (default 100000)"
+        type=_at_least(int, 1), default=100000, help="Monte Carlo sample count (default 100000)"
     ),
     "seed": dict(type=int, default=42, help="RNG seed (default 42)"),
     "steps": dict(
-        type=_int_at_least(0), default=3, help="trajectory steps / levels to check (default 3)"
+        type=_at_least(int, 0), default=3, help="trajectory steps / levels to check (default 3)"
     ),
-    "workers": dict(type=_int_at_least(1), default=1, help="sampler worker count (default 1)"),
+    "workers": dict(type=_at_least(int, 1), default=1, help="sampler worker count (default 1)"),
     "out": dict(default=".", help="directory for reports and CSV files (default .)"),
 }
 

@@ -19,11 +19,6 @@ import warnings
 import numpy as np
 from scipy.sparse import csgraph, csr_matrix
 
-from .errors import DepthTooShallow, InadmissibleWord
-from .subshift import CylinderFunction, word_string
-
-_NULL_TOL = 1e-10
-
 
 class NonUniqueFixedVector(UserWarning):
     pass
@@ -121,57 +116,52 @@ def _stationary_vector(kernel):
         raise ValueError("stationary solve produced a zero vector")
     return q / s
 
-def _recurrent_classes(kernel):
-    """Strongly connected classes of the kernel digraph with no outgoing flow."""
-    k = kernel.shape[0]
-    graph = csr_matrix((kernel > 0).astype(np.int8))
-    n_comp, labels = csgraph.connected_components(
-        graph, directed=True, connection="strong"
-    )
-    classes = [np.flatnonzero(labels == c) for c in range(n_comp)]
-    recurrent = []
-    for members in classes:
-        inside = np.zeros(k, dtype=bool)
-        inside[members] = True
-        # kernel[i, j] > 0 moves mass from state j to state i
-        leaks = (kernel[:, members] > 0) & ~inside[:, None]
-        if not leaks.any():
-            recurrent.append(members)
-    return recurrent
+
+def closed_classes(graph):
+    """Strongly connected classes of a digraph that no edge leaves.
+
+    graph[i, j] != 0 is an edge from state i to state j; a dense array
+    or a sparse matrix, whose stored zeros count as no edge.  Returns
+    one index array per closed class, ordered by its lowest state.  For
+    a finite chain the fixed vectors at eigenvalue 1 are exactly the
+    mixtures of the stationary vectors of these classes.
+    """
+    graph = csr_matrix(graph != 0)
+    n_comp, labels = csgraph.connected_components(graph, directed=True, connection="strong")
+    rows, cols = graph.nonzero()
+    leaving = np.bincount(labels[rows], weights=labels[rows] != labels[cols], minlength=n_comp)
+    members = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
+    # component labels follow no order; each class's first state fixes its place
+    _, first = np.unique(labels, return_index=True)
+    return [members[c] for c in labels[np.sort(first)] if not leaving[c]]
 
 
 def strongly_invariant_measure(shift):
     """The Markov measure fixed under averaging over inverse branches.
 
     Solves q = M q for the column-stochastic kernel M[i, j] =
-    matrix[i, j] / column_sum[j].  When the fixed vector is unique the
-    result is the canonical reference measure of the subshift.  When the
-    eigenspace at 1 has higher dimension (reducible matrices), the
-    returned q is the uniform mixture of the per-recurrent-class
-    stationary vectors, the `non_unique` flag is set, and a warning is
-    emitted.
+    matrix[i, j] / column_sum[j], which moves mass from j to i.  With one
+    closed class the fixed vector is unique and the result is the
+    canonical reference measure of the subshift.  With several
+    (reducible matrices) q is the uniform mixture of the per-class
+    stationary vectors, `non_unique` is set, and a warning is emitted.
 
     Returns
     -------
     MarkovMeasure
     """
     kernel = shift.matrix / shift.column_sums
-    sv = np.linalg.svd(kernel - np.eye(shift.k), compute_uv=False)
-    null_dim = int((sv < _NULL_TOL).sum())
-    if null_dim <= 1:
+    classes = closed_classes(kernel.T)
+    if len(classes) == 1:
         q = _stationary_vector(kernel)
         return MarkovMeasure(shift, q, non_unique=False)
-    parts = []
-    for members in _recurrent_classes(kernel):
-        sub = kernel[np.ix_(members, members)]
-        q_sub = _stationary_vector(sub)
-        q_full = np.zeros(shift.k)
-        q_full[members] = q_sub
-        parts.append(q_full)
+    parts = np.zeros((len(classes), shift.k))
+    for part, members in zip(parts, classes):
+        part[members] = _stationary_vector(kernel[np.ix_(members, members)])
     q = np.mean(parts, axis=0)
     warnings.warn(
-        f"fixed vector is not unique (eigenspace dimension {null_dim}); "
-        "returning the uniform mixture over recurrent classes",
+        f"fixed vector is not unique ({len(classes)} closed classes); "
+        "returning the uniform mixture over the closed classes",
         NonUniqueFixedVector,
     )
     return MarkovMeasure(shift, q, non_unique=True)

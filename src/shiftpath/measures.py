@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateH, DepthTooShallow, MassCollapse, NoConvergence
-from .invariant import MarkovMeasure, strongly_invariant_measure
+from .invariant import strongly_invariant_measure
 from .subshift import CylinderFunction, branch_sum, weight_product
 from .transfer import (
     _operator_pieces,

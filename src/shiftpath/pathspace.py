@@ -14,6 +14,7 @@ identities, and the trajectory process can be sampled exactly because
 the one-step conditional masses are ratios of stored cylinder masses.
 """
 
+import os
 from dataclasses import dataclass, field
 from concurrent.futures import ThreadPoolExecutor
 
@@ -265,6 +266,13 @@ class SampleBatch:
         return np.hstack([recent, self.base_words[:, : depth - recent.shape[1]]])
 
 
+def _usable_cpus():
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def sample_paths(pm, n_steps, n_samples, base_depth, seed, workers=1):
     """Draw trajectories of the path process, exactly and reproducibly.
 
@@ -274,7 +282,7 @@ def sample_paths(pm, n_steps, n_samples, base_depth, seed, workers=1):
     its conditional mass ratio.  All randomness comes from one
     generator seeded with `seed` and is precomputed as a block, so the
     returned batch depends only on (arguments, seed) and not on the
-    worker count.
+    worker count, which is capped at the usable CPUs and the samples.
     """
     if n_steps < 0 or n_samples < 1 or base_depth < 1:
         raise ValueError("need n_steps >= 0, n_samples >= 1, base_depth >= 1")
@@ -292,7 +300,7 @@ def sample_paths(pm, n_steps, n_samples, base_depth, seed, workers=1):
             prep[:, j] = syms
         return base_states, prep
 
-    chunks = [c for c in np.array_split(np.arange(n_samples), max(workers, 1)) if len(c)]
+    chunks = np.array_split(np.arange(n_samples), max(min(workers, n_samples, _usable_cpus()), 1))
     if len(chunks) == 1:
         results = [run(chunks[0])]
     else:

@@ -13,14 +13,15 @@ result depends on the first max(m - 1, d - 1, 1) coordinates.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import (
-    DegenerateH,
     DepthTooShallow,
     MonotonicityViolation,
     NoConvergence,
     NotSubNormalized,
 )
+from .invariant import _stationary_vector, closed_classes
 from .subshift import CylinderFunction, branch_sum, weight_product
 
 DEGENERATE_SUP = 1e-9
@@ -75,19 +76,26 @@ class TransferMatrix:
     matrix: np.ndarray
 
 
+def _operator_matrix(shift, v, depth):
+    """The operator on depth-`depth` tables as a sparse matrix.
+
+    Word u one level deeper gives the entry v(u)/c at (index of u[1:],
+    index of u[:depth]); no two words share an entry.  Zero-weight
+    branches stay as stored zeros, which `closed_classes` ignores.
+    """
+    ve, suf, counts = _operator_pieces(shift, v, depth)
+    n = len(counts)
+    pre = shift.prefix_indices(depth + 1, depth)
+    return csr_matrix((ve * (1.0 / counts)[suf], (suf, pre)), shape=(n, n))
+
+
 def transfer_matrix(shift, v, depth):
     """Assemble the operator as a dense matrix acting on depth-`depth` tables.
 
     Requires depth >= max(depth(v) - 1, 1) so that depth-d tables map
     into depth-d tables.
     """
-    ve, suf, counts = _operator_pieces(shift, v, depth)
-    n = len(counts)
-    pre = shift.prefix_indices(depth + 1, depth)
-    # word u one level deeper adds v(u)/c to entry (index of u[1:], index of u[:depth])
-    mat = branch_sum((suf, pre), ve, (n, n))
-    mat *= (1.0 / counts)[:, None]
-    return TransferMatrix(shift, v, depth, mat)
+    return TransferMatrix(shift, v, depth, _operator_matrix(shift, v, depth).toarray())
 
 
 @dataclass(frozen=True)
@@ -146,37 +154,23 @@ def iterate_fixed_function(shift, v, tol=1e-13, max_iter=10000):
 def left_fixed_functional(shift, v, depth=None):
     """Dual fixed vector of the transfer operator, as cylinder masses.
 
-    Looks for an eigenvalue of the depth-d operator matrix within 1e-10
-    of 1 and returns the corresponding left eigenvector, sign-fixed,
-    clipped of rounding dust and normalized to total mass 1.  Returns
-    None when no such eigenvalue exists (e.g. strictly mass-losing
-    weights) or when no nonnegative representative can be found.
+    Requires a sub-normalized weight (averaged weight at most 1), so the
+    depth-d operator matrix is sub-stochastic and its fixed vectors live
+    on the closed classes of its graph whose rows sum to 1 (within
+    1e-10).  Returns the stationary masses of the first such class, by
+    lowest word index, or None when every closed class loses mass.
     """
     if depth is None:
         depth = max(v.depth - 1, 1)
-    tm = transfer_matrix(shift, v, depth)
-    vals, vecs = np.linalg.eig(tm.matrix.T)
-    candidates = np.flatnonzero(np.abs(vals - 1.0) <= 1e-10)
-    if len(candidates) == 0:
-        return None
+    op = _operator_matrix(shift, v, depth)
+    row_sums = np.asarray(op.sum(axis=1)).ravel()
     from .measures import RawMeasure
 
-    for i in candidates:
-        vec = np.real(vecs[:, i])
-        if vec.sum() < 0:
-            vec = -vec
-        floor = -1e-9 * max(np.abs(vec).max(), 1.0)
-        if vec.min() >= floor:
-            vec = np.clip(vec, 0.0, None)
-            if vec.sum() > 0:
-                return RawMeasure(shift, depth, vec / vec.sum())
-    # mixed-sign eigenvectors: try the positive part of each candidate
-    for i in candidates:
-        vec = np.clip(np.real(vecs[:, i]), 0.0, None)
-        if vec.sum() > 0:
-            vec = vec / vec.sum()
-            if np.abs(vec @ tm.matrix - vec).max() <= 1e-9:
-                return RawMeasure(shift, depth, vec)
+    for members in closed_classes(op):
+        if np.abs(row_sums[members] - 1.0).max() <= 1e-10:
+            masses = np.zeros(len(row_sums))
+            masses[members] = _stationary_vector(op[members][:, members].T.toarray())
+            return RawMeasure(shift, depth, masses)
     return None
 
 

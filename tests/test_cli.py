@@ -312,6 +312,11 @@ def test_subcommands_reject_flags_they_do_not_read(tmp_path, command, flag):
         ("sample", "--samples", "0"),
         ("sample", "--workers", "0"),
         ("sample", "--workers", "-3"),
+        ("invariant", "--tol", "nan"),
+        ("invariant", "--tol", "inf"),
+        ("verify", "--tol", "-1e-9"),
+        ("fixpoint", "--max-iter", "0"),
+        ("ergodicity", "--max-iter", "-1"),
     ],
 )
 def test_out_of_range_flags_exit_two(tmp_path, command, flag, value):

@@ -20,6 +20,7 @@ from shiftpath import (
     strongly_invariant_measure,
     verify_strong_invariance,
 )
+from shiftpath.invariant import closed_classes
 
 
 def test_golden_symbol_masses_exact(golden):
@@ -128,3 +129,20 @@ def test_markov_measure_for_weight_rejects_unnormalized(full2):
 def test_quiet_invariant_helper_matches(block4):
     rho = quiet_invariant(block4)
     assert rho.non_unique
+
+
+def test_closed_classes_are_ordered_by_lowest_state():
+    # 0 -> 2 leaves {0}; {1, 3} and {2, 4} are closed; {5} is closed alone
+    edges = [(0, 2), (1, 3), (3, 1), (4, 2), (2, 4), (5, 5)]
+    graph = np.zeros((6, 6))
+    for i, j in edges:
+        graph[i, j] = 0.5
+    assert [c.tolist() for c in closed_classes(graph)] == [[1, 3], [2, 4], [5]]
+
+
+def test_closed_classes_ignore_stored_zeros():
+    from scipy.sparse import csr_matrix
+
+    # the stored zero 0 -> 1 is no edge, so {0} is closed by itself
+    graph = csr_matrix((np.array([1.0, 0.0, 1.0]), ([0, 0, 1], [0, 1, 0])), shape=(2, 2))
+    assert [c.tolist() for c in closed_classes(graph)] == [[0]]

@@ -151,6 +151,46 @@ def test_sampler_deterministic_across_workers(full2):
         assert np.array_equal(runs[0].prepends, other.prepends)
 
 
+def test_sampler_threads_are_bounded_by_cpus(full2, monkeypatch):
+    """No more blocks and threads than usable CPUs and samples, and the same batch."""
+    from shiftpath import pathspace
+
+    pm = make_pm(full2, weight_markov_full(full2))
+    reference = sample_paths(pm, 3, 100, 2, seed=12)
+    pools = []
+
+    class RecordingPool:
+        """Stands in for the thread pool: records its size, runs in this thread."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    real_split = np.array_split
+
+    def bounded_split(array, sections):
+        # an unclamped worker count would build that many pieces
+        assert sections <= 64, f"asked for {sections} pieces"
+        return real_split(array, sections)
+
+    monkeypatch.setattr(pathspace, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(pathspace, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(np, "array_split", bounded_split)
+    for workers, samples, threads in ((10**9, 100, 3), (2, 100, 2), (10**9, 2, 2)):
+        batch = sample_paths(pm, 3, samples, 2, seed=12, workers=workers)
+        assert pools[-1] == threads
+        assert batch.base_words.tobytes() == reference.base_words[:samples].tobytes()
+        assert batch.prepends.tobytes() == reference.prepends[:samples].tobytes()
+
+
 def test_sampler_deterministic_across_runs(full2):
     v = weight_markov_full(full2)
     pm = make_pm(full2, v)

@@ -7,7 +7,8 @@ is compared bit for bit with numpy's unbuffered scatter-add.  On random
 nonnegative weights, the operator matrix is compared with the operator's
 action, the raw transform with the density route, the dual pushforward
 check with the per-indicator one, and sampled batches across worker
-counts.
+counts.  The closed-class fixed vectors are compared with dense
+eigen- and singular-value oracles.
 """
 
 import numpy as np
@@ -24,6 +25,7 @@ from shiftpath import (
     build_path_measure,
     build_subshift,
     check_weight_pushforward,
+    left_fixed_functional,
     markov_measure_for_weight,
     sample_paths,
     transfer_matrix,
@@ -172,6 +174,32 @@ def test_dual_pushforward_defect_matches_per_indicator_check(matrix, v_depth, de
             for n in (1, 2, 3)
         )
         assert abs(weight_pushforward_defect(shift, v, rho, depth, 3) - oracle) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(matrices(), st.integers(1, 4), st.data())
+def test_left_functional_is_the_fixed_probability_vector(matrix, depth, data):
+    shift = build_subshift(matrix)
+    v = normalized_weight(data, shift)
+    nu = left_fixed_functional(shift, v, depth)
+    operator = transfer_matrix(shift, v, depth).matrix
+    assert nu.masses.min() >= 0.0
+    assert abs(nu.total_mass() - 1.0) <= 1e-12
+    assert np.abs(nu.masses @ operator - nu.masses).max() <= 1e-10
+    vals, vecs = np.linalg.eig(operator.T)
+    near_one = np.flatnonzero(np.abs(vals - 1.0) <= 1e-6)
+    if len(near_one) == 1:
+        vec = np.real(vecs[:, near_one[0]])
+        np.testing.assert_allclose(nu.masses, vec / vec.sum(), rtol=0, atol=1e-10)
+
+
+@PROPERTY_SETTINGS
+@given(matrices())
+def test_non_unique_means_a_null_space_above_one(matrix):
+    shift = build_subshift(matrix)
+    kernel = shift.matrix / shift.column_sums
+    singular = np.linalg.svd(kernel - np.eye(shift.k), compute_uv=False)
+    assert quiet_invariant(shift).non_unique == ((singular < 1e-10).sum() > 1)
 
 
 @PROPERTY_SETTINGS

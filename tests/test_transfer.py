@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    BLOCK4,
     FULL2,
     GOLDEN,
     brute_transfer,
@@ -151,6 +152,47 @@ def test_left_functional_fixed_under_matrix(golden):
     nu = left_fixed_functional(golden, v)
     tm = transfer_matrix(golden, v, nu.depth)
     assert np.abs(tm.matrix.T @ nu.masses - nu.masses).max() <= 1e-10
+
+
+CHAIN3 = [[1, 1, 0], [1, 1, 1], [0, 1, 1]]
+
+
+def test_left_functional_skips_zero_weight_branches():
+    """Points starting with 1 get all their weight from prepending 1; all others leak.
+
+    The zero-weight branches 2 1 ... are no edges of the operator's graph,
+    so 1 1 ... is a closed class by itself and carries the whole functional.
+    """
+    shift = build_subshift(CHAIN3)
+    words = shift.symbols_array(3)
+    leaky = np.where(words[:, 1] == 1, np.where(words[:, 0] == 1, 2.0, 0.0), 0.9)
+    v = CylinderFunction(shift, 3, leaky)
+    for depth in (2, 3, 4):
+        nu = left_fixed_functional(shift, v, depth)
+        expected = np.zeros(shift.word_count(depth))
+        expected[shift.word_index((1,) * depth)] = 1.0
+        assert nu.masses.tolist() == expected.tolist()
+
+
+def test_left_functional_none_when_every_class_leaks(full2):
+    assert left_fixed_functional(full2, CylinderFunction.constant(full2, 0.5)) is None
+
+
+def test_left_functional_takes_the_first_closed_class():
+    """Two closed classes conserve mass; the functional lives on the one of symbols 1, 2."""
+    shift = build_subshift(BLOCK4)
+    p = np.array(
+        [[0.25, 0.625, 0, 0], [0.75, 0.375, 0, 0], [0, 0, 0.5, 0.125], [0, 0, 0.5, 0.875]]
+    )
+    a, j = shift.symbols_array(2).T - 1
+    v = CylinderFunction(shift, 2, p[a, j] * shift.column_sums[j])
+    assert np.allclose(left_fixed_functional(shift, v).masses, [5 / 11, 6 / 11, 0, 0])
+    for depth in (2, 3):
+        nu = left_fixed_functional(shift, v, depth)
+        first = shift.symbols_array(depth)[:, 0]
+        assert (nu.masses[first > 2] == 0).all()
+        assert nu.masses[first <= 2].min() > 0
+        assert nu.total_mass() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_weight_pushforward_identity():
