@@ -277,7 +277,7 @@ def cmd_ergodicity(args):
             "solution_dim": rep.solution_dim,
             "extremal": rep.extremal_certificate,
             "base_residual": rep.base_residual,
-            "singular_values": [float(s) for s in rep.singular_values],
+            "closed_classes": rep.class_sizes,
             "tolerance": args.tol,
         }
     )
@@ -329,7 +329,7 @@ _FLAGS = {
     "samples": dict(
         type=_at_least(int, 1), default=100000, help="Monte Carlo sample count (default 100000)"
     ),
-    "seed": dict(type=int, default=42, help="RNG seed (default 42)"),
+    "seed": dict(type=_at_least(int, 0), default=42, help="RNG seed (default 42)"),
     "steps": dict(
         type=_at_least(int, 0), default=3, help="trajectory steps / levels to check (default 3)"
     ),

@@ -12,13 +12,29 @@ mu0 = lam * mu1 + (1 - lam) * mu2 into distinct fixed points.  The
 converse is depth-limited: a one-dimensional solution space at depth d
 rules out depth-d witnesses only, so the certificate is reported
 per depth rather than as an absolute verdict.
+
+The system says that f is harmonic for a walk on words that prepends a
+symbol with weight v * mu0.  On a finite chain the harmonic functions
+are spanned by the absorption probabilities into the closed classes of
+the walk, the strongly connected classes that no positive-weight step
+leaves (`invariant.closed_classes`).  So the solve is one sparse walk
+matrix, one sparse LU solve for the transient words, and a dense step
+with one column per closed class; no matrix of words by words is
+formed.  A base mass at or below ESSENTIAL_FLOOR times the total is no
+edge: the fixed-function iteration leaves masses of that size on words
+its limit does not charge, and as edges they would join classes the
+measure keeps apart.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import qr, solve_triangular
+from scipy.sparse import csr_matrix, diags
+from scipy.sparse.linalg import splu
 
 from .errors import NotFixedPoint
+from .invariant import closed_classes
 from .measures import DensityMeasure, RawMeasure, check_fixed_point
 from .subshift import CylinderFunction, branch_sum
 
@@ -56,8 +72,50 @@ class ErgodicityReport:
     solution_dim: int
     basis: np.ndarray  # (word_count(depth), solution_dim), orthonormal columns
     extremal_certificate: bool
-    singular_values: np.ndarray
+    class_sizes: list  # word count of each closed class of the walk, by lowest word
     base_residual: float
+
+
+def _absorption(walk, classes):
+    """Probability, from every state, of ending the walk in each closed class.
+
+    Column j is the indicator of class j on the closed states.  On the
+    transient states it solves (diag(out) - W_TT) X = W_TC H_C, which is
+    nonsingular because every transient state reaches a closed class.
+    """
+    n = walk.shape[0]
+    label = np.full(n, -1)
+    for j, members in enumerate(classes):
+        label[members] = j
+    closed = np.flatnonzero(label >= 0)
+    transient = np.flatnonzero(label < 0)
+    absorbed = np.zeros((n, len(classes)))
+    absorbed[closed, label[closed]] = 1.0
+    if len(transient):
+        rows = walk[transient]
+        out = np.asarray(rows.sum(axis=1)).ravel()
+        system = (diags(out) - rows[:, transient]).tocsc()
+        absorbed[transient] = splu(system).solve(rows[:, closed] @ absorbed[closed])
+    return absorbed
+
+
+def _null_space(matrix):
+    """Null-space basis of a matrix of probability differences, by a pivoted QR.
+
+    The rank counts the diagonal entries of R above NULL_SPACE_RTOL
+    times the largest one, or times 1 when all are smaller: the entries
+    are differences of probabilities, so a matrix of rounding residue
+    has rank 0.
+    """
+    m = matrix.shape[1]
+    r, perm = qr(matrix, mode="r", pivoting=True)
+    diag = np.abs(np.diag(r))
+    rank = int((diag > NULL_SPACE_RTOL * max(diag.max(initial=0.0), 1.0)).sum())
+    null = np.zeros((m, m - rank))
+    null[perm[rank:], np.arange(m - rank)] = 1.0
+    if rank:
+        null[perm[:rank]] = -solve_triangular(r[:rank, :rank], r[:rank, rank:])
+    return null
 
 
 def relative_ergodicity_dimension(shift, mu0, v, depth, tol=1e-10):
@@ -68,11 +126,23 @@ def relative_ergodicity_dimension(shift, mu0, v, depth, tol=1e-10):
 
         sum_a v(aw) mu0([aw]) * (f((aw) truncated) - f(w truncated)) = 0
 
-    with one equation per word w fine enough to resolve v and the base
-    density.  The constants always solve it, so solution_dim >= 1; the
-    certificate field is True when nothing else does.  Raises
-    NotFixedPoint first if mu0 fails the fixed-point identity at the
-    conditioning depth.
+    with one equation per word w of the conditioning depth dw, the
+    depth fine enough to resolve v and the base density.  Each equation
+    says that f, read at depth dw, is harmonic for the walk that steps
+    from w to the depth-dw prefix of aw with weight v(aw) mu0([aw]).  On
+    a finite chain the harmonic functions are exactly the combinations
+    of the absorption probabilities into the walk's closed classes; a
+    word with no positive branch is a closed class of its own, so its
+    value is free.  A branch whose base mass is at or below
+    ESSENTIAL_FLOOR times the total mass counts as no branch.  Below
+    depth dw the combinations must also be constant on every depth-d
+    fibre, and depth-d words with no depth-dw extension stay free.
+
+    The constants always solve the system, so solution_dim >= 1; the
+    certificate field is True when nothing else does.  class_sizes
+    lists the word count of each closed class.  Raises NotFixedPoint
+    first if mu0 fails the fixed-point identity at the conditioning
+    depth.
     """
     v.require_nonnegative()
     d0 = mu0.density.depth if isinstance(mu0, DensityMeasure) else mu0.depth
@@ -82,28 +152,39 @@ def relative_ergodicity_dimension(shift, mu0, v, depth, tol=1e-10):
         raise NotFixedPoint(residual, tol)
 
     e = dw + 1
-    coef = v.promote(e).values * mu0.masses_at(e)
-    rows = shift.suffix_indices(e)
-    plus_cols = shift.prefix_indices(e, depth)
-    minus_cols = shift.prefix_indices(dw, depth)[rows]
+    n = shift.word_count(dw)
+    masses = mu0.masses_at(e)
+    # masses at or below the floor are iteration residue, not edges
+    coef = np.where(masses > ESSENTIAL_FLOOR * masses.sum(), masses, 0.0)
+    coef *= v.promote(e).values
+    walk = csr_matrix(
+        (coef, (shift.suffix_indices(e), shift.prefix_indices(e, dw))), shape=(n, n)
+    )
+    classes = closed_classes(walk)
+    absorbed = _absorption(walk, classes)
+
+    # combinations of the absorption probabilities constant on every fibre
+    extended, first, fibre = np.unique(
+        shift.prefix_indices(dw, depth), return_index=True, return_inverse=True
+    )
+    harmonic = absorbed[first]
+    if depth < dw:  # at depth dw every fibre is one word
+        harmonic = harmonic @ _null_space(absorbed - absorbed[first[fibre]])
 
     n_unknowns = shift.word_count(depth)
-    # every plus term before every minus term, the order of two scatter-adds
-    cols = np.concatenate([plus_cols, minus_cols])
-    shape = (shift.word_count(dw), n_unknowns)
-    system = branch_sum((np.tile(rows, 2), cols), np.concatenate([coef, -coef]), shape)
-
-    _, sing, vt = np.linalg.svd(system)
-    smax = sing[0] if len(sing) else 0.0
-    rank = int((sing > NULL_SPACE_RTOL * smax).sum()) if smax > 0 else 0
-    dim = n_unknowns - rank
-    basis = vt[rank:].T
+    free = np.setdiff1d(np.arange(n_unknowns), extended)
+    k = harmonic.shape[1]
+    basis = np.zeros((n_unknowns, k + len(free)))
+    basis[extended, :k] = harmonic
+    basis[free, k + np.arange(len(free))] = 1.0
+    basis, _ = np.linalg.qr(basis)
+    dim = basis.shape[1]
     return ErgodicityReport(
         depth=depth,
         solution_dim=dim,
         basis=basis,
         extremal_certificate=(dim == 1),
-        singular_values=sing,
+        class_sizes=[len(members) for members in classes],
         base_residual=residual,
     )
 

@@ -215,3 +215,44 @@ def function_dict(f):
 
 def measure_dict(mu, depth):
     return {w: m for w, m in zip(mu.shift.words(depth), mu.masses_at(depth))}
+
+
+def conditioning_depth(mu0, v, depth):
+    """The word depth the extremality system conditions on."""
+    d0 = mu0.density.depth if isinstance(mu0, DensityMeasure) else mu0.depth
+    return max(v.depth - 1, depth, d0 - 1, 1)
+
+
+def dense_ergodicity_oracle(shift, mu0, v, depth, rtol=1e-10, floor=1e-12):
+    """Invariant functions of a fixed point from the dense system and an SVD.
+
+    Builds the (depth-dw words) x (depth-d words) matrix of
+
+        sum_a v(aw) mu0([aw]) * (f((aw) truncated) - f(w truncated)) = 0,
+
+    one row per depth-dw word w, by looping over the depth-(dw+1) words
+    and indexing words through dicts, then takes its null space from a
+    full SVD with the relative cutoff rtol.  Masses at or below floor
+    times the total are taken as 0 first: the fixed-function iteration
+    leaves residue of 1e-13 to 1e-32 on words its limit does not charge,
+    and when every charged step is a self-loop the whole matrix is made
+    of that residue, so the SVD's relative cutoff would rank it.
+    Returns (dimension, basis) with orthonormal basis columns over the
+    depth-d words.
+    """
+    dw = conditioning_depth(mu0, v, depth)
+    matrix = shift.matrix.tolist()
+    rows = {w: i for i, w in enumerate(brute_words(matrix, dw))}
+    cols = {w: i for i, w in enumerate(brute_words(matrix, depth))}
+    weight = function_dict(v)
+    masses = mu0.masses_at(dw + 1)
+    masses = np.where(masses > floor * masses.sum(), masses, 0.0)
+    system = np.zeros((len(rows), len(cols)))
+    for aw, mass in zip(brute_words(matrix, dw + 1), masses):
+        coef = table_value(weight, aw) * mass
+        system[rows[aw[1:]], cols[aw[:depth]]] += coef
+        system[rows[aw[1:]], cols[aw[1 : depth + 1]]] -= coef
+    _, sing, vt = np.linalg.svd(system)
+    smax = sing[0] if len(sing) else 0.0
+    rank = int((sing > rtol * smax).sum()) if smax > 0 else 0
+    return len(cols) - rank, vt[rank:].T

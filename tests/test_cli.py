@@ -235,6 +235,7 @@ def test_ergodicity_command_decomposes(tmp_path):
     assert code == 6
     report = load(tmp_path, "ergodicity_report.json")
     assert report["solution_dim"] == 2
+    assert report["closed_classes"] == [2, 2]
     assert report["decomposition"]["lambda"] == pytest.approx(0.25, abs=1e-12)
     c1 = (tmp_path / "component_1.csv").read_text().splitlines()
     c2 = (tmp_path / "component_2.csv").read_text().splitlines()
@@ -312,6 +313,7 @@ def test_subcommands_reject_flags_they_do_not_read(tmp_path, command, flag):
         ("sample", "--samples", "0"),
         ("sample", "--workers", "0"),
         ("sample", "--workers", "-3"),
+        ("sample", "--seed", "-1"),
         ("invariant", "--tol", "nan"),
         ("invariant", "--tol", "inf"),
         ("verify", "--tol", "-1e-9"),

@@ -1,9 +1,13 @@
 """Invariant-function dimension, certificates, and constructive splits."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import (
+    BLOCK4,
+    IDENT2,
     quiet_invariant,
     solved_base,
     stock_systems,
@@ -14,9 +18,12 @@ from shiftpath import (
     CylinderFunction,
     DensityMeasure,
     NotFixedPoint,
+    RawMeasure,
+    build_subshift,
     check_fixed_point,
     conditional_expectation,
     decompose,
+    decompose_report,
     relative_ergodicity_dimension,
 )
 
@@ -107,9 +114,6 @@ def test_identity_shift_decomposition_frozen(ident2):
 
 
 def test_decomposition_recombines_and_components_fixed():
-    from shiftpath import build_subshift
-    from conftest import BLOCK4, IDENT2
-
     for matrix in (BLOCK4, IDENT2):
         shift = build_subshift(matrix)
         v, mu0 = flat_system(shift)
@@ -134,8 +138,6 @@ def test_components_are_distinct_from_base(block4):
 def test_no_essential_direction_returns_none(ident2):
     """A base charging one class only cannot be split at depth 1."""
     one = CylinderFunction.constant(ident2, 1.0)
-    from shiftpath import RawMeasure
-
     mu0 = RawMeasure(ident2, 2, np.array([1.0, 0.0]))
     rep = relative_ergodicity_dimension(ident2, mu0, one, 1)
     assert rep.solution_dim == 2
@@ -152,9 +154,32 @@ def test_precheck_rejects_non_fixed_point(full2):
         relative_ergodicity_dimension(full2, skew, v, 1)
 
 
-def test_report_carries_singular_values(full2):
+def test_report_carries_class_sizes(full2, ident2):
     v = weight_markov_full(full2)
     mu0 = solved_base(full2, v)
     rep = relative_ergodicity_dimension(full2, mu0, v, 2)
-    assert rep.singular_values.shape[0] >= rep.solution_dim
+    assert rep.class_sizes == [4]
     assert rep.base_residual <= 1e-11
+    # a base on one class of the identity shift: the charged word is one
+    # closed class, the uncharged word has no positive branch and is another
+    one = CylinderFunction.constant(ident2, 1.0)
+    mu0 = RawMeasure(ident2, 2, np.array([1.0, 0.0]))
+    assert relative_ergodicity_dimension(ident2, mu0, one, 1).class_sizes == [1, 1]
+
+
+def test_deep_block_shift_stays_sparse():
+    """32768 words: the dense system alone would take 8 GiB."""
+    shift = build_subshift(BLOCK4)
+    v, mu0 = flat_system(shift)
+    tracemalloc.start()
+    try:
+        rep = relative_ergodicity_dimension(shift, mu0, v, 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert shift.word_count(14) == 32768
+    assert rep.solution_dim == 2
+    assert rep.class_sizes == [16384, 16384]
+    assert peak < 64 * 2**20
+    dec = decompose_report(shift, mu0, rep)
+    assert dec.lam == pytest.approx(0.25, abs=1e-12)

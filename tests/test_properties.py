@@ -8,25 +8,37 @@ nonnegative weights, the operator matrix is compared with the operator's
 action, the raw transform with the density route, the dual pushforward
 check with the per-indicator one, and sampled batches across worker
 counts.  The closed-class fixed vectors are compared with dense
-eigen- and singular-value oracles.
+eigen- and singular-value oracles, and so are the invariant functions
+of the extremality solve.
 """
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_words, quiet_invariant
+from conftest import (
+    FULL2,
+    brute_words,
+    conditioning_depth,
+    dense_ergodicity_oracle,
+    quiet_invariant,
+)
 from shiftpath import (
     CylinderFunction,
     DensityMeasure,
     InadmissibleWord,
+    ShiftPathError,
     apply_transfer,
     build_path_measure,
     build_subshift,
+    check_fixed_point,
     check_weight_pushforward,
+    decompose,
+    fixed_density_measure,
     left_fixed_functional,
     markov_measure_for_weight,
+    relative_ergodicity_dimension,
     sample_paths,
     transfer_matrix,
     transform_measure,
@@ -216,3 +228,143 @@ def test_sampled_batches_do_not_depend_on_workers(matrix, steps, samples, depth,
         assert batch.prepends.tobytes() == batches[0].prepends.tobytes()
         assert batch.base_words.shape == batches[0].base_words.shape
         assert batch.prepends.shape == batches[0].prepends.shape
+
+
+@st.composite
+def weighted_systems(draw):
+    """(matrix, weight depth, raw weight values, leaky word or None, solve depth)."""
+    matrix = draw(matrices())
+    shift = build_subshift(matrix)
+    v_depth = draw(st.integers(2, 3))
+    n = shift.word_count(v_depth)
+    values = draw(st.lists(st.just(0.0) | st.floats(0.1, 1.0), min_size=n, max_size=n))
+    leaky = draw(st.none() | st.integers(0, shift.word_count(v_depth - 1) - 1))
+    return matrix, v_depth, values, leaky, draw(st.integers(1, 3))
+
+
+def solved_system(matrix, v_depth, values, leaky):
+    """A weight with zeros and its fixed measure h d(rho).
+
+    The branch values of each depth-(v_depth - 1) word are scaled to
+    average 1 (all-zero branches become 1), and to 1/2 on the leaky
+    word, so the weight is sub-normalized and h is not constant when a
+    word leaks.
+    """
+    shift = build_subshift(matrix)
+    suffix = shift.suffix_indices(v_depth)
+    values = np.asarray(values, dtype=np.float64)
+    total = np.bincount(suffix, values)
+    scale = np.divide(np.bincount(suffix), total, out=np.zeros_like(total), where=total > 0)
+    values = np.where(total[suffix] > 0, values * scale[suffix], 1.0)
+    if leaky is not None:
+        values[suffix == leaky] *= 0.5
+    v = CylinderFunction(shift, v_depth, values)
+    try:
+        mu0 = fixed_density_measure(shift, v, rho=quiet_invariant(shift))
+    except ShiftPathError:
+        mu0 = None
+    return shift, v, mu0
+
+
+# one transient word and two classes in one depth-1 fibre; one transient
+# word; two classes joined only by stored zeros
+EXTREMALITY_EXAMPLES = (
+    (FULL2, 3, [2.0, 0.0, 2.0, 1.0, 0.0, 2.0, 0.0, 1.0], None, 1),
+    (FULL2, 2, [2.0, 2.0, 0.0, 0.0], None, 1),
+    (FULL2, 2, [2.0, 0.0, 0.0, 2.0], None, 1),
+)
+
+# bases charged only on self-loops, with iteration residue on every other
+# word: one point mass at and below the conditioning depth, and two point
+# masses (at 1...1 and 4...4) that the residue would join
+RESIDUE_EXAMPLES = (
+    ([[1, 1], [0, 1]], 2, [1.0, 3.0, 0.0], None, 2),
+    ([[1, 1, 0], [1, 0, 0], [1, 0, 1]], 2, [4.0, 0.0, 1.0, 5.0, 0.0], None, 1),
+    (
+        [[1, 0, 1, 1], [0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 1, 1]],
+        3,
+        [1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0,
+         1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0],
+        1,
+        1,
+    ),
+)
+
+
+def residue_masses(mu0, v, depth):
+    """Whether some depth-e base mass is positive but at most 1e-12 of the total."""
+    masses = mu0.masses_at(conditioning_depth(mu0, v, depth) + 1)
+    return bool(((masses > 0) & (masses <= 1e-12 * masses.sum())).any())
+
+
+def with_examples(cases):
+    def wrap(test):
+        for case in cases:
+            test = example(case)(test)
+        return test
+
+    return wrap
+
+
+@PROPERTY_SETTINGS
+@given(weighted_systems())
+@with_examples(EXTREMALITY_EXAMPLES + RESIDUE_EXAMPLES)
+def test_sparse_extremality_matches_dense_svd(system):
+    """Closed classes and absorption give the dense SVD's solution space.
+
+    Dimensions must be equal and the projectors onto the two spaces
+    must agree.  Both sides take base masses at or below 1e-12 of the
+    total as 0: the fixed-function iteration leaves such residue on
+    words its limit does not charge, and counted as edges it would make
+    the answer depend on the residue (see the RESIDUE_EXAMPLES).
+    """
+    matrix, v_depth, values, leaky, depth = system
+    shift, v, mu0 = solved_system(matrix, v_depth, values, leaky)
+    assume(mu0 is not None)
+    dim, basis = dense_ergodicity_oracle(shift, mu0, v, depth)
+    rep = relative_ergodicity_dimension(shift, mu0, v, depth)
+    assert rep.solution_dim == dim
+    np.testing.assert_allclose(rep.basis @ rep.basis.T, basis @ basis.T, rtol=0, atol=1e-8)
+
+
+def test_extremality_examples_have_transient_words_below_the_conditioning_depth():
+    kinds = set()
+    for matrix, v_depth, values, leaky, depth in EXTREMALITY_EXAMPLES:
+        shift, v, mu0 = solved_system(matrix, v_depth, values, leaky)
+        dw = conditioning_depth(mu0, v, depth)
+        rep = relative_ergodicity_dimension(shift, mu0, v, depth)
+        transient = sum(rep.class_sizes) < shift.word_count(dw)
+        kinds.add((transient, depth < dw, len(rep.class_sizes) > 1))
+    assert (True, True, True) in kinds
+
+
+def test_residue_examples_carry_residue_masses():
+    """Each residue example has residue, and counted as edges it would merge classes."""
+    for matrix, v_depth, values, leaky, depth in RESIDUE_EXAMPLES:
+        shift, v, mu0 = solved_system(matrix, v_depth, values, leaky)
+        assert residue_masses(mu0, v, depth)
+        rep = relative_ergodicity_dimension(shift, mu0, v, depth)
+        assert rep.class_sizes == [1] * shift.word_count(conditioning_depth(mu0, v, depth))
+        raw, _ = dense_ergodicity_oracle(shift, mu0, v, depth, floor=0.0)
+        assert raw < rep.solution_dim
+
+
+def test_residue_does_not_join_two_point_masses():
+    """A base of 2/9 at 1...1 and 1/9 at 4...4 splits although residue links them.
+
+    The words between the two carry masses of about 1e-13.  Counted as
+    edges they joined the two point masses into one closed class, and
+    the dense SVD, whose largest singular value was itself residue
+    because the charged steps are self-loops, found no decomposition
+    either.
+    """
+    shift, v, mu0 = solved_system(*RESIDUE_EXAMPLES[2][:4])
+    dec = decompose(shift, mu0, v, 1)
+    assert dec.lam == pytest.approx(1 / 3, abs=1e-9)
+    assert dec.mu1.masses_at(1)[3] <= 1e-12
+    assert dec.mu2.masses_at(1)[3] == pytest.approx(1 / 6, abs=1e-9)
+    for depth in range(1, 4):
+        mix = dec.lam * dec.mu1.masses_at(depth) + (1 - dec.lam) * dec.mu2.masses_at(depth)
+        assert np.abs(mix - mu0.masses_at(depth)).max() <= 1e-13
+        for comp in (dec.mu1, dec.mu2):
+            assert check_fixed_point(shift, v, comp, depth) <= 1e-11
