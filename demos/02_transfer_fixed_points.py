@@ -5,8 +5,9 @@ Weighted preimage averaging and its fixed functions
 Attaching a nonnegative weight to each inverse branch turns preimage
 averaging into a positive operator on cylinder functions.  When the
 averaged weight never exceeds one, iterating from the constant function
-one descends pointwise to a fixed function h.  That h is the density of
-the measure every later script builds on.
+one descends pointwise to a fixed function h, which the library solves
+for directly.  That h is the density of the measure every later script
+builds on.
 """
 
 import numpy as np
@@ -34,9 +35,9 @@ print("averaged v*f values:", apply_transfer(shift, v, f).values)
 tm = transfer_matrix(shift, v, 1)
 print("operator matrix:\n", tm.matrix)
 
-# Monotone iteration from the constant one.
+# The limit of the iterates from the constant one, solved directly.
 res = iterate_fixed_function(shift, v)
-print("\nstatus:", res.status, " after", res.n_used, "iterations")
+print("\nstatus:", res.status)
 print("fixed function h:", res.h.values, " residual", f"{res.residual:.2e}")
 
 # The matching left functional, returned as normalized cylinder masses.

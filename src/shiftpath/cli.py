@@ -3,7 +3,7 @@
 Five subcommands cover the library's checkable claims:
 
     invariant    solve for the strongly invariant base measure
-    fixpoint     run the monotone iteration for the fixed density
+    fixpoint     solve for the fixed density and the dual functional
     verify       measure every identity defect for a configured system
     sample       draw trajectory records and validate them empirically
     ergodicity   compute the invariant-function dimension, decompose
@@ -101,12 +101,9 @@ def _load(args):
     return cfg, shift
 
 
-def _solve_base(shift, cfg, rho, args):
+def _solve_base(shift, cfg, v, rho):
     mu0 = build_base_measure_from_config(shift, cfg, rho=rho)
-    if mu0 is None:
-        v = build_weight_from_config(shift, cfg)
-        mu0 = fixed_density_measure(shift, v, rho=rho, max_iter=args.max_iter)
-    return mu0
+    return fixed_density_measure(shift, v, rho=rho) if mu0 is None else mu0
 
 
 def _invariant_quiet(shift):
@@ -151,7 +148,7 @@ def cmd_invariant(args):
 def cmd_fixpoint(args):
     cfg, shift = _load(args)
     v = build_weight_from_config(shift, cfg)
-    result = iterate_fixed_function(shift, v, tol=args.tol, max_iter=args.max_iter)
+    result = iterate_fixed_function(shift, v, tol=args.tol)
     nu = left_fixed_functional(shift, v)
     pairing, scaled = unit_pairing(result.h, nu)
     h = scaled if scaled is not None and result.status == "converged" else result.h
@@ -164,7 +161,6 @@ def cmd_fixpoint(args):
     report.update(
         {
             "status": result.status,
-            "iterations": result.n_used,
             "residual": float(result.residual),
             "sup_h": float(h.values.max()),
             "min_h": float(h.values.min()),
@@ -183,7 +179,7 @@ def cmd_verify(args):
     cfg, shift = _load(args)
     v = build_weight_from_config(shift, cfg)
     rho = _invariant_quiet(shift)
-    mu0 = _solve_base(shift, cfg, rho, args)
+    mu0 = _solve_base(shift, cfg, v, rho)
     overrides = build_overrides_from_config(shift, cfg)
     filt = build_filter_from_config(shift, cfg)
     # the verifier measures defects instead of refusing to construct
@@ -231,7 +227,7 @@ def cmd_sample(args):
     cfg, shift = _load(args)
     v = build_weight_from_config(shift, cfg)
     rho = _invariant_quiet(shift)
-    mu0 = _solve_base(shift, cfg, rho, args)
+    mu0 = _solve_base(shift, cfg, v, rho)
     overrides = build_overrides_from_config(shift, cfg)
     pm = build_path_measure(
         shift, v, mu0, tol=args.tol, marginal_overrides=overrides
@@ -268,7 +264,7 @@ def cmd_ergodicity(args):
     cfg, shift = _load(args)
     v = build_weight_from_config(shift, cfg)
     rho = _invariant_quiet(shift)
-    mu0 = _solve_base(shift, cfg, rho, args)
+    mu0 = _solve_base(shift, cfg, v, rho)
     rep = relative_ergodicity_dimension(shift, mu0, v, args.depth, tol=args.tol)
     report = _base_report(args, cfg, "ergodicity")
     report.update(
@@ -323,9 +319,6 @@ _FLAGS = {
     "tol": dict(
         type=_at_least(float, 0), default=1e-10, help="identity tolerance (default 1e-10)"
     ),
-    "max-iter": dict(
-        type=_at_least(int, 1), default=10000, help="iteration cap for solvers (default 10000)"
-    ),
     "samples": dict(
         type=_at_least(int, 1), default=100000, help="Monte Carlo sample count (default 100000)"
     ),
@@ -337,15 +330,15 @@ _FLAGS = {
     "out": dict(default=".", help="directory for reports and CSV files (default .)"),
 }
 
-_VERIFY_FLAGS = ("config", "depth", "steps", "tol", "max-iter", "out")
+_VERIFY_FLAGS = ("config", "depth", "steps", "tol", "out")
 
 # each subcommand takes only the flags it reads
 _COMMAND_FLAGS = {
     "invariant": ("config", "depth", "tol", "out"),
-    "fixpoint": ("config", "tol", "max-iter", "out"),
+    "fixpoint": ("config", "tol", "out"),
     "verify": _VERIFY_FLAGS,
     "sample": _VERIFY_FLAGS + ("samples", "seed", "workers"),
-    "ergodicity": ("config", "depth", "tol", "max-iter", "out"),
+    "ergodicity": ("config", "depth", "tol", "out"),
 }
 
 
@@ -361,7 +354,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn, help_text in (
         ("invariant", cmd_invariant, "solve for the strongly invariant measure"),
-        ("fixpoint", cmd_fixpoint, "iterate the weighted transfer fixed density"),
+        ("fixpoint", cmd_fixpoint, "solve for the weighted transfer fixed density"),
         ("verify", cmd_verify, "measure all identity defects for a config"),
         ("sample", cmd_sample, "draw trajectory records and check them"),
         ("ergodicity", cmd_ergodicity, "extremality dimension and decomposition"),

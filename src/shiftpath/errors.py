@@ -42,11 +42,17 @@ class NotSubNormalized(ShiftPathError):
 
 
 class NoConvergence(ShiftPathError):
-    """An iteration hit its step budget before meeting the tolerance."""
+    """An iteration hit its step budget before meeting the tolerance.
 
-    def __init__(self, max_iter, message=None):
+    last_delta maps the name of each quantity held to the tolerance to
+    its value at the last step.
+    """
+
+    def __init__(self, max_iter, last_delta):
         self.max_iter = max_iter
-        super().__init__(message or f"no convergence within {max_iter} iterations")
+        self.last_delta = last_delta
+        last = ", ".join(f"{name} {value:.3e}" for name, value in last_delta.items())
+        super().__init__(f"no convergence within {max_iter} iterations (last: {last})")
 
 
 class MonotonicityViolation(ShiftPathError):

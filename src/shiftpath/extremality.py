@@ -18,23 +18,23 @@ symbol with weight v * mu0.  On a finite chain the harmonic functions
 are spanned by the absorption probabilities into the closed classes of
 the walk, the strongly connected classes that no positive-weight step
 leaves (`invariant.closed_classes`).  So the solve is one sparse walk
-matrix, one sparse LU solve for the transient words, and a dense step
+matrix, one sparse LU solve for the transient words
+(`invariant.absorption`), and a dense step
 with one column per closed class; no matrix of words by words is
 formed.  A base mass at or below ESSENTIAL_FLOOR times the total is no
-edge: the fixed-function iteration leaves masses of that size on words
-its limit does not charge, and as edges they would join classes the
-measure keeps apart.
+edge: a base measure found by iteration leaves masses of that size on
+words its limit does not charge, and as edges they would join classes
+the measure keeps apart.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import qr, solve_triangular
-from scipy.sparse import csr_matrix, diags
-from scipy.sparse.linalg import splu
+from scipy.sparse import csr_matrix
 
 from .errors import NotFixedPoint
-from .invariant import closed_classes
+from .invariant import absorption, closed_classes
 from .measures import DensityMeasure, RawMeasure, check_fixed_point
 from .subshift import CylinderFunction, branch_sum
 
@@ -74,29 +74,6 @@ class ErgodicityReport:
     extremal_certificate: bool
     class_sizes: list  # word count of each closed class of the walk, by lowest word
     base_residual: float
-
-
-def _absorption(walk, classes):
-    """Probability, from every state, of ending the walk in each closed class.
-
-    Column j is the indicator of class j on the closed states.  On the
-    transient states it solves (diag(out) - W_TT) X = W_TC H_C, which is
-    nonsingular because every transient state reaches a closed class.
-    """
-    n = walk.shape[0]
-    label = np.full(n, -1)
-    for j, members in enumerate(classes):
-        label[members] = j
-    closed = np.flatnonzero(label >= 0)
-    transient = np.flatnonzero(label < 0)
-    absorbed = np.zeros((n, len(classes)))
-    absorbed[closed, label[closed]] = 1.0
-    if len(transient):
-        rows = walk[transient]
-        out = np.asarray(rows.sum(axis=1)).ravel()
-        system = (diags(out) - rows[:, transient]).tocsc()
-        absorbed[transient] = splu(system).solve(rows[:, closed] @ absorbed[closed])
-    return absorbed
 
 
 def _null_space(matrix):
@@ -153,15 +130,16 @@ def relative_ergodicity_dimension(shift, mu0, v, depth, tol=1e-10):
 
     e = dw + 1
     n = shift.word_count(dw)
+    suf = shift.suffix_indices(e)
     masses = mu0.masses_at(e)
     # masses at or below the floor are iteration residue, not edges
     coef = np.where(masses > ESSENTIAL_FLOOR * masses.sum(), masses, 0.0)
     coef *= v.promote(e).values
-    walk = csr_matrix(
-        (coef, (shift.suffix_indices(e), shift.prefix_indices(e, dw))), shape=(n, n)
-    )
+    # one step of the walk as probabilities; a word with no positive branch is its own class
+    coef /= np.where(coef > 0, branch_sum(suf, coef, n)[suf], 1.0)
+    walk = csr_matrix((coef, (suf, shift.prefix_indices(e, dw))), shape=(n, n))
     classes = closed_classes(walk)
-    absorbed = _absorption(walk, classes)
+    absorbed = absorption(walk, classes, np.eye(len(classes)))
 
     # combinations of the absorption probabilities constant on every fibre
     extended, first, fibre = np.unique(

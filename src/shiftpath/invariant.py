@@ -11,13 +11,16 @@ mass([a w]) = kernel[a, w1] * mass([w]), which is the cylinder form of
 averaging a function over the inverse branches of the shift.  The same
 product rule with a different column-stochastic kernel realises the
 natural measures attached to normalized weights; see
-`markov_measure_for_weight`.
+`markov_measure_for_weight`.  The finite-chain solver behind every fixed
+object of the package lives here too: `closed_classes`, `absorption`
+and the stationary vector of a closed class, each by sparse LU.
 """
 
 import warnings
 
 import numpy as np
-from scipy.sparse import csgraph, csr_matrix
+from scipy.sparse import csgraph, csr_matrix, identity, vstack
+from scipy.sparse.linalg import splu
 
 
 class NonUniqueFixedVector(UserWarning):
@@ -104,17 +107,18 @@ def cylinder_mass(rho, word):
 
 
 def _stationary_vector(kernel):
-    """Solve q = kernel q, sum q = 1, by a direct least-squares solve."""
+    """Solve q = kernel q, sum q = 1, for a column-stochastic kernel with one closed class.
+
+    One sparse LU of I - kernel = (I - P)^T, whose rows sum to zero, with
+    the first row replaced by ones.
+    """
     k = kernel.shape[0]
-    block = np.vstack([kernel - np.eye(k), np.ones((1, k))])
-    rhs = np.zeros(k + 1)
-    rhs[-1] = 1.0
-    q, *_ = np.linalg.lstsq(block, rhs, rcond=None)
-    q = np.clip(q, 0.0, None)
-    s = q.sum()
-    if s <= 0:
-        raise ValueError("stationary solve produced a zero vector")
-    return q / s
+    system = vstack([np.ones((1, k)), (identity(k, format="csr") - csr_matrix(kernel))[1:]])
+    # minimum degree on A + A^T eliminates the dense row among the last; the pivots
+    # before it are the diagonal of an M-matrix, stable without row exchanges
+    lu = splu(system.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
+    q = np.clip(lu.solve(np.eye(k, 1).ravel()), 0.0, None)
+    return q / q.sum()
 
 
 def closed_classes(graph):
@@ -136,6 +140,48 @@ def closed_classes(graph):
     return [members[c] for c in labels[np.sort(first)] if not leaving[c]]
 
 
+def _reaching(graph, targets):
+    """Mask of the states from which a path of nonzero entries of graph enters targets."""
+    n = graph.shape[0]
+    rows, cols = csr_matrix(graph != 0).nonzero()
+    # the reversed edges, and one extra vertex n with an edge into every target
+    heads = np.r_[cols, np.full(np.count_nonzero(targets), n)]
+    tails = np.r_[rows, np.flatnonzero(targets)]
+    back = csr_matrix((np.ones(len(heads)), (heads, tails)), shape=(n + 1, n + 1))
+    return np.isin(np.arange(n), csgraph.breadth_first_order(back, n, return_predecessors=False))
+
+
+def absorption(chain, classes, values):
+    """Expected value held on entering a closed class of a sparse sub-stochastic chain.
+
+    chain[i, j] is the probability of a step from i to j; what a row
+    lacks of 1 is lost, and a lost walk holds 0.  The states of the
+    closed class classes[c] hold values[c].  Elsewhere X = chain X: exactly
+    0 with no path into a class of nonzero values (graph reachability),
+    else one sparse LU of (I - P_TT) X_T = P_TC X_C.
+    """
+    out = np.zeros((chain.shape[0], values.shape[1]))
+    closed = np.zeros(chain.shape[0], dtype=bool)
+    for members, row in zip(classes, values):
+        out[members] = row
+        closed[members] = True
+    live = np.flatnonzero(_reaching(chain, out.any(axis=1)) & ~closed)
+    if len(live):
+        rows = chain[live]
+        system = (identity(len(live)) - rows[:, live]).tocsc()
+        out[live] = splu(system).solve(rows[:, closed] @ out[closed])
+    return out
+
+
+def _fixed_vector(kernel):
+    """Uniform mixture of the stationary vectors of its closed classes, and their count."""
+    classes = closed_classes(kernel.T)
+    q = np.zeros(kernel.shape[0])
+    for members in classes:
+        q[members] += _stationary_vector(kernel[np.ix_(members, members)]) / len(classes)
+    return q, len(classes)
+
+
 def strongly_invariant_measure(shift):
     """The Markov measure fixed under averaging over inverse branches.
 
@@ -150,21 +196,14 @@ def strongly_invariant_measure(shift):
     -------
     MarkovMeasure
     """
-    kernel = shift.matrix / shift.column_sums
-    classes = closed_classes(kernel.T)
-    if len(classes) == 1:
-        q = _stationary_vector(kernel)
-        return MarkovMeasure(shift, q, non_unique=False)
-    parts = np.zeros((len(classes), shift.k))
-    for part, members in zip(parts, classes):
-        part[members] = _stationary_vector(kernel[np.ix_(members, members)])
-    q = np.mean(parts, axis=0)
-    warnings.warn(
-        f"fixed vector is not unique ({len(classes)} closed classes); "
-        "returning the uniform mixture over the closed classes",
-        NonUniqueFixedVector,
-    )
-    return MarkovMeasure(shift, q, non_unique=True)
+    q, n_classes = _fixed_vector(shift.matrix / shift.column_sums)
+    if n_classes > 1:
+        warnings.warn(
+            f"fixed vector is not unique ({n_classes} closed classes); "
+            "returning the uniform mixture over the closed classes",
+            NonUniqueFixedVector,
+        )
+    return MarkovMeasure(shift, q, non_unique=n_classes > 1)
 
 
 def markov_measure_for_weight(shift, w):
@@ -174,7 +213,9 @@ def markov_measure_for_weight(shift, w):
     yields the constant 1, then p[a, j] = w(a, j) / column_sum[j] is
     column-stochastic on the allowed transitions and the product-rule
     measure with kernel p is fixed under the w-weighted transfer
-    operator.  Raises ValueError when the normalization fails.
+    operator.  When p has several closed classes, q is the uniform
+    mixture of their stationary vectors and `non_unique` is set.  Raises
+    ValueError when the normalization fails.
     """
     if w.depth > 2:
         raise ValueError("normalized-weight construction needs depth(w) <= 2")
@@ -188,8 +229,8 @@ def markov_measure_for_weight(shift, w):
         raise ValueError(
             f"weight is not normalized: branch averages {col.tolist()} differ from 1"
         )
-    q = _stationary_vector(p)
-    return MarkovMeasure(shift, q, kernel=p)
+    q, n_classes = _fixed_vector(p)
+    return MarkovMeasure(shift, q, kernel=p, non_unique=n_classes > 1)
 
 
 def verify_strong_invariance(rho, depth):

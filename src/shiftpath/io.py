@@ -193,9 +193,20 @@ def word_column(symbols):
 
 
 def _cells(column):
-    """Text of each cell: floats as the shortest round-tripping repr, else str."""
+    """Text of each cell: floats as the shortest round-tripping repr, else str.
+
+    When at most half of the floats are distinct, repr runs once per
+    distinct bit pattern, which keeps -0.0 apart from 0.0.
+    """
     column = np.asarray(column)
-    return map(repr if column.dtype.kind == "f" else str, column.tolist())
+    if column.dtype.kind != "f":
+        return map(str, column.tolist())
+    values = np.ascontiguousarray(column, dtype=np.float64)
+    distinct, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    if 2 * len(distinct) > len(values):
+        return map(repr, values.tolist())
+    text = np.array([repr(x) for x in distinct.view(np.float64).tolist()], dtype=object)
+    return text[inverse].tolist()
 
 
 def write_csv(path, header, *columns):

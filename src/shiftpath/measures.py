@@ -237,20 +237,18 @@ def unit_pairing(h, nu):
     return pairing, (h * (1.0 / pairing) if pairing > PAIRING_FLOOR else None)
 
 
-def fixed_density_measure(shift, v, rho=None, tol=1e-13, max_iter=10000):
-    """The canonical fixed measure h drho built from the monotone iteration.
+def fixed_density_measure(shift, v, rho=None, tol=1e-13):
+    """The canonical fixed measure h drho built from the fixed function h.
 
-    Runs the sub-normalized iteration to its limit h, then normalizes:
-    against the dual fixed vector when one exists (unit pairing), else
-    to total mass 1.  Raises DegenerateH when the limit vanishes.
+    Solves for h = lim T^n 1 (`iterate_fixed_function`), then
+    normalizes: against the dual fixed vector when one exists (unit
+    pairing), else to total mass 1.  Raises DegenerateH when h vanishes.
     """
     if rho is None:
         rho = strongly_invariant_measure(shift)
-    res = iterate_fixed_function(shift, v, tol=tol, max_iter=max_iter)
+    res = iterate_fixed_function(shift, v, tol=tol)
     if res.status == "degenerate":
-        raise DegenerateH(
-            f"monotone limit is identically zero (sup {res.h.sup_norm():.2e})"
-        )
+        raise DegenerateH("no closed class of the operator keeps its mass, so h is zero")
     h = res.h
     _, scaled = unit_pairing(h, left_fixed_functional(shift, v))
     if scaled is not None:
@@ -282,7 +280,8 @@ def averaging_fixed_point(shift, v, seed, tol=1e-12, max_iter=10000):
     first to pass the residual test is returned.  The product of the
     per-step masses reconstructs the mass of the unnormalized iterate;
     when it falls below 1e-12 the hypothesis of a two-sided mass bound
-    has failed and MassCollapse is raised.
+    has failed and MassCollapse is raised.  After max_iter steps with
+    neither residual within tol, NoConvergence carries the last two.
     """
     v.require_nonnegative()
     if not isinstance(seed, DensityMeasure):
@@ -324,4 +323,4 @@ def averaging_fixed_point(shift, v, seed, tol=1e-12, max_iter=10000):
             return AveragingResult(
                 mu_ces, res_ces, n, np.asarray(masses), "cesaro", res_it, res_ces
             )
-    raise NoConvergence(max_iter)
+    raise NoConvergence(max_iter, {"iterate": res_it, "cesaro": res_ces})

@@ -15,16 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .errors import (
-    DepthTooShallow,
-    MonotonicityViolation,
-    NoConvergence,
-    NotSubNormalized,
-)
-from .invariant import _stationary_vector, closed_classes
+from .errors import DepthTooShallow, MonotonicityViolation, NotSubNormalized
+from .invariant import _stationary_vector, absorption, closed_classes
 from .subshift import CylinderFunction, branch_sum, weight_product
-
-DEGENERATE_SUP = 1e-9
 
 
 def _operator_pieces(shift, v, depth):
@@ -106,49 +99,42 @@ class FixedFunctionResult:
     residual: float
 
 
-def iterate_fixed_function(shift, v, tol=1e-13, max_iter=10000):
-    """Monotone iteration of the transfer operator started at the constant 1.
+def _kept_classes(op):
+    """Closed classes of the operator's graph whose rows sum to 1 within 1e-10, by lowest word."""
+    row_sums = np.asarray(op.sum(axis=1)).ravel()
+    return [m for m in closed_classes(op) if np.abs(row_sums[m] - 1.0).max() <= 1e-10]
 
-    Requires the averaged weight (the operator applied to the constant
-    1) to stay below 1 + tol everywhere; under that sub-normalization
-    the iterates decrease pointwise and their limit h is itself fixed by
-    the operator.  Iteration stops when consecutive iterates agree
-    within tol.  The status is "degenerate" when the limit is
-    identically zero (sup below 1e-9), which happens exactly when the
-    averaged weight loses mass.
+
+def iterate_fixed_function(shift, v, tol=1e-13, max_iter=10000):
+    """The fixed function h = lim T^n 1 of a sub-normalized transfer operator T.
+
+    The iterates T^n 1 decrease pointwise when T1 <= 1 + tol.  Their
+    limit, the probability that the chain of the operator matrix never
+    loses its mass, is solved directly (`invariant.absorption`): 1 on the
+    closed classes whose rows sum to 1, exactly 0 on the words with no
+    path into one.  The status is "degenerate" when no closed class keeps
+    its mass, so h is zero.  n_used is 1, the step T1 that the checks
+    take; max_iter is not used.
 
     Raises
     ------
     NotSubNormalized
         If the averaged weight exceeds 1 + tol somewhere.
     MonotonicityViolation
-        If an iterate increases somewhere by more than 1e-12.
-    NoConvergence
-        If max_iter steps do not reach the tolerance.
+        If the first step T1 rises above 1 by more than 1e-12.
     """
-    one = CylinderFunction.constant(shift, 1.0, depth=1)
-    first = apply_transfer(shift, v, one)
-    sup1 = first.max()
+    depth = max(v.depth - 1, 1)
+    op = _operator_matrix(shift, v, depth)
+    sup1 = float(op.sum(axis=1).max())
     if sup1 > 1.0 + tol:
         raise NotSubNormalized(f"sup of transferred constant is {sup1:.6g} > 1")
-    depth = max(v.depth - 1, 1)
-    h = one.promote(depth)
-    for n in range(1, max_iter + 1):
-        nxt = apply_transfer(shift, v, h)
-        rise = float((nxt.values - h.values).max())
-        if rise > 1e-12:
-            raise MonotonicityViolation(
-                f"iterate increased by {rise:.3e} at step {n}"
-            )
-        delta = float(np.abs(nxt.values - h.values).max())
-        h = nxt
-        if delta <= tol:
-            residual = float(
-                np.abs(apply_transfer(shift, v, h).values - h.values).max()
-            )
-            status = "degenerate" if h.sup_norm() < DEGENERATE_SUP else "converged"
-            return FixedFunctionResult(h, n, status, residual)
-    raise NoConvergence(max_iter)
+    if sup1 - 1.0 > 1e-12:
+        raise MonotonicityViolation(f"iterate increased by {sup1 - 1.0:.3e} at step 1")
+    kept = _kept_classes(op)
+    h = absorption(op, kept, np.ones((len(kept), 1)))[:, 0]
+    residual = float(np.abs(op @ h - h).max())
+    status = "converged" if kept else "degenerate"
+    return FixedFunctionResult(CylinderFunction(shift, depth, h), 1, status, residual)
 
 
 def left_fixed_functional(shift, v, depth=None):
@@ -163,15 +149,14 @@ def left_fixed_functional(shift, v, depth=None):
     if depth is None:
         depth = max(v.depth - 1, 1)
     op = _operator_matrix(shift, v, depth)
-    row_sums = np.asarray(op.sum(axis=1)).ravel()
+    kept = _kept_classes(op)
+    if not kept:
+        return None
     from .measures import RawMeasure
 
-    for members in closed_classes(op):
-        if np.abs(row_sums[members] - 1.0).max() <= 1e-10:
-            masses = np.zeros(len(row_sums))
-            masses[members] = _stationary_vector(op[members][:, members].T.toarray())
-            return RawMeasure(shift, depth, masses)
-    return None
+    masses = np.zeros(op.shape[0])
+    masses[kept[0]] = _stationary_vector(op[kept[0]][:, kept[0]].T)
+    return RawMeasure(shift, depth, masses)
 
 
 def check_weight_pushforward(shift, v, f, rho, n):

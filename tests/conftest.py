@@ -13,11 +13,19 @@ import pytest
 
 from shiftpath import (
     CylinderFunction,
+    DegenerateH,
     DensityMeasure,
+    MarkovMeasure,
+    NoConvergence,
+    RawMeasure,
+    apply_transfer,
     build_subshift,
     fixed_density_measure,
     strongly_invariant_measure,
+    transfer_matrix,
 )
+from shiftpath.invariant import closed_classes
+from shiftpath.measures import unit_pairing
 
 FULL2 = [[1, 1], [1, 1]]
 GOLDEN = [[1, 1], [1, 0]]
@@ -72,6 +80,13 @@ def weight_markov_full(shift):
         (a, j): 2.0 * SAMPLER_P[a - 1, j - 1] for a in (1, 2) for j in (1, 2)
     }
     return CylinderFunction.from_table(shift, 2, table)
+
+
+def slow_leak_weight(shift, stay=2.0 - 2e-4, leave=1e-4):
+    """Full 2-shift, depth 2: word 1 keeps its mass; word 2 sends leave/2 to word 1, keeps stay/2."""
+    return CylinderFunction.from_table(
+        shift, 2, {(1, 1): 2.0, (2, 1): 0.0, (1, 2): leave, (2, 2): stay}
+    )
 
 
 def weight_markov_golden(shift):
@@ -256,3 +271,104 @@ def dense_ergodicity_oracle(shift, mu0, v, depth, rtol=1e-10, floor=1e-12):
     smax = sing[0] if len(sing) else 0.0
     rank = int((sing > rtol * smax).sum()) if smax > 0 else 0
     return len(cols) - rank, vt[rank:].T
+
+
+# ---------------------------------------------------------------------------
+# the former solvers of h and nu, kept as oracles
+
+
+def loop_fixed_function(shift, v, tol=1e-13, max_iter=10000):
+    """h = lim T^n 1 by the monotone iteration from the constant 1; returns (h, steps).
+
+    Stops when two iterates agree within tol and raises NoConvergence
+    after max_iter steps.  Where h vanishes, the iterates stop at a
+    residue of order tol, not at 0.
+    """
+    h = CylinderFunction.constant(shift, 1.0, max(v.depth - 1, 1))
+    for n in range(1, max_iter + 1):
+        nxt = apply_transfer(shift, v, h)
+        delta = float(np.abs(nxt.values - h.values).max())
+        h = nxt
+        if delta <= tol:
+            return h, n
+    raise NoConvergence(max_iter, {"delta": delta})
+
+
+def lstsq_stationary_vector(kernel):
+    """Solve q = kernel q, sum q = 1, by a dense least-squares solve."""
+    k = kernel.shape[0]
+    block = np.vstack([kernel - np.eye(k), np.ones((1, k))])
+    rhs = np.zeros(k + 1)
+    rhs[-1] = 1.0
+    q, *_ = np.linalg.lstsq(block, rhs, rcond=None)
+    q = np.clip(q, 0.0, None)
+    return q / q.sum()
+
+
+def lstsq_fixed_functional(shift, v, depth=None):
+    """Dual fixed vector from the dense operator: lstsq on its first mass-keeping closed class."""
+    if depth is None:
+        depth = max(v.depth - 1, 1)
+    op = transfer_matrix(shift, v, depth).matrix
+    for members in closed_classes(op):
+        if np.abs(op[members].sum(axis=1) - 1.0).max() <= 1e-10:
+            masses = np.zeros(len(op))
+            masses[members] = lstsq_stationary_vector(op[np.ix_(members, members)].T)
+            return RawMeasure(shift, depth, masses)
+    return None
+
+
+def lstsq_invariant_measure(shift):
+    """The strongly invariant measure from lstsq: on the whole kernel when it has one closed class.
+
+    With one closed class and transient symbols, the solve leaves
+    residue of rounding size on the transient symbols.
+    """
+    kernel = shift.matrix / shift.column_sums
+    classes = closed_classes(kernel.T)
+    if len(classes) == 1:
+        return MarkovMeasure(shift, lstsq_stationary_vector(kernel))
+    q = np.zeros(shift.k)
+    for members in classes:
+        q[members] += lstsq_stationary_vector(kernel[np.ix_(members, members)]) / len(classes)
+    return MarkovMeasure(shift, q, non_unique=True)
+
+
+def loop_fixed_density_measure(shift, v):
+    """h d(rho) from the loop, the lstsq nu and the lstsq rho, normalised as fixed_density_measure does.
+
+    Its bases carry the residue of the loop and of the lstsq rho on
+    words where h or rho vanishes.
+    """
+    rho = lstsq_invariant_measure(shift)
+    h, _ = loop_fixed_function(shift, v)
+    if h.sup_norm() < 1e-9:
+        raise DegenerateH("monotone limit is identically zero")
+    _, scaled = unit_pairing(h, lstsq_fixed_functional(shift, v))
+    if scaled is not None:
+        return DensityMeasure(scaled, rho)
+    total = rho.integrate(h)
+    if total <= 0:
+        raise DegenerateH("fixed function integrates to zero mass")
+    return DensityMeasure(h * (1.0 / total), rho)
+
+
+def surviving_states(op):
+    """States of a dense sub-stochastic matrix with a path into a closed class whose rows sum to 1.
+
+    By boolean transitive closure: state i is in a closed class when
+    every state it reaches reaches it back, and that class is the set
+    it reaches.  Rows sum to 1 within 1e-10.
+    """
+    n = len(op)
+    reach = (op != 0) | np.eye(n, dtype=bool)
+    for k in range(n):
+        reach |= reach[:, [k]] & reach[[k], :]
+    keeps = np.array(
+        [
+            reach[reach[i], i].all() and np.abs(op[reach[i]].sum(axis=1) - 1.0).max() <= 1e-10
+            for i in range(n)
+        ],
+        dtype=bool,
+    )
+    return reach[:, keeps].any(axis=1)

@@ -7,7 +7,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from shiftpath import extremality, pathspace, transfer
+from shiftpath import (
+    build_subshift,
+    extremality,
+    io,
+    pathspace,
+    strongly_invariant_measure,
+    transfer,
+)
 from shiftpath.cli import main
 from shiftpath.io import word_column, write_csv
 from shiftpath.subshift import word_string
@@ -56,6 +63,13 @@ DEGENERATE = {
     "k": 2,
     "matrix": [[1, 1], [1, 1]],
     "V": {"depth": 1, "values": {"1": 0.5, "2": 0.5}},
+    "mu0": "auto",
+}
+
+SLOW_LEAK = {
+    "k": 2,
+    "matrix": [[1, 1], [1, 1]],
+    "V": {"depth": 2, "values": {"11": 2.0, "21": 0.0, "12": 1e-4, "22": 2.0 - 2e-4}},
     "mu0": "auto",
 }
 
@@ -128,6 +142,17 @@ def test_fixpoint_degenerate_exit(tmp_path):
     assert code == 4
     report = load(tmp_path, "fixpoint_report.json")
     assert report["status"] == "degenerate"
+
+
+def test_fixpoint_solves_a_slowly_leaking_word(tmp_path):
+    """Word 2 keeps 1 - 1e-4 of its mass per step, too slow for a 10000-step loop."""
+    cfg = write_config(tmp_path, SLOW_LEAK)
+    code = run(["fixpoint", "--config", cfg, "--out", str(tmp_path)])
+    assert code == 0
+    report = load(tmp_path, "fixpoint_report.json")
+    assert report["status"] == "converged"
+    assert "iterations" not in report
+    assert report["min_h"] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_verify_command_clean(tmp_path):
@@ -288,6 +313,8 @@ def test_oversized_depth_exits_two_before_allocating(tmp_path):
     [
         ("invariant", "--max-iter"),
         ("invariant", "--steps"),
+        ("fixpoint", "--max-iter"),
+        ("ergodicity", "--max-iter"),
         ("fixpoint", "--depth"),
         ("verify", "--samples"),
         ("ergodicity", "--seed"),
@@ -317,8 +344,6 @@ def test_subcommands_reject_flags_they_do_not_read(tmp_path, command, flag):
         ("invariant", "--tol", "nan"),
         ("invariant", "--tol", "inf"),
         ("verify", "--tol", "-1e-9"),
-        ("fixpoint", "--max-iter", "0"),
-        ("ergodicity", "--max-iter", "-1"),
     ],
 )
 def test_out_of_range_flags_exit_two(tmp_path, command, flag, value):
@@ -374,6 +399,10 @@ def count_calls(monkeypatch, module, name):
             BLOCK_FLAT, extremality, "relative_ergodicity_dimension", 6, 1, id="ergodicity",
         ),
         pytest.param(
+            ["ergodicity", "--depth", "1"],
+            BLOCK_FLAT, io, "build_weight_from_config", 6, 1, id="ergodicity-weight",
+        ),
+        pytest.param(
             ["verify", "--depth", "3"],
             FULL_HALF, transfer, "check_weight_pushforward", 0, 0, id="verify",
         ),
@@ -400,6 +429,26 @@ def test_csv_writer_matches_per_row_formatting(tmp_path):
     assert (tmp_path / "a.csv").read_text() == expected
     write_csv(tmp_path / "empty.csv", ("word",), word_column(words[:0]))
     assert (tmp_path / "empty.csv").read_text() == "word\n"
+
+
+def test_float_cells_are_the_repr_of_each_value(tmp_path):
+    """Columns with few distinct floats (formatted once per bit pattern) and with many."""
+    rng = np.random.default_rng(11)
+    full3 = build_subshift(np.ones((3, 3), dtype=int))
+    masses = strongly_invariant_measure(full3).masses_at(11)
+    payload_nan = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)
+    specials = np.r_[-0.0, 0.0, np.nan, -np.nan, payload_nan, np.inf, -np.inf, 5e-324, 1.0]
+    columns = (
+        masses,
+        np.tile(specials, 40),
+        rng.random(1000),
+        np.r_[rng.random(50), specials],
+        np.r_[np.tile(specials, 10), rng.random(20)].astype(np.float32),
+    )
+    for column in columns:
+        write_csv(tmp_path / "f.csv", ("x",), column)
+        expected = "x\n" + "".join(f"{x!r}\n" for x in column.tolist())
+        assert (tmp_path / "f.csv").read_text() == expected
 
 
 def test_filter_mismatch_exit_two(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    BLOCK4,
     FULL2,
     GOLDEN,
     brute_pushforward,
@@ -15,6 +16,7 @@ from conftest import (
     solved_base,
     stock_systems,
     weight_full_half,
+    weight_markov_full,
 )
 from shiftpath import (
     CylinderFunction,
@@ -22,7 +24,9 @@ from shiftpath import (
     DensityMeasure,
     DepthTooShallow,
     MassCollapse,
+    NoConvergence,
     RawMeasure,
+    apply_transfer,
     averaging_fixed_point,
     build_subshift,
     check_fixed_point,
@@ -118,6 +122,14 @@ def test_degenerate_density_raises(full2):
         fixed_density_measure(full2, CylinderFunction.constant(full2, 0.5))
 
 
+def test_fixed_density_is_exactly_zero_off_the_kept_class():
+    """Symbols 3 and 4 lose half their mass per step, so h and the density vanish there."""
+    block = build_subshift(BLOCK4)
+    v = CylinderFunction.from_table(block, 1, {(1,): 1.0, (2,): 1.0, (3,): 0.5, (4,): 0.5})
+    mu0 = fixed_density_measure(block, v, rho=quiet_invariant(block))
+    assert mu0.density.values.tolist() == [1.0, 1.0, 0.0, 0.0]
+
+
 def test_mass_constant_along_orbit():
     for name, shift, v in stock_systems():
         mu0 = solved_base(shift, v)
@@ -167,6 +179,26 @@ def test_averaging_solver_mass_collapse(full2):
     exc = info.value
     assert exc.n_used >= 30
     assert exc.masses[-1] == pytest.approx(0.5 ** exc.n_used, rel=1e-9)
+
+
+def test_averaging_solver_reports_its_last_residuals(full2):
+    """With one step allowed, NoConvergence carries that step's two residuals."""
+    v = weight_markov_full(full2)
+    rho = quiet_invariant(full2)
+    seed = DensityMeasure(
+        CylinderFunction.from_table(full2, 1, {(1,): 0.3, (2,): 1.7}), rho
+    )
+    with pytest.raises(NoConvergence) as info:
+        averaging_fixed_point(full2, v, seed, max_iter=1)
+    exc = info.value
+    # after one step the Cesaro average is the iterate itself
+    g = apply_transfer(full2, v, seed.density * (1.0 / seed.total_mass()))
+    first = DensityMeasure(g * (1.0 / rho.integrate(g)), rho)
+    residual = check_fixed_point(full2, v, first, 1)
+    assert residual > 1e-12
+    assert exc.max_iter == 1
+    assert exc.last_delta == pytest.approx({"iterate": residual, "cesaro": residual}, rel=1e-12)
+    assert f"{residual:.3e}" in str(exc)
 
 
 def test_averaging_solver_cesaro_route(perm2):

@@ -9,7 +9,9 @@ action, the raw transform with the density route, the dual pushforward
 check with the per-indicator one, and sampled batches across worker
 counts.  The closed-class fixed vectors are compared with dense
 eigen- and singular-value oracles, and so are the invariant functions
-of the extremality solve.
+of the extremality solve.  On sub-normalized weights with zero and
+leaky branches, the solved fixed function is compared with the former
+monotone loop and the dual functional with a dense least-squares solve.
 """
 
 import numpy as np
@@ -18,11 +20,18 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    BLOCK4,
     FULL2,
     brute_words,
     conditioning_depth,
     dense_ergodicity_oracle,
+    loop_fixed_density_measure,
+    loop_fixed_function,
+    lstsq_fixed_functional,
     quiet_invariant,
+    slow_leak_weight,
+    solved_base,
+    surviving_states,
 )
 from shiftpath import (
     CylinderFunction,
@@ -35,7 +44,7 @@ from shiftpath import (
     check_fixed_point,
     check_weight_pushforward,
     decompose,
-    fixed_density_measure,
+    iterate_fixed_function,
     left_fixed_functional,
     markov_measure_for_weight,
     relative_ergodicity_dimension,
@@ -205,6 +214,87 @@ def test_left_functional_is_the_fixed_probability_vector(matrix, depth, data):
         np.testing.assert_allclose(nu.masses, vec / vec.sum(), rtol=0, atol=1e-10)
 
 
+@st.composite
+def sub_normalized_weights(draw):
+    """A random subshift and a sub-normalized weight of depth 1 to 3.
+
+    Branch values are tenths from 0.1 to 1, and up to a third of them,
+    at least one, are set to 0.  At depth 1 the weight is scaled so that
+    its largest branch average is 1.  Deeper, the branches of each word
+    are scaled to average 1, and to 1/2 on one drawn leaky word, if any;
+    words whose branches are all 0 lose all their mass.  The grid keeps
+    every leak large enough for the loop oracle to converge: with free
+    floats a depth-1 weight can lose 1e-7 of its mass per step, and the
+    loop then needs more than 10**6 steps.
+    """
+    shift = build_subshift(draw(matrices()))
+    v_depth = draw(st.integers(1, 3))
+    n = shift.word_count(v_depth)
+    values = np.asarray(draw(st.lists(st.integers(1, 10), min_size=n, max_size=n))) / 10.0
+    values[list(draw(st.sets(st.integers(0, n - 1), max_size=max(n // 3, 1))))] = 0.0
+    if v_depth == 1:
+        one = CylinderFunction.constant(shift, 1.0)
+        top = apply_transfer(shift, CylinderFunction(shift, 1, values), one).values.max()
+        if top > 0:
+            values = values / top
+    else:
+        suffix = shift.suffix_indices(v_depth)
+        total = np.bincount(suffix, values)
+        scale = np.divide(np.bincount(suffix), total, out=np.zeros_like(total), where=total > 0)
+        leaky = draw(st.none() | st.integers(0, len(total) - 1))
+        if leaky is not None:
+            scale[leaky] *= 0.5
+        values = values * scale[suffix]
+    return shift, CylinderFunction(shift, v_depth, values)
+
+
+def tiny_leak():
+    """Word 2 of the full 2-shift reaches the kept word 1, with h(2) = 2e-20."""
+    full = build_subshift(FULL2)
+    return full, slow_leak_weight(full, stay=1.0, leave=2e-20)
+
+
+@PROPERTY_SETTINGS
+@given(sub_normalized_weights())
+@example(tiny_leak())
+def test_fixed_function_is_the_limit_of_the_monotone_loop(system):
+    """h agrees with the former loop and is positive exactly where a path keeps its mass.
+
+    The loop runs with a cap far above its former default of 10000
+    steps, which slowly leaking words exceed.
+    """
+    shift, v = system
+    res = iterate_fixed_function(shift, v)
+    loop, _ = loop_fixed_function(shift, v, max_iter=10**6)
+    assert np.abs(res.h.values - loop.values).max() <= 1e-10
+    surviving = surviving_states(transfer_matrix(shift, v, res.h.depth).matrix)
+    assert res.h.values.min() >= 0.0
+    assert ((res.h.values > 0) == surviving).all()
+    assert res.status == ("converged" if surviving.any() else "degenerate")
+
+
+def block_flat():
+    """Two closed classes, {1, 2} and {3, 4}, that both keep their mass."""
+    block = build_subshift(BLOCK4)
+    return block, CylinderFunction.constant(block, 1.0)
+
+
+@PROPERTY_SETTINGS
+@given(sub_normalized_weights(), st.integers(0, 1))
+@example(block_flat(), 0)
+@example(block_flat(), 1)
+def test_left_functional_matches_dense_lstsq(system, extra_depth):
+    shift, v = system
+    depth = max(v.depth - 1, 1) + extra_depth
+    nu = left_fixed_functional(shift, v, depth)
+    oracle = lstsq_fixed_functional(shift, v, depth)
+    assert (nu is None) == (oracle is None)
+    if nu is not None:
+        assert np.abs(nu.masses - oracle.masses).max() <= 1e-12
+        operator = transfer_matrix(shift, v, depth).matrix
+        assert np.abs(nu.masses @ operator - nu.masses).max() <= 1e-13
+
+
 @PROPERTY_SETTINGS
 @given(matrices())
 def test_non_unique_means_a_null_space_above_one(matrix):
@@ -242,13 +332,15 @@ def weighted_systems(draw):
     return matrix, v_depth, values, leaky, draw(st.integers(1, 3))
 
 
-def solved_system(matrix, v_depth, values, leaky):
-    """A weight with zeros and its fixed measure h d(rho).
+def solved_system(matrix, v_depth, values, leaky, solve=loop_fixed_density_measure):
+    """A weight with zeros and its fixed measure h d(rho), found by `solve`.
 
     The branch values of each depth-(v_depth - 1) word are scaled to
     average 1 (all-zero branches become 1), and to 1/2 on the leaky
     word, so the weight is sub-normalized and h is not constant when a
-    word leaks.
+    word leaks.  The default solve is the former one (the monotone loop
+    and lstsq, `loop_fixed_density_measure`), whose bases carry residue
+    where h or the reference measure vanishes.
     """
     shift = build_subshift(matrix)
     suffix = shift.suffix_indices(v_depth)
@@ -260,7 +352,7 @@ def solved_system(matrix, v_depth, values, leaky):
         values[suffix == leaky] *= 0.5
     v = CylinderFunction(shift, v_depth, values)
     try:
-        mu0 = fixed_density_measure(shift, v, rho=quiet_invariant(shift))
+        mu0 = solve(shift, v)
     except ShiftPathError:
         mu0 = None
     return shift, v, mu0
@@ -368,3 +460,22 @@ def test_residue_does_not_join_two_point_masses():
         assert np.abs(mix - mu0.masses_at(depth)).max() <= 1e-13
         for comp in (dec.mu1, dec.mu2):
             assert check_fixed_point(shift, v, comp, depth) <= 1e-11
+
+
+@PROPERTY_SETTINGS
+@given(weighted_systems())
+@with_examples(EXTREMALITY_EXAMPLES + RESIDUE_EXAMPLES)
+def test_solved_bases_need_no_mass_floor(system):
+    """Bases built from the solved h are exactly 0 where h vanishes.
+
+    So they carry no residue, and the dense SVD with no mass floor gives
+    the sparse solve's solution space.
+    """
+    matrix, v_depth, values, leaky, depth = system
+    shift, v, mu0 = solved_system(matrix, v_depth, values, leaky, solve=solved_base)
+    assume(mu0 is not None)
+    assert not residue_masses(mu0, v, depth)
+    dim, basis = dense_ergodicity_oracle(shift, mu0, v, depth, floor=0.0)
+    rep = relative_ergodicity_dimension(shift, mu0, v, depth)
+    assert rep.solution_dim == dim
+    np.testing.assert_allclose(rep.basis @ rep.basis.T, basis @ basis.T, rtol=0, atol=1e-8)

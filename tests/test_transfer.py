@@ -1,4 +1,4 @@
-"""Preimage-averaging operator: action, matrices, monotone iteration."""
+"""Preimage-averaging operator: action, matrices, fixed function and functional."""
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from conftest import (
     quiet_invariant,
     random_function,
     random_weight,
+    slow_leak_weight,
     weight_full_half,
     weight_markov_golden,
 )
@@ -131,6 +132,20 @@ def test_monotone_iteration_random_weights():
             assert res.status in ("converged", "degenerate")
             fixed = apply_transfer(shift, v, res.h)
             assert np.abs(fixed.values - res.h.promote(fixed.depth).values).max() <= 1e-11
+
+
+def test_fixed_function_of_a_slowly_leaking_word(full2):
+    """h(2) = (1e-4 / 2) / 1e-4 = 1/2; the monotone loop needed more than 10000 steps."""
+    res = iterate_fixed_function(full2, slow_leak_weight(full2))
+    assert res.status == "converged"
+    assert np.abs(res.h.values - [1.0, 0.5]).max() <= 1e-12
+
+
+def test_fixed_function_keeps_tiny_positive_values(full2):
+    """h(2) = 1e-20 + h(2) / 2, so h = (1, 2e-20): zero only where no path keeps mass."""
+    res = iterate_fixed_function(full2, slow_leak_weight(full2, stay=1.0, leave=2e-20))
+    assert res.h.values[0] == 1.0
+    assert res.h.values[1] == pytest.approx(2e-20, rel=1e-12, abs=0.0)
 
 
 def test_monotonicity_violation_guard(full2):
