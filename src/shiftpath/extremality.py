@@ -18,25 +18,24 @@ symbol with weight v * mu0.  On a finite chain the harmonic functions
 are spanned by the absorption probabilities into the closed classes of
 the walk, the strongly connected classes that no positive-weight step
 leaves (`invariant.closed_classes`).  So the solve is one sparse walk
-matrix, one sparse LU solve for the transient words
-(`invariant.absorption`), and a dense step
-with one column per closed class; no matrix of words by words is
-formed.  A base mass at or below ESSENTIAL_FLOOR times the total is no
-edge: a base measure found by iteration leaves masses of that size on
-words its limit does not charge, and as edges they would join classes
-the measure keeps apart.
+matrix (`subshift.prepend_walk`, the walk the trajectory sampler steps
+along), one sparse LU solve for the transient words
+(`invariant.absorption`), and a dense step with one column per closed
+class; no matrix of words by words is formed.  A base mass at or below
+ESSENTIAL_FLOOR times the total is no edge: a base measure found by
+iteration leaves masses of that size on words its limit does not
+charge, and as edges they would join classes the measure keeps apart.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import qr, solve_triangular
-from scipy.sparse import csr_matrix
 
 from .errors import NotFixedPoint
 from .invariant import absorption, closed_classes
 from .measures import DensityMeasure, RawMeasure, check_fixed_point
-from .subshift import CylinderFunction, branch_sum
+from .subshift import CylinderFunction, branch_sum, prepend_walk
 
 NULL_SPACE_RTOL = 1e-10
 ESSENTIAL_FLOOR = 1e-12
@@ -137,7 +136,7 @@ def relative_ergodicity_dimension(shift, mu0, v, depth, tol=1e-10):
     coef *= v.promote(e).values
     # one step of the walk as probabilities; a word with no positive branch is its own class
     coef /= np.where(coef > 0, branch_sum(suf, coef, n)[suf], 1.0)
-    walk = csr_matrix((coef, (suf, shift.prefix_indices(e, dw))), shape=(n, n))
+    walk = prepend_walk(shift, dw, coef)
     classes = closed_classes(walk)
     absorbed = absorption(walk, classes, np.eye(len(classes)))
 

@@ -30,10 +30,10 @@ import json
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InadmissibleWord
 from .invariant import strongly_invariant_measure
 from .measures import DensityMeasure, RawMeasure
-from .subshift import CylinderFunction, Subshift, word_string
+from .subshift import CylinderFunction, Subshift
 
 
 def load_config(path):
@@ -53,15 +53,6 @@ def config_sha256(cfg):
     """Hash of the canonical (sorted, compact) JSON form of the config."""
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
-
-
-def _parse_word(key, k):
-    if not isinstance(key, str) or not key or not key.isdigit():
-        raise ConfigError(f"table key {key!r} is not a digit string")
-    word = tuple(int(ch) for ch in key)
-    if any(s < 1 or s > k for s in word):
-        raise ConfigError(f"table key {key!r} uses symbols outside 1..{k}")
-    return word
 
 
 def _parse_value(raw, key, allow_complex):
@@ -92,20 +83,16 @@ def parse_table(shift, section, name, allow_complex=False):
     if not isinstance(values, dict) or not values:
         raise ConfigError(f"{name} values must be a non-empty table")
 
-    table = {}
-    for key, raw in values.items():
-        word = _parse_word(key, shift.k)
-        if len(word) != depth:
-            raise ConfigError(f"{name} key {key!r} is not a depth-{depth} word")
-        if not shift.is_admissible(word):
-            raise ConfigError(f"{name} key {key!r} is not admissible")
-        table[word] = _parse_value(raw, key, allow_complex)
-    missing = [w for w in shift.words(depth) if w not in table]
-    if missing:
-        raise ConfigError(
-            f"{name} is missing admissible words, first: {word_string(missing[0])!r}"
-        )
-    return CylinderFunction.from_table(shift, depth, table)
+    for key in values:
+        if not (type(key) is str and len(key) == depth and key.isascii() and key.isdigit()):
+            raise ConfigError(f"{name} key {key!r} is not a depth-{depth} digit string")
+    digits = np.frombuffer("".join(values).encode("ascii"), dtype=np.uint8)
+    words = digits.reshape(len(values), depth) - ord("0")
+    parsed = [_parse_value(raw, key, allow_complex) for key, raw in values.items()]
+    try:
+        return CylinderFunction.from_words(shift, depth, words, parsed)
+    except InadmissibleWord as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def build_subshift_from_config(cfg):

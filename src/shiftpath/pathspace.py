@@ -11,7 +11,9 @@ materialized as a single object; every computation below works through
 the exact finite-depth marginals.  Consistency of the family and the
 reweighting relation between consecutive levels are checkable
 identities, and the trajectory process can be sampled exactly because
-the one-step conditional masses are ratios of stored cylinder masses.
+the one-step conditional masses are ratios of stored cylinder masses:
+the sampler steps along `subshift.prepend_walk`, the walk whose
+harmonic functions the extremality solve computes.
 """
 
 import os
@@ -24,11 +26,16 @@ from .errors import (
     DepthTooShallow,
     FilterMismatch,
     NotFixedPoint,
+    TableTooLarge,
     TooFewSamples,
     ZeroMassConditioning,
 )
 from .measures import DensityMeasure, RawMeasure, _pushforward_masses, check_fixed_point
-from .subshift import CylinderFunction, branch_sum, weight_product, word_string
+from .subshift import MAX_SAMPLE_SYMBOLS, CylinderFunction, branch_sum, prepend_walk
+from .subshift import weight_product, word_string
+
+# samples drawn and walked per block, which bounds the uniforms held at once
+SAMPLE_BLOCK = 1 << 16
 
 
 def _drop_indices(shift, depth, steps):
@@ -157,6 +164,16 @@ def check_quasi_invariance(pm, depth, n_max):
     return worst
 
 
+def _running_sums(indptr, values):
+    """Running sums of the values along each CSR row, added in stored order."""
+    out = np.array(values, dtype=np.float64)
+    counts = np.diff(indptr)
+    for j in range(1, counts.max(initial=0)):
+        at = indptr[:-1][counts > j] + j
+        out[at] += out[at - 1]
+    return out
+
+
 class _WalkKernel:
     """Finite-state sampler for the trajectory process at a fixed record depth.
 
@@ -167,68 +184,44 @@ class _WalkKernel:
     running-product factors beyond the first cancel between numerator
     and denominator, so the ratio equals mu_1([a u]) / mu_0([u]) at
     every step and the record sequence is a time-homogeneous Markov
-    chain on the depth-D words.  No truncation bias remains.
+    chain on the depth-D words.  No truncation bias remains.  A step
+    moves along the CSR row of `subshift.prepend_walk` of mu_1 to the
+    first branch whose running sum of probabilities exceeds the draw.
     """
 
     def __init__(self, pm, working_depth):
-        shift = pm.shift
-        d = working_depth
-        mu0 = pm.marginal(0)
-        mu1 = pm.marginal(1)
-        den = mu0.masses_at(d)
+        self.shift, self.depth = pm.shift, working_depth
+        den = pm.marginal(0).masses_at(working_depth)
         total = den.sum()
         if total <= 0:
             raise ZeroMassConditioning("base measure has no mass at the record depth")
-        self.shift = shift
-        self.depth = d
-        self.p0 = den / total
-        cum0 = np.cumsum(self.p0)
-        cum0[-1] = 1.0
-        self.cum0 = cum0
+        self.cum0 = np.cumsum(den / total)
+        self.cum0[-1] = 1.0
 
-        # state w moves along its branches a w, in the order of a, so the
-        # branch column is a's place among the preimages of w's first symbol
-        e = d + 1
-        fs = shift.suffix_indices(e)
-        sym = shift.symbols_array(e)
-        col = (np.cumsum(shift.matrix, axis=0) - 1)[sym[:, 0] - 1, sym[:, 1] - 1]
-        counts = shift.column_sums[shift.symbols_array(d)[:, 0] - 1]
-        n_states, kmax = len(counts), int(counts.max())
-
-        prob = np.zeros((n_states, kmax))
-        nxt = np.zeros((n_states, kmax), dtype=np.int64)
-        syms = np.zeros((n_states, kmax), dtype=np.int64)
-        prob[fs, col] = mu1.masses_at(e)
-        nxt[fs, col] = shift.prefix_indices(e, d)
-        syms[fs, col] = sym[:, 0]
-
-        rowsum = prob.sum(axis=1)
+        walk = prepend_walk(self.shift, working_depth, pm.marginal(1).masses_at(working_depth + 1))
+        self.start, last = walk.indptr[:-1], walk.indptr[1:] - 1
+        rowsum = _running_sums(walk.indptr, walk.data)[last]
         self.invalid = (den <= 0) | (rowsum <= 0)
         safe_den = np.where(self.invalid, 1.0, rowsum)
-        prob /= safe_den[:, None]
-        cdf = np.cumsum(prob, axis=1)
-        # clamp the last real branch so rounding in the row sums cannot
-        # push a uniform draw past every branch
-        last = np.clip(counts - 1, 0, None)
-        cdf[np.arange(n_states), last] = np.inf
-        pad = np.arange(kmax)[None, :] > last[:, None]
-        cdf[pad] = np.inf
-        self.cdf = cdf
-        self.nxt = nxt
-        self.syms = syms
+        self.cdf = _running_sums(walk.indptr, walk.data / np.repeat(safe_den, np.diff(walk.indptr)))
+        # the last branch of a row takes every draw that rounding in its sum pushes past it
+        self.cdf[last] = np.inf
+        self.kmax = int(np.diff(walk.indptr).max())
+        self.nxt = walk.indices
+        self.syms = self.shift.prefix_indices(working_depth, 1)[walk.indices] + 1
 
     def draw_base(self, r):
-        return np.minimum(
-            np.searchsorted(self.cum0, r, side="right"), len(self.p0) - 1
-        )
+        return np.minimum(np.searchsorted(self.cum0, r, side="right"), len(self.cum0) - 1)
 
     def step(self, states, r):
-        if self.invalid[states].any():
-            bad = int(states[self.invalid[states]][0])
-            word = word_string(self.shift.symbols_array(self.depth)[bad])
+        invalid = self.invalid[states]
+        if invalid.any():
+            word = word_string(self.shift.words_at(self.depth, states[invalid][0]))
             raise ZeroMassConditioning(f"trajectory reached the zero-mass cylinder [{word}]")
-        choice = np.argmax(r[:, None] < self.cdf[states], axis=1)
-        return self.nxt[states, choice], self.syms[states, choice]
+        pos = self.start[states]
+        for _ in range(self.kmax - 1):
+            pos += self.cdf[pos] <= r
+        return self.nxt[pos], self.syms[pos]
 
 
 @dataclass(frozen=True)
@@ -279,37 +272,39 @@ def sample_paths(pm, n_steps, n_samples, base_depth, seed, workers=1):
     The base record is drawn from mu0 at the working depth (the larger
     of base_depth, the weight depth and the base density depth, so the
     conditional ratios are exact), then each step prepends a symbol with
-    its conditional mass ratio.  All randomness comes from one
-    generator seeded with `seed` and is precomputed as a block, so the
-    returned batch depends only on (arguments, seed) and not on the
-    worker count, which is capped at the usable CPUs and the samples.
+    its conditional mass ratio.  All randomness comes from one generator
+    seeded with `seed`, drawn in row order SAMPLE_BLOCK samples at a time,
+    and each block is split between at most as many threads as usable
+    CPUs and samples.  So the batch depends only on (arguments, seed),
+    and the scratch memory does not grow with n_samples.  A batch of
+    more than MAX_SAMPLE_SYMBOLS symbols raises TableTooLarge first.
     """
     if n_steps < 0 or n_samples < 1 or base_depth < 1:
         raise ValueError("need n_steps >= 0, n_samples >= 1, base_depth >= 1")
+    if n_samples * (base_depth + n_steps) > MAX_SAMPLE_SYMBOLS:
+        raise TableTooLarge(f"{n_samples} samples of {base_depth + n_steps} symbols are too many")
     working = max(base_depth, pm.v.depth, pm.density_depth)
     kernel = pm._kernel(working)
+    base_table = pm.shift.symbols_array(base_depth)
+    base_of = pm.shift.prefix_indices(working, base_depth)
+    base_words = np.empty((n_samples, base_depth), dtype=np.int64)
+    prepends = np.empty((n_samples, n_steps), dtype=np.int64)
     rng = np.random.default_rng(seed)
-    uniforms = rng.random((n_samples, n_steps + 1))
+    threads = max(min(workers, n_samples, _usable_cpus()), 1)
 
-    def run(rows):
-        states = kernel.draw_base(uniforms[rows, 0])
-        base_states = states.copy()
-        prep = np.zeros((len(rows), n_steps), dtype=np.int64)
+    def run(part):
+        uniforms, base_out, prep_out = part
+        states = kernel.draw_base(uniforms[:, 0])
+        base_out[:] = base_table[base_of[states]]
         for j in range(n_steps):
-            states, syms = kernel.step(states, uniforms[rows, j + 1])
-            prep[:, j] = syms
-        return base_states, prep
+            states, prep_out[:, j] = kernel.step(states, uniforms[:, j + 1])
 
-    chunks = np.array_split(np.arange(n_samples), max(min(workers, n_samples, _usable_cpus()), 1))
-    if len(chunks) == 1:
-        results = [run(chunks[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            results = list(pool.map(run, chunks))
-    base_states = np.concatenate([r[0] for r in results])
-    prepends = np.vstack([r[1] for r in results])
-    sym = pm.shift.symbols_array(working)
-    base_words = sym[base_states][:, :base_depth]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for start in range(0, n_samples, SAMPLE_BLOCK):
+            rows = slice(start, min(start + SAMPLE_BLOCK, n_samples))
+            uniforms = rng.random((rows.stop - start, n_steps + 1))
+            arrays = (uniforms, base_words[rows], prepends[rows])
+            list(pool.map(run, zip(*(np.array_split(a, threads) for a in arrays))))
     return SampleBatch(pm.shift, base_depth, n_steps, base_words, prepends)
 
 
@@ -360,7 +355,7 @@ def empirical_check(pm, n, n_samples, depth, seed, workers=1):
         max_dev=float(dev.max()),
         sigma_bound=float(sigma3[worst]),
         passed=bool((dev <= sigma3).all()),
-        worst_word=shift.words(depth)[worst],
+        worst_word=tuple(shift.words_at(depth, worst).tolist()),
         batch=batch,
     )
 

@@ -23,6 +23,8 @@ from .errors import (
 
 # Largest word table built at any depth; 3**13 words fit, 2**22 do not.
 MAX_TABLE_WORDS = 2**21
+# Largest sampled batch in symbols, samples x (base depth + steps): 1 GiB of int64.
+MAX_SAMPLE_SYMBOLS = 2**27
 
 
 def word_string(word):
@@ -47,6 +49,18 @@ def branch_sum(index, values, size):
         return out
     # bincount returns ints when there are no values at all
     return np.bincount(index, values, size).astype(np.float64, copy=False)
+
+
+def prepend_walk(shift, depth, masses):
+    """The walk that prepends a symbol, as a CSR matrix on depth-`depth` words.
+
+    Row w has one entry per admissible aw, in the order of a (prefix
+    indices sort by a first): column the index of (aw)[:depth], entry
+    masses[aw] from the depth-(depth + 1) table, zero masses stored.
+    """
+    n = shift.word_count(depth)
+    suf = shift.suffix_indices(depth + 1)
+    return csr_matrix((masses, (suf, shift.prefix_indices(depth + 1, depth))), shape=(n, n))
 
 
 def _frozen(arr):
@@ -179,13 +193,17 @@ class Subshift:
     def symbols_array(self, depth):
         """Admissible words as an int array of shape (count, depth)."""
         if depth not in self._sym:
-            sym = np.empty((self.word_count(depth), depth), dtype=np.int64)
-            idx = np.arange(len(sym))
-            for d in range(depth, 0, -1):
-                sym[:, d - 1] = self._last[d][idx]
-                idx = self._parent[d][idx]
-            self._sym[depth] = _frozen(sym)
+            self._sym[depth] = _frozen(self.words_at(depth, np.arange(self.word_count(depth))))
         return self._sym[depth]
+
+    def words_at(self, depth, index):
+        """Depth-`depth` words at the table positions `index`, shape index.shape + (depth,)."""
+        self._grow(depth)
+        sym = np.empty(np.shape(index) + (depth,), dtype=np.int64)
+        for d in range(depth, 0, -1):
+            sym[..., d - 1] = self._last[d][index]
+            index = self._parent[d][index]
+        return sym
 
     def is_admissible(self, word):
         ok = len(word) > 0 and all(1 <= s <= self.k for s in word)
@@ -266,17 +284,21 @@ class CylinderFunction:
     @classmethod
     def from_table(cls, shift, depth, table):
         """Build from a {word: value} dict covering exactly the admissible words."""
-        words = shift.words(depth)
-        missing = [w for w in words if tuple(w) not in table]
-        if missing:
-            raise InadmissibleWord(
-                f"table is missing admissible words, e.g. {word_string(missing[0])}"
-            )
-        extra = set(table) - set(words)
-        if extra:
-            w = sorted(extra)[0]
-            raise InadmissibleWord(f"table mentions inadmissible word {word_string(w)}")
-        return cls(shift, depth, [table[w] for w in words])
+        words = np.array(list(table), dtype=np.int64).reshape(len(table), depth)
+        return cls.from_words(shift, depth, words, list(table.values()))
+
+    @classmethod
+    def from_words(cls, shift, depth, words, values):
+        """Build from an (n, depth) array of distinct words and one value per word.
+
+        Raises InadmissibleWord naming an inadmissible or a missing word.
+        """
+        index = shift.word_index(words)
+        seen = np.bincount(index, minlength=shift.word_count(depth))
+        if not seen.all():
+            missing = word_string(shift.words_at(depth, np.argmin(seen)))
+            raise InadmissibleWord(f"table is missing admissible words, e.g. {missing}")
+        return cls(shift, depth, np.asarray(values)[np.argsort(index)])
 
     def value(self, word):
         """Value on the cylinder [word]; needs len(word) >= depth to be well defined."""

@@ -13,11 +13,10 @@ result depends on the first max(m - 1, d - 1, 1) coordinates.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .errors import DepthTooShallow, MonotonicityViolation, NotSubNormalized
 from .invariant import _stationary_vector, absorption, closed_classes
-from .subshift import CylinderFunction, branch_sum, weight_product
+from .subshift import CylinderFunction, branch_sum, prepend_walk, weight_product
 
 
 def _operator_pieces(shift, v, depth):
@@ -31,7 +30,7 @@ def _operator_pieces(shift, v, depth):
             f"depth {depth} cannot carry the operator of a depth-{v.depth} weight"
         )
     v.require_nonnegative()
-    counts = shift.column_sums[shift.symbols_array(depth)[:, 0] - 1]
+    counts = shift.column_sums[shift.prefix_indices(depth, 1)]
     return v.promote(depth + 1).values, shift.suffix_indices(depth + 1), counts
 
 
@@ -70,16 +69,13 @@ class TransferMatrix:
 
 
 def _operator_matrix(shift, v, depth):
-    """The operator on depth-`depth` tables as a sparse matrix.
+    """The operator on depth-`depth` tables: the prepend walk with steps v(aw)/c(w).
 
-    Word u one level deeper gives the entry v(u)/c at (index of u[1:],
-    index of u[:depth]); no two words share an entry.  Zero-weight
-    branches stay as stored zeros, which `closed_classes` ignores.
+    c(w) is the branch count of w.  Zero-weight branches stay as stored
+    zeros, which `closed_classes` ignores.
     """
     ve, suf, counts = _operator_pieces(shift, v, depth)
-    n = len(counts)
-    pre = shift.prefix_indices(depth + 1, depth)
-    return csr_matrix((ve * (1.0 / counts)[suf], (suf, pre)), shape=(n, n))
+    return prepend_walk(shift, depth, ve * (1.0 / counts)[suf])
 
 
 def transfer_matrix(shift, v, depth):
@@ -105,7 +101,7 @@ def _kept_classes(op):
     return [m for m in closed_classes(op) if np.abs(row_sums[m] - 1.0).max() <= 1e-10]
 
 
-def iterate_fixed_function(shift, v, tol=1e-13, max_iter=10000):
+def iterate_fixed_function(shift, v, tol=1e-13):
     """The fixed function h = lim T^n 1 of a sub-normalized transfer operator T.
 
     The iterates T^n 1 decrease pointwise when T1 <= 1 + tol.  Their
@@ -114,7 +110,7 @@ def iterate_fixed_function(shift, v, tol=1e-13, max_iter=10000):
     closed classes whose rows sum to 1, exactly 0 on the words with no
     path into one.  The status is "degenerate" when no closed class keeps
     its mass, so h is zero.  n_used is 1, the step T1 that the checks
-    take; max_iter is not used.
+    take.
 
     Raises
     ------

@@ -7,6 +7,7 @@ agreement between the two is evidence rather than tautology.
 
 import itertools
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from shiftpath import (
     MarkovMeasure,
     NoConvergence,
     RawMeasure,
+    ZeroMassConditioning,
     apply_transfer,
     build_subshift,
     fixed_density_measure,
@@ -26,6 +28,8 @@ from shiftpath import (
 )
 from shiftpath.invariant import closed_classes
 from shiftpath.measures import unit_pairing
+from shiftpath.pathspace import SampleBatch, _usable_cpus
+from shiftpath.subshift import word_string
 
 FULL2 = [[1, 1], [1, 1]]
 GOLDEN = [[1, 1], [1, 0]]
@@ -372,3 +376,123 @@ def surviving_states(op):
         dtype=bool,
     )
     return reach[:, keeps].any(axis=1)
+
+
+# ---------------------------------------------------------------------------
+# the former sampler, with its dense (states x branches) kernel, kept as an oracle
+
+
+class DenseWalkKernel:
+    """The former sampler kernel, with dense (states x branches) arrays, kept as an oracle.
+
+    Finite-state sampler for the trajectory process at a fixed record
+    depth.  The record of a trajectory is the depth-D truncation of its current
+    coordinate.  Prepending symbol a to a record u happens with the
+    conditional mass ratio mu_{k+1}([a u]) / mu_k([u]).  Once D resolves
+    both the weight and the base density those ratios telescope: the
+    running-product factors beyond the first cancel between numerator
+    and denominator, so the ratio equals mu_1([a u]) / mu_0([u]) at
+    every step and the record sequence is a time-homogeneous Markov
+    chain on the depth-D words.  No truncation bias remains.
+    """
+
+    def __init__(self, pm, working_depth):
+        shift = pm.shift
+        d = working_depth
+        mu0 = pm.marginal(0)
+        mu1 = pm.marginal(1)
+        den = mu0.masses_at(d)
+        total = den.sum()
+        if total <= 0:
+            raise ZeroMassConditioning("base measure has no mass at the record depth")
+        self.shift = shift
+        self.depth = d
+        self.p0 = den / total
+        cum0 = np.cumsum(self.p0)
+        cum0[-1] = 1.0
+        self.cum0 = cum0
+
+        # state w moves along its branches a w, in the order of a, so the
+        # branch column is a's place among the preimages of w's first symbol
+        e = d + 1
+        fs = shift.suffix_indices(e)
+        sym = shift.symbols_array(e)
+        col = (np.cumsum(shift.matrix, axis=0) - 1)[sym[:, 0] - 1, sym[:, 1] - 1]
+        counts = shift.column_sums[shift.symbols_array(d)[:, 0] - 1]
+        n_states, kmax = len(counts), int(counts.max())
+
+        prob = np.zeros((n_states, kmax))
+        nxt = np.zeros((n_states, kmax), dtype=np.int64)
+        syms = np.zeros((n_states, kmax), dtype=np.int64)
+        prob[fs, col] = mu1.masses_at(e)
+        nxt[fs, col] = shift.prefix_indices(e, d)
+        syms[fs, col] = sym[:, 0]
+
+        rowsum = prob.sum(axis=1)
+        self.invalid = (den <= 0) | (rowsum <= 0)
+        safe_den = np.where(self.invalid, 1.0, rowsum)
+        prob /= safe_den[:, None]
+        cdf = np.cumsum(prob, axis=1)
+        # clamp the last real branch so rounding in the row sums cannot
+        # push a uniform draw past every branch
+        last = np.clip(counts - 1, 0, None)
+        cdf[np.arange(n_states), last] = np.inf
+        pad = np.arange(kmax)[None, :] > last[:, None]
+        cdf[pad] = np.inf
+        self.cdf = cdf
+        self.nxt = nxt
+        self.syms = syms
+
+    def draw_base(self, r):
+        return np.minimum(
+            np.searchsorted(self.cum0, r, side="right"), len(self.p0) - 1
+        )
+
+    def step(self, states, r):
+        if self.invalid[states].any():
+            bad = int(states[self.invalid[states]][0])
+            word = word_string(self.shift.symbols_array(self.depth)[bad])
+            raise ZeroMassConditioning(f"trajectory reached the zero-mass cylinder [{word}]")
+        choice = np.argmax(r[:, None] < self.cdf[states], axis=1)
+        return self.nxt[states, choice], self.syms[states, choice]
+
+
+def dense_sample_paths(pm, n_steps, n_samples, base_depth, seed, workers=1):
+    """The former sampler, which draws every uniform up front, kept as an oracle.
+
+    Draws trajectories of the path process, exactly and reproducibly.
+    The base record is drawn from mu0 at the working depth (the larger
+    of base_depth, the weight depth and the base density depth, so the
+    conditional ratios are exact), then each step prepends a symbol with
+    its conditional mass ratio.  All randomness comes from one
+    generator seeded with `seed` and is precomputed as a block, so the
+    returned batch depends only on (arguments, seed) and not on the
+    worker count, which is capped at the usable CPUs and the samples.
+    """
+    if n_steps < 0 or n_samples < 1 or base_depth < 1:
+        raise ValueError("need n_steps >= 0, n_samples >= 1, base_depth >= 1")
+    working = max(base_depth, pm.v.depth, pm.density_depth)
+    kernel = DenseWalkKernel(pm, working)
+    rng = np.random.default_rng(seed)
+    uniforms = rng.random((n_samples, n_steps + 1))
+
+    def run(rows):
+        states = kernel.draw_base(uniforms[rows, 0])
+        base_states = states.copy()
+        prep = np.zeros((len(rows), n_steps), dtype=np.int64)
+        for j in range(n_steps):
+            states, syms = kernel.step(states, uniforms[rows, j + 1])
+            prep[:, j] = syms
+        return base_states, prep
+
+    chunks = np.array_split(np.arange(n_samples), max(min(workers, n_samples, _usable_cpus()), 1))
+    if len(chunks) == 1:
+        results = [run(chunks[0])]
+    else:
+        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+            results = list(pool.map(run, chunks))
+    base_states = np.concatenate([r[0] for r in results])
+    prepends = np.vstack([r[1] for r in results])
+    sym = pm.shift.symbols_array(working)
+    base_words = sym[base_states][:, :base_depth]
+    return SampleBatch(pm.shift, base_depth, n_steps, base_words, prepends)

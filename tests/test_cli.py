@@ -294,6 +294,24 @@ def test_config_errors_exit_two(tmp_path):
     assert run(["invariant", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "values, named",
+    [
+        ({"1": 1.0}, "e.g. 2"),  # a missing word
+        ({"11": 1, "12": 1, "21": 1, "22": 1}, "word 22 "),  # an inadmissible word
+        ({"1": 1, "3": 1}, "word 3 "),  # a symbol outside 1..k
+        ({"1": 1, "2": 1, "x": 1}, "'x'"),
+        ({"1": 1, "22": 1}, "'22'"),  # a word of another depth
+        ({"1": 1, "\u0662": 1}, "'\u0662'"),  # a digit that is not 0-9
+    ],
+)
+def test_table_errors_name_the_word(tmp_path, capsys, values, named):
+    cfg = dict(GOLDEN_FLAT)
+    cfg["V"] = {"depth": len(next(iter(values))), "values": values}
+    assert run(["fixpoint", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_oversized_depth_exits_two_before_allocating(tmp_path):
     """The 2**40 depth-40 words exceed the table limit; nothing that size is built."""
     cfg = write_config(tmp_path, FULL_HALF)
@@ -306,6 +324,21 @@ def test_oversized_depth_exits_two_before_allocating(tmp_path):
     assert code == 2
     assert peak < 2**23
     assert not (tmp_path / "invariant_report.json").exists()
+
+
+def test_oversized_sample_exits_two_before_allocating(tmp_path):
+    """10**10 samples of 3 + 6 symbols exceed the sample cap; no uniform or batch array is built."""
+    cfg = write_config(tmp_path, FULL_HALF)
+    tracemalloc.start()
+    try:
+        code = run(["sample", "--config", cfg, "--samples", str(10**10), "--steps", "6",
+                    "--out", str(tmp_path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 2**23
+    assert not (tmp_path / "samples.csv").exists()
 
 
 @pytest.mark.parametrize(

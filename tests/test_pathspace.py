@@ -1,5 +1,7 @@
 """Path-space marginals, exact sampling, martingales, and the filter isometry."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from shiftpath import (
     RawMeasure,
     ZeroMassConditioning,
     build_path_measure,
+    build_subshift,
     check_consistency,
     check_isometry,
     check_quasi_invariance,
@@ -189,6 +192,24 @@ def test_sampler_threads_are_bounded_by_cpus(full2, monkeypatch):
         assert pools[-1] == threads
         assert batch.base_words.tobytes() == reference.base_words[:samples].tobytes()
         assert batch.prepends.tobytes() == reference.prepends[:samples].tobytes()
+
+
+def test_sampler_memory_is_the_batch_and_one_block():
+    """200000 six-step samples on the full 3-shift need the batch and at most 8 MiB besides.
+
+    Drawing every uniform up front took another 10.7 MiB for them alone.
+    """
+    full3 = build_subshift([[1, 1, 1]] * 3)
+    one = CylinderFunction.constant(full3, 1.0)
+    pm = build_path_measure(full3, one, DensityMeasure(one, quiet_invariant(full3)))
+    tracemalloc.start()
+    try:
+        batch = sample_paths(pm, n_steps=6, n_samples=200000, base_depth=3, seed=8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert batch.prepends.shape == (200000, 6)
+    assert peak < batch.base_words.nbytes + batch.prepends.nbytes + 8 * 2**20
 
 
 def test_sampler_deterministic_across_runs(full2):

@@ -7,9 +7,9 @@ is compared bit for bit with numpy's unbuffered scatter-add.  On random
 nonnegative weights, the operator matrix is compared with the operator's
 action, the raw transform with the density route, the dual pushforward
 check with the per-indicator one, and sampled batches across worker
-counts.  The closed-class fixed vectors are compared with dense
-eigen- and singular-value oracles, and so are the invariant functions
-of the extremality solve.  On sub-normalized weights with zero and
+counts and with the former dense sampler.  The closed-class fixed
+vectors are compared with dense eigen- and singular-value oracles, and
+so are the invariant functions of the extremality solve.  On sub-normalized weights with zero and
 leaky branches, the solved fixed function is compared with the former
 monotone loop and the dual functional with a dense least-squares solve.
 """
@@ -24,7 +24,9 @@ from conftest import (
     FULL2,
     brute_words,
     conditioning_depth,
+    DenseWalkKernel,
     dense_ergodicity_oracle,
+    dense_sample_paths,
     loop_fixed_density_measure,
     loop_fixed_function,
     lstsq_fixed_functional,
@@ -35,6 +37,7 @@ from conftest import (
 )
 from shiftpath import (
     CylinderFunction,
+    DegenerateH,
     DensityMeasure,
     InadmissibleWord,
     ShiftPathError,
@@ -53,6 +56,7 @@ from shiftpath import (
     transform_measure,
     weight_pushforward_defect,
 )
+from shiftpath import pathspace
 from shiftpath.subshift import branch_sum
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
@@ -318,6 +322,50 @@ def test_sampled_batches_do_not_depend_on_workers(matrix, steps, samples, depth,
         assert batch.prepends.tobytes() == batches[0].prepends.tobytes()
         assert batch.base_words.shape == batches[0].base_words.shape
         assert batch.prepends.shape == batches[0].prepends.shape
+
+
+@PROPERTY_SETTINGS
+@given(st.data(), st.integers(0, 4), st.integers(1, 60), st.integers(1, 3))
+def test_streamed_sampler_matches_the_dense_oracle(data, steps, samples, depth):
+    """Blocks of 7 samples, split across 1 or 3 threads, give the batch of the former sampler.
+
+    The kernel's flat running sums, next states and symbols are the
+    dense kernel's rows bit for bit, so no draw can move.  Half of the
+    systems are a normalized weight over the strongly invariant measure;
+    the others are a sub-normalized weight with zero branches, stored as
+    zeros in the walk, over its solved fixed density.
+    """
+    if data.draw(st.booleans()):
+        shift = build_subshift(data.draw(matrices()))
+        v = normalized_weight(data, shift)
+        mu0 = DensityMeasure(CylinderFunction.constant(shift, 1.0), quiet_invariant(shift))
+    else:
+        shift, v = data.draw(sub_normalized_weights())
+        try:
+            mu0 = solved_base(shift, v)
+        except DegenerateH:
+            assume(False)
+        assume(mu0.total_mass() > 0)
+    pm = build_path_measure(shift, v, mu0)
+    working = max(depth, v.depth, pm.density_depth)
+    kernel, dense = pm._kernel(working), DenseWalkKernel(pm, working)
+    counts = shift.column_sums[shift.prefix_indices(working, 1)]
+    rows = np.repeat(np.arange(len(counts)), counts)
+    cols = np.arange(len(rows)) - kernel.start[rows]
+    for flat, table in ((kernel.cdf, dense.cdf), (kernel.nxt, dense.nxt), (kernel.syms, dense.syms)):
+        assert flat.astype(table.dtype).tobytes() == table[rows, cols].tobytes()
+    seed = data.draw(st.integers(0, 2**32 - 1))
+
+    def draw(sampler, workers):
+        batch = sampler(pm, steps, samples, depth, seed, workers=workers)
+        return batch.base_words.shape, batch.base_words.tobytes(), batch.prepends.tobytes()
+
+    expected = draw(dense_sample_paths, 1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pathspace, "SAMPLE_BLOCK", 7)
+        patch.setattr(pathspace, "_usable_cpus", lambda: 3)
+        for workers in (1, 3):
+            assert draw(sample_paths, workers) == expected
 
 
 @st.composite
