@@ -47,7 +47,6 @@ from .io import (
     build_weight_from_config,
     config_sha256,
     load_config,
-    word_column,
     write_csv,
     write_function_csv,
     write_measure_csv,
@@ -240,8 +239,8 @@ def cmd_sample(args):
         _outpath(args, "samples.csv"),
         ("sample_id", "base_word", "prepends"),
         np.arange(len(batch)),
-        word_column(batch.base_words),
-        word_column(batch.prepends),
+        batch.base_words,
+        batch.prepends,
     )
     report = _base_report(args, cfg, "sample")
     report.update(

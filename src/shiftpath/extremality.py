@@ -34,7 +34,7 @@ from scipy.linalg import qr, solve_triangular
 
 from .errors import NotFixedPoint
 from .invariant import absorption, closed_classes
-from .measures import DensityMeasure, RawMeasure, check_fixed_point
+from .measures import _pushforward_masses, check_fixed_point
 from .subshift import CylinderFunction, branch_sum, prepend_walk
 
 NULL_SPACE_RTOL = 1e-10
@@ -53,14 +53,9 @@ def conditional_expectation(shift, mu0, v, g):
     one-step extension carries no mu0 mass get the value 0.  The result
     never exceeds the sup of v * g in absolute value.
     """
-    d0 = mu0.density.depth if isinstance(mu0, DensityMeasure) else mu0.depth
-    dout = max(max(v.depth, g.depth) - 1, d0 - 1, 1)
-    e = dout + 1
-    vg = (v * g).promote(e).values
-    fine = mu0.masses_at(e)
-    suf = shift.suffix_indices(e)
-    num = branch_sum(suf, vg * fine, shift.word_count(dout))
-    den = branch_sum(suf, fine, shift.word_count(dout))
+    dout = max(max(v.depth, g.depth) - 1, mu0.depth - 1, 1)
+    num = _pushforward_masses(shift, v * g, mu0, dout)
+    den = _pushforward_masses(shift, CylinderFunction.constant(shift, 1.0), mu0, dout)
     vals = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
     return CylinderFunction(shift, dout, vals)
 
@@ -121,8 +116,7 @@ def relative_ergodicity_dimension(shift, mu0, v, depth, tol=1e-10):
     depth.
     """
     v.require_nonnegative()
-    d0 = mu0.density.depth if isinstance(mu0, DensityMeasure) else mu0.depth
-    dw = max(v.depth - 1, depth, d0 - 1, 1)
+    dw = max(v.depth - 1, depth, mu0.depth - 1, 1)
     residual = check_fixed_point(shift, v, mu0, dw)
     if residual > tol:
         raise NotFixedPoint(residual, tol)
@@ -174,13 +168,6 @@ class Decomposition:
     mu1: object
     mu2: object
     report: ErgodicityReport
-
-
-def _component(shift, mu0, f):
-    if isinstance(mu0, DensityMeasure):
-        return DensityMeasure(f * mu0.density, mu0.rho)
-    masses = f.promote(mu0.depth).values * mu0.masses
-    return RawMeasure(shift, mu0.depth, masses)
 
 
 def decompose(shift, mu0, v, depth, tol=1e-10):
@@ -239,6 +226,5 @@ def decompose_report(shift, mu0, report):
     f2 = (CylinderFunction.constant(shift, 1.0, depth) - lam * f1) * (
         1.0 / (1.0 - lam)
     )
-    mu1 = _component(shift, mu0, f1)
-    mu2 = _component(shift, mu0, f2)
+    mu1, mu2 = mu0.reweighted(f1), mu0.reweighted(f2)
     return Decomposition(lam=lam, f1=f1, f2=f2, mu1=mu1, mu2=mu2, report=report)

@@ -77,12 +77,16 @@ class MarkovMeasure:
         return float(self.q.sum())
 
     def masses_at(self, depth):
-        """Vector of cylinder masses over shift.words(depth)."""
+        """Masses over shift.words(depth): the product rule, walked from the last symbol back."""
         if depth not in self._mass_cache:
-            sym = self.shift.symbols_array(depth)
-            out = self.q[sym[:, -1] - 1].copy()
-            for t in range(depth - 1):
-                out *= self.kernel[sym[:, t] - 1, sym[:, t + 1] - 1]
+            # padded with a row and a column for symbol 0, so that symbols index them directly
+            q, kernel = np.r_[0.0, self.q], np.pad(self.kernel, ((1, 0), (1, 0)))
+            columns = self.shift._columns(depth, np.arange(self.shift.word_count(depth)))
+            later = next(columns)
+            out = q[later]
+            for sym in columns:
+                out *= kernel[sym, later]
+                later = sym
             out.setflags(write=False)
             self._mass_cache[depth] = out
         return self._mass_cache[depth]
@@ -91,7 +95,7 @@ class MarkovMeasure:
         word = tuple(word)
         self.shift.require_admissible(word)
         p = self.q[word[-1] - 1]
-        for i in range(len(word) - 1):
+        for i in range(len(word) - 2, -1, -1):
             p *= self.kernel[word[i] - 1, word[i + 1] - 1]
         return float(p)
 
@@ -221,7 +225,7 @@ def markov_measure_for_weight(shift, w):
         raise ValueError("normalized-weight construction needs depth(w) <= 2")
     w.require_nonnegative()
     w2 = w.promote(2)
-    a, j = shift.symbols_array(2).T - 1
+    a, j = shift.words_at(2, np.arange(shift.word_count(2))).T - 1
     p = np.zeros((shift.k, shift.k))
     p[a, j] = w2.values / shift.column_sums[j]
     col = p.sum(axis=0)
@@ -250,10 +254,10 @@ def verify_strong_invariance(rho, depth):
     shift = rho.shift
     avg_kernel = shift.matrix / shift.column_sums
     worst = float(np.abs(rho.masses_at(1) - avg_kernel @ rho.masses_at(1)).max())
+    # the factor of each word's first two symbols, read through its depth-2 prefix
+    front = avg_kernel[tuple(shift.words_at(2, np.arange(shift.word_count(2))).T - 1)]
     for d in range(2, depth + 1):
-        masses = rho.masses_at(d)
-        sym = shift.symbols_array(d)
         suffix_mass = rho.masses_at(d - 1)[shift.suffix_indices(d)]
-        rhs = avg_kernel[sym[:, 0] - 1, sym[:, 1] - 1] * suffix_mass
-        worst = max(worst, float(np.abs(masses - rhs).max()))
+        rhs = front[shift.prefix_indices(d, 2)] * suffix_mass
+        worst = max(worst, float(np.abs(rho.masses_at(d) - rhs).max()))
     return worst

@@ -179,13 +179,28 @@ def word_column(symbols):
     return digits.view(f"S{sym.shape[1]}").ravel().astype(str)
 
 
+class _TableWords:
+    """The words of one depth of a shift's table, as a 2-D column built per sliced block."""
+
+    def __init__(self, shift, depth):
+        self.shift, self.depth = shift, depth
+
+    def __len__(self):
+        return self.shift.word_count(self.depth)
+
+    def __getitem__(self, rows):
+        return self.shift.words_at(self.depth, np.arange(*rows.indices(len(self))))
+
+
 def _cells(column):
-    """Text of each cell: floats as the shortest round-tripping repr, else str.
+    """Text of each cell: floats as the shortest round-tripping repr, 2-D rows as words, else str.
 
     When at most half of the floats are distinct, repr runs once per
     distinct bit pattern, which keeps -0.0 apart from 0.0.
     """
     column = np.asarray(column)
+    if column.ndim == 2:
+        column = word_column(column)
     if column.dtype.kind != "f":
         return map(str, column.tolist())
     values = np.ascontiguousarray(column, dtype=np.float64)
@@ -197,7 +212,7 @@ def _cells(column):
 
 
 def write_csv(path, header, *columns):
-    """Write equal-length 1-D columns under a header, one row per line."""
+    """Write equal-length columns (2-D ones hold words) under a header, one row per line."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
@@ -206,11 +221,11 @@ def write_csv(path, header, *columns):
 
 
 def write_measure_csv(path, shift, depth, masses):
-    write_csv(path, ("word", "mass"), word_column(shift.symbols_array(depth)), masses)
+    write_csv(path, ("word", "mass"), _TableWords(shift, depth), masses)
 
 
 def write_function_csv(path, f):
-    words = word_column(f.shift.symbols_array(f.depth))
+    words = _TableWords(f.shift, f.depth)
     if np.iscomplexobj(f.values):
         write_csv(path, ("word", "real", "imag"), words, f.values.real, f.values.imag)
     else:

@@ -86,6 +86,12 @@ class RawMeasure:
         out = vals @ self.masses
         return complex(out) if np.iscomplexobj(vals) else float(out)
 
+    def reweighted(self, f):
+        """The measure f d(self), at the stored depth."""
+        if f.depth > self.depth:
+            raise DepthTooShallow(f"depth {self.depth} cannot carry a depth-{f.depth} weight")
+        return RawMeasure(self.shift, self.depth, f.promote(self.depth).values * self.masses)
+
 
 class DensityMeasure:
     """A nonnegative cylinder density against a Markov product-rule measure."""
@@ -121,15 +127,19 @@ class DensityMeasure:
 
     def mass(self, word):
         word = tuple(word)
-        self.shift.require_admissible(word)
         f = self.density
         if len(word) >= f.depth:
             return float(f.value(word) * self.rho.mass(word))
-        return float(self.masses_at(len(word))[self.shift.word_index(word)])
+        index = self.shift.word_index(word)  # before masses_at, which refuses depth 0
+        return float(self.masses_at(len(word))[index])
 
     def integrate(self, g):
         e = max(g.depth, self.density.depth)
         return self.rho.integrate(g.promote(e) * self.density.promote(e))
+
+    def reweighted(self, f):
+        """The measure f d(self), a density against the same reference."""
+        return DensityMeasure(f * self.density, self.rho)
 
 
 def _pushforward_masses(shift, v, mu, out_depth):

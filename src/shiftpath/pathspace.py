@@ -17,7 +17,7 @@ harmonic functions the extremality solve computes.
 """
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -30,7 +30,7 @@ from .errors import (
     TooFewSamples,
     ZeroMassConditioning,
 )
-from .measures import DensityMeasure, RawMeasure, _pushforward_masses, check_fixed_point
+from .measures import DensityMeasure, _pushforward_masses, check_fixed_point
 from .subshift import MAX_SAMPLE_SYMBOLS, CylinderFunction, branch_sum, prepend_walk
 from .subshift import weight_product, word_string
 
@@ -77,17 +77,7 @@ class PathMeasure:
         if n == 0:
             return self.mu0
         if n not in self._marginals:
-            w = weight_product(self.v, n)
-            if isinstance(self.mu0, DensityMeasure):
-                self._marginals[n] = DensityMeasure(w * self.mu0.density, self.mu0.rho)
-            else:
-                if self.mu0.depth < w.depth:
-                    raise DepthTooShallow(
-                        f"raw base of depth {self.mu0.depth} cannot resolve the "
-                        f"level-{n} weight of depth {w.depth}"
-                    )
-                masses = w.promote(self.mu0.depth).values * self.mu0.masses
-                self._marginals[n] = RawMeasure(self.shift, self.mu0.depth, masses)
+            self._marginals[n] = self.mu0.reweighted(weight_product(self.v, n))
         return self._marginals[n]
 
     def _kernel(self, working_depth):
@@ -132,9 +122,8 @@ def check_consistency(pm, n, depth):
     compares with the level-n masses, cylinder by cylinder at the given
     depth.  Returns the max absolute difference.
     """
-    shift = pm.shift
-    fine = pm.marginal(n + 1).masses_at(depth + 1)
-    lhs = branch_sum(shift.suffix_indices(depth + 1), fine, shift.word_count(depth))
+    one = CylinderFunction.constant(pm.shift, 1.0)
+    lhs = _pushforward_masses(pm.shift, one, pm.marginal(n + 1), depth)
     rhs = pm.marginal(n).masses_at(depth)
     return float(np.abs(lhs - rhs).max())
 
@@ -285,7 +274,6 @@ def sample_paths(pm, n_steps, n_samples, base_depth, seed, workers=1):
         raise TableTooLarge(f"{n_samples} samples of {base_depth + n_steps} symbols are too many")
     working = max(base_depth, pm.v.depth, pm.density_depth)
     kernel = pm._kernel(working)
-    base_table = pm.shift.symbols_array(base_depth)
     base_of = pm.shift.prefix_indices(working, base_depth)
     base_words = np.empty((n_samples, base_depth), dtype=np.int64)
     prepends = np.empty((n_samples, n_steps), dtype=np.int64)
@@ -295,7 +283,7 @@ def sample_paths(pm, n_steps, n_samples, base_depth, seed, workers=1):
     def run(part):
         uniforms, base_out, prep_out = part
         states = kernel.draw_base(uniforms[:, 0])
-        base_out[:] = base_table[base_of[states]]
+        base_out[:] = pm.shift.words_at(base_depth, base_of[states])
         for j in range(n_steps):
             states, prep_out[:, j] = kernel.step(states, uniforms[:, j + 1])
 
@@ -338,10 +326,11 @@ def empirical_check(pm, n, n_samples, depth, seed, workers=1):
     batch = sample_paths(pm, n, n_samples, max(depth, 1), seed, workers=workers)
     if n_samples < 100:
         raise TooFewSamples("need at least 100 samples")
-    arr = batch.theta_words(n, depth)
-
-    counts = np.bincount(shift.word_index(arr), minlength=shift.word_count(depth))
-
+    counts = np.zeros(shift.word_count(depth), dtype=np.int64)
+    for start in range(0, n_samples, SAMPLE_BLOCK):
+        rows = slice(start, start + SAMPLE_BLOCK)
+        block = replace(batch, base_words=batch.base_words[rows], prepends=batch.prepends[rows])
+        counts += np.bincount(shift.word_index(block.theta_words(n, depth)), minlength=len(counts))
     exact = pm.marginal(n).masses_at(depth)
     p = exact / exact.sum()
     emp = counts / n_samples
@@ -412,15 +401,10 @@ def project_once(pm, g, n):
     Used to state the tower property: projecting the level-(n+1)
     coordinate one step must reproduce the level-n coordinate exactly.
     """
-    shift = pm.shift
-    d = g.depth
-    e = d + 1
-    g_up = g.promote(e).values  # value at the prefix of each (a, w...) word
-    fine = pm.marginal(n + 1).masses_at(e)
-    num = branch_sum(shift.suffix_indices(e), g_up * fine, shift.word_count(d))
-    den = pm.marginal(n).masses_at(d)
+    num = _pushforward_masses(pm.shift, g, pm.marginal(n + 1), g.depth)
+    den = pm.marginal(n).masses_at(g.depth)
     vals = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-    return CylinderFunction(shift, d, vals)
+    return CylinderFunction(pm.shift, g.depth, vals)
 
 
 def check_isometry(pm, filt, depth, tol=1e-12):

@@ -111,7 +111,6 @@ class Subshift:
         # _first[d][i] is the first child of depth-d word i
         self._last, self._parent, self._first = {0: np.zeros(1, dtype=np.int64)}, {}, {}
         self._suffix = {1: np.zeros(self.k, dtype=np.int64)}
-        self._sym = {}
 
     def __repr__(self):
         return f"Subshift(k={self.k})"
@@ -192,18 +191,21 @@ class Subshift:
 
     def symbols_array(self, depth):
         """Admissible words as an int array of shape (count, depth)."""
-        if depth not in self._sym:
-            self._sym[depth] = _frozen(self.words_at(depth, np.arange(self.word_count(depth))))
-        return self._sym[depth]
+        return self.words_at(depth, np.arange(self.word_count(depth)))
 
     def words_at(self, depth, index):
         """Depth-`depth` words at the table positions `index`, shape index.shape + (depth,)."""
-        self._grow(depth)
         sym = np.empty(np.shape(index) + (depth,), dtype=np.int64)
-        for d in range(depth, 0, -1):
-            sym[..., d - 1] = self._last[d][index]
-            index = self._parent[d][index]
+        for d, column in enumerate(self._columns(depth, index), 1):
+            sym[..., -d] = column
         return sym
+
+    def _columns(self, depth, index):
+        """The symbols of the depth-`depth` words at `index`, one column at a time, last first."""
+        self._grow(depth)
+        for d in range(depth, 0, -1):
+            yield self._last[d][index]
+            index = self._parent[d][index]
 
     def is_admissible(self, word):
         ok = len(word) > 0 and all(1 <= s <= self.k for s in word)

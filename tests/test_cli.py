@@ -326,6 +326,22 @@ def test_oversized_depth_exits_two_before_allocating(tmp_path):
     assert not (tmp_path / "invariant_report.json").exists()
 
 
+def test_invariant_memory_holds_no_word_matrix(tmp_path):
+    """Depth 11 on the full 3-shift (177147 words) without an (n, depth) symbol matrix.
+
+    With the matrix cached and the word column built whole, the peak was 48 MiB.
+    """
+    cfg = write_config(tmp_path, {"k": 3, "matrix": [[1, 1, 1]] * 3})
+    tracemalloc.start()
+    try:
+        code = run(["invariant", "--config", cfg, "--depth", "11", "--out", str(tmp_path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 32 * 2**20
+
+
 def test_oversized_sample_exits_two_before_allocating(tmp_path):
     """10**10 samples of 3 + 6 symbols exceed the sample cap; no uniform or batch array is built."""
     cfg = write_config(tmp_path, FULL_HALF)
@@ -460,8 +476,21 @@ def test_csv_writer_matches_per_row_formatting(tmp_path):
         f"{i},{word_string(w)},,{float(x)!r}\n" for i, (w, x) in enumerate(zip(words, values))
     )
     assert (tmp_path / "a.csv").read_text() == expected
+    # 2-D symbol arrays are word columns, rendered block by block
+    write_csv(tmp_path / "b.csv", ("id", "word", "none", "x"), np.arange(len(words)),
+              words, words[:, :0], values)
+    assert (tmp_path / "b.csv").read_text() == expected
     write_csv(tmp_path / "empty.csv", ("word",), word_column(words[:0]))
     assert (tmp_path / "empty.csv").read_text() == "word\n"
+
+    # 78125 words, read from the word table one block at a time
+    full5 = build_subshift(np.ones((5, 5), dtype=int))
+    masses = rng.random(full5.word_count(7))
+    io.write_measure_csv(tmp_path / "m.csv", full5, 7, masses)
+    expected = "word,mass\n" + "".join(
+        f"{word_string(w)},{float(x)!r}\n" for w, x in zip(full5.words(7), masses)
+    )
+    assert (tmp_path / "m.csv").read_text() == expected
 
 
 def test_float_cells_are_the_repr_of_each_value(tmp_path):

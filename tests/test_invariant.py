@@ -15,6 +15,7 @@ from conftest import (
 from shiftpath import (
     MarkovMeasure,
     NonUniqueFixedVector,
+    build_subshift,
     cylinder_mass,
     markov_measure_for_weight,
     strongly_invariant_measure,
@@ -55,6 +56,16 @@ def test_masses_match_product_formula():
                 assert m == pytest.approx(expect, abs=1e-13)
 
 
+def test_single_masses_are_the_table_entries():
+    """mass(word) takes its factors in the order of masses_at, so the two agree bit for bit."""
+    rng = np.random.default_rng(0)
+    full3 = build_subshift(np.ones((3, 3), dtype=int))
+    kernel = rng.random((3, 3))
+    rho = MarkovMeasure(full3, [0.2, 0.3, 0.5], kernel=kernel / kernel.sum(axis=0))
+    for w, m in zip(full3.words(6), rho.masses_at(6)):
+        assert rho.mass(w) == m
+
+
 def test_strong_invariance_defect_small(full2, golden, perm2):
     for shift in (full2, golden, perm2):
         rho = strongly_invariant_measure(shift)
@@ -65,6 +76,33 @@ def test_strong_invariance_defect_small(full2, golden, perm2):
 def test_strong_invariance_detects_wrong_vector(golden):
     fake = MarkovMeasure(golden, np.array([0.7, 0.3]))
     assert verify_strong_invariance(fake, 2) > 1e-3
+
+
+def test_strong_invariance_defect_at_depth_two_only():
+    """A kernel that keeps the symbol masses but breaks the branch average."""
+    full2 = build_subshift([[1, 1], [1, 1]])
+    sticky = MarkovMeasure(full2, [0.5, 0.5], kernel=[[0.8, 0.2], [0.2, 0.8]])
+    assert verify_strong_invariance(sticky, 1) == 0.0
+    assert verify_strong_invariance(sticky, 2) >= 0.1
+
+
+def test_strong_invariance_masses_do_not_use_the_suffix_map(monkeypatch):
+    """A wrong suffix map shows up as a defect, so the masses come by another route.
+
+    On the golden-mean shift every depth-2 cylinder has mass 1/3, so
+    the swap is made at depth 4, between the suffixes 111 (mass 1/6)
+    and 121 (mass 1/3).  The shift is fresh, so no mass is cached
+    before the swap.
+    """
+    golden = build_subshift(GOLDEN)
+    right = golden.suffix_indices
+    wrong = right(4)[[2, 1, 0, *range(3, golden.word_count(4))]]
+    suffix_masses = quiet_invariant(build_subshift(GOLDEN)).masses_at(3)
+    assert suffix_masses[wrong[0]] != suffix_masses[right(4)[0]]
+    monkeypatch.setattr(golden, "suffix_indices", lambda d: wrong if d == 4 else right(d))
+    rho = strongly_invariant_measure(golden)
+    assert verify_strong_invariance(rho, 3) <= 1e-15
+    assert verify_strong_invariance(rho, 4) > 1e-3
 
 
 def test_reducible_matrices_flag_non_uniqueness():

@@ -18,6 +18,7 @@ from conftest import (
 from shiftpath import (
     CylinderFunction,
     DensityMeasure,
+    DepthTooShallow,
     FilterMismatch,
     NotFixedPoint,
     RawMeasure,
@@ -34,6 +35,7 @@ from shiftpath import (
     sample_paths,
     weight_product,
 )
+from shiftpath import pathspace
 
 
 def make_pm(shift, v):
@@ -60,6 +62,16 @@ def test_marginals_are_reweighted_base(full2):
         depth = w.depth
         expect = w.values * mu0.masses_at(depth)
         assert np.allclose(mu_n.masses_at(depth), expect, atol=1e-14)
+
+
+def test_raw_base_too_shallow_for_a_level_weight(full2):
+    """A level-n weight deeper than a raw base's table cannot reweight it."""
+    one = CylinderFunction.constant(full2, 1.0)
+    base = RawMeasure(full2, 2, quiet_invariant(full2).masses_at(2))
+    pm = build_path_measure(full2, one, base)
+    assert pm.marginal(2).depth == 2
+    with pytest.raises(DepthTooShallow):
+        pm.marginal(3)
 
 
 def test_marginal_total_masses_constant(golden):
@@ -236,6 +248,16 @@ def test_empirical_frequencies_match_marginals(full2):
     for n in (1, 2):
         rep = empirical_check(pm, n, 20000, 2, seed=14)
         assert rep.passed, (rep.max_dev, rep.sigma_bound)
+
+
+def test_empirical_counts_do_not_depend_on_the_block_size(full2, monkeypatch):
+    v = weight_markov_full(full2)
+    pm = make_pm(full2, v)
+    whole = empirical_check(pm, 2, 1000, 3, seed=5)
+    monkeypatch.setattr(pathspace, "SAMPLE_BLOCK", 7)
+    blocked = empirical_check(pm, 2, 1000, 3, seed=5)
+    assert blocked == whole
+    assert blocked.batch.prepends.tobytes() == whole.batch.prepends.tobytes()
 
 
 def test_empirical_check_needs_samples(full2):
