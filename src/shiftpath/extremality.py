@@ -17,11 +17,13 @@ The system says that f is harmonic for a walk on words that prepends a
 symbol with weight v * mu0.  On a finite chain the harmonic functions
 are spanned by the absorption probabilities into the closed classes of
 the walk, the strongly connected classes that no positive-weight step
-leaves (`invariant.closed_classes`).  So the solve is one sparse walk
-matrix (`subshift.prepend_walk`, the walk the trajectory sampler steps
-along), one sparse LU solve for the transient words
-(`invariant.absorption`), and a dense step with one column per closed
-class; no matrix of words by words is formed.  A base mass at or below
+leaves (`invariant.closed_classes`).  So the solve is one walk in CSR
+form (`subshift.prepend_walk`, the walk the trajectory sampler steps
+along), one LU solve for the transient words (`invariant.absorption`),
+and a dense step with one column per closed class.  A walk of at most
+128 words (`invariant.DENSE_STATES`) is solved as a dense array with
+numpy; a larger one by sparse LU, which loads scipy, and no dense matrix
+of words by words is formed for it.  A base mass at or below
 ESSENTIAL_FLOOR times the total is no edge: a base measure found by
 iteration leaves masses of that size on words its limit does not
 charge, and as edges they would join classes the measure keeps apart.
@@ -30,7 +32,6 @@ charge, and as edges they would join classes the measure keeps apart.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular
 
 from .errors import NotFixedPoint
 from .invariant import absorption, closed_classes
@@ -78,6 +79,8 @@ def _null_space(matrix):
     are differences of probabilities, so a matrix of rounding residue
     has rank 0.
     """
+    from scipy.linalg import qr, solve_triangular
+
     m = matrix.shape[1]
     r, perm = qr(matrix, mode="r", pivoting=True)
     diag = np.abs(np.diag(r))

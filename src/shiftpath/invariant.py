@@ -13,14 +13,19 @@ product rule with a different column-stochastic kernel realises the
 natural measures attached to normalized weights; see
 `markov_measure_for_weight`.  The finite-chain solver behind every fixed
 object of the package lives here too: `closed_classes`, `absorption`
-and the stationary vector of a closed class, each by sparse LU.
+and the stationary vector of a closed class.  A chain of at most
+DENSE_STATES states is solved dense, by a boolean reachability closure
+and numpy LU; a larger one by scipy's graph search and sparse LU, and
+scipy is imported only then.
 """
 
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csgraph, csr_matrix, identity, vstack
-from scipy.sparse.linalg import splu
+
+# chains of at most this many states are solved dense; scipy loads only above it
+DENSE_STATES = 128
 
 
 class NonUniqueFixedVector(UserWarning):
@@ -110,31 +115,117 @@ def cylinder_mass(rho, word):
     return rho.mass(word)
 
 
-def _stationary_vector(kernel):
-    """Solve q = kernel q, sum q = 1, for a column-stochastic kernel with one closed class.
+@dataclass(frozen=True)
+class Chain:
+    """The steps of a finite chain in CSR form, held in numpy arrays.
 
-    One sparse LU of I - kernel = (I - P)^T, whose rows sum to zero, with
-    the first row replaced by ones.
+    Row i steps to the states indices[indptr[i]:indptr[i + 1]] with the
+    weights data[indptr[i]:indptr[i + 1]]; zero weights may be stored.
     """
-    k = kernel.shape[0]
-    system = vstack([np.ones((1, k)), (identity(k, format="csr") - csr_matrix(kernel))[1:]])
-    # minimum degree on A + A^T eliminates the dense row among the last; the pivots
-    # before it are the diagonal of an M-matrix, stable without row exchanges
-    lu = splu(system.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
-    q = np.clip(lu.solve(np.eye(k, 1).ravel()), 0.0, None)
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @property
+    def shape(self):
+        n = len(self.indptr) - 1
+        return n, n
+
+    def rows(self):
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def __matmul__(self, x):
+        """The chain applied to a vector, each row summed in stored order."""
+        return np.bincount(self.rows(), self.data * x[self.indices], minlength=self.shape[0])
+
+    def toarray(self):
+        out = np.zeros(self.shape)
+        out[self.rows(), self.indices] = self.data
+        return out
+
+    def restricted(self, states):
+        """The chain on the ascending `states` alone; steps leaving them are dropped."""
+        index = np.full(self.shape[0], -1)
+        index[states] = np.arange(len(states))
+        rows, cols = index[self.rows()], index[self.indices]
+        keep = (rows >= 0) & (cols >= 0)
+        indptr = np.r_[0, np.cumsum(np.bincount(rows[keep], minlength=len(states)))]
+        return Chain(indptr, cols[keep], self.data[keep])
+
+
+def _branch(graph, states=None):
+    """The graph on `states` (all by default): dense at or below DENSE_STATES states, else CSR.
+
+    graph is a dense array, a scipy sparse matrix or a `Chain`.  This is
+    where every chain solver picks its branch.
+    """
+    if states is not None:
+        graph = graph.restricted(states) if isinstance(graph, Chain) else graph[np.ix_(states, states)]
+    if graph.shape[0] <= DENSE_STATES:
+        return graph.toarray() if hasattr(graph, "toarray") else np.asarray(graph)
+    from scipy.sparse import csr_matrix
+
+    arrays = (graph.data, graph.indices, graph.indptr) if isinstance(graph, Chain) else graph
+    # a copy: scipy may sort the entries of a row in place
+    return csr_matrix(arrays, shape=graph.shape, copy=True)
+
+
+def _closure(graph):
+    """reach[i, j] when a path of nonzero entries of a dense graph, maybe empty, leads from i to j."""
+    reach = (graph != 0) | np.eye(graph.shape[0], dtype=bool)
+    while True:
+        step = reach.astype(np.float64)
+        wider = step @ step > 0
+        if (wider == reach).all():
+            return reach
+        reach = wider
+
+
+def _stationary_vector(chain, states):
+    """Solve q = q P, sum q = 1, for a chain P on `states`, a closed class of one chain.
+
+    One LU of (I - P)^T, whose columns sum to zero, with the first row
+    replaced by ones: numpy's at or below DENSE_STATES states, else sparse.
+    """
+    p = _branch(chain, states)
+    k = p.shape[0]
+    if isinstance(p, np.ndarray):
+        system = np.eye(k) - p.T
+        system[0] = 1.0
+        q = np.linalg.solve(system, np.eye(k, 1).ravel())
+    else:
+        from scipy.sparse import identity, vstack
+        from scipy.sparse.linalg import splu
+
+        system = vstack([np.ones((1, k)), (identity(k, format="csr") - p.T)[1:]])
+        # minimum degree on A + A^T eliminates the dense row among the last; the pivots
+        # before it are the diagonal of an M-matrix, stable without row exchanges
+        lu = splu(system.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
+        q = lu.solve(np.eye(k, 1).ravel())
+    q = np.clip(q, 0.0, None)
     return q / q.sum()
 
 
 def closed_classes(graph):
     """Strongly connected classes of a digraph that no edge leaves.
 
-    graph[i, j] != 0 is an edge from state i to state j; a dense array
-    or a sparse matrix, whose stored zeros count as no edge.  Returns
-    one index array per closed class, ordered by its lowest state.  For
-    a finite chain the fixed vectors at eigenvalue 1 are exactly the
-    mixtures of the stationary vectors of these classes.
+    graph[i, j] != 0 is an edge from state i to state j; a dense array,
+    a sparse matrix or a `Chain`, whose stored zeros count as no edge.
+    Returns one index array per closed class, ordered by its lowest
+    state.  For a finite chain the fixed vectors at eigenvalue 1 are
+    exactly the mixtures of the stationary vectors of these classes.
     """
-    graph = csr_matrix(graph != 0)
+    graph = _branch(graph)
+    if isinstance(graph, np.ndarray):
+        reach = _closure(graph)
+        mutual = reach & reach.T
+        # a class reaches nothing outside itself; its lowest state stands for it
+        closed = (reach == mutual).all(axis=1) & (mutual.argmax(axis=1) == np.arange(len(reach)))
+        return [np.flatnonzero(mutual[i]) for i in np.flatnonzero(closed)]
+    from scipy.sparse import csgraph
+
+    graph = graph != 0
     n_comp, labels = csgraph.connected_components(graph, directed=True, connection="strong")
     rows, cols = graph.nonzero()
     leaving = np.bincount(labels[rows], weights=labels[rows] != labels[cols], minlength=n_comp)
@@ -146,8 +237,13 @@ def closed_classes(graph):
 
 def _reaching(graph, targets):
     """Mask of the states from which a path of nonzero entries of graph enters targets."""
+    graph = _branch(graph)
+    if isinstance(graph, np.ndarray):
+        return _closure(graph)[:, targets].any(axis=1)
+    from scipy.sparse import csgraph, csr_matrix
+
     n = graph.shape[0]
-    rows, cols = csr_matrix(graph != 0).nonzero()
+    rows, cols = (graph != 0).nonzero()
     # the reversed edges, and one extra vertex n with an edge into every target
     heads = np.r_[cols, np.full(np.count_nonzero(targets), n)]
     tails = np.r_[rows, np.flatnonzero(targets)]
@@ -156,21 +252,31 @@ def _reaching(graph, targets):
 
 
 def absorption(chain, classes, values):
-    """Expected value held on entering a closed class of a sparse sub-stochastic chain.
+    """Expected value held on entering a closed class of a sub-stochastic chain.
 
     chain[i, j] is the probability of a step from i to j; what a row
     lacks of 1 is lost, and a lost walk holds 0.  The states of the
     closed class classes[c] hold values[c].  Elsewhere X = chain X: exactly
     0 with no path into a class of nonzero values (graph reachability),
-    else one sparse LU of (I - P_TT) X_T = P_TC X_C.
+    else one LU of (I - P_TT) X_T = P_TC X_C, numpy's at or below
+    DENSE_STATES states and sparse above.
     """
+    chain = _branch(chain)
     out = np.zeros((chain.shape[0], values.shape[1]))
     closed = np.zeros(chain.shape[0], dtype=bool)
     for members, row in zip(classes, values):
         out[members] = row
         closed[members] = True
     live = np.flatnonzero(_reaching(chain, out.any(axis=1)) & ~closed)
-    if len(live):
+    if not len(live):
+        return out
+    if isinstance(chain, np.ndarray):
+        system = np.eye(len(live)) - chain[np.ix_(live, live)]
+        out[live] = np.linalg.solve(system, chain[np.ix_(live, closed)] @ out[closed])
+    else:
+        from scipy.sparse import identity
+        from scipy.sparse.linalg import splu
+
         rows = chain[live]
         system = (identity(len(live)) - rows[:, live]).tocsc()
         out[live] = splu(system).solve(rows[:, closed] @ out[closed])
@@ -182,7 +288,7 @@ def _fixed_vector(kernel):
     classes = closed_classes(kernel.T)
     q = np.zeros(kernel.shape[0])
     for members in classes:
-        q[members] += _stationary_vector(kernel[np.ix_(members, members)]) / len(classes)
+        q[members] += _stationary_vector(kernel.T, members) / len(classes)
     return q, len(classes)
 
 

@@ -10,7 +10,6 @@ kept in lexicographic word order.
 """
 
 import numpy as np
-from scipy.sparse import csgraph, csr_matrix
 
 from .errors import (
     DepthDowngrade,
@@ -20,6 +19,7 @@ from .errors import (
     TableTooLarge,
     ZeroColumn,
 )
+from .invariant import Chain, closed_classes
 
 # Largest word table built at any depth; 3**13 words fit, 2**22 do not.
 MAX_TABLE_WORDS = 2**21
@@ -52,15 +52,16 @@ def branch_sum(index, values, size):
 
 
 def prepend_walk(shift, depth, masses):
-    """The walk that prepends a symbol, as a CSR matrix on depth-`depth` words.
+    """The walk that prepends a symbol, as an `invariant.Chain` on depth-`depth` words.
 
     Row w has one entry per admissible aw, in the order of a (prefix
     indices sort by a first): column the index of (aw)[:depth], entry
     masses[aw] from the depth-(depth + 1) table, zero masses stored.
     """
-    n = shift.word_count(depth)
     suf = shift.suffix_indices(depth + 1)
-    return csr_matrix((masses, (suf, shift.prefix_indices(depth + 1, depth))), shape=(n, n))
+    order = np.argsort(suf, kind="stable")
+    indptr = np.r_[0, np.cumsum(np.bincount(suf, minlength=shift.word_count(depth)))]
+    return Chain(indptr, shift.prefix_indices(depth + 1, depth)[order], masses[order])
 
 
 def _frozen(arr):
@@ -118,10 +119,8 @@ class Subshift:
     @property
     def irreducible(self):
         """True when the transition digraph is strongly connected."""
-        n_comp, _ = csgraph.connected_components(
-            csr_matrix(self.matrix), directed=True, connection="strong"
-        )
-        return n_comp == 1
+        classes = closed_classes(self.matrix)
+        return len(classes) == 1 and len(classes[0]) == self.k
 
     def preimage_symbols(self, j):
         """Symbols a with matrix[a, j] == 1, i.e. the inverse branches at [j...]."""
@@ -285,7 +284,14 @@ class CylinderFunction:
 
     @classmethod
     def from_table(cls, shift, depth, table):
-        """Build from a {word: value} dict covering exactly the admissible words."""
+        """Build from a {word: value} dict covering exactly the admissible words.
+
+        Raises InadmissibleWord naming the first key whose length is not depth.
+        """
+        wrong = next((key for key in table if np.size(key) != depth), None)
+        if wrong is not None:
+            raise InadmissibleWord(f"table key {word_string(np.ravel(wrong).tolist())} "
+                                   f"is not a word of length {depth}")
         words = np.array(list(table), dtype=np.int64).reshape(len(table), depth)
         return cls.from_words(shift, depth, words, list(table.values()))
 

@@ -71,8 +71,8 @@ class TransferMatrix:
 def _operator_matrix(shift, v, depth):
     """The operator on depth-`depth` tables: the prepend walk with steps v(aw)/c(w).
 
-    c(w) is the branch count of w.  Zero-weight branches stay as stored
-    zeros, which `closed_classes` ignores.
+    An `invariant.Chain`; c(w) is the branch count of w.  Zero-weight
+    branches stay as stored zeros, which `closed_classes` ignores.
     """
     ve, suf, counts = _operator_pieces(shift, v, depth)
     return prepend_walk(shift, depth, ve * (1.0 / counts)[suf])
@@ -97,7 +97,7 @@ class FixedFunctionResult:
 
 def _kept_classes(op):
     """Closed classes of the operator's graph whose rows sum to 1 within 1e-10, by lowest word."""
-    row_sums = np.asarray(op.sum(axis=1)).ravel()
+    row_sums = op @ np.ones(op.shape[0])
     return [m for m in closed_classes(op) if np.abs(row_sums[m] - 1.0).max() <= 1e-10]
 
 
@@ -121,7 +121,7 @@ def iterate_fixed_function(shift, v, tol=1e-13):
     """
     depth = max(v.depth - 1, 1)
     op = _operator_matrix(shift, v, depth)
-    sup1 = float(op.sum(axis=1).max())
+    sup1 = float((op @ np.ones(op.shape[0])).max())
     if sup1 > 1.0 + tol:
         raise NotSubNormalized(f"sup of transferred constant is {sup1:.6g} > 1")
     if sup1 - 1.0 > 1e-12:
@@ -151,7 +151,7 @@ def left_fixed_functional(shift, v, depth=None):
     from .measures import RawMeasure
 
     masses = np.zeros(op.shape[0])
-    masses[kept[0]] = _stationary_vector(op[kept[0]][:, kept[0]].T)
+    masses[kept[0]] = _stationary_vector(op, kept[0])
     return RawMeasure(shift, depth, masses)
 
 

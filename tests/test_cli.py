@@ -466,6 +466,14 @@ def test_each_result_is_computed_once(
     assert len(calls) == expected_calls
 
 
+def assert_same_lines(path, expected):
+    """The file's text is expected; a failure names the first differing row, not a diff."""
+    got, want = path.read_text().split("\n"), expected.split("\n")
+    row = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
+    assert row is None, f"row {row}: {got[row]!r} != {want[row]!r}"
+    assert len(got) == len(want), f"{len(got)} lines written, {len(want)} expected"
+
+
 def test_csv_writer_matches_per_row_formatting(tmp_path):
     rng = np.random.default_rng(3)
     words = rng.integers(1, 10, size=(70000, 4))
@@ -475,11 +483,11 @@ def test_csv_writer_matches_per_row_formatting(tmp_path):
     expected = "id,word,none,x\n" + "".join(
         f"{i},{word_string(w)},,{float(x)!r}\n" for i, (w, x) in enumerate(zip(words, values))
     )
-    assert (tmp_path / "a.csv").read_text() == expected
+    assert_same_lines(tmp_path / "a.csv", expected)
     # 2-D symbol arrays are word columns, rendered block by block
     write_csv(tmp_path / "b.csv", ("id", "word", "none", "x"), np.arange(len(words)),
               words, words[:, :0], values)
-    assert (tmp_path / "b.csv").read_text() == expected
+    assert_same_lines(tmp_path / "b.csv", expected)
     write_csv(tmp_path / "empty.csv", ("word",), word_column(words[:0]))
     assert (tmp_path / "empty.csv").read_text() == "word\n"
 
@@ -490,7 +498,7 @@ def test_csv_writer_matches_per_row_formatting(tmp_path):
     expected = "word,mass\n" + "".join(
         f"{word_string(w)},{float(x)!r}\n" for w, x in zip(full5.words(7), masses)
     )
-    assert (tmp_path / "m.csv").read_text() == expected
+    assert_same_lines(tmp_path / "m.csv", expected)
 
 
 def test_float_cells_are_the_repr_of_each_value(tmp_path):

@@ -1,9 +1,16 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and scipy loads late.
 
-The package root is exempt: it imports names to re-export them.
+The package root is exempt from the first check: it imports names to
+re-export them.  scipy is imported only inside the functions that solve
+chains of more than `invariant.DENSE_STATES` states, so the commands
+that never meet such a chain do not load it.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "shiftpath"
@@ -37,3 +44,93 @@ def test_package_modules_import_nothing_unused():
         if path.name != "__init__.py"
     }
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def module_level_imports(source):
+    """Absolute modules imported by the statements that run on import, i.e. outside any def."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                found.extend(alias.name for alias in child.names)
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                found.append(child.module)
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_module_level_imports_skip_function_bodies():
+    source = (
+        "import numpy as np\nfrom .invariant import Chain\n"
+        "if True:\n    from scipy import sparse\n"
+        "class C:\n    import scipy.linalg\n"
+        "def f():\n    from scipy.sparse import csgraph\n"
+    )
+    assert module_level_imports(source) == ["numpy", "scipy", "scipy.linalg"]
+
+
+def test_no_package_module_imports_scipy_at_module_level():
+    found = {
+        path.name: [name for name in module_level_imports(path.read_text(encoding="utf-8"))
+                    if name.split(".")[0] == "scipy"]
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+SMALL = {
+    "k": 2,
+    "matrix": [[1, 1], [1, 1]],
+    "V": {"depth": 1, "values": {"1": 1.5, "2": 0.5}},
+    "mu0": "auto",
+    "filter": {"depth": 1, "values": {"1": [1.1180339887498949, 0.5], "2": 0.7071067811865476}},
+}
+
+BLOCK = {
+    "k": 4,
+    "matrix": [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]],
+    "V": {"depth": 1, "values": {"1": 1.0, "2": 1.0, "3": 1.0, "4": 1.0}},
+    "mu0": "auto",
+}
+
+# runs in a fresh interpreter; prints [exit code, scipy modules loaded] after each step
+SCIPY_PROBE = """
+import json, sys
+import shiftpath.cli
+steps = json.loads(sys.argv[1])
+seen = [[None, [m for m in sys.modules if m.split(".")[0] == "scipy"]]]
+for argv in steps:
+    code = shiftpath.cli.main(argv)
+    seen.append([code, [m for m in sys.modules if m.split(".")[0] == "scipy"]])
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_loads_only_for_chains_above_the_dense_cut(tmp_path):
+    """invariant, verify and sample on the full 2-shift never load scipy; BLOCK4 at 256 words does."""
+    small, block = tmp_path / "small.json", tmp_path / "block.json"
+    small.write_text(json.dumps(SMALL))
+    block.write_text(json.dumps(BLOCK))
+    out = str(tmp_path)
+    steps = [
+        ["invariant", "--config", str(small), "--depth", "3", "--out", out],
+        ["verify", "--config", str(small), "--depth", "3", "--steps", "2", "--out", out],
+        ["sample", "--config", str(small), "--depth", "2", "--steps", "3", "--samples", "200",
+         "--seed", "5", "--out", out],
+        # BLOCK4 has 256 words of length 7, so this walk is solved sparse
+        ["ergodicity", "--config", str(block), "--depth", "7", "--out", out],
+    ]
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, json.dumps(steps)],
+        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+    seen = json.loads(result.stdout)
+    assert [code for code, _ in seen] == [None, 0, 0, 0, 6]
+    assert [loaded for _, loaded in seen[:4]] == [[], [], [], []]
+    assert "scipy.sparse.linalg" in seen[4][1]

@@ -12,6 +12,9 @@ vectors are compared with dense eigen- and singular-value oracles, and
 so are the invariant functions of the extremality solve.  On sub-normalized weights with zero and
 leaky branches, the solved fixed function is compared with the former
 monotone loop and the dual functional with a dense least-squares solve.
+On random sub-stochastic chains the dense and the sparse branch of the
+chain solver give the same classes, masks, absorption and stationary
+vectors.
 """
 
 import numpy as np
@@ -56,7 +59,8 @@ from shiftpath import (
     transform_measure,
     weight_pushforward_defect,
 )
-from shiftpath import pathspace
+from shiftpath import invariant, pathspace
+from shiftpath.invariant import Chain, _reaching, _stationary_vector, absorption, closed_classes
 from shiftpath.subshift import branch_sum
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
@@ -527,3 +531,64 @@ def test_solved_bases_need_no_mass_floor(system):
     rep = relative_ergodicity_dimension(shift, mu0, v, depth)
     assert rep.solution_dim == dim
     np.testing.assert_allclose(rep.basis @ rep.basis.T, basis @ basis.T, rtol=0, atol=1e-8)
+
+
+@st.composite
+def leaky_chains(draw):
+    """A sub-stochastic `Chain` on 1 to 12 states, with stored zeros and leaking rows.
+
+    Each row steps to up to four distinct states with weights of 0 to 3
+    units, a 0 kept as a stored entry, and loses 0 to 2 units more; it
+    is divided by its total, so a row of zeros keeps no mass.
+    """
+    n = draw(st.integers(1, 12))
+    counts, indices, data = [], [], []
+    for _ in range(n):
+        targets = draw(st.lists(st.integers(0, n - 1), max_size=4, unique=True))
+        weights = draw(st.lists(st.integers(0, 3), min_size=len(targets), max_size=len(targets)))
+        total = max(sum(weights) + draw(st.integers(0, 2)), 1)
+        counts.append(len(targets))
+        indices += targets
+        data += [w / total for w in weights]
+    return Chain(np.r_[0, np.cumsum(counts, dtype=np.int64)], np.array(indices, dtype=np.int64),
+                 np.array(data))
+
+
+def on_both_branches(solve):
+    """solve() at the default cut, where these chains are dense, and with every chain sparse."""
+    dense = solve()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(invariant, "DENSE_STATES", 0)
+        return dense, solve()
+
+
+@settings(max_examples=200, deadline=None)
+@given(leaky_chains(), st.data())
+def test_dense_and_sparse_chain_solvers_agree(chain, data):
+    n = chain.shape[0]
+    assert n <= invariant.DENSE_STATES
+    given_steps = chain.toarray()
+    dense, sparse = on_both_branches(lambda: closed_classes(chain))
+    assert [c.tolist() for c in dense] == [c.tolist() for c in sparse]
+    classes = dense
+
+    targets = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    dense, sparse = on_both_branches(lambda: _reaching(chain, targets))
+    assert dense.tolist() == sparse.tolist()
+
+    values = int_array(data, 2 * len(classes), 4).reshape(len(classes), 2) / 4.0
+    dense, sparse = on_both_branches(lambda: absorption(chain, classes, values))
+    np.testing.assert_allclose(dense, sparse, rtol=0, atol=1e-12)
+
+    for members in classes:
+        block = chain.restricted(members)
+        sums = block @ np.ones(len(members))
+        # a lone state with no step to itself has no stationary vector
+        if sums.min() > 0:
+            kernel = Chain(block.indptr, block.indices, block.data / sums[block.rows()])
+            dense, sparse = on_both_branches(
+                lambda: _stationary_vector(kernel, np.arange(len(members)))
+            )
+            np.testing.assert_allclose(dense, sparse, rtol=0, atol=1e-12)
+    # neither branch reorders the chain's arrays in place
+    assert (chain.toarray() == given_steps).all()

@@ -1,0 +1,39 @@
+"""The chain-solver tests again, with every chain solved on the sparse branch.
+
+Chains of at most `invariant.DENSE_STATES` states are solved dense, and
+almost every chain of the test suite is that small.  This module collects
+the tests of `test_invariant.py`, `test_transfer.py` and
+`test_extremality.py`, and the property tests against dense oracles,
+and runs them with the cut at 0, so that every closed-class search,
+reachability mask, absorption and stationary vector goes through scipy.
+Their own modules run them at the default cut.
+"""
+
+import pytest
+
+import test_extremality
+import test_invariant
+import test_properties
+import test_transfer
+from shiftpath import invariant
+
+DENSE_ORACLE_TESTS = (
+    "test_left_functional_is_the_fixed_probability_vector",
+    "test_fixed_function_is_the_limit_of_the_monotone_loop",
+    "test_left_functional_matches_dense_lstsq",
+    "test_non_unique_means_a_null_space_above_one",
+    "test_sparse_extremality_matches_dense_svd",
+    "test_solved_bases_need_no_mass_floor",
+)
+
+for _module in (test_invariant, test_transfer, test_extremality):
+    globals().update({name: test for name, test in vars(_module).items() if name.startswith("test_")})
+globals().update({name: getattr(test_properties, name) for name in DENSE_ORACLE_TESTS})
+
+
+@pytest.fixture(autouse=True, scope="module")
+def every_chain_sparse():
+    # module scope: hypothesis refuses function-scoped fixtures around @given tests
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(invariant, "DENSE_STATES", 0)
+        yield

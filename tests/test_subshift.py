@@ -134,6 +134,21 @@ def test_cylinder_function_constructors(golden):
         CylinderFunction.from_table(golden, 2, {(1, 1): 1, (1, 2): 1, (2, 1): 1, (2, 2): 1})
 
 
+@pytest.mark.parametrize(
+    "table, named",
+    [
+        ({(1, 1): 1.0, (1, 2): 2.0, (2,): 3.0}, "table key 2 "),
+        ({(1,): 1.0, (1, 2, 1): 2.0, (2, 1): 3.0}, "table key 1 "),
+        ({(1, 1, 1): 1.0, (1, 1, 2): 2.0, (1, 2, 1): 3.0}, "table key 111 "),
+        ({(1,): 1.0, (2,): 2.0}, "table key 1 "),
+    ],
+)
+def test_table_keys_of_the_wrong_length_are_named(golden, table, named):
+    """Mixed lengths and one uniform wrong length both name the first wrong key."""
+    with pytest.raises(InadmissibleWord, match=named):
+        CylinderFunction.from_table(golden, 2, table)
+
+
 def test_cylinder_function_value_and_promote(golden):
     f = CylinderFunction.from_table(golden, 2, {(1, 1): 3.0, (1, 2): -1.0, (2, 1): 5.0})
     assert f.value((1, 2, 1)) == -1.0
