@@ -20,10 +20,12 @@ the walk, the strongly connected classes that no positive-weight step
 leaves (`invariant.closed_classes`).  So the solve is one walk in CSR
 form (`subshift.prepend_walk`, the walk the trajectory sampler steps
 along), one LU solve for the transient words (`invariant.absorption`),
-and a dense step with one column per closed class.  A walk of at most
-128 words (`invariant.DENSE_STATES`) is solved as a dense array with
-numpy; a larger one by sparse LU, which loads scipy, and no dense matrix
-of words by words is formed for it.  A base mass at or below
+and a dense step with one column per closed class, whose null space
+below the conditioning depth comes from a numpy pivoted QR.  A walk of
+at most 1024 words (`invariant.DENSE_STATES`) is searched on its CSR
+arrays and only its transient block is solved dense, with numpy; a
+larger one by sparse LU, which loads scipy.  No dense matrix of all
+words by all words is formed.  A base mass at or below
 ESSENTIAL_FLOOR times the total is no edge: a base measure found by
 iteration leaves masses of that size on words its limit does not
 charge, and as edges they would join classes the measure keeps apart.
@@ -71,6 +73,31 @@ class ErgodicityReport:
     base_residual: float
 
 
+def _pivoted_r(matrix):
+    """R of a Householder QR with column pivoting, and the column order.
+
+    Each step brings forward the remaining column whose part below the
+    finished rows has the largest norm, as LAPACK's geqp3 does, so the
+    diagonal of R does not grow.  R has min(rows, columns) rows.
+    """
+    a = np.array(matrix, dtype=np.float64)
+    m, n = a.shape
+    perm = np.arange(n)
+    for j in range(min(m, n)):
+        norms = np.linalg.norm(a[j:, j:], axis=0)
+        p = j + int(np.argmax(norms))
+        if norms[p - j] == 0.0:  # the rest is exactly zero
+            break
+        a[:, [j, p]], perm[[j, p]] = a[:, [p, j]], perm[[p, j]]
+        v = a[j:, j].copy()
+        alpha = -norms[p - j] if v[0] > 0 else norms[p - j]
+        v[0] -= alpha
+        v /= np.linalg.norm(v)
+        a[j:, j + 1:] -= np.outer(2.0 * v, v @ a[j:, j + 1:])
+        a[j, j], a[j + 1:, j] = alpha, 0.0
+    return np.triu(a[: min(m, n)]), perm
+
+
 def _null_space(matrix):
     """Null-space basis of a matrix of probability differences, by a pivoted QR.
 
@@ -79,16 +106,14 @@ def _null_space(matrix):
     are differences of probabilities, so a matrix of rounding residue
     has rank 0.
     """
-    from scipy.linalg import qr, solve_triangular
-
     m = matrix.shape[1]
-    r, perm = qr(matrix, mode="r", pivoting=True)
+    r, perm = _pivoted_r(matrix)
     diag = np.abs(np.diag(r))
     rank = int((diag > NULL_SPACE_RTOL * max(diag.max(initial=0.0), 1.0)).sum())
     null = np.zeros((m, m - rank))
     null[perm[rank:], np.arange(m - rank)] = 1.0
     if rank:
-        null[perm[:rank]] = -solve_triangular(r[:rank, :rank], r[:rank, rank:])
+        null[perm[:rank]] = -np.linalg.solve(r[:rank, :rank], r[:rank, rank:])
     return null
 
 

@@ -14,9 +14,11 @@ natural measures attached to normalized weights; see
 `markov_measure_for_weight`.  The finite-chain solver behind every fixed
 object of the package lives here too: `closed_classes`, `absorption`
 and the stationary vector of a closed class.  A chain of at most
-DENSE_STATES states is solved dense, by a boolean reachability closure
-and numpy LU; a larger one by scipy's graph search and sparse LU, and
-scipy is imported only then.
+DENSE_STATES states stays in numpy: an iterative Tarjan search over its
+CSR arrays, linear in its steps, finds the classes and the reachability
+mask, and numpy LU solves the dense block of one class or of the
+transient states.  A larger one goes to scipy's graph search and sparse
+LU, and scipy is imported only then.
 """
 
 import warnings
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # chains of at most this many states are solved dense; scipy loads only above it
-DENSE_STATES = 128
+DENSE_STATES = 1024
 
 
 class NonUniqueFixedVector(UserWarning):
@@ -61,7 +63,8 @@ class MarkovMeasure:
         if kernel is None:
             kernel = default_kernel
         else:
-            kernel = np.asarray(kernel, dtype=np.float64)
+            # a copy: the frozen kernel must not be the caller's array
+            kernel = np.array(kernel, dtype=np.float64)
             if kernel.shape != (shift.k, shift.k):
                 raise ValueError("kernel shape mismatch")
             if ((kernel > 0) & (shift.matrix == 0)).any():
@@ -154,44 +157,110 @@ class Chain:
         return Chain(indptr, cols[keep], self.data[keep])
 
 
+def _as_chain(graph):
+    """A dense array, a scipy sparse matrix or a `Chain`, as a `Chain`; a dense zero is no step."""
+    if isinstance(graph, Chain):
+        return graph
+    if hasattr(graph, "tocsr"):
+        graph = graph.tocsr()
+        return Chain(graph.indptr, graph.indices, graph.data)
+    graph = np.asarray(graph)
+    rows, cols = np.nonzero(graph)
+    return Chain(np.r_[0, np.cumsum(np.bincount(rows, minlength=len(graph)))], cols, graph[rows, cols])
+
+
 def _branch(graph, states=None):
-    """The graph on `states` (all by default): dense at or below DENSE_STATES states, else CSR.
+    """The graph on `states` (all by default): a `Chain` at or below DENSE_STATES states, else CSR.
 
     graph is a dense array, a scipy sparse matrix or a `Chain`.  This is
     where every chain solver picks its branch.
     """
+    graph = _as_chain(graph)
     if states is not None:
-        graph = graph.restricted(states) if isinstance(graph, Chain) else graph[np.ix_(states, states)]
+        graph = graph.restricted(states)
     if graph.shape[0] <= DENSE_STATES:
-        return graph.toarray() if hasattr(graph, "toarray") else np.asarray(graph)
+        return graph
     from scipy.sparse import csr_matrix
 
-    arrays = (graph.data, graph.indices, graph.indptr) if isinstance(graph, Chain) else graph
     # a copy: scipy may sort the entries of a row in place
-    return csr_matrix(arrays, shape=graph.shape, copy=True)
+    return csr_matrix((graph.data, graph.indices, graph.indptr), shape=graph.shape, copy=True)
 
 
-def _closure(graph):
-    """reach[i, j] when a path of nonzero entries of a dense graph, maybe empty, leads from i to j."""
-    reach = (graph != 0) | np.eye(graph.shape[0], dtype=bool)
-    while True:
-        step = reach.astype(np.float64)
-        wider = step @ step > 0
-        if (wider == reach).all():
-            return reach
-        reach = wider
+def _strong_components(chain, targets):
+    """Tarjan's strong components of the nonzero steps of a `Chain`, searched without recursion.
+
+    Returns each state's component label, numbered as the search closes
+    the components, so that every step between two components goes to a
+    lower label; whether a step leaves each component; and whether a
+    path from each component, maybe empty, enters the mask `targets`.
+    All three take one pass over the steps, linear in their number.
+    """
+    n = chain.shape[0]
+    nonzero = chain.data != 0
+    heads = chain.indices[nonzero].tolist()
+    start = np.r_[0, np.cumsum(np.bincount(chain.rows()[nonzero], minlength=n))].tolist()
+    hit = targets.tolist()
+    order, low, label = [-1] * n, [0] * n, [-1] * n
+    open_states, leaves, reaches = [], [], []
+    count = 0
+    for root in range(n):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = count
+        count += 1
+        open_states.append(root)
+        path = [[root, start[root]]]  # the search path, each state with its next step
+        while path:
+            top = path[-1]
+            v, pos = top
+            if pos < start[v + 1]:
+                top[1] = pos + 1
+                w = heads[pos]
+                if order[w] < 0:
+                    order[w] = low[w] = count
+                    count += 1
+                    open_states.append(w)
+                    path.append([w, start[w]])
+                elif label[w] < 0 and order[w] < low[v]:  # w is open, so it is in v's component
+                    low[v] = order[w]
+                continue
+            path.pop()
+            if path and low[v] < low[path[-1][0]]:
+                low[path[-1][0]] = low[v]
+            if low[v] < order[v]:
+                continue
+            # v is the first state of its component, which holds the states opened after it
+            c = len(leaves)
+            members = []
+            while True:
+                w = open_states.pop()
+                label[w] = c
+                members.append(w)
+                if w == v:
+                    break
+            leaving = reaching = False
+            for u in members:
+                reaching = reaching or hit[u]
+                for w in heads[start[u]:start[u + 1]]:
+                    if label[w] != c:
+                        leaving = True
+                        reaching = reaching or reaches[label[w]]
+            leaves.append(leaving)
+            reaches.append(reaching)
+    return np.array(label, dtype=np.int64), np.array(leaves, dtype=bool), np.array(reaches, dtype=bool)
 
 
 def _stationary_vector(chain, states):
     """Solve q = q P, sum q = 1, for a chain P on `states`, a closed class of one chain.
 
     One LU of (I - P)^T, whose columns sum to zero, with the first row
-    replaced by ones: numpy's at or below DENSE_STATES states, else sparse.
+    replaced by ones: numpy's on the dense class at or below
+    DENSE_STATES states, else sparse.
     """
     p = _branch(chain, states)
     k = p.shape[0]
-    if isinstance(p, np.ndarray):
-        system = np.eye(k) - p.T
+    if isinstance(p, Chain):
+        system = np.eye(k) - p.toarray().T
         system[0] = 1.0
         q = np.linalg.solve(system, np.eye(k, 1).ravel())
     else:
@@ -217,18 +286,15 @@ def closed_classes(graph):
     exactly the mixtures of the stationary vectors of these classes.
     """
     graph = _branch(graph)
-    if isinstance(graph, np.ndarray):
-        reach = _closure(graph)
-        mutual = reach & reach.T
-        # a class reaches nothing outside itself; its lowest state stands for it
-        closed = (reach == mutual).all(axis=1) & (mutual.argmax(axis=1) == np.arange(len(reach)))
-        return [np.flatnonzero(mutual[i]) for i in np.flatnonzero(closed)]
-    from scipy.sparse import csgraph
+    if isinstance(graph, Chain):
+        labels, leaving, _ = _strong_components(graph, np.zeros(graph.shape[0], dtype=bool))
+    else:
+        from scipy.sparse import csgraph
 
-    graph = graph != 0
-    n_comp, labels = csgraph.connected_components(graph, directed=True, connection="strong")
-    rows, cols = graph.nonzero()
-    leaving = np.bincount(labels[rows], weights=labels[rows] != labels[cols], minlength=n_comp)
+        graph = graph != 0
+        n_comp, labels = csgraph.connected_components(graph, directed=True, connection="strong")
+        rows, cols = graph.nonzero()
+        leaving = np.bincount(labels[rows], weights=labels[rows] != labels[cols], minlength=n_comp)
     members = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
     # component labels follow no order; each class's first state fixes its place
     _, first = np.unique(labels, return_index=True)
@@ -238,8 +304,9 @@ def closed_classes(graph):
 def _reaching(graph, targets):
     """Mask of the states from which a path of nonzero entries of graph enters targets."""
     graph = _branch(graph)
-    if isinstance(graph, np.ndarray):
-        return _closure(graph)[:, targets].any(axis=1)
+    if isinstance(graph, Chain):
+        labels, _, reaches = _strong_components(graph, np.asarray(targets, dtype=bool))
+        return reaches[labels]
     from scipy.sparse import csgraph, csr_matrix
 
     n = graph.shape[0]
@@ -258,8 +325,9 @@ def absorption(chain, classes, values):
     lacks of 1 is lost, and a lost walk holds 0.  The states of the
     closed class classes[c] hold values[c].  Elsewhere X = chain X: exactly
     0 with no path into a class of nonzero values (graph reachability),
-    else one LU of (I - P_TT) X_T = P_TC X_C, numpy's at or below
-    DENSE_STATES states and sparse above.
+    else one LU of (I - P_TT) X_T = P_TC X_C, numpy's on the dense block
+    of those states at or below DENSE_STATES states of the chain, and
+    sparse above.
     """
     chain = _branch(chain)
     out = np.zeros((chain.shape[0], values.shape[1]))
@@ -270,9 +338,11 @@ def absorption(chain, classes, values):
     live = np.flatnonzero(_reaching(chain, out.any(axis=1)) & ~closed)
     if not len(live):
         return out
-    if isinstance(chain, np.ndarray):
-        system = np.eye(len(live)) - chain[np.ix_(live, live)]
-        out[live] = np.linalg.solve(system, chain[np.ix_(live, closed)] @ out[closed])
+    if isinstance(chain, Chain):
+        system = np.eye(len(live)) - chain.restricted(live).toarray()
+        # out is 0 off the closed states, so chain @ out is P_TC X_C on the live rows
+        entering = np.column_stack([chain @ column for column in out.T])
+        out[live] = np.linalg.solve(system, entering[live])
     else:
         from scipy.sparse import identity
         from scipy.sparse.linalg import splu

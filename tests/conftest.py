@@ -357,6 +357,55 @@ def loop_fixed_density_measure(shift, v):
     return DensityMeasure(h * (1.0 / total), rho)
 
 
+# ---------------------------------------------------------------------------
+# the former dense graph search of the chain solver, kept as an oracle
+
+
+def boolean_closure(graph):
+    """reach[i, j] when a path of nonzero entries of a dense graph, maybe empty, leads from i to j.
+
+    Boolean squaring until nothing changes, O(n^3 log n).
+    """
+    reach = (graph != 0) | np.eye(graph.shape[0], dtype=bool)
+    while True:
+        step = reach.astype(np.float64)
+        wider = step @ step > 0
+        if (wider == reach).all():
+            return reach
+        reach = wider
+
+
+def closure_closed_classes(graph):
+    """The closed classes of a dense graph from its closure, ordered by lowest state."""
+    reach = boolean_closure(graph)
+    mutual = reach & reach.T
+    # a class reaches nothing outside itself; its lowest state stands for it
+    closed = (reach == mutual).all(axis=1) & (mutual.argmax(axis=1) == np.arange(len(reach)))
+    return [np.flatnonzero(mutual[i]) for i in np.flatnonzero(closed)]
+
+
+def closure_reaching(graph, targets):
+    """Mask of the states of a dense graph with a path, maybe empty, into targets."""
+    return boolean_closure(graph)[:, targets].any(axis=1)
+
+
+def scipy_null_space(matrix):
+    """The former null space by scipy's pivoted QR, with the same rank rule as the library's."""
+    from scipy.linalg import qr, solve_triangular
+
+    from shiftpath.extremality import NULL_SPACE_RTOL
+
+    m = matrix.shape[1]
+    r, perm = qr(matrix, mode="r", pivoting=True)
+    diag = np.abs(np.diag(r))
+    rank = int((diag > NULL_SPACE_RTOL * max(diag.max(initial=0.0), 1.0)).sum())
+    null = np.zeros((m, m - rank))
+    null[perm[rank:], np.arange(m - rank)] = 1.0
+    if rank:
+        null[perm[:rank]] = -solve_triangular(r[:rank, :rank], r[:rank, rank:])
+    return null
+
+
 def surviving_states(op):
     """States of a dense sub-stochastic matrix with a path into a closed class whose rows sum to 1.
 

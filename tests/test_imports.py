@@ -7,6 +7,7 @@ that never meet such a chain do not load it.
 """
 
 import ast
+import itertools
 import json
 import os
 import subprocess
@@ -91,10 +92,13 @@ SMALL = {
     "filter": {"depth": 1, "values": {"1": [1.1180339887498949, 0.5], "2": 0.7071067811865476}},
 }
 
+# the constant weight of depth 3, so that `ergodicity --depth 1` conditions at depth 2
 BLOCK = {
     "k": 4,
     "matrix": [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]],
-    "V": {"depth": 1, "values": {"1": 1.0, "2": 1.0, "3": 1.0, "4": 1.0}},
+    "V": {"depth": 3, "values": {
+        "".join(word): 1.0 for block in ("12", "34") for word in itertools.product(block, repeat=3)
+    }},
     "mu0": "auto",
 }
 
@@ -112,18 +116,24 @@ print(json.dumps(seen))
 
 
 def test_scipy_loads_only_for_chains_above_the_dense_cut(tmp_path):
-    """invariant, verify and sample on the full 2-shift never load scipy; BLOCK4 at 256 words does."""
+    """Only the 2048-word walk of BLOCK4 loads scipy; smaller chains and the null space do not."""
     small, block = tmp_path / "small.json", tmp_path / "block.json"
     small.write_text(json.dumps(SMALL))
     block.write_text(json.dumps(BLOCK))
     out = str(tmp_path)
+    ergodicity = ["ergodicity", "--config", str(block), "--out", out, "--depth"]
     steps = [
         ["invariant", "--config", str(small), "--depth", "3", "--out", out],
         ["verify", "--config", str(small), "--depth", "3", "--steps", "2", "--out", out],
         ["sample", "--config", str(small), "--depth", "2", "--steps", "3", "--samples", "200",
          "--seed", "5", "--out", out],
-        # BLOCK4 has 256 words of length 7, so this walk is solved sparse
-        ["ergodicity", "--config", str(block), "--depth", "7", "--out", out],
+        # below the conditioning depth: the pivoted QR of the null space
+        ergodicity + ["1"],
+        # walks on the 256 and 1024 words of lengths 7 and 9, solved dense
+        ergodicity + ["7"],
+        ergodicity + ["9"],
+        # 2048 words of length 10, above the dense cut
+        ergodicity + ["10"],
     ]
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
@@ -131,6 +141,6 @@ def test_scipy_loads_only_for_chains_above_the_dense_cut(tmp_path):
         capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=path),
     )
     seen = json.loads(result.stdout)
-    assert [code for code, _ in seen] == [None, 0, 0, 0, 6]
-    assert [loaded for _, loaded in seen[:4]] == [[], [], [], []]
-    assert "scipy.sparse.linalg" in seen[4][1]
+    assert [code for code, _ in seen] == [None, 0, 0, 0, 6, 6, 6, 6]
+    assert [loaded for _, loaded in seen[:7]] == [[]] * 7
+    assert "scipy.sparse.linalg" in seen[7][1]

@@ -1,5 +1,7 @@
 """Strongly invariant measures and their product-formula masses."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,8 @@ from shiftpath import (
     strongly_invariant_measure,
     verify_strong_invariance,
 )
-from shiftpath.invariant import closed_classes
+from shiftpath.invariant import Chain, _reaching, absorption, closed_classes
+from shiftpath.subshift import prepend_walk
 
 
 def test_golden_symbol_masses_exact(golden):
@@ -184,3 +187,64 @@ def test_closed_classes_ignore_stored_zeros():
     # the stored zero 0 -> 1 is no edge, so {0} is closed by itself
     graph = csr_matrix((np.array([1.0, 0.0, 1.0]), ([0, 0, 1], [0, 1, 0])), shape=(2, 2))
     assert [c.tolist() for c in closed_classes(graph)] == [[0]]
+
+
+def pinned_chain(steps):
+    """A `Chain` with one step of weight 1 from each state i to steps[i], or none where it is -1."""
+    steps = np.asarray(steps)
+    has = steps >= 0
+    return Chain(np.r_[0, np.cumsum(has)], steps[has], np.ones(has.sum()))
+
+
+LONG = 1024
+PINNED = {
+    # each state's one step (-1 for none), the closed classes, the states reaching state 0,
+    # the states reaching the last state
+    "path": (np.r_[np.arange(1, LONG), -1], [[LONG - 1]], [0], list(range(LONG))),
+    "reversed path": (np.arange(-1, LONG - 1), [[0]], list(range(LONG)), [LONG - 1]),
+    "cycle": (np.roll(np.arange(LONG), -1), [list(range(LONG))], list(range(LONG)),
+              list(range(LONG))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_graph_search_walks_1024_states_without_recursion(name):
+    """Paths and a cycle as long as the dense cut: a recursive search would overflow the stack."""
+    steps, classes, into_first, into_last = PINNED[name]
+    chain = pinned_chain(steps)
+    assert [c.tolist() for c in closed_classes(chain)] == classes
+    for state, expected in ((0, into_first), (LONG - 1, into_last)):
+        targets = np.arange(LONG) == state
+        assert np.flatnonzero(_reaching(chain, targets)).tolist() == expected
+
+
+def test_closed_classes_and_absorption_densify_no_whole_chain(block4):
+    """On the 1024-word prepend walk of BLOCK4 both stay far below one 1024 x 1024 float array.
+
+    Every word is in one of the two closed classes, so no block is solved.
+    """
+    depth = 9
+    walk = prepend_walk(block4, depth, np.full(block4.word_count(depth + 1), 0.5))
+    assert walk.shape == (1024, 1024)
+    absorption(walk, closed_classes(walk), np.eye(2))  # loads what the solvers import
+    tracemalloc.start()
+    try:
+        classes = closed_classes(walk)
+        absorbed = absorption(walk, classes, np.eye(2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [len(c) for c in classes] == [512, 512]
+    assert set(absorbed.sum(axis=1)) == {1.0}
+    assert peak < 1 << 20, f"{peak} bytes"
+
+
+def test_markov_measure_leaves_the_callers_kernel_writeable(full2):
+    kernel = np.array([[0.25, 0.5], [0.75, 0.5]])
+    rho = MarkovMeasure(full2, [0.4, 0.6], kernel=kernel)
+    masses = rho.masses_at(2).copy()
+    assert kernel.flags.writeable
+    kernel[:] = 0.5
+    rho._mass_cache.clear()
+    assert rho.masses_at(2).tolist() == masses.tolist()
+    assert not rho.kernel.flags.writeable

@@ -14,7 +14,9 @@ leaky branches, the solved fixed function is compared with the former
 monotone loop and the dual functional with a dense least-squares solve.
 On random sub-stochastic chains the dense and the sparse branch of the
 chain solver give the same classes, masks, absorption and stationary
-vectors.
+vectors; on chains of up to 300 states and on prepend walks the graph
+search gives csgraph's and the boolean closure's classes and masks.
+The numpy pivoted QR of the null space is compared with scipy's.
 """
 
 import numpy as np
@@ -26,6 +28,8 @@ from conftest import (
     BLOCK4,
     FULL2,
     brute_words,
+    closure_closed_classes,
+    closure_reaching,
     conditioning_depth,
     DenseWalkKernel,
     dense_ergodicity_oracle,
@@ -34,6 +38,7 @@ from conftest import (
     loop_fixed_function,
     lstsq_fixed_functional,
     quiet_invariant,
+    scipy_null_space,
     slow_leak_weight,
     solved_base,
     surviving_states,
@@ -60,8 +65,9 @@ from shiftpath import (
     weight_pushforward_defect,
 )
 from shiftpath import invariant, pathspace
+from shiftpath.extremality import _null_space
 from shiftpath.invariant import Chain, _reaching, _stationary_vector, absorption, closed_classes
-from shiftpath.subshift import branch_sum
+from shiftpath.subshift import branch_sum, prepend_walk
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -592,3 +598,86 @@ def test_dense_and_sparse_chain_solvers_agree(chain, data):
             np.testing.assert_allclose(dense, sparse, rtol=0, atol=1e-12)
     # neither branch reorders the chain's arrays in place
     assert (chain.toarray() == given_steps).all()
+
+
+@st.composite
+def wide_chains(draw):
+    """A `Chain` on 1 to 300 states, with self-loops, stored zeros and rows of no steps.
+
+    The states fall into runs of equal length.  In half of the runs
+    every step stays in the run, in the others a fifth of the steps go
+    anywhere, so that large classes, closed or not, occur next to
+    transient states.
+    """
+    n = draw(st.integers(1, 300))
+    run, degree = draw(st.integers(1, 60)), draw(st.sampled_from([0.5, 1.5, 3.0, 5.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = np.minimum(rng.poisson(degree, n), n)
+    leaky = rng.random(n // run + 1) < 0.5
+    indices = []
+    for i, count in enumerate(counts):
+        own = np.arange(i - i % run, min(i - i % run + run, n))
+        stays = count <= len(own) and not (leaky[i // run] and rng.random() < 0.2)
+        indices.append(rng.choice(own if stays else np.arange(n), count, replace=False))
+    data = rng.integers(0, 4, counts.sum()) / 3.0  # a quarter of the steps are stored zeros
+    return Chain(np.r_[0, np.cumsum(counts)], np.concatenate(indices).astype(np.int64), data)
+
+
+@st.composite
+def walk_chains(draw):
+    """The prepend walk of a random subshift at depth up to 4, some masses zero."""
+    shift = build_subshift(draw(matrices()))
+    depth = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    masses = rng.integers(0, 3, shift.word_count(depth + 1)) / 2.0
+    return prepend_walk(shift, depth, masses)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(wide_chains(), walk_chains()), st.data())
+def test_graph_search_matches_csgraph_and_the_closure(chain, data):
+    """Classes, in order, and reachability masks equal csgraph's and the boolean closure's."""
+    n = chain.shape[0]
+    assert n <= invariant.DENSE_STATES
+    dense = chain.toarray()
+    expected = [c.tolist() for c in closure_closed_classes(dense)]
+    searched, sparse = on_both_branches(lambda: closed_classes(chain))
+    assert [c.tolist() for c in searched] == expected
+    assert [c.tolist() for c in sparse] == expected
+    for _ in range(3):
+        targets = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).random(n) < 0.05
+        searched, sparse = on_both_branches(lambda: _reaching(chain, targets))
+        assert searched.tolist() == closure_reaching(dense, targets).tolist()
+        assert sparse.tolist() == searched.tolist()
+
+
+def null_space_projector(null):
+    q, _ = np.linalg.qr(null)
+    return q @ q.T
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 8), st.integers(1, 6), st.sampled_from(["product", "zero", "residue"]),
+       st.data())
+def test_null_space_matches_scipy_pivoted_qr(rows, cols, kind, data):
+    """The numpy pivoted QR finds scipy's rank and null space, residue-only matrices included.
+
+    A product of two matrices of quarter units has a rank well clear of
+    the threshold; entries of about 1e-12 are rounding residue, rank 0.
+    """
+    if kind == "product":
+        inner = data.draw(st.integers(0, min(rows, cols)))
+        left = int_array(data, rows * inner, 8).reshape(rows, inner) - 4
+        right = int_array(data, inner * cols, 8).reshape(inner, cols) - 4
+        matrix = (left / 4.0) @ (right / 4.0)
+    elif kind == "zero":
+        matrix = np.zeros((rows, cols))
+    else:
+        matrix = (int_array(data, rows * cols, 8).reshape(rows, cols) - 4) * 2.5e-13
+    null, expected = _null_space(matrix), scipy_null_space(matrix)
+    assert null.shape == expected.shape
+    if kind != "product":
+        assert null.shape == (cols, cols)
+    np.testing.assert_allclose(null_space_projector(null), null_space_projector(expected),
+                               rtol=0, atol=1e-10)
+    np.testing.assert_allclose(matrix @ null, 0.0, rtol=0, atol=1e-12)
