@@ -315,7 +315,9 @@ def _reaching(graph, targets):
     heads = np.r_[cols, np.full(np.count_nonzero(targets), n)]
     tails = np.r_[rows, np.flatnonzero(targets)]
     back = csr_matrix((np.ones(len(heads)), (heads, tails)), shape=(n + 1, n + 1))
-    return np.isin(np.arange(n), csgraph.breadth_first_order(back, n, return_predecessors=False))
+    mask = np.zeros(n + 1, dtype=bool)
+    mask[csgraph.breadth_first_order(back, n, return_predecessors=False)] = True
+    return mask[:n]
 
 
 def absorption(chain, classes, values):
@@ -427,13 +429,18 @@ def verify_strong_invariance(rho, depth):
     carry content (a wrong symbol vector only shows up at depth 1), so
     the defect returned is the max over every depth from 1 to d.
     """
+    return float(_strong_invariance_defects(rho, depth).max())
+
+
+def _strong_invariance_defects(rho, depth):
+    """The defect of `verify_strong_invariance` at each depth 1, ..., depth alone, in one pass."""
     shift = rho.shift
     avg_kernel = shift.matrix / shift.column_sums
-    worst = float(np.abs(rho.masses_at(1) - avg_kernel @ rho.masses_at(1)).max())
+    defects = [np.abs(rho.masses_at(1) - avg_kernel @ rho.masses_at(1)).max()]
     # the factor of each word's first two symbols, read through its depth-2 prefix
     front = avg_kernel[tuple(shift.words_at(2, np.arange(shift.word_count(2))).T - 1)]
     for d in range(2, depth + 1):
         suffix_mass = rho.masses_at(d - 1)[shift.suffix_indices(d)]
         rhs = front[shift.prefix_indices(d, 2)] * suffix_mass
-        worst = max(worst, float(np.abs(rho.masses_at(d) - rhs).max()))
-    return worst
+        defects.append(np.abs(rho.masses_at(d) - rhs).max())
+    return np.array(defects)

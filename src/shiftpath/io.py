@@ -192,32 +192,77 @@ class _TableWords:
         return self.shift.words_at(self.depth, np.arange(*rows.indices(len(self))))
 
 
-def _cells(column):
-    """Text of each cell: floats as the shortest round-tripping repr, 2-D rows as words, else str.
+def _digits(values):
+    """ASCII text of an integer array: a sign place, then the digits right-aligned, NUL-padded.
 
+    The magnitude goes through uint64, so the most negative int64 keeps
+    all its digits.
+    """
+    negative = values < 0
+    magnitude = values.astype(np.uint64)
+    magnitude[negative] = np.uint64(0) - magnitude[negative]
+    width = len(str(int(magnitude.max())))
+    # one row per place, so that each digit step writes contiguous bytes
+    text = np.zeros((1 + width, len(values)), dtype=np.uint8)
+    text[0, negative] = ord("-")
+    for place in range(width, 0, -1):
+        text[place] = magnitude % 10
+        magnitude //= 10
+    text[1:] += ord("0")
+    # a zero left of the first nonzero digit is padding, except in the ones place
+    text[1:width][np.logical_and.accumulate(text[1:width] == ord("0"), axis=0)] = 0
+    return text.T
+
+
+def _byte_rows(strings):
+    """The rows of a contiguous 1-D bytes array as an (n, itemsize) uint8 matrix, NUL-padded."""
+    return strings.view(np.uint8).reshape(len(strings), strings.dtype.itemsize)
+
+
+def _cells(column):
+    """ASCII text of each cell, one NUL-padded row of an (n, width) uint8 matrix per cell.
+
+    2-D rows of symbols are words, integers are decimal, strings are
+    their ASCII bytes, and floats are the shortest round-tripping repr.
     When at most half of the floats are distinct, repr runs once per
     distinct bit pattern, which keeps -0.0 apart from 0.0.
     """
     column = np.asarray(column)
     if column.ndim == 2:
-        column = word_column(column)
+        return (column + ord("0")).astype(np.uint8)
+    if column.dtype.kind in "iu":
+        return _digits(column)
+    if column.dtype.kind in "SU":
+        return _byte_rows(column.astype("S"))
     if column.dtype.kind != "f":
-        return map(str, column.tolist())
+        raise TypeError(f"no CSV text for a column of dtype {column.dtype}")
     values = np.ascontiguousarray(column, dtype=np.float64)
     distinct, inverse = np.unique(values.view(np.uint64), return_inverse=True)
     if 2 * len(distinct) > len(values):
-        return map(repr, values.tolist())
-    text = np.array([repr(x) for x in distinct.view(np.float64).tolist()], dtype=object)
-    return text[inverse].tolist()
+        return _byte_rows(np.array(list(map(repr, values.tolist())), dtype="S"))
+    text = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype="S")
+    return _byte_rows(text)[inverse]
 
 
 def write_csv(path, header, *columns):
-    """Write equal-length columns (2-D ones hold words) under a header, one row per line."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-            block = (_cells(c[start : start + CSV_BLOCK_ROWS]) for c in columns)
-            fh.write("\n".join(map(",".join, zip(*block, strict=True))) + "\n")
+    """Write equal-length columns (2-D ones hold words) under a header, one row per line.
+
+    Each block of rows is one uint8 matrix of cell texts and separators,
+    padded with NUL, and is written without its NULs.  No cell text has
+    a NUL of its own: digits, ASCII words and repr never do.
+    """
+    n_rows = len(columns[0])
+    if any(len(c) != n_rows for c in columns):
+        raise ValueError(f"columns of unequal length: {[len(c) for c in columns]}")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("utf-8"))
+        for start in range(0, n_rows, CSV_BLOCK_ROWS):
+            stop = min(start + CSV_BLOCK_ROWS, n_rows)
+            comma = np.full((stop - start, 1), ord(","), dtype=np.uint8)
+            parts = [part for c in columns for part in (_cells(c[start:stop]), comma)]
+            parts[-1] = np.full_like(comma, ord("\n"))
+            block = np.hstack(parts)
+            fh.write(block[block != 0].tobytes())
 
 
 def write_measure_csv(path, shift, depth, masses):

@@ -91,9 +91,9 @@ class Subshift:
         m = np.asarray(matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError("transition matrix must be square and non-empty")
-        vals = np.unique(m)
-        if not np.isin(vals, (0, 1)).all():
-            raise NonBinaryEntry(f"matrix entries must be 0 or 1, got {vals.tolist()}")
+        # np.unique would load numpy.ma on every run; it only names the bad entries
+        if not ((m == 0) | (m == 1)).all():
+            raise NonBinaryEntry(f"matrix entries must be 0 or 1, got {np.unique(m).tolist()}")
         a = m.astype(np.int64)
         cols = a.sum(axis=0)
         for j, cj in enumerate(cols):

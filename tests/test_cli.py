@@ -474,6 +474,47 @@ def assert_same_lines(path, expected):
     assert len(got) == len(want), f"{len(got)} lines written, {len(want)} expected"
 
 
+def per_row_text(header, *columns):
+    """The CSV text of the columns, formatted one cell at a time."""
+
+    def cell(x):
+        if isinstance(x, np.ndarray):
+            return word_string(x)
+        if isinstance(x, (np.integer, int)):
+            return str(int(x))
+        if isinstance(x, bytes):
+            return x.decode("ascii")
+        return x if isinstance(x, str) else repr(float(x))
+
+    rows = zip(*columns, strict=True)
+    return ",".join(header) + "\n" + "".join(",".join(map(cell, r)) + "\n" for r in rows)
+
+
+BLOCK = io.CSV_BLOCK_ROWS
+INT64 = np.iinfo(np.int64)
+EDGES = np.array([0, 9, 10, 99, 100, -1, -9, -10, -99, -100, INT64.min, INT64.max])
+
+
+def csv_edge_cases():
+    """(name, columns) pairs at the edges of the byte-matrix renderer."""
+    rng = np.random.default_rng(5)
+    digits = rng.integers(1, 10, size=(BLOCK + 20, 3))
+    return [
+        ("integer edges", (EDGES, np.tile([[1, 2]], (len(EDGES), 1)))),
+        ("int32 and uint64 extremes",
+         (np.array([-(2**31), 2**31 - 1, 0], dtype=np.int32),
+          np.array([0, 2**63, 2**64 - 1], dtype=np.uint64))),
+        # one digit up to the block boundary, then 19 digits and a sign
+        ("width change across the block boundary",
+         (np.r_[np.full(BLOCK, 7), EDGES], digits[: BLOCK + len(EDGES)])),
+        ("width change inside a block",
+         (rng.integers(-(10 ** rng.integers(0, 19, 300)), 10 ** rng.integers(0, 19, 300)),
+          np.array([b"", b"1", b"22", b"333"] * 75))),
+        ("one row past the block boundary", (np.arange(BLOCK + 1), digits[: BLOCK + 1])),
+        ("zero rows", (np.arange(0), digits[:0], np.zeros(0), np.array([], dtype="S3"))),
+    ]
+
+
 def test_csv_writer_matches_per_row_formatting(tmp_path):
     rng = np.random.default_rng(3)
     words = rng.integers(1, 10, size=(70000, 4))
@@ -499,6 +540,18 @@ def test_csv_writer_matches_per_row_formatting(tmp_path):
         f"{word_string(w)},{float(x)!r}\n" for w, x in zip(full5.words(7), masses)
     )
     assert_same_lines(tmp_path / "m.csv", expected)
+
+    for name, columns in csv_edge_cases():
+        header = [f"c{i}" for i in range(len(columns))]
+        write_csv(tmp_path / "edge.csv", header, *columns)
+        assert (tmp_path / "edge.csv").read_bytes().isascii(), name
+        assert_same_lines(tmp_path / "edge.csv", per_row_text(header, *columns))
+
+    # unequal lengths fail before a row is written, also when the first column ends a block
+    for first, second in ((np.arange(5), np.arange(6)), (np.arange(BLOCK), words[: BLOCK + 1])):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "bad.csv", ("a", "b"), first, second)
+        assert not (tmp_path / "bad.csv").exists()
 
 
 def test_float_cells_are_the_repr_of_each_value(tmp_path):

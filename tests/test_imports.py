@@ -3,7 +3,9 @@
 The package root is exempt from the first check: it imports names to
 re-export them.  scipy is imported only inside the functions that solve
 chains of more than `invariant.DENSE_STATES` states, so the commands
-that never meet such a chain do not load it.
+that never meet such a chain do not load it.  Nor do the setup and the
+`invariant`, `verify` and `sample` commands load `numpy.ma`, which
+costs every run the time of its import.
 """
 
 import ast
@@ -144,3 +146,36 @@ def test_scipy_loads_only_for_chains_above_the_dense_cut(tmp_path):
     assert [code for code, _ in seen] == [None, 0, 0, 0, 6, 6, 6, 6]
     assert [loaded for _, loaded in seen[:7]] == [[]] * 7
     assert "scipy.sparse.linalg" in seen[7][1]
+
+
+# runs in a fresh interpreter; prints whether numpy.ma is loaded after the setup and each command
+NUMPY_MA_PROBE = """
+import json, sys
+import shiftpath.cli
+from shiftpath.io import build_subshift_from_config, build_weight_from_config, load_config
+cfg = load_config(sys.argv[1])
+build_weight_from_config(build_subshift_from_config(cfg), cfg)
+seen = [[None, "numpy.ma" in sys.modules]]
+for argv in json.loads(sys.argv[2]):
+    code = shiftpath.cli.main(argv)
+    seen.append([code, "numpy.ma" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_setup_and_small_commands_do_not_load_numpy_ma(tmp_path):
+    small = tmp_path / "small.json"
+    small.write_text(json.dumps(SMALL))
+    out = str(tmp_path)
+    steps = [
+        ["invariant", "--config", str(small), "--depth", "3", "--out", out],
+        ["verify", "--config", str(small), "--depth", "3", "--steps", "2", "--out", out],
+        ["sample", "--config", str(small), "--depth", "2", "--steps", "3", "--samples", "200",
+         "--seed", "5", "--out", out],
+    ]
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", NUMPY_MA_PROBE, str(small), json.dumps(steps)],
+        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert json.loads(result.stdout) == [[None, False], [0, False], [0, False], [0, False]]

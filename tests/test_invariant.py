@@ -23,7 +23,13 @@ from shiftpath import (
     strongly_invariant_measure,
     verify_strong_invariance,
 )
-from shiftpath.invariant import Chain, _reaching, absorption, closed_classes
+from shiftpath.invariant import (
+    Chain,
+    _reaching,
+    _strong_invariance_defects,
+    absorption,
+    closed_classes,
+)
 from shiftpath.subshift import prepend_walk
 
 
@@ -87,6 +93,25 @@ def test_strong_invariance_defect_at_depth_two_only():
     sticky = MarkovMeasure(full2, [0.5, 0.5], kernel=[[0.8, 0.2], [0.2, 0.8]])
     assert verify_strong_invariance(sticky, 1) == 0.0
     assert verify_strong_invariance(sticky, 2) >= 0.1
+
+
+def test_one_pass_defects_match_the_per_depth_calls():
+    """Each depth's defect is the identity's worst word; their running max is each call's."""
+    rng = np.random.default_rng(7)
+    full3 = build_subshift(np.ones((3, 3), dtype=int))
+    kernel = rng.random((3, 3))
+    q = rng.random(3)
+    rho = MarkovMeasure(full3, q / q.sum(), kernel=kernel / kernel.sum(axis=0))
+    defects = _strong_invariance_defects(rho, 5)
+    # integral of 1_[w] against the branch average: mass of [w_2..w_d] / #branches of w_2
+    avg = full3.matrix / full3.column_sums
+    oracle = [np.abs(rho.q - avg @ rho.q).max()] + [
+        max(abs(rho.mass(w) - avg[w[0] - 1, w[1] - 1] * rho.mass(w[1:])) for w in full3.words(d))
+        for d in range(2, 6)
+    ]
+    assert np.allclose(defects, oracle, rtol=1e-12, atol=0)
+    expected = [verify_strong_invariance(rho, d) for d in range(1, 6)]
+    assert np.maximum.accumulate(defects).tolist() == expected
 
 
 def test_strong_invariance_masses_do_not_use_the_suffix_map(monkeypatch):
