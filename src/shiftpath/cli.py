@@ -192,9 +192,8 @@ def cmd_verify(args):
     residuals = {
         "base_fixed_point": float(pm.base_residual),
         "strong_invariance": float(verify_strong_invariance(rho, args.depth)),
-        "marginal_consistency": max(
-            (float(check_consistency(pm, n, args.depth)) for n in range(args.steps)),
-            default=0.0,
+        "marginal_consistency": float(
+            np.max([check_consistency(pm, n, args.depth) for n in range(args.steps)], initial=0.0)
         ),
         "quasi_invariance": float(check_quasi_invariance(pm, args.depth, args.steps)),
     }
@@ -208,7 +207,8 @@ def cmd_verify(args):
     if filt is not None:
         residuals["isometry"] = float(check_isometry(pm, filt, args.depth))
 
-    worst = max(residuals.values())
+    # np.max keeps a NaN wherever it is, and a NaN is never <= tol
+    worst = float(np.max(list(residuals.values())))
     report = _base_report(args, cfg, "verify")
     report.update(
         {

@@ -21,7 +21,7 @@ leaves (`invariant.closed_classes`).  So the solve is one walk in CSR
 form (`subshift.prepend_walk`, the walk the trajectory sampler steps
 along), one LU solve for the transient words (`invariant.absorption`),
 and a dense step with one column per closed class, whose null space
-below the conditioning depth comes from a numpy pivoted QR.  A walk of
+below the conditioning depth comes from numpy's QR and SVD.  A walk of
 at most 1024 words (`invariant.DENSE_STATES`) is searched on its CSR
 arrays and only its transient block is solved dense, with numpy; a
 larger one by sparse LU, which loads scipy.  No dense matrix of all
@@ -73,48 +73,19 @@ class ErgodicityReport:
     base_residual: float
 
 
-def _pivoted_r(matrix):
-    """R of a Householder QR with column pivoting, and the column order.
-
-    Each step brings forward the remaining column whose part below the
-    finished rows has the largest norm, as LAPACK's geqp3 does, so the
-    diagonal of R does not grow.  R has min(rows, columns) rows.
-    """
-    a = np.array(matrix, dtype=np.float64)
-    m, n = a.shape
-    perm = np.arange(n)
-    for j in range(min(m, n)):
-        norms = np.linalg.norm(a[j:, j:], axis=0)
-        p = j + int(np.argmax(norms))
-        if norms[p - j] == 0.0:  # the rest is exactly zero
-            break
-        a[:, [j, p]], perm[[j, p]] = a[:, [p, j]], perm[[p, j]]
-        v = a[j:, j].copy()
-        alpha = -norms[p - j] if v[0] > 0 else norms[p - j]
-        v[0] -= alpha
-        v /= np.linalg.norm(v)
-        a[j:, j + 1:] -= np.outer(2.0 * v, v @ a[j:, j + 1:])
-        a[j, j], a[j + 1:, j] = alpha, 0.0
-    return np.triu(a[: min(m, n)]), perm
-
-
 def _null_space(matrix):
-    """Null-space basis of a matrix of probability differences, by a pivoted QR.
+    """Null-space basis of a matrix of probability differences, from numpy's QR and SVD.
 
-    The rank counts the diagonal entries of R above NULL_SPACE_RTOL
-    times the largest one, or times 1 when all are smaller: the entries
-    are differences of probabilities, so a matrix of rounding residue
-    has rank 0.
+    The SVD runs on the R factor, at most (columns x columns), whose
+    right singular vectors are the matrix's.  The rank counts the
+    singular values above NULL_SPACE_RTOL times the largest one, or
+    times 1 when all are smaller: the entries are differences of
+    probabilities, so a matrix of rounding residue has rank 0 and its
+    null space is the identity.  The basis is the trailing rows of V^T.
     """
-    m = matrix.shape[1]
-    r, perm = _pivoted_r(matrix)
-    diag = np.abs(np.diag(r))
-    rank = int((diag > NULL_SPACE_RTOL * max(diag.max(initial=0.0), 1.0)).sum())
-    null = np.zeros((m, m - rank))
-    null[perm[rank:], np.arange(m - rank)] = 1.0
-    if rank:
-        null[perm[:rank]] = -np.linalg.solve(r[:rank, :rank], r[:rank, rank:])
-    return null
+    _, s, vt = np.linalg.svd(np.linalg.qr(matrix, mode="r"))
+    rank = int((s > NULL_SPACE_RTOL * max(s.max(initial=0.0), 1.0)).sum())
+    return vt[rank:].T if rank else np.eye(matrix.shape[1])
 
 
 def relative_ergodicity_dimension(shift, mu0, v, depth, tol=1e-10):
@@ -146,7 +117,7 @@ def relative_ergodicity_dimension(shift, mu0, v, depth, tol=1e-10):
     v.require_nonnegative()
     dw = max(v.depth - 1, depth, mu0.depth - 1, 1)
     residual = check_fixed_point(shift, v, mu0, dw)
-    if residual > tol:
+    if not residual <= tol:  # a NaN residual fails too
         raise NotFixedPoint(residual, tol)
 
     e = dw + 1
@@ -171,7 +142,9 @@ def relative_ergodicity_dimension(shift, mu0, v, depth, tol=1e-10):
         harmonic = harmonic @ _null_space(absorbed - absorbed[first[fibre]])
 
     n_unknowns = shift.word_count(depth)
-    free = np.setdiff1d(np.arange(n_unknowns), extended)
+    free = np.ones(n_unknowns, dtype=bool)
+    free[extended] = False
+    free = np.flatnonzero(free)
     k = harmonic.shape[1]
     basis = np.zeros((n_unknowns, k + len(free)))
     basis[extended, :k] = harmonic

@@ -27,6 +27,7 @@ are "\n" everywhere.
 
 import hashlib
 import json
+import sys
 
 import numpy as np
 
@@ -55,29 +56,34 @@ def config_sha256(cfg):
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
+def _finite(raw):
+    """Whether a JSON value is a number that is a finite float: no bool, NaN or Infinity."""
+    return type(raw) in (int, float) and abs(raw) <= sys.float_info.max
+
+
 def _parse_value(raw, key, allow_complex):
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+    if _finite(raw):
         return complex(raw) if allow_complex else float(raw)
-    if (
-        allow_complex
-        and isinstance(raw, list)
-        and len(raw) == 2
-        and all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in raw)
-    ):
+    if allow_complex and isinstance(raw, list) and len(raw) == 2 and all(map(_finite, raw)):
         return complex(raw[0], raw[1])
-    kind = "a number or a [re, im] pair" if allow_complex else "a number"
+    kind = "a finite number or a [re, im] pair of them" if allow_complex else "a finite number"
     raise ConfigError(f"value for {key!r} must be {kind}")
+
+
+def _integer(section, key, name):
+    """section[key] when it is a JSON integer; a float, a bool or a string is refused, not cast."""
+    value = section.get(key)
+    if type(value) is not int:
+        raise ConfigError(f"{name} needs an integer {key}, not {value!r}")
+    return value
 
 
 def parse_table(shift, section, name, allow_complex=False):
     """A {"depth": d, "values": {...}} block as a CylinderFunction."""
     if not isinstance(section, dict):
         raise ConfigError(f"{name} must be an object with depth and values")
-    try:
-        depth = int(section["depth"])
-        values = section["values"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} needs integer depth and a values table") from exc
+    depth = _integer(section, "depth", name)
+    values = section.get("values")
     if depth < 1:
         raise ConfigError(f"{name} depth must be >= 1")
     if not isinstance(values, dict) or not values:
@@ -96,20 +102,16 @@ def parse_table(shift, section, name, allow_complex=False):
 
 
 def build_subshift_from_config(cfg):
-    try:
-        k = int(cfg["k"])
-        matrix = cfg["matrix"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError("config needs integer k and a matrix") from exc
+    k = _integer(cfg, "k", "config")
     if k < 1 or k > 9:
         raise ConfigError("k must be between 1 and 9 (words are digit strings)")
-    arr = np.asarray(matrix)
-    if arr.shape != (k, k):
-        raise ConfigError(f"matrix must be {k}x{k}")
     try:
-        return Subshift(arr)
+        arr = np.asarray(cfg.get("matrix"))  # a ragged matrix raises here
+        if arr.shape == (k, k):
+            return Subshift(arr)
     except Exception as exc:
         raise ConfigError(f"bad transition matrix: {exc}") from exc
+    raise ConfigError(f"matrix must be {k}x{k}")
 
 
 def build_weight_from_config(shift, cfg):
@@ -150,10 +152,7 @@ def build_overrides_from_config(shift, cfg):
     section = cfg["marginal_override"]
     if not isinstance(section, dict):
         raise ConfigError("marginal_override must be an object")
-    try:
-        n = int(section["n"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError("marginal_override needs an integer level n") from exc
+    n = _integer(section, "n", "marginal_override")
     if n < 0:
         raise ConfigError("marginal_override level must be >= 0")
     masses = parse_table(

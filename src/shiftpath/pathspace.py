@@ -110,7 +110,7 @@ def build_path_measure(shift, v, mu0, tol=1e-10, marginal_overrides=None):
             )
         d_check = mu0.depth - 1
     residual = check_fixed_point(shift, v, mu0, d_check)
-    if residual > tol:
+    if not residual <= tol:  # a NaN residual fails too
         raise NotFixedPoint(residual, tol)
     return PathMeasure(shift, v, mu0, tol, residual, marginal_overrides)
 
@@ -419,7 +419,7 @@ def check_isometry(pm, filt, depth, tol=1e-12):
     m2 = filt.abs_squared()
     e = max(m2.depth, pm.v.depth)
     gap = float(np.abs(m2.promote(e).values - pm.v.promote(e).values).max())
-    if gap > tol:
+    if not gap <= tol:  # a NaN gap fails too
         raise FilterMismatch(
             f"squared filter modulus differs from the weight by {gap:.3e}"
         )

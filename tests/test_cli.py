@@ -303,12 +303,40 @@ def test_config_errors_exit_two(tmp_path):
         ({"1": 1, "2": 1, "x": 1}, "'x'"),
         ({"1": 1, "22": 1}, "'22'"),  # a word of another depth
         ({"1": 1, "\u0662": 1}, "'\u0662'"),  # a digit that is not 0-9
+        ({"1": 1, "2": float("nan")}, "value for '2'"),  # JSON's NaN and infinities
+        ({"1": 1, "2": float("inf")}, "value for '2'"),
+        ({"1": 1, "2": float("-inf")}, "value for '2'"),
     ],
 )
 def test_table_errors_name_the_word(tmp_path, capsys, values, named):
     cfg = dict(GOLDEN_FLAT)
     cfg["V"] = {"depth": len(next(iter(values))), "values": values}
     assert run(["fixpoint", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "patch, named",
+    [
+        ({"k": 2.9}, "integer k, not 2.9"),  # not truncated to 2
+        ({"k": "2"}, "integer k, not '2'"),
+        ({"k": True}, "integer k, not True"),
+        ({"V": {"depth": 1.7, "values": {"1": 1.5, "2": 0.5}}}, "integer depth, not 1.7"),
+        ({"V": {"depth": True, "values": {"1": 1.5, "2": 0.5}}}, "integer depth, not True"),
+        ({"V": {"depth": "1", "values": {"1": 1.5, "2": 0.5}}}, "integer depth, not '1'"),
+        ({"marginal_override": {"n": 0.5, "depth": 1, "masses": {"1": 0.5, "2": 0.5}}},
+         "integer n, not 0.5"),  # not level 0
+        ({"matrix": [[1, 1], [1]]}, "bad transition matrix"),  # ragged
+        ({"mu0": {"depth": 1, "values": {"1": float("nan"), "2": 1.0}}}, "value for '1'"),
+        # either part of a complex pair
+        ({"filter": {"depth": 1, "values": {"1": [1.0, float("nan")], "2": 0.5}}}, "value for '1'"),
+    ],
+)
+def test_config_numbers_exit_two_naming_the_key(tmp_path, capsys, patch, named):
+    """Integer fields are not cast from floats, bools or strings, and no value is NaN or infinite."""
+    cfg = write_config(tmp_path, {**FULL_HALF, **patch})
+    argv = ["verify", "--config", cfg, "--depth", "2", "--steps", "2", "--out", str(tmp_path)]
+    assert run(argv) == 2
     assert named in capsys.readouterr().err
 
 

@@ -26,6 +26,7 @@ from shiftpath import (
     decompose_report,
     relative_ergodicity_dimension,
 )
+from shiftpath.extremality import _null_space
 
 
 def flat_system(shift):
@@ -154,6 +155,15 @@ def test_precheck_rejects_non_fixed_point(full2):
         relative_ergodicity_dimension(full2, skew, v, 1)
 
 
+def test_precheck_rejects_a_nan_residual(full2):
+    """A NaN residual is no fixed point, even under an infinite tolerance."""
+    v = weight_full_half(full2)
+    rho = quiet_invariant(full2)
+    broken = DensityMeasure(CylinderFunction(full2, 1, np.array([np.nan, 1.0])), rho)
+    with pytest.raises(NotFixedPoint):
+        relative_ergodicity_dimension(full2, broken, v, 1, tol=float("inf"))
+
+
 def test_report_carries_class_sizes(full2, ident2):
     v = weight_markov_full(full2)
     mu0 = solved_base(full2, v)
@@ -183,3 +193,46 @@ def test_deep_block_shift_stays_sparse():
     assert peak < 64 * 2**20
     dec = decompose_report(shift, mu0, rep)
     assert dec.lam == pytest.approx(0.25, abs=1e-12)
+
+
+def test_null_space_of_a_tall_matrix_forms_no_tall_factor():
+    """4096 x 8 probability differences: a full U factor alone would take 128 MiB."""
+    rng = np.random.default_rng(7)
+    probabilities = rng.dirichlet(np.ones(8), 4096)
+    matrix = probabilities - probabilities[rng.permutation(4096)]
+    tracemalloc.start()
+    try:
+        null = _null_space(matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    # rows of probabilities differ only along directions that sum to zero
+    assert null.shape == (8, 1)
+    assert np.allclose(matrix @ null, 0.0, atol=1e-12)
+
+
+def test_many_classes_below_the_conditioning_depth():
+    """Base mass on one block of BLOCK4: every uncharged depth-8 word is a closed class."""
+    shift = build_subshift(BLOCK4)
+    v = CylinderFunction.constant(shift, 1.0, 9)
+    mu0 = DensityMeasure(CylinderFunction(shift, 1, np.array([2.0, 2.0, 0.0, 0.0])),
+                         quiet_invariant(shift))
+    rep = relative_ergodicity_dimension(shift, mu0, v, 6)
+    assert rep.solution_dim == 65
+    assert rep.class_sizes == [256] + [1] * 256
+    assert decompose_report(shift, mu0, rep) is None
+
+
+def test_three_blocks_decompose_below_the_conditioning_depth():
+    """Three closed 2-symbol blocks, split at depth 1 through the null space of depth 3."""
+    shift = build_subshift([[1 if i // 2 == j // 2 else 0 for j in range(6)] for i in range(6)])
+    v = CylinderFunction.constant(shift, 1.0, 4)
+    mu0 = solved_base(shift, v)
+    rep = relative_ergodicity_dimension(shift, mu0, v, 1)
+    assert rep.solution_dim == 3
+    dec = decompose_report(shift, mu0, rep)
+    assert dec.lam == pytest.approx(1.0 / 6.0, abs=1e-12)
+    for comp in (dec.mu1, dec.mu2):
+        for depth in range(1, 4):
+            assert check_fixed_point(shift, v, comp, depth) <= 1e-10

@@ -4,8 +4,8 @@ The package root is exempt from the first check: it imports names to
 re-export them.  scipy is imported only inside the functions that solve
 chains of more than `invariant.DENSE_STATES` states, so the commands
 that never meet such a chain do not load it.  Nor do the setup and the
-`invariant`, `verify` and `sample` commands load `numpy.ma`, which
-costs every run the time of its import.
+`invariant`, `verify`, `sample` and `ergodicity` commands load
+`numpy.ma`, which costs every run the time of its import.
 """
 
 import ast
@@ -129,7 +129,7 @@ def test_scipy_loads_only_for_chains_above_the_dense_cut(tmp_path):
         ["verify", "--config", str(small), "--depth", "3", "--steps", "2", "--out", out],
         ["sample", "--config", str(small), "--depth", "2", "--steps", "3", "--samples", "200",
          "--seed", "5", "--out", out],
-        # below the conditioning depth: the pivoted QR of the null space
+        # below the conditioning depth: the null space by numpy's QR and SVD
         ergodicity + ["1"],
         # walks on the 256 and 1024 words of lengths 7 and 9, solved dense
         ergodicity + ["7"],
@@ -164,18 +164,25 @@ print(json.dumps(seen))
 
 
 def test_setup_and_small_commands_do_not_load_numpy_ma(tmp_path):
-    small = tmp_path / "small.json"
+    small, block = tmp_path / "small.json", tmp_path / "block.json"
     small.write_text(json.dumps(SMALL))
+    block.write_text(json.dumps(BLOCK))
     out = str(tmp_path)
+    ergodicity = ["ergodicity", "--config", str(block), "--out", out, "--depth"]
     steps = [
         ["invariant", "--config", str(small), "--depth", "3", "--out", out],
         ["verify", "--config", str(small), "--depth", "3", "--steps", "2", "--out", out],
         ["sample", "--config", str(small), "--depth", "2", "--steps", "3", "--samples", "200",
          "--seed", "5", "--out", out],
+        # below the conditioning depth, through the null space, and at depth 9, without it
+        ergodicity + ["1"],
+        ergodicity + ["9"],
     ]
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-c", NUMPY_MA_PROBE, str(small), json.dumps(steps)],
         capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=path),
     )
-    assert json.loads(result.stdout) == [[None, False], [0, False], [0, False], [0, False]]
+    assert json.loads(result.stdout) == [
+        [None, False], [0, False], [0, False], [0, False], [6, False], [6, False]
+    ]

@@ -52,6 +52,15 @@ def test_build_rejects_non_fixed_point(full2):
         build_path_measure(full2, v, skew, tol=1e-10)
 
 
+def test_build_rejects_a_nan_residual(full2):
+    """A NaN residual is no fixed point, even under an infinite tolerance."""
+    rho = quiet_invariant(full2)
+    v = weight_full_half(full2)
+    broken = DensityMeasure(CylinderFunction(full2, 1, np.array([np.nan, 1.0])), rho)
+    with pytest.raises(NotFixedPoint):
+        build_path_measure(full2, v, broken, tol=float("inf"))
+
+
 def test_marginals_are_reweighted_base(full2):
     v = weight_markov_full(full2)
     pm = make_pm(full2, v)
@@ -344,6 +353,14 @@ def test_isometry_rejects_mismatched_filter(full2):
     wrong = CylinderFunction(full2, 1, np.array([1.0 + 0.0j, 1.0 + 0.0j]))
     with pytest.raises(FilterMismatch):
         check_isometry(pm, wrong, 2)
+
+
+def test_isometry_rejects_a_nan_filter(full2):
+    v = weight_full_half(full2)
+    pm = make_pm(full2, v)
+    nan = CylinderFunction(full2, 1, np.array([np.sqrt(v.values[0]), complex(0.0, np.nan)]))
+    with pytest.raises(FilterMismatch):
+        check_isometry(pm, nan, 2)
 
 
 def test_isometry_detects_broken_base(full2):

@@ -16,7 +16,7 @@ On random sub-stochastic chains the dense and the sparse branch of the
 chain solver give the same classes, masks, absorption and stationary
 vectors; on chains of up to 300 states and on prepend walks the graph
 search gives csgraph's and the boolean closure's classes and masks.
-The numpy pivoted QR of the null space is compared with scipy's.
+The null space by numpy's QR and SVD is compared with scipy's pivoted QR.
 """
 
 import numpy as np
@@ -657,26 +657,32 @@ def null_space_projector(null):
 
 
 @PROPERTY_SETTINGS
-@given(st.integers(1, 8), st.integers(1, 6), st.sampled_from(["product", "zero", "residue"]),
-       st.data())
+@given(st.integers(1, 8), st.integers(1, 6),
+       st.sampled_from(["product", "perturbed", "zero", "residue"]), st.data())
 def test_null_space_matches_scipy_pivoted_qr(rows, cols, kind, data):
-    """The numpy pivoted QR finds scipy's rank and null space, residue-only matrices included.
+    """numpy's QR and SVD find scipy's pivoted-QR rank and null space, residue included.
 
     A product of two matrices of quarter units has a rank well clear of
-    the threshold; entries of about 1e-12 are rounding residue, rank 0.
+    the threshold, and keeps it under a rank-one term at 1e-12 of its
+    norm, which in general raises the exact rank; entries of about 1e-12 are
+    rounding residue, rank 0.
     """
-    if kind == "product":
+    if kind in ("product", "perturbed"):
         inner = data.draw(st.integers(0, min(rows, cols)))
         left = int_array(data, rows * inner, 8).reshape(rows, inner) - 4
         right = int_array(data, inner * cols, 8).reshape(inner, cols) - 4
         matrix = (left / 4.0) @ (right / 4.0)
+        if kind == "perturbed":  # norm at most 1/2, so the term moves matrix @ null by < 1e-12
+            matrix /= 2 * max(np.linalg.norm(matrix), 1.0)
+            term = np.outer(int_array(data, rows, 8) - 3.5, int_array(data, cols, 8) - 3.5)
+            matrix += 1e-12 * np.linalg.norm(matrix) * term / np.linalg.norm(term)
     elif kind == "zero":
         matrix = np.zeros((rows, cols))
     else:
         matrix = (int_array(data, rows * cols, 8).reshape(rows, cols) - 4) * 2.5e-13
     null, expected = _null_space(matrix), scipy_null_space(matrix)
     assert null.shape == expected.shape
-    if kind != "product":
+    if kind in ("zero", "residue"):
         assert null.shape == (cols, cols)
     np.testing.assert_allclose(null_space_projector(null), null_space_projector(expected),
                                rtol=0, atol=1e-10)
