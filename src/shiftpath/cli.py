@@ -104,15 +104,21 @@ def _load(args):
     return cfg, shift
 
 
-def _solve_base(shift, cfg, v, rho):
-    mu0 = build_base_measure_from_config(shift, cfg, rho=rho)
-    return fixed_density_measure(shift, v, rho=rho) if mu0 is None else mu0
-
-
 def _invariant_quiet(shift):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return strongly_invariant_measure(shift)
+
+
+def _load_system(args):
+    """Config, subshift, weight, invariant measure and base measure, solved when "auto"."""
+    cfg, shift = _load(args)
+    v = build_weight_from_config(shift, cfg)
+    rho = _invariant_quiet(shift)
+    mu0 = build_base_measure_from_config(shift, cfg, rho=rho)
+    if mu0 is None:
+        mu0 = fixed_density_measure(shift, v, rho=rho)
+    return cfg, shift, v, rho, mu0
 
 
 def cmd_invariant(args):
@@ -178,10 +184,7 @@ def cmd_fixpoint(args):
 
 
 def cmd_verify(args):
-    cfg, shift = _load(args)
-    v = build_weight_from_config(shift, cfg)
-    rho = _invariant_quiet(shift)
-    mu0 = _solve_base(shift, cfg, v, rho)
+    cfg, shift, v, rho, mu0 = _load_system(args)
     overrides = build_overrides_from_config(shift, cfg)
     filt = build_filter_from_config(shift, cfg)
     # the verifier measures defects instead of refusing to construct
@@ -226,10 +229,7 @@ def cmd_verify(args):
 
 
 def cmd_sample(args):
-    cfg, shift = _load(args)
-    v = build_weight_from_config(shift, cfg)
-    rho = _invariant_quiet(shift)
-    mu0 = _solve_base(shift, cfg, v, rho)
+    cfg, shift, v, _, mu0 = _load_system(args)
     overrides = build_overrides_from_config(shift, cfg)
     pm = build_path_measure(
         shift, v, mu0, tol=args.tol, marginal_overrides=overrides
@@ -263,10 +263,7 @@ def cmd_sample(args):
 
 
 def cmd_ergodicity(args):
-    cfg, shift = _load(args)
-    v = build_weight_from_config(shift, cfg)
-    rho = _invariant_quiet(shift)
-    mu0 = _solve_base(shift, cfg, v, rho)
+    cfg, shift, v, _, mu0 = _load_system(args)
     rep = relative_ergodicity_dimension(shift, mu0, v, args.depth, tol=args.tol)
     report = _base_report(args, cfg, "ergodicity")
     report.update(

@@ -21,14 +21,15 @@ leaves (`invariant.closed_classes`).  So the solve is one walk in CSR
 form (`subshift.prepend_walk`, the walk the trajectory sampler steps
 along), one LU solve for the transient words (`invariant.absorption`),
 and a dense step with one column per closed class, whose null space
-below the conditioning depth comes from numpy's QR and SVD.  A walk of
-at most 1024 words (`invariant.DENSE_STATES`) is searched on its CSR
-arrays and only its transient block is solved dense, with numpy; a
-larger one by sparse LU, which loads scipy.  No dense matrix of all
-words by all words is formed.  A base mass at or below
-ESSENTIAL_FLOOR times the total is no edge: a base measure found by
-iteration leaves masses of that size on words its limit does not
-charge, and as edges they would join classes the measure keeps apart.
+below the conditioning depth comes from numpy's QR and SVD.  Whether
+the walk is searched and solved dense, with numpy, or sparse, with
+scipy, is decided inside `invariant` by its two leaf kernels: dense up
+to 1024 words (`invariant.DENSE_STATES`), and then only on the
+transient block.  No dense matrix of all words by all words is formed.
+A base mass at or below ESSENTIAL_FLOOR times the total is no edge: a
+base measure found by iteration leaves masses of that size on words its
+limit does not charge, and as edges they would join classes the measure
+keeps apart.
 """
 
 from dataclasses import dataclass

@@ -13,12 +13,12 @@ product rule with a different column-stochastic kernel realises the
 natural measures attached to normalized weights; see
 `markov_measure_for_weight`.  The finite-chain solver behind every fixed
 object of the package lives here too: `closed_classes`, `absorption`
-and the stationary vector of a closed class.  A chain of at most
-DENSE_STATES states stays in numpy: an iterative Tarjan search over its
-CSR arrays, linear in its steps, finds the classes and the reachability
-mask, and numpy LU solves the dense block of one class or of the
-transient states.  A larger one goes to scipy's graph search and sparse
-LU, and scipy is imported only then.
+and the stationary vector of a closed class, each one body at every
+size.  Only two leaf kernels pick dense or sparse, by the state count:
+the graph search `_components` and the LU solve `_lu_solve`.  At or
+below DENSE_STATES states they run an iterative Tarjan search over the
+CSR arrays, linear in the steps, and numpy's dense LU; above it scipy's
+graph search and sparse LU, which only they import.
 """
 
 import warnings
@@ -169,23 +169,6 @@ def _as_chain(graph):
     return Chain(np.r_[0, np.cumsum(np.bincount(rows, minlength=len(graph)))], cols, graph[rows, cols])
 
 
-def _branch(graph, states=None):
-    """The graph on `states` (all by default): a `Chain` at or below DENSE_STATES states, else CSR.
-
-    graph is a dense array, a scipy sparse matrix or a `Chain`.  This is
-    where every chain solver picks its branch.
-    """
-    graph = _as_chain(graph)
-    if states is not None:
-        graph = graph.restricted(states)
-    if graph.shape[0] <= DENSE_STATES:
-        return graph
-    from scipy.sparse import csr_matrix
-
-    # a copy: scipy may sort the entries of a row in place
-    return csr_matrix((graph.data, graph.indices, graph.indptr), shape=graph.shape, copy=True)
-
-
 def _strong_components(chain, targets):
     """Tarjan's strong components of the nonzero steps of a `Chain`, searched without recursion.
 
@@ -250,28 +233,66 @@ def _strong_components(chain, targets):
     return np.array(label, dtype=np.int64), np.array(leaves, dtype=bool), np.array(reaches, dtype=bool)
 
 
+def _components(chain, targets):
+    """Labels, leaving flags and the reaching mask of `_strong_components`, per state.
+
+    At or below DENSE_STATES states by that search; above, by scipy's
+    strong components and a breadth-first search of the reversed steps.
+    """
+    n = chain.shape[0]
+    if n <= DENSE_STATES:
+        labels, leaving, reaches = _strong_components(chain, targets)
+        return labels, leaving, reaches[labels]
+    from scipy.sparse import csgraph, csr_matrix
+
+    nonzero = chain.data != 0
+    rows, cols = chain.rows()[nonzero], chain.indices[nonzero]
+    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=n))]
+    graph = csr_matrix((np.ones(len(cols)), cols, indptr), shape=(n, n))
+    n_comp, labels = csgraph.connected_components(graph, directed=True, connection="strong")
+    leaving = np.bincount(labels[rows], weights=labels[rows] != labels[cols], minlength=n_comp) > 0
+    # the reversed steps, and one extra vertex n with a step into every target
+    heads = np.r_[cols, np.full(np.count_nonzero(targets), n)]
+    tails = np.r_[rows, np.flatnonzero(targets)]
+    back = csr_matrix((np.ones(len(heads)), (heads, tails)), shape=(n + 1, n + 1))
+    reach = np.zeros(n + 1, dtype=bool)
+    reach[csgraph.breadth_first_order(back, n, return_predecessors=False)] = True
+    return labels, leaving, reach[:n]
+
+
+def _lu_solve(n, rows, cols, values, rhs, **options):
+    """Solve A x = rhs for the n x n matrix A with entries values at (rows, cols); duplicates add.
+
+    numpy's LU of the dense A at or below DENSE_STATES states; above,
+    scipy's sparse LU with `options`, stored zeros dropped.
+    """
+    if n <= DENSE_STATES:
+        dense = np.bincount(rows * n + cols, values, minlength=n * n).reshape(n, n)
+        return np.linalg.solve(dense, rhs)
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import splu
+
+    system = csc_matrix((values, (rows, cols)), shape=(n, n))
+    system.eliminate_zeros()
+    return splu(system, **options).solve(rhs)
+
+
 def _stationary_vector(chain, states):
     """Solve q = q P, sum q = 1, for a chain P on `states`, a closed class of one chain.
 
     One LU of (I - P)^T, whose columns sum to zero, with the first row
-    replaced by ones: numpy's on the dense class at or below
-    DENSE_STATES states, else sparse.
+    replaced by ones.
     """
-    p = _branch(chain, states)
+    p = _as_chain(chain).restricted(states)
     k = p.shape[0]
-    if isinstance(p, Chain):
-        system = np.eye(k) - p.toarray().T
-        system[0] = 1.0
-        q = np.linalg.solve(system, np.eye(k, 1).ravel())
-    else:
-        from scipy.sparse import identity, vstack
-        from scipy.sparse.linalg import splu
-
-        system = vstack([np.ones((1, k)), (identity(k, format="csr") - p.T)[1:]])
-        # minimum degree on A + A^T eliminates the dense row among the last; the pivots
-        # before it are the diagonal of an M-matrix, stable without row exchanges
-        lu = splu(system.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
-        q = lu.solve(np.eye(k, 1).ravel())
+    diagonal, ones = np.arange(k), np.ones(k)
+    # the entries of (I - P)^T below its first row, and ones in it
+    rows, cols, values = np.r_[diagonal, p.indices], np.r_[diagonal, p.rows()], np.r_[ones, -p.data]
+    below = rows > 0
+    system = np.r_[0 * diagonal, rows[below]], np.r_[diagonal, cols[below]], np.r_[ones, values[below]]
+    # minimum degree on A + A^T eliminates the dense row among the last; the pivots
+    # before it are the diagonal of an M-matrix, stable without row exchanges
+    q = _lu_solve(k, *system, np.eye(k, 1).ravel(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
     q = np.clip(q, 0.0, None)
     return q / q.sum()
 
@@ -285,16 +306,8 @@ def closed_classes(graph):
     state.  For a finite chain the fixed vectors at eigenvalue 1 are
     exactly the mixtures of the stationary vectors of these classes.
     """
-    graph = _branch(graph)
-    if isinstance(graph, Chain):
-        labels, leaving, _ = _strong_components(graph, np.zeros(graph.shape[0], dtype=bool))
-    else:
-        from scipy.sparse import csgraph
-
-        graph = graph != 0
-        n_comp, labels = csgraph.connected_components(graph, directed=True, connection="strong")
-        rows, cols = graph.nonzero()
-        leaving = np.bincount(labels[rows], weights=labels[rows] != labels[cols], minlength=n_comp)
+    chain = _as_chain(graph)
+    labels, leaving, _ = _components(chain, np.zeros(chain.shape[0], dtype=bool))
     members = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
     # component labels follow no order; each class's first state fixes its place
     _, first = np.unique(labels, return_index=True)
@@ -303,21 +316,7 @@ def closed_classes(graph):
 
 def _reaching(graph, targets):
     """Mask of the states from which a path of nonzero entries of graph enters targets."""
-    graph = _branch(graph)
-    if isinstance(graph, Chain):
-        labels, _, reaches = _strong_components(graph, np.asarray(targets, dtype=bool))
-        return reaches[labels]
-    from scipy.sparse import csgraph, csr_matrix
-
-    n = graph.shape[0]
-    rows, cols = (graph != 0).nonzero()
-    # the reversed edges, and one extra vertex n with an edge into every target
-    heads = np.r_[cols, np.full(np.count_nonzero(targets), n)]
-    tails = np.r_[rows, np.flatnonzero(targets)]
-    back = csr_matrix((np.ones(len(heads)), (heads, tails)), shape=(n + 1, n + 1))
-    mask = np.zeros(n + 1, dtype=bool)
-    mask[csgraph.breadth_first_order(back, n, return_predecessors=False)] = True
-    return mask[:n]
+    return _components(_as_chain(graph), np.asarray(targets, dtype=bool))[2]
 
 
 def absorption(chain, classes, values):
@@ -325,13 +324,11 @@ def absorption(chain, classes, values):
 
     chain[i, j] is the probability of a step from i to j; what a row
     lacks of 1 is lost, and a lost walk holds 0.  The states of the
-    closed class classes[c] hold values[c].  Elsewhere X = chain X: exactly
-    0 with no path into a class of nonzero values (graph reachability),
-    else one LU of (I - P_TT) X_T = P_TC X_C, numpy's on the dense block
-    of those states at or below DENSE_STATES states of the chain, and
-    sparse above.
+    closed class classes[c] hold values[c].  Elsewhere X = chain X:
+    exactly 0 with no path into a class of nonzero values (graph
+    reachability), else one LU of (I - P_TT) X_T = P_TC X_C.
     """
-    chain = _branch(chain)
+    chain = _as_chain(chain)
     out = np.zeros((chain.shape[0], values.shape[1]))
     closed = np.zeros(chain.shape[0], dtype=bool)
     for members, row in zip(classes, values):
@@ -340,18 +337,12 @@ def absorption(chain, classes, values):
     live = np.flatnonzero(_reaching(chain, out.any(axis=1)) & ~closed)
     if not len(live):
         return out
-    if isinstance(chain, Chain):
-        system = np.eye(len(live)) - chain.restricted(live).toarray()
-        # out is 0 off the closed states, so chain @ out is P_TC X_C on the live rows
-        entering = np.column_stack([chain @ column for column in out.T])
-        out[live] = np.linalg.solve(system, entering[live])
-    else:
-        from scipy.sparse import identity
-        from scipy.sparse.linalg import splu
-
-        rows = chain[live]
-        system = (identity(len(live)) - rows[:, live]).tocsc()
-        out[live] = splu(system).solve(rows[:, closed] @ out[closed])
+    # out is 0 off the closed states, so chain @ out is P_TC X_C on the live rows
+    entering = np.column_stack([chain @ column for column in out.T])
+    k = len(live)
+    block, diagonal = chain.restricted(live), np.arange(k)
+    system = np.r_[diagonal, block.rows()], np.r_[diagonal, block.indices], np.r_[np.ones(k), -block.data]
+    out[live] = _lu_solve(k, *system, entering[live])
     return out
 
 

@@ -49,11 +49,10 @@ def _drop_indices(shift, depth, steps):
 class PathMeasure:
     """A validated fixed point plus its weight, exposing exact level marginals."""
 
-    def __init__(self, shift, v, mu0, tol, base_residual, overrides=None):
+    def __init__(self, shift, v, mu0, base_residual, overrides=None):
         self.shift = shift
         self.v = v
         self.mu0 = mu0
-        self.tol = tol
         self.base_residual = base_residual
         self.overrides = dict(overrides or {})
         self._marginals = {}
@@ -112,7 +111,7 @@ def build_path_measure(shift, v, mu0, tol=1e-10, marginal_overrides=None):
     residual = check_fixed_point(shift, v, mu0, d_check)
     if not residual <= tol:  # a NaN residual fails too
         raise NotFixedPoint(residual, tol)
-    return PathMeasure(shift, v, mu0, tol, residual, marginal_overrides)
+    return PathMeasure(shift, v, mu0, residual, marginal_overrides)
 
 
 def check_consistency(pm, n, depth):

@@ -389,6 +389,38 @@ def closure_reaching(graph, targets):
     return boolean_closure(graph)[:, targets].any(axis=1)
 
 
+# ---------------------------------------------------------------------------
+# the former dense bodies of the chain solver's two LU solves, kept as bit-identity oracles
+
+
+def dense_stationary_vector(chain, states):
+    """q = q P, sum q = 1, for the `Chain` P on `states`: numpy's solve of (I - P)^T, row 0 ones."""
+    p = chain.restricted(states)
+    k = p.shape[0]
+    system = np.eye(k) - p.toarray().T
+    system[0] = 1.0
+    q = np.linalg.solve(system, np.eye(k, 1).ravel())
+    q = np.clip(q, 0.0, None)
+    return q / q.sum()
+
+
+def dense_absorption(chain, classes, values):
+    """The absorption values of a sub-stochastic `Chain` by numpy's solve of the dense transient block."""
+    out = np.zeros((chain.shape[0], values.shape[1]))
+    closed = np.zeros(chain.shape[0], dtype=bool)
+    for members, row in zip(classes, values):
+        out[members] = row
+        closed[members] = True
+    live = np.flatnonzero(closure_reaching(chain.toarray(), out.any(axis=1)) & ~closed)
+    if not len(live):
+        return out
+    system = np.eye(len(live)) - chain.restricted(live).toarray()
+    # out is 0 off the closed states, so chain @ out is P_TC X_C on the live rows
+    entering = np.column_stack([chain @ column for column in out.T])
+    out[live] = np.linalg.solve(system, entering[live])
+    return out
+
+
 def scipy_null_space(matrix):
     """The former null space by scipy's pivoted QR, with the same rank rule as the library's."""
     from scipy.linalg import qr, solve_triangular

@@ -1,9 +1,10 @@
 """Every name a package module imports is used in that module, and scipy loads late.
 
 The package root is exempt from the first check: it imports names to
-re-export them.  scipy is imported only inside the functions that solve
-chains of more than `invariant.DENSE_STATES` states, so the commands
-that never meet such a chain do not load it.  Nor do the setup and the
+re-export them.  scipy is imported only inside the two leaf kernels of
+the chain solver, and only for chains of more than
+`invariant.DENSE_STATES` states, so the commands that never meet such a
+chain do not load it.  Nor do the setup and the
 `invariant`, `verify`, `sample` and `ergodicity` commands load
 `numpy.ma`, which costs every run the time of its import.
 """
@@ -84,6 +85,43 @@ def test_no_package_module_imports_scipy_at_module_level():
         for path in sorted(PACKAGE.glob("*.py"))
     }
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def scipy_importers(source):
+    """Names of the functions whose bodies import scipy."""
+    return {
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(name.split(".")[0] == "scipy" for name in imported_modules(node))
+    }
+
+
+def imported_modules(tree):
+    """Absolute modules imported anywhere under an AST node."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.append(node.module)
+    return found
+
+
+def test_scipy_importers_are_found():
+    source = (
+        "from scipy import sparse\n"
+        "def f():\n    from scipy.sparse import csgraph\n"
+        "def g():\n    import numpy\n"
+        "def h():\n    if True:\n        import scipy.linalg\n"
+    )
+    assert scipy_importers(source) == {"f", "h"}
+
+
+def test_only_the_two_leaf_kernels_import_scipy():
+    """The graph search and the LU solve are the only places that pick dense or sparse."""
+    source = (PACKAGE / "invariant.py").read_text(encoding="utf-8")
+    assert scipy_importers(source) == {"_components", "_lu_solve"}
 
 
 SMALL = {

@@ -25,6 +25,7 @@ from shiftpath import (
 )
 from shiftpath.invariant import (
     Chain,
+    _lu_solve,
     _reaching,
     _strong_invariance_defects,
     absorption,
@@ -241,6 +242,13 @@ def test_graph_search_walks_1024_states_without_recursion(name):
     for state, expected in ((0, into_first), (LONG - 1, into_last)):
         targets = np.arange(LONG) == state
         assert np.flatnonzero(_reaching(chain, targets)).tolist() == expected
+
+
+def test_lu_solve_adds_duplicate_entries():
+    # two entries at (0, 0) make the system [[2, 1], [0, 4]]
+    rows, cols = np.array([0, 1, 0, 0]), np.array([0, 1, 1, 0])
+    x = _lu_solve(2, rows, cols, np.array([1.0, 4.0, 1.0, 1.0]), np.array([4.0, 8.0]))
+    assert x.tolist() == [1.0, 2.0]
 
 
 def test_closed_classes_and_absorption_densify_no_whole_chain(block4):

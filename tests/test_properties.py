@@ -14,8 +14,10 @@ leaky branches, the solved fixed function is compared with the former
 monotone loop and the dual functional with a dense least-squares solve.
 On random sub-stochastic chains the dense and the sparse branch of the
 chain solver give the same classes, masks, absorption and stationary
-vectors; on chains of up to 300 states and on prepend walks the graph
-search gives csgraph's and the boolean closure's classes and masks.
+vectors; at the default cut the two LU solves equal the former dense
+bodies bit for bit; on chains of up to 300 states and on prepend walks
+the graph search gives csgraph's and the boolean closure's classes and
+masks.
 The null space by numpy's QR and SVD is compared with scipy's pivoted QR.
 """
 
@@ -32,8 +34,10 @@ from conftest import (
     closure_reaching,
     conditioning_depth,
     DenseWalkKernel,
+    dense_absorption,
     dense_ergodicity_oracle,
     dense_sample_paths,
+    dense_stationary_vector,
     loop_fixed_density_measure,
     loop_fixed_function,
     lstsq_fixed_functional,
@@ -649,6 +653,33 @@ def test_graph_search_matches_csgraph_and_the_closure(chain, data):
         searched, sparse = on_both_branches(lambda: _reaching(chain, targets))
         assert searched.tolist() == closure_reaching(dense, targets).tolist()
         assert sparse.tolist() == searched.tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(leaky_chains(), wide_chains()), st.data())
+def test_lu_solves_equal_the_former_dense_bodies(chain, data):
+    """At the default cut, absorption and the stationary vectors are the former dense solves' bits.
+
+    Rows are scaled to sum to at most 1.  A self-loop puts a second
+    entry on the diagonal of I - P, which the LU leaf adds.
+    """
+    n = chain.shape[0]
+    assert n <= invariant.DENSE_STATES
+    sums = np.maximum(chain @ np.ones(n), 1.0)
+    chain = Chain(chain.indptr, chain.indices, chain.data / sums[chain.rows()])
+    classes = closed_classes(chain)
+    values = int_array(data, 2 * len(classes), 4).reshape(len(classes), 2) / 4.0
+    solved = absorption(chain, classes, values)
+    assert solved.tobytes() == dense_absorption(chain, classes, values).tobytes()
+    for members in classes:
+        block = chain.restricted(members)
+        sums = block @ np.ones(len(members))
+        # a lone state with no step to itself has no stationary vector
+        if sums.min() > 0:
+            kernel = Chain(block.indptr, block.indices, block.data / sums[block.rows()])
+            states = np.arange(len(members))
+            q = _stationary_vector(kernel, states)
+            assert q.tobytes() == dense_stationary_vector(kernel, states).tobytes()
 
 
 def null_space_projector(null):

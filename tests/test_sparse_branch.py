@@ -1,8 +1,10 @@
-"""The chain-solver tests again, with every chain solved on the sparse branch.
+"""The chain-solver tests again, with both leaf kernels on their sparse side.
 
-Chains of at most `invariant.DENSE_STATES` states are solved dense, and
-almost every chain of the test suite is that small.  This module collects
-the tests of `test_invariant.py`, `test_transfer.py` and
+Two leaf kernels of `invariant`, the graph search `_components` and the
+LU solve `_lu_solve`, pick dense or sparse by the chain's state count;
+chains of at most `invariant.DENSE_STATES` states are solved dense, and
+almost every chain of the test suite is that small.  This module
+collects the tests of `test_invariant.py`, `test_transfer.py` and
 `test_extremality.py`, and the property tests against dense oracles,
 and runs them with the cut at 0, so that every closed-class search,
 reachability mask, absorption and stationary vector goes through scipy.
