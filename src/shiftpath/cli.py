@@ -81,7 +81,7 @@ EXIT_SAMPLING = 5
 EXIT_NON_EXTREMAL = 6
 
 
-def _base_report(args, cfg, command):
+def _base_report(cfg, command):
     return {
         "tool": "shiftpath",
         "version": __version__,
@@ -133,7 +133,7 @@ def cmd_invariant(args):
         args.depth,
         rho.masses_at(args.depth),
     )
-    report = _base_report(args, cfg, "invariant")
+    report = _base_report(cfg, "invariant")
     report.update(
         {
             "depth": args.depth,
@@ -159,13 +159,13 @@ def cmd_fixpoint(args):
     result = iterate_fixed_function(shift, v, tol=args.tol)
     nu = left_fixed_functional(shift, v)
     pairing, scaled = unit_pairing(result.h, nu)
-    h = scaled if scaled is not None and result.status == "converged" else result.h
+    h = scaled if scaled is not None else result.h
     write_function_csv(_outpath(args, "fixed_function.csv"), h)
     if nu is not None:
         write_measure_csv(
             _outpath(args, "fixed_functional.csv"), shift, nu.depth, nu.masses
         )
-    report = _base_report(args, cfg, "fixpoint")
+    report = _base_report(cfg, "fixpoint")
     report.update(
         {
             "status": result.status,
@@ -212,7 +212,7 @@ def cmd_verify(args):
 
     # np.max keeps a NaN wherever it is, and a NaN is never <= tol
     worst = float(np.max(list(residuals.values())))
-    report = _base_report(args, cfg, "verify")
+    report = _base_report(cfg, "verify")
     report.update(
         {
             "depth": args.depth,
@@ -245,7 +245,7 @@ def cmd_sample(args):
         batch.base_words,
         batch.prepends,
     )
-    report = _base_report(args, cfg, "sample")
+    report = _base_report(cfg, "sample")
     report.update(
         {
             "n_samples": args.samples,
@@ -265,7 +265,7 @@ def cmd_sample(args):
 def cmd_ergodicity(args):
     cfg, shift, v, _, mu0 = _load_system(args)
     rep = relative_ergodicity_dimension(shift, mu0, v, args.depth, tol=args.tol)
-    report = _base_report(args, cfg, "ergodicity")
+    report = _base_report(cfg, "ergodicity")
     report.update(
         {
             "depth": args.depth,

@@ -38,7 +38,7 @@ class DepthTooShallow(ShiftPathError):
 
 
 class NotSubNormalized(ShiftPathError):
-    """sup of the transferred constant exceeds 1, so monotone iteration does not apply."""
+    """sup of the transferred constant T1 exceeds 1 + tol: the weight is not sub-normalized."""
 
 
 class NoConvergence(ShiftPathError):
@@ -56,7 +56,7 @@ class NoConvergence(ShiftPathError):
 
 
 class MonotonicityViolation(ShiftPathError):
-    """The iterates that should decrease pointwise failed to do so."""
+    """sup of the transferred constant T1 exceeds 1 + 1e-12 (and at most 1 + tol)."""
 
 
 class DegenerateH(ShiftPathError):

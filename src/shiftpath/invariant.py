@@ -54,10 +54,10 @@ class MarkovMeasure:
         q = np.asarray(q, dtype=np.float64)
         if q.shape != (shift.k,):
             raise ValueError(f"q must have one entry per symbol, got {q.shape}")
-        if q.min() < -1e-12:
+        if not q.min() >= -1e-12:
             raise ValueError("q must be nonnegative")
         q = np.clip(q, 0.0, None)
-        if abs(q.sum() - 1.0) > 1e-9:
+        if not abs(q.sum() - 1.0) <= 1e-9:
             raise ValueError("q must sum to 1")
         default_kernel = shift.matrix / shift.column_sums
         if kernel is None:
@@ -69,6 +69,8 @@ class MarkovMeasure:
                 raise ValueError("kernel shape mismatch")
             if ((kernel > 0) & (shift.matrix == 0)).any():
                 raise ValueError("kernel puts weight on a forbidden transition")
+            if not (np.abs(kernel.sum(axis=0) - 1.0) <= 1e-12).all():
+                raise ValueError("kernel columns must sum to 1")
         self.shift = shift
         self.q = q
         self.q.setflags(write=False)
@@ -158,12 +160,9 @@ class Chain:
 
 
 def _as_chain(graph):
-    """A dense array, a scipy sparse matrix or a `Chain`, as a `Chain`; a dense zero is no step."""
+    """A dense array or a `Chain`, as a `Chain`; a dense zero is no step."""
     if isinstance(graph, Chain):
         return graph
-    if hasattr(graph, "tocsr"):
-        graph = graph.tocsr()
-        return Chain(graph.indptr, graph.indices, graph.data)
     graph = np.asarray(graph)
     rows, cols = np.nonzero(graph)
     return Chain(np.r_[0, np.cumsum(np.bincount(rows, minlength=len(graph)))], cols, graph[rows, cols])
@@ -300,8 +299,8 @@ def _stationary_vector(chain, states):
 def closed_classes(graph):
     """Strongly connected classes of a digraph that no edge leaves.
 
-    graph[i, j] != 0 is an edge from state i to state j; a dense array,
-    a sparse matrix or a `Chain`, whose stored zeros count as no edge.
+    graph[i, j] != 0 is an edge from state i to state j; a dense array
+    or a `Chain`, whose stored zeros count as no edge.
     Returns one index array per closed class, ordered by its lowest
     state.  For a finite chain the fixed vectors at eigenvalue 1 are
     exactly the mixtures of the stationary vectors of these classes.
@@ -398,7 +397,7 @@ def markov_measure_for_weight(shift, w):
     p = np.zeros((shift.k, shift.k))
     p[a, j] = w2.values / shift.column_sums[j]
     col = p.sum(axis=0)
-    if not np.allclose(col, 1.0, atol=1e-12):
+    if not (np.abs(col - 1.0) <= 1e-12).all():
         raise ValueError(
             f"weight is not normalized: branch averages {col.tolist()} differ from 1"
         )

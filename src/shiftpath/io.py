@@ -32,7 +32,6 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, InadmissibleWord
-from .invariant import strongly_invariant_measure
 from .measures import DensityMeasure, RawMeasure
 from .subshift import CylinderFunction, Subshift
 
@@ -125,8 +124,8 @@ def build_weight_from_config(shift, cfg):
     return v
 
 
-def build_base_measure_from_config(shift, cfg, rho=None):
-    """The configured mu0, or None when set to "auto" (caller solves)."""
+def build_base_measure_from_config(shift, cfg, rho):
+    """The configured mu0 as a density against rho, or None when set to "auto" (caller solves)."""
     spec_mu0 = cfg.get("mu0", "auto")
     if spec_mu0 == "auto":
         return None
@@ -135,8 +134,6 @@ def build_base_measure_from_config(shift, cfg, rho=None):
         density.require_nonnegative("mu0 density")
     except Exception as exc:
         raise ConfigError(str(exc)) from exc
-    if rho is None:
-        rho = strongly_invariant_measure(shift)
     return DensityMeasure(density, rho)
 
 
@@ -167,15 +164,6 @@ def build_overrides_from_config(shift, cfg):
 
 # rows rendered and written per block, which bounds the text held in memory
 CSV_BLOCK_ROWS = 1 << 16
-
-
-def word_column(symbols):
-    """Digit strings of the rows of an (n, depth) array of symbols 1..9 ("" at depth 0)."""
-    sym = np.asarray(symbols)
-    if sym.shape[1] == 0:
-        return np.full(len(sym), "")
-    digits = np.ascontiguousarray(sym + ord("0"), dtype=np.uint8)
-    return digits.view(f"S{sym.shape[1]}").ravel().astype(str)
 
 
 class _TableWords:
@@ -221,8 +209,8 @@ def _byte_rows(strings):
 def _cells(column):
     """ASCII text of each cell, one NUL-padded row of an (n, width) uint8 matrix per cell.
 
-    2-D rows of symbols are words, integers are decimal, strings are
-    their ASCII bytes, and floats are the shortest round-tripping repr.
+    2-D rows of symbols are words, integers are decimal, and floats are
+    the shortest round-tripping repr; any other dtype is a TypeError.
     When at most half of the floats are distinct, repr runs once per
     distinct bit pattern, which keeps -0.0 apart from 0.0.
     """
@@ -231,8 +219,6 @@ def _cells(column):
         return (column + ord("0")).astype(np.uint8)
     if column.dtype.kind in "iu":
         return _digits(column)
-    if column.dtype.kind in "SU":
-        return _byte_rows(column.astype("S"))
     if column.dtype.kind != "f":
         raise TypeError(f"no CSV text for a column of dtype {column.dtype}")
     values = np.ascontiguousarray(column, dtype=np.float64)
@@ -269,11 +255,7 @@ def write_measure_csv(path, shift, depth, masses):
 
 
 def write_function_csv(path, f):
-    words = _TableWords(f.shift, f.depth)
-    if np.iscomplexobj(f.values):
-        write_csv(path, ("word", "real", "imag"), words, f.values.real, f.values.imag)
-    else:
-        write_csv(path, ("word", "value"), words, f.values)
+    write_csv(path, ("word", "value"), _TableWords(f.shift, f.depth), f.values)
 
 
 def write_report(path, payload):

@@ -43,7 +43,7 @@ class RawMeasure:
             raise ValueError(
                 f"expected {shift.word_count(depth)} masses for depth {depth}"
             )
-        if masses.min() < -1e-15:
+        if not masses.min() >= -1e-15:
             raise ValueError("masses must be nonnegative")
         masses = np.clip(masses, 0.0, None)
         masses.setflags(write=False)

@@ -35,13 +35,10 @@ def word_string(word):
 def branch_sum(index, values, size):
     """Sum over inverse branches: out[i] is the sum of values[j] over index[j] == i.
 
-    For a 2-D result pass index as a (rows, cols) pair and size as
-    (n_rows, n_cols).  Each bin is summed in index order, as numpy's
-    unbuffered add.at does, so the two agree bit for bit.
+    values are real or complex and the result has their kind.  Each bin
+    is summed in index order, as numpy's unbuffered add.at does, so the
+    two agree bit for bit.
     """
-    if isinstance(index, tuple):
-        flat = np.ravel_multi_index(index, size)
-        return branch_sum(flat, values, size[0] * size[1]).reshape(size)
     if np.iscomplexobj(values):
         out = np.empty(size, dtype=np.complex128)
         out.real = np.bincount(index, values.real, size)

@@ -16,7 +16,7 @@ from shiftpath import (
     transfer,
 )
 from shiftpath.cli import main
-from shiftpath.io import word_column, write_csv
+from shiftpath.io import write_csv
 from shiftpath.subshift import word_string
 
 GOLDEN_FLAT = {
@@ -510,9 +510,7 @@ def per_row_text(header, *columns):
             return word_string(x)
         if isinstance(x, (np.integer, int)):
             return str(int(x))
-        if isinstance(x, bytes):
-            return x.decode("ascii")
-        return x if isinstance(x, str) else repr(float(x))
+        return repr(float(x))
 
     rows = zip(*columns, strict=True)
     return ",".join(header) + "\n" + "".join(",".join(map(cell, r)) + "\n" for r in rows)
@@ -536,10 +534,9 @@ def csv_edge_cases():
         ("width change across the block boundary",
          (np.r_[np.full(BLOCK, 7), EDGES], digits[: BLOCK + len(EDGES)])),
         ("width change inside a block",
-         (rng.integers(-(10 ** rng.integers(0, 19, 300)), 10 ** rng.integers(0, 19, 300)),
-          np.array([b"", b"1", b"22", b"333"] * 75))),
+         (rng.integers(-(10 ** rng.integers(0, 19, 300)), 10 ** rng.integers(0, 19, 300)),)),
         ("one row past the block boundary", (np.arange(BLOCK + 1), digits[: BLOCK + 1])),
-        ("zero rows", (np.arange(0), digits[:0], np.zeros(0), np.array([], dtype="S3"))),
+        ("zero rows", (np.arange(0), digits[:0], np.zeros(0))),
     ]
 
 
@@ -547,17 +544,14 @@ def test_csv_writer_matches_per_row_formatting(tmp_path):
     rng = np.random.default_rng(3)
     words = rng.integers(1, 10, size=(70000, 4))
     values = rng.standard_normal(len(words)) * 10.0 ** rng.integers(-20, 20, len(words))
-    write_csv(tmp_path / "a.csv", ("id", "word", "none", "x"), np.arange(len(words)),
-              word_column(words), word_column(words[:, :0]), values)
     expected = "id,word,none,x\n" + "".join(
         f"{i},{word_string(w)},,{float(x)!r}\n" for i, (w, x) in enumerate(zip(words, values))
     )
-    assert_same_lines(tmp_path / "a.csv", expected)
     # 2-D symbol arrays are word columns, rendered block by block
     write_csv(tmp_path / "b.csv", ("id", "word", "none", "x"), np.arange(len(words)),
               words, words[:, :0], values)
     assert_same_lines(tmp_path / "b.csv", expected)
-    write_csv(tmp_path / "empty.csv", ("word",), word_column(words[:0]))
+    write_csv(tmp_path / "empty.csv", ("word",), words[:0])
     assert (tmp_path / "empty.csv").read_text() == "word\n"
 
     # 78125 words, read from the word table one block at a time

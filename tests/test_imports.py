@@ -1,7 +1,8 @@
-"""Every name a package module imports is used in that module, and scipy loads late.
+"""Every name a package module imports or defines is used, and scipy loads late.
 
-The package root is exempt from the first check: it imports names to
-re-export them.  scipy is imported only inside the two leaf kernels of
+The package root is exempt from the import check: it imports names to
+re-export them, and a name it exports counts as used by the definition
+check.  scipy is imported only inside the two leaf kernels of
 the chain solver, and only for chains of more than
 `invariant.DENSE_STATES` states, so the commands that never meet such a
 chain do not load it.  Nor do the setup and the
@@ -48,6 +49,62 @@ def test_package_modules_import_nothing_unused():
         if path.name != "__init__.py"
     }
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def unreferenced_names(sources):
+    """Module-level functions, classes and assignments that no code names outside their definition.
+
+    sources maps module names to source text.  A reference is a loaded
+    name, an attribute or a `from ... import` of the name, anywhere in
+    any module except inside the definition itself; dunder names are
+    exempt.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    references = {}
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                found = [node.id]
+            elif isinstance(node, ast.Attribute):
+                found = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                found = [alias.name for alias in node.names]
+            else:
+                continue
+            for name in found:
+                references.setdefault(name, []).append((module, node.lineno))
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            inside = range(node.lineno, node.end_lineno + 1)
+            dead.extend(
+                f"{module}.{name}" for name in names
+                if not (name.startswith("__") and name.endswith("__"))
+                and not any(m != module or line not in inside
+                            for m, line in references.get(name, ()))
+            )
+    return dead
+
+
+def test_unreferenced_names_are_found():
+    sources = {
+        "a": "__all__ = []\nX = 1\nY, Z = 2, 3\ndef f():\n    return f()\nclass C:\n    pass\n",
+        "b": "from .a import C\nimport a\na.Y\n",
+    }
+    assert unreferenced_names(sources) == ["a.X", "a.Z", "a.f"]
+
+
+def test_package_defines_nothing_unreferenced():
+    """Every module-level name of the package is used in it, or exported by `__init__.py`."""
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_names(sources) == []
 
 
 def module_level_imports(source):

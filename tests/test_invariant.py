@@ -15,6 +15,7 @@ from conftest import (
     weight_markov_full,
 )
 from shiftpath import (
+    CylinderFunction,
     MarkovMeasure,
     NonUniqueFixedVector,
     build_subshift,
@@ -158,6 +159,24 @@ def test_markov_measure_validation(golden):
         MarkovMeasure(golden, np.array([2.0 / 3.0, 1.0 / 3.0]), kernel=bad_kernel)
 
 
+def test_markov_measure_refuses_nan(full2):
+    for q in ([np.nan, 1.0], [0.5, np.nan], [np.nan, np.nan]):
+        with pytest.raises(ValueError):
+            MarkovMeasure(full2, q)
+
+
+def test_markov_measure_refuses_a_kernel_whose_columns_do_not_sum_to_one(full2):
+    # columns summing to 1.8 would make the depth-2 masses sum to 1.8
+    for kernel in ([[0.9, 0.9], [0.9, 0.9]], [[0.5, 0.5], [0.5, 0.5 + 1e-9]],
+                   [[np.nan, 0.5], [np.nan, 0.5]]):
+        with pytest.raises(ValueError, match="columns"):
+            MarkovMeasure(full2, [0.5, 0.5], kernel=kernel)
+    MarkovMeasure(full2, [0.5, 0.5], kernel=[[0.8, 0.2], [0.2, 0.8]])
+    # a weight's kernel is refused as the weight's fault, by the same 1e-12
+    with pytest.raises(ValueError, match="not normalized"):
+        markov_measure_for_weight(full2, CylinderFunction(full2, 1, [1.0 + 1e-7] * 2))
+
+
 def test_integrate_uses_masses(golden):
     from shiftpath import CylinderFunction
 
@@ -208,10 +227,8 @@ def test_closed_classes_are_ordered_by_lowest_state():
 
 
 def test_closed_classes_ignore_stored_zeros():
-    from scipy.sparse import csr_matrix
-
     # the stored zero 0 -> 1 is no edge, so {0} is closed by itself
-    graph = csr_matrix((np.array([1.0, 0.0, 1.0]), ([0, 0, 1], [0, 1, 0])), shape=(2, 2))
+    graph = Chain(np.array([0, 2, 3]), np.array([0, 1, 0]), np.array([1.0, 0.0, 1.0]))
     assert [c.tolist() for c in closed_classes(graph)] == [[0]]
 
 

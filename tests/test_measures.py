@@ -48,6 +48,12 @@ def test_raw_measure_aggregation(golden):
         RawMeasure(golden, 1, np.array([-0.5, 1.5]))
 
 
+def test_raw_measure_refuses_nan(full2):
+    for masses in ([np.nan, 1.0], [0.5, np.nan]):
+        with pytest.raises(ValueError):
+            RawMeasure(full2, 1, masses)
+
+
 def test_density_measure_accessors(golden):
     rho = quiet_invariant(golden)
     f = CylinderFunction.from_table(golden, 1, {(1,): 1.2, (2,): 0.6})

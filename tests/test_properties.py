@@ -150,12 +150,6 @@ def test_branch_sum_matches_add_at(size, data):
         got = branch_sum(index, values, size)
         assert got.dtype == expected.dtype
         assert got.tobytes() == expected.tobytes()
-    cols = data.draw(st.integers(1, 5))
-    col_index = int_array(data, n, cols - 1)
-    expected = np.zeros((size, cols))
-    np.add.at(expected, (index, col_index), re)
-    got = branch_sum((index, col_index), re, (size, cols))
-    assert got.tobytes() == expected.tobytes()
 
 
 def table(data, shift, depth, low=0.0, high=3.0):
