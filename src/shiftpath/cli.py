@@ -59,7 +59,6 @@ from .io import (
 from .measures import (
     fixed_density_measure,
     masses_along_orbit,
-    unit_pairing,
     weight_pushforward_defect,
 )
 from .pathspace import (
@@ -158,8 +157,7 @@ def cmd_fixpoint(args):
     v = build_weight_from_config(shift, cfg)
     result = iterate_fixed_function(shift, v, tol=args.tol)
     nu = left_fixed_functional(shift, v)
-    pairing, scaled = unit_pairing(result.h, nu)
-    h = scaled if scaled is not None else result.h
+    h = result.h
     write_function_csv(_outpath(args, "fixed_function.csv"), h)
     if nu is not None:
         write_measure_csv(
@@ -172,7 +170,7 @@ def cmd_fixpoint(args):
             "residual": float(result.residual),
             "sup_h": float(h.values.max()),
             "min_h": float(h.values.min()),
-            "pairing": pairing,
+            "pairing": None if nu is None else float(nu.integrate(h)),
             "functional_found": nu is not None,
             "tolerance": args.tol,
         }

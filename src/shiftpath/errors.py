@@ -60,7 +60,7 @@ class MonotonicityViolation(ShiftPathError):
 
 
 class DegenerateH(ShiftPathError):
-    """The monotone limit of the transfer iterates vanishes identically."""
+    """The fixed function h is zero: no closed class of the operator keeps its mass."""
 
 
 class NotFixedPoint(ShiftPathError):

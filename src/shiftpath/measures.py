@@ -22,16 +22,9 @@ import numpy as np
 from .errors import DegenerateH, DepthTooShallow, MassCollapse, NoConvergence
 from .invariant import strongly_invariant_measure
 from .subshift import CylinderFunction, branch_sum, weight_product
-from .transfer import (
-    _operator_pieces,
-    apply_transfer,
-    iterate_fixed_function,
-    left_fixed_functional,
-)
+from .transfer import _operator_pieces, apply_transfer, iterate_fixed_function
 
 MASS_FLOOR = 1e-12
-# smallest pairing with the dual fixed vector that normalization divides by
-PAIRING_FLOOR = 1e-12
 
 
 class RawMeasure:
@@ -235,38 +228,21 @@ def weight_pushforward_defect(shift, v, rho, depth, n_max):
     return worst
 
 
-def unit_pairing(h, nu):
-    """(pairing of h with the dual fixed vector nu, h scaled to unit pairing).
-
-    The pairing is None when nu is missing or too coarse for h, and the
-    scaled h is None unless the pairing exceeds PAIRING_FLOOR.
-    """
-    if nu is None or h.depth < nu.depth:
-        return None, None
-    pairing = float(nu.integrate(h))
-    return pairing, (h * (1.0 / pairing) if pairing > PAIRING_FLOOR else None)
-
-
-def fixed_density_measure(shift, v, rho=None, tol=1e-13):
+def fixed_density_measure(shift, v, rho=None):
     """The canonical fixed measure h drho built from the fixed function h.
 
-    Solves for h = lim T^n 1 (`iterate_fixed_function`), then
-    normalizes: against the dual fixed vector when one exists (unit
-    pairing), else to total mass 1.  Raises DegenerateH when h vanishes.
+    Solves for h = lim T^n 1 (`iterate_fixed_function`).  h is already
+    normalized against the dual fixed vector nu (`left_fixed_functional`):
+    it is exactly 1 on every closed class that keeps its mass, and nu is
+    a probability on the first of those classes, so nu(h) = 1 and no
+    division is needed.  Raises DegenerateH when h vanishes.
     """
     if rho is None:
         rho = strongly_invariant_measure(shift)
-    res = iterate_fixed_function(shift, v, tol=tol)
+    res = iterate_fixed_function(shift, v)
     if res.status == "degenerate":
         raise DegenerateH("no closed class of the operator keeps its mass, so h is zero")
-    h = res.h
-    _, scaled = unit_pairing(h, left_fixed_functional(shift, v))
-    if scaled is not None:
-        return DensityMeasure(scaled, rho)
-    total = rho.integrate(h)
-    if total <= 0:
-        raise DegenerateH("fixed function integrates to zero mass")
-    return DensityMeasure(h * (1.0 / total), rho)
+    return DensityMeasure(res.h, rho)
 
 
 @dataclass(frozen=True)

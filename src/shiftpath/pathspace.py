@@ -63,9 +63,10 @@ class PathMeasure:
 
     @property
     def density_depth(self):
+        """mu0's own depth: its density's, or for a raw table one less, where build_path_measure checks it."""
         if isinstance(self.mu0, DensityMeasure):
             return self.mu0.density.depth
-        return 1
+        return max(self.mu0.depth - 1, 1)
 
     def marginal(self, n):
         """The level-n measure: mu0 reweighted by the n-step product of v."""
@@ -258,8 +259,8 @@ def sample_paths(pm, n_steps, n_samples, base_depth, seed, workers=1):
     """Draw trajectories of the path process, exactly and reproducibly.
 
     The base record is drawn from mu0 at the working depth (the larger
-    of base_depth, the weight depth and the base density depth, so the
-    conditional ratios are exact), then each step prepends a symbol with
+    of base_depth, the weight depth and `PathMeasure.density_depth`, so
+    the conditional ratios are exact), then each step prepends a symbol with
     its conditional mass ratio.  All randomness comes from one generator
     seeded with `seed`, drawn in row order SAMPLE_BLOCK samples at a time,
     and each block is split between at most as many threads as usable

@@ -27,7 +27,6 @@ from shiftpath import (
     transfer_matrix,
 )
 from shiftpath.invariant import closed_classes
-from shiftpath.measures import unit_pairing
 from shiftpath.pathspace import SampleBatch, _usable_cpus
 from shiftpath.subshift import word_string
 
@@ -339,7 +338,7 @@ def lstsq_invariant_measure(shift):
 
 
 def loop_fixed_density_measure(shift, v):
-    """h d(rho) from the loop, the lstsq nu and the lstsq rho, normalised as fixed_density_measure does.
+    """h d(rho) from the loop, the lstsq nu and the lstsq rho, h scaled to unit pairing with nu.
 
     Its bases carry the residue of the loop and of the lstsq rho on
     words where h or rho vanishes.
@@ -348,9 +347,11 @@ def loop_fixed_density_measure(shift, v):
     h, _ = loop_fixed_function(shift, v)
     if h.sup_norm() < 1e-9:
         raise DegenerateH("monotone limit is identically zero")
-    _, scaled = unit_pairing(h, lstsq_fixed_functional(shift, v))
-    if scaled is not None:
-        return DensityMeasure(scaled, rho)
+    # the loop's h is not exactly 1 on the kept classes, so it is scaled to nu(h) = 1
+    nu = lstsq_fixed_functional(shift, v)
+    pairing = 0.0 if nu is None else nu.integrate(h)
+    if pairing > 1e-12:
+        return DensityMeasure(h * (1.0 / pairing), rho)
     total = rho.integrate(h)
     if total <= 0:
         raise DegenerateH("fixed function integrates to zero mass")

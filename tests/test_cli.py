@@ -1,8 +1,11 @@
 """Command line behavior: outputs, exit codes, and reproducibility."""
 
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,6 +271,40 @@ def test_ergodicity_command_decomposes(tmp_path):
     word, mass = c1[1].split(",")
     assert word == "1"
     assert float(mass) == pytest.approx(0.5, abs=1e-12)
+
+
+def block_split(seed, depth=10):
+    """BLOCK4 with a depth-`depth` weight whose two branches average exactly 1.
+
+    Each pair of branches splits 2 into multiples of 1/64, so the float
+    sums are exact and both blocks are closed classes that keep their mass.
+    """
+    shift = build_subshift(BLOCK_FLAT["matrix"])
+    units = np.random.default_rng(seed).integers(8, 121, shift.word_count(depth - 1))
+    suffix = shift.suffix_indices(depth)
+    first = np.zeros(len(suffix), dtype=bool)
+    first[np.unique(suffix, return_index=True)[1]] = True
+    values = np.where(first, units[suffix], 128 - units[suffix]) / 64.0
+    table = {word_string(w): float(x) for w, x in zip(shift.words(depth), values)}
+    return dict(BLOCK_FLAT, V={"depth": depth, "values": table})
+
+
+def test_ergodicity_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """The decomposition of a solved base writes the same files at one and at two BLAS threads."""
+    cfg = write_config(tmp_path, block_split(0))
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+                   OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "shiftpath", "ergodicity", "--config", cfg,
+             "--depth", "9", "--out", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 6, proc.stderr
+        written.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    assert written[0] == written[1]
 
 
 def test_config_errors_exit_two(tmp_path):

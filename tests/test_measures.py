@@ -34,6 +34,7 @@ from shiftpath import (
     masses_along_orbit,
     transform_measure,
 )
+from shiftpath import transfer
 
 
 def test_raw_measure_aggregation(golden):
@@ -134,6 +135,21 @@ def test_fixed_density_is_exactly_zero_off_the_kept_class():
     v = CylinderFunction.from_table(block, 1, {(1,): 1.0, (2,): 1.0, (3,): 0.5, (4,): 0.5})
     mu0 = fixed_density_measure(block, v, rho=quiet_invariant(block))
     assert mu0.density.values.tolist() == [1.0, 1.0, 0.0, 0.0]
+
+
+def test_fixed_density_needs_no_stationary_solve(monkeypatch):
+    """h is already 1 on the kept classes, so the dual vector nu is never solved for."""
+    systems = stock_systems()
+    expected = [solved_base(shift, v) for _, shift, v in systems]
+
+    def refuse(*args):
+        raise AssertionError("fixed_density_measure solved for nu")
+
+    monkeypatch.setattr(transfer, "_stationary_vector", refuse)
+    for (name, shift, v), expect in zip(systems, expected):
+        mu0 = solved_base(shift, v)
+        assert mu0.density.depth == expect.density.depth, name
+        assert mu0.density.values.tobytes() == expect.density.values.tobytes(), name
 
 
 def test_mass_constant_along_orbit():

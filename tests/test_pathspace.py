@@ -83,6 +83,34 @@ def test_raw_base_too_shallow_for_a_level_weight(full2):
         pm.marginal(3)
 
 
+def period_three_orbit(shift):
+    """The orbit measure of (112)^inf on the full 2-shift, as a raw depth-4 table, with v = 1."""
+    masses = np.zeros(shift.word_count(4))
+    for word in ((1, 1, 2, 1), (1, 2, 1, 1), (2, 1, 1, 2)):
+        masses[shift.word_index(word)] = 1.0 / 3.0
+    one = CylinderFunction.constant(shift, 1.0)
+    return build_path_measure(shift, one, RawMeasure(shift, 4, masses), tol=0.0)
+
+
+def test_raw_base_is_sampled_at_its_checked_depth(full2):
+    """The orbit has no [111]; a sampler that conditions at depth 1 draws it."""
+    pm = period_three_orbit(full2)
+    words = sample_paths(pm, 2, 20000, 1, seed=1).theta_words(2, 3)
+    assert {tuple(w) for w in words.tolist()} <= {(1, 1, 2), (1, 2, 1), (2, 1, 1)}
+
+
+def test_raw_base_martingale_coordinates_are_exact(full2):
+    """Given the level-0 record, the level-1 symbol of the orbit is known exactly."""
+    pm = period_three_orbit(full2)
+    xi = CylinderFunction.indicator(full2, (1,))
+    mc = martingale_coordinates(pm, xi, 1)
+    assert mc.depth == 3
+    coords = mc.coordinates[0]
+    assert [coords.value(w) for w in ((1, 1, 2), (1, 2, 1), (2, 1, 1))] == [0.0, 1.0, 1.0]
+    with pytest.raises(DepthTooShallow):
+        martingale_coordinates(pm, xi, 2)
+
+
 def test_marginal_total_masses_constant(golden):
     v = weight_markov_golden(golden)
     pm = make_pm(golden, v)

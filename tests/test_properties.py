@@ -45,6 +45,7 @@ from conftest import (
     scipy_null_space,
     slow_leak_weight,
     solved_base,
+    stock_systems,
     surviving_states,
 )
 from shiftpath import (
@@ -59,6 +60,7 @@ from shiftpath import (
     check_fixed_point,
     check_weight_pushforward,
     decompose,
+    fixed_density_measure,
     iterate_fixed_function,
     left_fixed_functional,
     markov_measure_for_weight,
@@ -234,10 +236,11 @@ def sub_normalized_weights(draw):
     at least one, are set to 0.  At depth 1 the weight is scaled so that
     its largest branch average is 1.  Deeper, the branches of each word
     are scaled to average 1, and to 1/2 on one drawn leaky word, if any;
-    words whose branches are all 0 lose all their mass.  The grid keeps
-    every leak large enough for the loop oracle to converge: with free
-    floats a depth-1 weight can lose 1e-7 of its mass per step, and the
-    loop then needs more than 10**6 steps.
+    words whose branches are all 0 lose all their mass.  Not every leak
+    on this grid is fast: `slow_degenerate` loses about 1e-4 of its mass
+    per step, and the loop oracle needs over 10**5 steps for it.  With
+    free floats a depth-1 weight can lose 1e-7 of its mass per step, and
+    the loop then needs more than 10**6 steps.
     """
     shift = build_subshift(draw(matrices()))
     v_depth = draw(st.integers(1, 3))
@@ -266,23 +269,58 @@ def tiny_leak():
     return full, slow_leak_weight(full, stay=1.0, leave=2e-20)
 
 
+def slow_degenerate():
+    """Depth 3 on a 4-symbol subshift: no word keeps its mass, and the operator's spectral radius is 0.99989."""
+    shift = build_subshift([[1, 1, 1, 1], [0, 1, 0, 1], [1, 1, 1, 1], [0, 1, 1, 0]])
+    values = [
+        0.0, 2.0, 1.0, 1.0, 1.714285714285714, 2.666666666666667, 1.7999999999999998,
+        0.49999999999999994, 2.0, 2.0, 1.5, 2.625, 1.714285714285714, 0.6666666666666667,
+        0.75, 0.37500000000000006, 2.0, 0.0, 1.0, 1.0, 0.2857142857142857, 0.0,
+        0.6000000000000001, 0.49999999999999994, 0.5, 0.5, 0.75, 0.0, 0.2857142857142857,
+        0.6666666666666667, 0.6000000000000001, 0.49999999999999994, 0.5, 0.5,
+    ]
+    return shift, CylinderFunction(shift, 3, values)
+
+
 @PROPERTY_SETTINGS
 @given(sub_normalized_weights())
 @example(tiny_leak())
+@example(slow_degenerate())
 def test_fixed_function_is_the_limit_of_the_monotone_loop(system):
     """h agrees with the former loop and is positive exactly where a path keeps its mass.
 
     The loop runs with a cap far above its former default of 10000
-    steps, which slowly leaking words exceed.
+    steps, which slowly leaking words exceed.  Where no word keeps its
+    mass, the iterates fall to 0 with no rounding floor, so the loop runs
+    to a step of 1e-17: at a leak of 1e-4 per step, about 10**4 times the
+    last step is still to go, 9e-10 after a step of 1e-13.  Elsewhere the
+    iterates settle within rounding of values near 1 and may never step
+    by less than 1e-16.
     """
     shift, v = system
     res = iterate_fixed_function(shift, v)
-    loop, _ = loop_fixed_function(shift, v, max_iter=10**6)
-    assert np.abs(res.h.values - loop.values).max() <= 1e-10
     surviving = surviving_states(transfer_matrix(shift, v, res.h.depth).matrix)
+    tol = 1e-13 if surviving.any() else 1e-17
+    loop, _ = loop_fixed_function(shift, v, tol=tol, max_iter=10**6)
+    assert np.abs(res.h.values - loop.values).max() <= 1e-10
     assert res.h.values.min() >= 0.0
     assert ((res.h.values > 0) == surviving).all()
     assert res.status == ("converged" if surviving.any() else "degenerate")
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from([(shift, v) for _, shift, v in stock_systems()]) | sub_normalized_weights())
+def test_fixed_density_is_h_and_h_pairs_to_one_with_nu(system):
+    """The density is the solved h, unscaled; h pairs to 1 with the dual fixed vector nu."""
+    shift, v = system
+    res = iterate_fixed_function(shift, v)
+    if res.status == "degenerate":
+        with pytest.raises(DegenerateH):
+            fixed_density_measure(shift, v)
+        return
+    mu0 = fixed_density_measure(shift, v, rho=quiet_invariant(shift))
+    assert mu0.density.values.tobytes() == res.h.values.tobytes()
+    assert abs(left_fixed_functional(shift, v).integrate(res.h) - 1.0) <= 1e-13
 
 
 def block_flat():
