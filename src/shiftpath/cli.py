@@ -12,8 +12,8 @@ Exit codes: 0 all checks passed, 1 an identity failed its tolerance,
 2 config or precondition problem (also a flag out of its range, and
 fewer than 100 samples), 3 the invariant vector is not unique (more
 than one closed class), 4 the fixed density is degenerate, 5 sampling
-hit a zero-mass state or the iteration mass collapsed, 6 the fixed
-point is not extremal at the requested depth.
+hit a zero-mass state, 6 the fixed point is not extremal at the
+requested depth.
 
 Every JSON report embeds the tool version and a sha256 of the
 canonical config so downstream diffs can tell configs apart.  All
@@ -32,7 +32,6 @@ from . import __version__
 from .errors import (
     ConfigError,
     DegenerateH,
-    MassCollapse,
     NotFixedPoint,
     ShiftPathError,
     ZeroMassConditioning,
@@ -155,7 +154,7 @@ def cmd_invariant(args):
 def cmd_fixpoint(args):
     cfg, shift = _load(args)
     v = build_weight_from_config(shift, cfg)
-    result = iterate_fixed_function(shift, v, tol=args.tol)
+    result = iterate_fixed_function(shift, v)
     nu = left_fixed_functional(shift, v)
     h = result.h
     write_function_csv(_outpath(args, "fixed_function.csv"), h)
@@ -172,7 +171,6 @@ def cmd_fixpoint(args):
             "min_h": float(h.values.min()),
             "pairing": None if nu is None else float(nu.integrate(h)),
             "functional_found": nu is not None,
-            "tolerance": args.tol,
         }
     )
     write_report(_outpath(args, "fixpoint_report.json"), report)
@@ -332,7 +330,7 @@ _VERIFY_FLAGS = ("config", "depth", "steps", "tol", "out")
 # each subcommand takes only the flags it reads
 _COMMAND_FLAGS = {
     "invariant": ("config", "depth", "tol", "out"),
-    "fixpoint": ("config", "tol", "out"),
+    "fixpoint": ("config", "out"),
     "verify": _VERIFY_FLAGS,
     "sample": _VERIFY_FLAGS + ("samples", "seed", "workers"),
     "ergodicity": ("config", "depth", "tol", "out"),
@@ -370,7 +368,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"shiftpath: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ZeroMassConditioning, MassCollapse) as exc:
+    except ZeroMassConditioning as exc:
         print(f"shiftpath: sampling degenerated: {exc}", file=sys.stderr)
         return EXIT_SAMPLING
     except DegenerateH as exc:

@@ -38,7 +38,11 @@ class DepthTooShallow(ShiftPathError):
 
 
 class NotSubNormalized(ShiftPathError):
-    """sup of the transferred constant T1 exceeds 1 + tol: the weight is not sub-normalized."""
+    """The weight is not sub-normalized.
+
+    Some value of the transferred constant T1 exceeds 1 by more than
+    `invariant.NORMALIZED_SLACK`, or is NaN.
+    """
 
 
 class NoConvergence(ShiftPathError):
@@ -53,10 +57,6 @@ class NoConvergence(ShiftPathError):
         self.last_delta = last_delta
         last = ", ".join(f"{name} {value:.3e}" for name, value in last_delta.items())
         super().__init__(f"no convergence within {max_iter} iterations (last: {last})")
-
-
-class MonotonicityViolation(ShiftPathError):
-    """sup of the transferred constant T1 exceeds 1 + 1e-12 (and at most 1 + tol)."""
 
 
 class DegenerateH(ShiftPathError):

@@ -208,7 +208,7 @@ def decompose_report(shift, mu0, report):
     best_score = 0.0
     for j in range(report.basis.shape[1]):
         b = report.basis[:, j]
-        centered = b - (b @ masses) / total
+        centered = b - np.sum(b * masses) / total
         score = np.abs(centered[support]).max() if support.any() else 0.0
         if score > best_score:
             best_score = score
@@ -221,7 +221,7 @@ def decompose_report(shift, mu0, report):
         best = -best
 
     g = best - best.min()
-    g_mean = (g @ masses) / total
+    g_mean = np.sum(g * masses) / total
     f1_vals = g / g_mean
     f1 = CylinderFunction(shift, depth, f1_vals)
     lam = 1.0 / (2.0 * f1_vals.max())

@@ -29,6 +29,9 @@ import numpy as np
 # chains of at most this many states are solved dense; scipy loads only above it
 DENSE_STATES = 1024
 
+# how far a branch average may stray from 1 and still count as normalized
+NORMALIZED_SLACK = 1e-12
+
 
 class NonUniqueFixedVector(UserWarning):
     pass
@@ -69,7 +72,7 @@ class MarkovMeasure:
                 raise ValueError("kernel shape mismatch")
             if ((kernel > 0) & (shift.matrix == 0)).any():
                 raise ValueError("kernel puts weight on a forbidden transition")
-            if not (np.abs(kernel.sum(axis=0) - 1.0) <= 1e-12).all():
+            if not (np.abs(kernel.sum(axis=0) - 1.0) <= NORMALIZED_SLACK).all():
                 raise ValueError("kernel columns must sum to 1")
         self.shift = shift
         self.q = q
@@ -77,7 +80,7 @@ class MarkovMeasure:
         self.kernel = kernel
         self.kernel.setflags(write=False)
         self.non_unique = bool(non_unique)
-        self.strongly_invariant = bool(np.allclose(kernel, default_kernel, atol=1e-14))
+        self.strongly_invariant = bool(np.abs(kernel - default_kernel).max() <= 1e-14)
         self._mass_cache = {}
 
     def __repr__(self):
@@ -112,8 +115,8 @@ class MarkovMeasure:
     def integrate(self, f):
         """Exact integral of a cylinder function."""
         vals = f.values
-        masses = self.masses_at(f.depth)
-        return complex(vals @ masses) if np.iscomplexobj(vals) else float(vals @ masses)
+        out = np.sum(vals * self.masses_at(f.depth))  # not a BLAS dot: thread-count free
+        return complex(out) if np.iscomplexobj(vals) else float(out)
 
 
 def cylinder_mass(rho, word):
@@ -397,7 +400,7 @@ def markov_measure_for_weight(shift, w):
     p = np.zeros((shift.k, shift.k))
     p[a, j] = w2.values / shift.column_sums[j]
     col = p.sum(axis=0)
-    if not (np.abs(col - 1.0) <= 1e-12).all():
+    if not (np.abs(col - 1.0) <= NORMALIZED_SLACK).all():
         raise ValueError(
             f"weight is not normalized: branch averages {col.tolist()} differ from 1"
         )

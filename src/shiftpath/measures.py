@@ -76,7 +76,7 @@ class RawMeasure:
                 f"cannot integrate a depth-{f.depth} function at depth {self.depth}"
             )
         vals = f.promote(self.depth).values
-        out = vals @ self.masses
+        out = np.sum(vals * self.masses)
         return complex(out) if np.iscomplexobj(vals) else float(out)
 
     def reweighted(self, f):

@@ -361,7 +361,7 @@ class MartingaleCoordinates:
         out = []
         for n, g in enumerate(self.coordinates):
             masses = self.pm.marginal(n).masses_at(self.depth)
-            out.append(float(np.sqrt(g.abs_squared().values @ masses)))
+            out.append(float(np.sqrt(np.sum(g.abs_squared().values * masses))))
         return np.asarray(out)
 
 

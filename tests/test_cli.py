@@ -1,5 +1,6 @@
 """Command line behavior: outputs, exit codes, and reproducibility."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -289,22 +290,64 @@ def block_split(seed, depth=10):
     return dict(BLOCK_FLAT, V={"depth": depth, "values": table})
 
 
-def test_ergodicity_bytes_do_not_depend_on_blas_threads(tmp_path):
-    """The decomposition of a solved base writes the same files at one and at two BLAS threads."""
-    cfg = write_config(tmp_path, block_split(0))
+def written_at_blas_threads(tmp_path, argv, code):
+    """The files a subcommand writes at one and at two BLAS threads, each run exiting `code`."""
     written = []
     for threads in ("1", "2"):
         out = tmp_path / threads
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
                    OPENBLAS_NUM_THREADS=threads)
         proc = subprocess.run(
-            [sys.executable, "-m", "shiftpath", "ergodicity", "--config", cfg,
-             "--depth", "9", "--out", str(out)],
+            [sys.executable, "-m", "shiftpath", *argv, "--out", str(out)],
             env=env, capture_output=True, text=True,
         )
-        assert proc.returncode == 6, proc.stderr
+        assert proc.returncode == code, proc.stderr
         written.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    return written
+
+
+def test_ergodicity_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """The decomposition of a solved base writes the same files at one and at two BLAS threads."""
+    cfg = write_config(tmp_path, block_split(0))
+    written = written_at_blas_threads(tmp_path, ["ergodicity", "--config", cfg, "--depth", "9"], 6)
     assert written[0] == written[1]
+
+
+def _load_bench_workloads():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_verify_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """`verify` on the seed-201 verify-deep bench config writes the same bytes at 1 and 2 threads."""
+    workload = _load_bench_workloads().generate("verify-deep", 201, str(tmp_path))
+    written = written_at_blas_threads(tmp_path, workload.argv, 0)
+    assert written[0] == written[1]
+
+
+EDGE_COMMANDS = (
+    ("fixpoint",),
+    ("verify", "--depth", "2", "--steps", "2"),
+    ("ergodicity", "--depth", "1"),
+    ("sample", "--samples", "1000", "--depth", "1", "--steps", "1"),
+)
+
+
+@pytest.mark.parametrize("eps, code", [(-1e-11, 4), (5e-13, 0), (1e-11, 2)])
+def test_commands_agree_at_the_normalization_edge(tmp_path, eps, code):
+    """A constant weight 1 + eps on the full 2-shift gets one verdict from every command.
+
+    Below 1 - NORMALIZED_SLACK the class loses mass and h is 0 (exit 4),
+    within the slack it keeps it (exit 0), above 1 + NORMALIZED_SLACK the
+    weight is not sub-normalized (exit 2).
+    """
+    weight = {"depth": 1, "values": {"1": 1 + eps, "2": 1 + eps}}
+    cfg = write_config(tmp_path, dict(DEGENERATE, V=weight))
+    codes = [run([*command, "--config", cfg, "--out", str(tmp_path)]) for command in EDGE_COMMANDS]
+    assert codes == [code] * len(EDGE_COMMANDS)
 
 
 def test_config_errors_exit_two(tmp_path):
@@ -430,6 +473,7 @@ def test_oversized_sample_exits_two_before_allocating(tmp_path):
         ("fixpoint", "--max-iter"),
         ("ergodicity", "--max-iter"),
         ("fixpoint", "--depth"),
+        ("fixpoint", "--tol"),
         ("verify", "--samples"),
         ("ergodicity", "--seed"),
         ("ergodicity", "--workers"),

@@ -1,5 +1,8 @@
 """Every name a package module imports or defines is used, and scipy loads late.
 
+No package module calls np.allclose or np.isclose: their default
+relative tolerance would widen any absolute bound.
+
 The package root is exempt from the import check: it imports names to
 re-export them, and a name it exports counts as used by the definition
 check.  scipy is imported only inside the two leaf kernels of
@@ -179,6 +182,31 @@ def test_only_the_two_leaf_kernels_import_scipy():
     """The graph search and the LU solve are the only places that pick dense or sparse."""
     source = (PACKAGE / "invariant.py").read_text(encoding="utf-8")
     assert scipy_importers(source) == {"_components", "_lu_solve"}
+
+
+def relative_closeness_calls(source):
+    """Calls of `allclose` or `isclose`, whose default rtol=1e-5 hides in any bound, by line."""
+    return [
+        f"{node.func.attr} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("allclose", "isclose")
+    ]
+
+
+def test_relative_closeness_calls_are_found():
+    source = "import numpy as np\nnp.allclose(a, b, atol=0)\nx = numpy.isclose(a, b)\nnp.abs(a)\n"
+    assert relative_closeness_calls(source) == ["allclose (line 2)", "isclose (line 3)"]
+
+
+def test_package_states_its_bounds_as_absolute_ones():
+    """No module compares with np.allclose or np.isclose: each bound is an absolute one."""
+    found = {
+        path.name: relative_closeness_calls(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {name: calls for name, calls in found.items() if calls} == {}
 
 
 SMALL = {

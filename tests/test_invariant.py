@@ -16,12 +16,14 @@ from conftest import (
 )
 from shiftpath import (
     CylinderFunction,
+    DensityMeasure,
     MarkovMeasure,
     NonUniqueFixedVector,
     build_subshift,
     cylinder_mass,
     markov_measure_for_weight,
     strongly_invariant_measure,
+    transform_measure,
     verify_strong_invariance,
 )
 from shiftpath.invariant import (
@@ -200,6 +202,18 @@ def test_markov_measure_for_weight(full2):
             ratio = mu.mass((a,) + w) / mu.mass(w)
             assert ratio == pytest.approx(p[a - 1, w[0] - 1], abs=1e-13)
     assert not mu.strongly_invariant
+
+
+def test_a_kernel_off_by_2e_6_is_not_strongly_invariant(full2):
+    """The 1e-14 bound on the kernel is absolute: no relative slack lets a 2e-6 gap through."""
+    kernel = np.array([[0.5 + 2e-6, 0.5], [0.5 - 2e-6, 0.5]])
+    q = np.array([0.5, 0.5 - 2e-6]) / (1.0 - 2e-6)  # kernel @ q == q
+    mu = MarkovMeasure(full2, q, kernel=kernel)
+    assert verify_strong_invariance(mu, 2) > 1e-7
+    assert not mu.strongly_invariant
+    one = CylinderFunction.constant(full2, 1.0)
+    with pytest.raises(ValueError, match="strongly invariant"):
+        transform_measure(full2, one, DensityMeasure(one, mu))
 
 
 def test_markov_measure_for_weight_rejects_unnormalized(full2):

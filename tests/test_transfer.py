@@ -19,7 +19,6 @@ from conftest import (
 from shiftpath import (
     CylinderFunction,
     DepthTooShallow,
-    MonotonicityViolation,
     NotSubNormalized,
     apply_transfer,
     build_subshift,
@@ -149,10 +148,20 @@ def test_fixed_function_keeps_tiny_positive_values(full2):
 
 
 def test_monotonicity_violation_guard(full2):
-    """A weight just over normalization slips a loose gate but still rises."""
+    """A weight just over normalization, by more than NORMALIZED_SLACK, is refused."""
     v = CylinderFunction.constant(full2, 1.0 + 1e-11)
-    with pytest.raises(MonotonicityViolation):
-        iterate_fixed_function(full2, v, tol=1e-10)
+    with pytest.raises(NotSubNormalized):
+        iterate_fixed_function(full2, v)
+
+
+@pytest.mark.parametrize("values", [(2.0, 2.0), (1.0, np.nan)], ids=["grows", "nan"])
+def test_left_functional_requires_sub_normalization(full2, values):
+    """A weight whose mass grows, or that holds a NaN, has no functional to return, not None."""
+    v = CylinderFunction(full2, 1, np.array(values))
+    with pytest.raises(NotSubNormalized):
+        left_fixed_functional(full2, v)
+    with pytest.raises(NotSubNormalized):
+        iterate_fixed_function(full2, v)
 
 
 def test_left_functional_full_shift(full2):
