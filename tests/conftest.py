@@ -280,26 +280,19 @@ def dense_ergodicity_oracle(shift, mu0, v, depth, rtol=1e-10, floor=1e-12):
 # the former solvers of h and nu, kept as oracles
 
 
-def loop_fixed_function(shift, v, tol=1e-13, max_iter=10000, rest_tol=None):
+def loop_fixed_function(shift, v, tol=1e-13, max_iter=10000):
     """h = lim T^n 1 by the monotone iteration from the constant 1; returns (h, steps).
 
     Stops when two iterates agree within tol and raises NoConvergence
     after max_iter steps.  Where h vanishes, the iterates stop at a
-    residue of about tol / (1 - r), not at 0, for a decay of r per
-    step: 36 times tol at r = 0.97.  With rest_tol, the loop also runs
-    until the geometric rest of the steps, delta * r / (1 - r) with r
-    the ratio of the last two steps, is at most rest_tol, so the
-    residue is of order rest_tol at any decay.
+    residue of order tol, not at 0.
     """
     h = CylinderFunction.constant(shift, 1.0, max(v.depth - 1, 1))
-    last = np.inf
     for n in range(1, max_iter + 1):
         nxt = apply_transfer(shift, v, h)
         delta = float(np.abs(nxt.values - h.values).max())
         h = nxt
-        ratio, last = delta / last, delta
-        rest = delta * ratio / (1.0 - ratio) if rest_tol is not None and ratio < 1.0 else 0.0
-        if delta <= tol and rest <= (rest_tol or 0.0):
+        if delta <= tol:
             return h, n
     raise NoConvergence(max_iter, {"delta": delta})
 
@@ -348,26 +341,20 @@ def loop_fixed_density_measure(shift, v):
     """h d(rho) from the loop, the lstsq nu and the lstsq rho, h scaled to unit pairing with nu.
 
     Its bases carry the residue of the loop and of the lstsq rho on
-    words where h or rho vanishes.  The loop runs until the rest of its
-    steps is at most 1e-14, so that residue stays below 1e-12 of the
-    total mass however slowly h decays where it vanishes; stopped at
-    its step of 1e-13 alone, a decay of 0.97 per step left 3.6e-12 on
-    h, 2.7e-12 of the total.  Raises DegenerateH when h is charged
-    only where rho is rounding residue, whose exact base is 0.
+    words where h or rho vanishes.
     """
     rho = lstsq_invariant_measure(shift)
-    h, _ = loop_fixed_function(shift, v, rest_tol=1e-14)
+    h, _ = loop_fixed_function(shift, v)
     if h.sup_norm() < 1e-9:
         raise DegenerateH("monotone limit is identically zero")
-    # h charged only where rho is rounding residue: the exact base is the zero measure
-    total = rho.integrate(h)
-    if total <= 1e-12 * h.sup_norm():
-        raise DegenerateH("fixed function integrates to residue mass")
     # the loop's h is not exactly 1 on the kept classes, so it is scaled to nu(h) = 1
     nu = lstsq_fixed_functional(shift, v)
     pairing = 0.0 if nu is None else nu.integrate(h)
     if pairing > 1e-12:
         return DensityMeasure(h * (1.0 / pairing), rho)
+    total = rho.integrate(h)
+    if total <= 0:
+        raise DegenerateH("fixed function integrates to zero mass")
     return DensityMeasure(h * (1.0 / total), rho)
 
 

@@ -185,19 +185,26 @@ def test_only_the_two_leaf_kernels_import_scipy():
 
 
 def relative_closeness_calls(source):
-    """Calls of `allclose` or `isclose`, whose default rtol=1e-5 hides in any bound, by line."""
-    return [
-        f"{node.func.attr} (line {node.lineno})"
+    """Calls of `allclose` or `isclose`, whose default rtol=1e-5 hides in any bound, by line.
+
+    Both `np.allclose(...)` and a bare `allclose(...)` imported from numpy count.
+    """
+    calls = [
+        (node.lineno, getattr(node.func, "attr", getattr(node.func, "id", None)))
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr in ("allclose", "isclose")
     ]
+    return [f"{name} (line {line})" for line, name in sorted(calls) if name in ("allclose", "isclose")]
 
 
 def test_relative_closeness_calls_are_found():
-    source = "import numpy as np\nnp.allclose(a, b, atol=0)\nx = numpy.isclose(a, b)\nnp.abs(a)\n"
-    assert relative_closeness_calls(source) == ["allclose (line 2)", "isclose (line 3)"]
+    source = (
+        "import numpy as np\nfrom numpy import allclose\n"
+        "np.allclose(a, b, atol=0)\nx = numpy.isclose(a, b)\nnp.abs(a)\nallclose(a, b)\n"
+    )
+    assert relative_closeness_calls(source) == [
+        "allclose (line 3)", "isclose (line 4)", "allclose (line 6)",
+    ]
 
 
 def test_package_states_its_bounds_as_absolute_ones():
