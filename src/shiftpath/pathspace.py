@@ -197,7 +197,10 @@ class _WalkKernel:
         self.cdf[last] = np.inf
         self.kmax = int(np.diff(walk.indptr).max())
         self.nxt = walk.indices
-        self.syms = self.shift.prefix_indices(working_depth, 1)[walk.indices] + 1
+        # depth-1 word i is symbol i + 1; the sum is intp, so it cannot wrap
+        self.syms = (self.shift.prefix_indices(working_depth, 1)[walk.indices] + 1).astype(
+            self.shift.symbol_dtype
+        )
 
     def draw_base(self, r):
         return np.minimum(np.searchsorted(self.cum0, r, side="right"), len(self.cum0) - 1)
@@ -224,8 +227,8 @@ class SampleBatch:
     shift: object
     base_depth: int
     n_steps: int
-    base_words: np.ndarray  # (n_samples, base_depth)
-    prepends: np.ndarray  # (n_samples, n_steps)
+    base_words: np.ndarray  # (n_samples, base_depth) symbols, of shift.symbol_dtype
+    prepends: np.ndarray  # (n_samples, n_steps) symbols, of shift.symbol_dtype
 
     def __len__(self):
         return self.base_words.shape[0]
@@ -275,8 +278,8 @@ def sample_paths(pm, n_steps, n_samples, base_depth, seed, workers=1):
     working = max(base_depth, pm.v.depth, pm.density_depth)
     kernel = pm._kernel(working)
     base_of = pm.shift.prefix_indices(working, base_depth)
-    base_words = np.empty((n_samples, base_depth), dtype=np.int64)
-    prepends = np.empty((n_samples, n_steps), dtype=np.int64)
+    base_words = np.empty((n_samples, base_depth), dtype=pm.shift.symbol_dtype)
+    prepends = np.empty((n_samples, n_steps), dtype=pm.shift.symbol_dtype)
     rng = np.random.default_rng(seed)
     threads = max(min(workers, n_samples, _usable_cpus()), 1)
 

@@ -23,7 +23,7 @@ from .invariant import Chain, closed_classes
 
 # Largest word table built at any depth; 3**13 words fit, 2**22 do not.
 MAX_TABLE_WORDS = 2**21
-# Largest sampled batch in symbols, samples x (base depth + steps): 1 GiB of int64.
+# Largest sampled batch in symbols, samples x (base depth + steps): 128 MiB of uint8.
 MAX_SAMPLE_SYMBOLS = 2**27
 
 
@@ -78,10 +78,11 @@ class Subshift:
 
     Notes
     -----
-    Each depth's words are two int arrays, the parent index (the word
-    minus its last symbol) and the last symbol, built lazily and cached
-    read-only.  Instances are immutable after construction and safe for
-    concurrent reads.
+    Each depth's words are two arrays, the parent index (the word minus
+    its last symbol, intp) and the last symbol (`symbol_dtype`, one byte
+    for k <= 255), built lazily and cached read-only.  Every index array
+    is intp, which numpy indexes with no cast.  Instances are immutable
+    after construction and safe for concurrent reads.
     """
 
     def __init__(self, matrix):
@@ -97,6 +98,8 @@ class Subshift:
             if cj == 0:
                 raise ZeroColumn(j + 1)
         self.k = int(a.shape[0])
+        # the narrowest unsigned type that holds the symbols 0..k
+        self.symbol_dtype = np.min_scalar_type(self.k)
         self.matrix = _frozen(a)
         self.column_sums = _frozen(cols)
         # the word tables form a tree rooted at the empty word (depth 0, symbol
@@ -107,8 +110,8 @@ class Subshift:
         self._rank = np.where(self._allowed, np.cumsum(self._allowed, axis=1) - 1, -1)
         # keyed by depth, so that concurrent growth only rewrites equal arrays;
         # _first[d][i] is the first child of depth-d word i
-        self._last, self._parent, self._first = {0: np.zeros(1, dtype=np.int64)}, {}, {}
-        self._suffix = {1: np.zeros(self.k, dtype=np.int64)}
+        self._last, self._parent, self._first = {0: np.zeros(1, dtype=self.symbol_dtype)}, {}, {}
+        self._suffix = {1: np.zeros(self.k, dtype=np.intp)}
 
     def __repr__(self):
         return f"Subshift(k={self.k})"
@@ -150,7 +153,7 @@ class Subshift:
             parent, last = np.nonzero(self._allowed[prev])
             self._first[d - 1] = _frozen(np.searchsorted(parent, np.arange(len(prev))))
             self._parent[d] = _frozen(parent)
-            self._last[d] = _frozen(last)
+            self._last[d] = _frozen(last.astype(self.symbol_dtype))
 
     def words(self, depth):
         """Admissible words of the given length as tuples, lexicographically ordered."""
@@ -186,12 +189,16 @@ class Subshift:
         raise InadmissibleWord(f"word {word} is not admissible")
 
     def symbols_array(self, depth):
-        """Admissible words as an int array of shape (count, depth)."""
+        """Admissible words as a `symbol_dtype` array of shape (count, depth)."""
         return self.words_at(depth, np.arange(self.word_count(depth)))
 
     def words_at(self, depth, index):
-        """Depth-`depth` words at the table positions `index`, shape index.shape + (depth,)."""
-        sym = np.empty(np.shape(index) + (depth,), dtype=np.int64)
+        """Depth-`depth` words at the table positions `index`, shape index.shape + (depth,).
+
+        The symbols are `symbol_dtype`; widen them before any arithmetic
+        that could leave 0..k.
+        """
+        sym = np.empty(np.shape(index) + (depth,), dtype=self.symbol_dtype)
         for d, column in enumerate(self._columns(depth, index), 1):
             sym[..., -d] = column
         return sym
@@ -212,12 +219,19 @@ class Subshift:
             raise InadmissibleWord(f"word {word_string(word)} is not admissible")
 
     def prefix_indices(self, depth, prefix_depth):
-        """For each depth-`depth` word, the index of its length-`prefix_depth` prefix."""
-        if prefix_depth > depth:
-            raise ValueError("prefix depth exceeds word depth")
-        idx = np.arange(self.word_count(depth), dtype=np.int64)
-        for d in range(depth, prefix_depth, -1):
-            idx = self._parent[d][idx]
+        """For each depth-`depth` word, the index of its length-`prefix_depth` prefix.
+
+        Walked from the prefix depth down, one gather per deeper level
+        over that level's words, so the cost is about the size of the
+        deepest table, not (depth - prefix_depth) times it.  Prefix depth
+        0 is the empty word, index 0 of every word.
+        """
+        if not 0 <= prefix_depth <= depth:
+            raise ValueError(f"prefix depth {prefix_depth} is outside 0..{depth}")
+        self._grow(depth)
+        idx = np.arange(len(self._last[prefix_depth]))
+        for d in range(prefix_depth + 1, depth + 1):
+            idx = idx[self._parent[d]]
         return idx
 
     def suffix_indices(self, depth):

@@ -134,6 +134,14 @@ def brute_words(matrix, depth):
     return out
 
 
+def leaf_up_prefix_indices(shift, depth, prefix_depth):
+    """The former prefix map, kept as an oracle: each word walks the parent arrays up to its prefix."""
+    idx = np.arange(shift.word_count(depth), dtype=np.int64)
+    for d in range(depth, prefix_depth, -1):
+        idx = shift._parent[d][idx]
+    return idx
+
+
 def brute_column_sums(matrix):
     k = len(matrix)
     return [sum(matrix[i][j] for i in range(k)) for j in range(k)]

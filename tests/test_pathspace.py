@@ -261,6 +261,25 @@ def test_sampler_memory_is_the_batch_and_one_block():
     assert peak < batch.base_words.nbytes + batch.prepends.nbytes + 8 * 2**20
 
 
+def test_sampler_memory_holds_one_byte_symbols():
+    """300000 samples of 3 + 6 symbols on the full 3-shift peak under 14 MiB, kernel build included.
+
+    The batch is 2.6 MiB of uint8 (10.3 MiB peak); with int64 symbols
+    it was 20.6 MiB and the peak 28.8 MiB.
+    """
+    full3 = build_subshift([[1, 1, 1]] * 3)
+    one = CylinderFunction.constant(full3, 1.0)
+    pm = build_path_measure(full3, one, DensityMeasure(one, quiet_invariant(full3)))
+    tracemalloc.start()
+    try:
+        batch = sample_paths(pm, n_steps=6, n_samples=300000, base_depth=3, seed=8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert batch.prepends.shape == (300000, 6)
+    assert peak < 14 * 2**20
+
+
 def test_sampler_deterministic_across_runs(full2):
     v = weight_markov_full(full2)
     pm = make_pm(full2, v)

@@ -38,6 +38,7 @@ from conftest import (
     dense_ergodicity_oracle,
     dense_sample_paths,
     dense_stationary_vector,
+    leaf_up_prefix_indices,
     loop_fixed_density_measure,
     loop_fixed_function,
     lstsq_fixed_functional,
@@ -115,6 +116,17 @@ def test_tables_match_tuple_oracle(matrix, depth):
     if depth >= 2:
         where = {w: i for i, w in enumerate(brute_words(matrix, depth - 1))}
         assert shift.suffix_indices(depth).tolist() == [where[w[1:]] for w in words]
+
+
+@PROPERTY_SETTINGS
+@given(matrices())
+def test_prefix_maps_from_the_root_match_the_leaf_up_walk(matrix):
+    shift = build_subshift(matrix)
+    for depth in range(1, 7):
+        for prefix in range(1, depth + 1):
+            got = shift.prefix_indices(depth, prefix)
+            assert got.dtype == np.intp
+            assert got.tobytes() == leaf_up_prefix_indices(shift, depth, prefix).tobytes()
 
 
 @PROPERTY_SETTINGS
@@ -402,16 +414,18 @@ def test_streamed_sampler_matches_the_dense_oracle(data, steps, samples, depth):
         assert flat.astype(table.dtype).tobytes() == table[rows, cols].tobytes()
     seed = data.draw(st.integers(0, 2**32 - 1))
 
-    def draw(sampler, workers):
-        batch = sampler(pm, steps, samples, depth, seed, workers=workers)
-        return batch.base_words.shape, batch.base_words.tobytes(), batch.prepends.tobytes()
+    def values(batch):
+        return batch.base_words.shape, batch.base_words.tolist(), batch.prepends.tolist()
 
-    expected = draw(dense_sample_paths, 1)
+    # the oracle's prepends are int64, so the values are compared and the dtype apart
+    expected = values(dense_sample_paths(pm, steps, samples, depth, seed))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pathspace, "SAMPLE_BLOCK", 7)
         patch.setattr(pathspace, "_usable_cpus", lambda: 3)
         for workers in (1, 3):
-            assert draw(sample_paths, workers) == expected
+            batch = sample_paths(pm, steps, samples, depth, seed, workers=workers)
+            assert values(batch) == expected
+            assert batch.base_words.dtype == batch.prepends.dtype == np.uint8
 
 
 @st.composite

@@ -11,19 +11,24 @@ from conftest import (
     brute_weight_product,
     brute_words,
     function_dict,
+    quiet_invariant,
     random_subshift,
     random_weight,
     table_value,
 )
 from shiftpath import (
     CylinderFunction,
+    DensityMeasure,
     DepthDowngrade,
     InadmissibleWord,
     NegativeWeight,
     NonBinaryEntry,
     TableTooLarge,
     ZeroColumn,
+    build_path_measure,
     build_subshift,
+    sample_paths,
+    verify_strong_invariance,
     weight_product,
 )
 
@@ -109,6 +114,75 @@ def test_prefix_and_suffix_index_maps():
             tails = shift.words(depth - 1)
             for i, w in enumerate(words):
                 assert tails[suf[i]] == w[1:]
+
+
+def test_prefix_depth_zero_is_the_empty_word_and_outside_depths_are_refused():
+    """Every word's empty prefix is the root, index 0, as the former leaf-up walk gave."""
+    golden = build_subshift(GOLDEN)
+    for depth in (1, 4):
+        assert golden.prefix_indices(depth, 0).tolist() == [0] * golden.word_count(depth)
+        for prefix in (-1, depth + 1):
+            with pytest.raises(ValueError, match=f"prefix depth {prefix} is outside 0..{depth}"):
+                golden.prefix_indices(depth, prefix)
+
+
+def _uniform_path_measure(shift):
+    one = CylinderFunction.constant(shift, 1.0)
+    return build_path_measure(shift, one, DensityMeasure(one, quiet_invariant(shift)))
+
+
+@pytest.mark.parametrize("k, depth", [(3, 6), (25, 3)])
+def test_symbols_are_one_byte_and_indices_intp(k, depth):
+    """Every cached table and every returned word or map has its intended dtype.
+
+    Symbols are uint8, which wraps past 255, so any arithmetic on them
+    must widen first.  Index arrays are intp, which numpy gathers with
+    no cast; a narrower one would be cast on every use.
+    """
+    shift = build_subshift(np.ones((k, k), dtype=int))
+    assert shift.symbol_dtype == np.uint8
+    pm = _uniform_path_measure(shift)
+    batch = sample_paths(pm, n_steps=2, n_samples=50, base_depth=depth - 1, seed=1)
+    kernel = pm._kernel(depth - 1)
+    symbols = {
+        "words_at": shift.words_at(depth, np.arange(5)),
+        "symbols_array": shift.symbols_array(depth),
+        "base_words": batch.base_words,
+        "prepends": batch.prepends,
+        "kernel.syms": kernel.syms,
+    }
+    symbols.update({f"_last[{d}]": arr for d, arr in shift._last.items()})
+    for name, arr in symbols.items():
+        assert arr.dtype == np.uint8, name
+    indices = {"kernel.nxt": kernel.nxt, "kernel.start": kernel.start}
+    indices.update({f"prefix_indices({p})": shift.prefix_indices(depth, p) for p in range(depth + 1)})
+    indices.update({f"suffix_indices({d})": shift.suffix_indices(d) for d in range(2, depth + 1)})
+    for table in ("_parent", "_first", "_suffix"):
+        indices.update({f"{table}[{d}]": arr for d, arr in getattr(shift, table).items()})
+    for name, arr in indices.items():
+        assert arr.dtype == np.intp, name
+    # every depth's tables were built and checked above
+    assert sorted(shift._parent) == sorted(shift._suffix) == list(range(1, depth + 1))
+
+
+def test_the_largest_one_byte_alphabet_does_not_wrap():
+    """On the full 255-shift, symbol 255 comes through every table, map, mass and batch intact."""
+    k = 255
+    shift = build_subshift(np.ones((k, k), dtype=int))
+    assert shift.symbol_dtype == np.uint8
+    assert build_subshift(np.ones((k + 1, k + 1), dtype=int)).symbol_dtype == np.uint16
+    first, second = np.divmod(np.arange(k * k), k)
+    assert shift.symbols_array(2).tolist() == np.column_stack([first + 1, second + 1]).tolist()
+    assert shift.prefix_indices(2, 1).tolist() == first.tolist()
+    assert shift.suffix_indices(2).tolist() == second.tolist()
+    pm = _uniform_path_measure(shift)
+    np.testing.assert_allclose(pm.mu0.masses_at(2), 1.0 / k**2, rtol=1e-12)
+    assert verify_strong_invariance(quiet_invariant(shift), 2) <= 1e-12
+    assert sorted(set(pm._kernel(1).syms.tolist())) == list(range(1, k + 1))
+    batch = sample_paths(pm, n_steps=3, n_samples=2000, base_depth=1, seed=2)
+    assert batch.prepends.max() == k and batch.prepends.min() >= 1
+    words = batch.theta_words(2, 2)
+    assert shift.words_at(2, shift.word_index(words)).tolist() == words.tolist()
 
 
 def test_random_matrices_stay_coherent():
