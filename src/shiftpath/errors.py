@@ -45,20 +45,6 @@ class NotSubNormalized(ShiftPathError):
     """
 
 
-class NoConvergence(ShiftPathError):
-    """An iteration hit its step budget before meeting the tolerance.
-
-    last_delta maps the name of each quantity held to the tolerance to
-    its value at the last step.
-    """
-
-    def __init__(self, max_iter, last_delta):
-        self.max_iter = max_iter
-        self.last_delta = last_delta
-        last = ", ".join(f"{name} {value:.3e}" for name, value in last_delta.items())
-        super().__init__(f"no convergence within {max_iter} iterations (last: {last})")
-
-
 class DegenerateH(ShiftPathError):
     """The fixed function h is zero: no closed class of the operator keeps its mass."""
 
@@ -66,26 +52,10 @@ class DegenerateH(ShiftPathError):
 class NotFixedPoint(ShiftPathError):
     """A measure claimed to be fixed under the weighted transformer is not."""
 
-    def __init__(self, residual, tol=None):
+    def __init__(self, residual, tol):
         self.residual = residual
         self.tol = tol
-        msg = f"fixed-point residual {residual:.3e}"
-        if tol is not None:
-            msg += f" exceeds tolerance {tol:.1e}"
-        super().__init__(msg)
-
-
-class MassCollapse(ShiftPathError):
-    """Total mass of the unnormalized iterates fell below the viability floor."""
-
-    def __init__(self, n_used, masses, residual):
-        self.n_used = n_used
-        self.masses = masses
-        self.residual = residual
-        super().__init__(
-            f"iterate mass collapsed to {masses[-1]:.3e} after {n_used} steps "
-            f"(residual of the normalized iterate: {residual:.3e})"
-        )
+        super().__init__(f"fixed-point residual {residual:.3e} exceeds tolerance {tol:.1e}")
 
 
 class ZeroMassConditioning(ShiftPathError):

@@ -26,10 +26,10 @@ the walk is searched and solved dense, with numpy, or sparse, with
 scipy, is decided inside `invariant` by its two leaf kernels: dense up
 to 1024 words (`invariant.DENSE_STATES`), and then only on the
 transient block.  No dense matrix of all words by all words is formed.
-A base mass at or below ESSENTIAL_FLOOR times the total is no edge: a
-base measure found by iteration leaves masses of that size on words its
-limit does not charge, and as edges they would join classes the measure
-keeps apart.
+A base mass at or below ESSENTIAL_FLOOR times the total is no edge.  No
+package function finds a base by iteration any more; the floor is for
+tables supplied from outside, where an iteration leaves residue on words
+its limit does not charge, which as edges would join separate classes.
 """
 
 from dataclasses import dataclass
@@ -39,7 +39,7 @@ import numpy as np
 from .errors import NotFixedPoint
 from .invariant import absorption, closed_classes
 from .measures import _pushforward_masses, check_fixed_point
-from .subshift import CylinderFunction, branch_sum, prepend_walk
+from .subshift import CylinderFunction, prepend_walk
 
 NULL_SPACE_RTOL = 1e-10
 ESSENTIAL_FLOOR = 1e-12
@@ -105,7 +105,8 @@ def relative_ergodicity_dimension(shift, mu0, v, depth, tol=1e-10):
     of the absorption probabilities into the walk's closed classes; a
     word with no positive branch is a closed class of its own, so its
     value is free.  A branch whose base mass is at or below
-    ESSENTIAL_FLOOR times the total mass counts as no branch.  Below
+    ESSENTIAL_FLOOR times the total (residue of an outside iteration;
+    no package function iterates for a base) counts as no branch.  Below
     depth dw the combinations must also be constant on every depth-d
     fibre, and depth-d words with no depth-dw extension stay free.
 
@@ -122,14 +123,13 @@ def relative_ergodicity_dimension(shift, mu0, v, depth, tol=1e-10):
         raise NotFixedPoint(residual, tol)
 
     e = dw + 1
-    n = shift.word_count(dw)
     suf = shift.suffix_indices(e)
     masses = mu0.masses_at(e)
-    # masses at or below the floor are iteration residue, not edges
+    # masses at or below the floor are residue of an outside iteration, not edges
     coef = np.where(masses > ESSENTIAL_FLOOR * masses.sum(), masses, 0.0)
     coef *= v.promote(e).values
     # one step of the walk as probabilities; a word with no positive branch is its own class
-    coef /= np.where(coef > 0, branch_sum(suf, coef, n)[suf], 1.0)
+    coef /= np.where(coef > 0, shift.window_sums(coef, e, 1, dw)[suf], 1.0)
     walk = prepend_walk(shift, dw, coef)
     classes = closed_classes(walk)
     absorbed = absorption(walk, classes, np.eye(len(classes)))

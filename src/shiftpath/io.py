@@ -134,7 +134,10 @@ def build_base_measure_from_config(shift, cfg, rho):
         density.require_nonnegative("mu0 density")
     except Exception as exc:
         raise ConfigError(str(exc)) from exc
-    return DensityMeasure(density, rho)
+    mu0 = DensityMeasure(density, rho)
+    if not mu0.total_mass() > 0:  # a NaN mass fails too
+        raise ConfigError("mu0 density has no mass against the invariant measure")
+    return mu0
 
 
 def build_filter_from_config(shift, cfg):

@@ -15,16 +15,12 @@ invariant reference measure this collapses to preimage-averaging the
 density: transforming (f drho) gives (averaged v*f) drho.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DegenerateH, DepthTooShallow, MassCollapse, NoConvergence
+from .errors import DegenerateH, DepthTooShallow
 from .invariant import strongly_invariant_measure
-from .subshift import CylinderFunction, branch_sum, weight_product
+from .subshift import weight_product
 from .transfer import _operator_pieces, apply_transfer, iterate_fixed_function
-
-MASS_FLOOR = 1e-12
 
 
 class RawMeasure:
@@ -51,14 +47,11 @@ class RawMeasure:
         return float(self.masses.sum())
 
     def masses_at(self, depth):
-        if depth == self.depth:
-            return self.masses
         if depth > self.depth:
             raise DepthTooShallow(
                 f"measure stored at depth {self.depth} cannot resolve depth {depth}"
             )
-        idx = self.shift.prefix_indices(self.depth, depth)
-        return branch_sum(idx, self.masses, self.shift.word_count(depth))
+        return self.shift.window_sums(self.masses, self.depth, 0, depth)
 
     def mass(self, word):
         word = tuple(word)
@@ -115,8 +108,7 @@ class DensityMeasure:
         if depth >= f.depth:
             return f.promote(depth).values * self.rho.masses_at(depth)
         fine = f.values * self.rho.masses_at(f.depth)
-        idx = self.shift.prefix_indices(f.depth, depth)
-        return branch_sum(idx, fine, self.shift.word_count(depth))
+        return self.shift.window_sums(fine, f.depth, 0, depth)
 
     def mass(self, word):
         word = tuple(word)
@@ -145,9 +137,7 @@ def _pushforward_masses(shift, v, mu, out_depth):
     e = max(out_depth + 1, v.depth)
     ve = v.promote(e).values
     masses = mu.masses_at(e)  # DepthTooShallow for raw measures that are too coarse
-    suf = shift.suffix_indices(e)
-    target = suf if e - 1 == out_depth else shift.prefix_indices(e - 1, out_depth)[suf]
-    return branch_sum(target, ve * masses, shift.word_count(out_depth))
+    return shift.window_sums(ve * masses, e, 1, out_depth)
 
 
 def transform_measure(shift, v, mu, out_depth=None):
@@ -218,11 +208,10 @@ def weight_pushforward_defect(shift, v, rho, depth, n_max):
     """
     big = max(depth, v.depth - 1, 1)
     ve, suf, counts = _operator_pieces(shift, v, big)
-    pre, to_depth = shift.prefix_indices(big + 1, big), shift.prefix_indices(big, depth)
     dual, worst = rho.masses_at(big), 0.0
     for n in range(1, n_max + 1):
-        dual = branch_sum(pre, ve * (dual / counts)[suf], len(counts))
-        rhs = branch_sum(to_depth, dual, shift.word_count(depth))
+        dual = shift.window_sums(ve * (dual / counts)[suf], big + 1, 0, big)
+        rhs = shift.window_sums(dual, big, 0, depth)
         lhs = DensityMeasure(weight_product(v, n), rho).masses_at(depth)
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst
@@ -243,70 +232,3 @@ def fixed_density_measure(shift, v, rho=None):
     if res.status == "degenerate":
         raise DegenerateH("no closed class of the operator keeps its mass, so h is zero")
     return DensityMeasure(res.h, rho)
-
-
-@dataclass(frozen=True)
-class AveragingResult:
-    measure: DensityMeasure
-    residual: float
-    n_used: int
-    masses: np.ndarray  # unnormalized iterate masses, the viability sequence
-    via: str  # "iterate" or "cesaro"
-    iterate_residual: float
-    cesaro_residual: float
-
-
-def averaging_fixed_point(shift, v, seed, tol=1e-12, max_iter=10000):
-    """Search for a probability fixed point by renormalized iteration.
-
-    Repeatedly transforms the seed density, renormalizing to unit mass
-    after each step, and tracks the Cesaro average of the normalized
-    iterates alongside.  Whether the renormalized iterates themselves
-    always settle is not established, so both are monitored and the
-    first to pass the residual test is returned.  The product of the
-    per-step masses reconstructs the mass of the unnormalized iterate;
-    when it falls below 1e-12 the hypothesis of a two-sided mass bound
-    has failed and MassCollapse is raised.  After max_iter steps with
-    neither residual within tol, NoConvergence carries the last two.
-    """
-    v.require_nonnegative()
-    if not isinstance(seed, DensityMeasure):
-        raise ValueError("seed must be a DensityMeasure")
-    total = seed.total_mass()
-    if total <= 0:
-        raise ValueError("seed must have positive mass")
-    rho = seed.rho
-    avg_depth = max(v.depth - 1, seed.density.depth, 1)
-    res_depth = max(v.depth - 1, 1)
-    f = seed.density * (1.0 / total)
-    cumulative = total
-    masses = []
-    cesaro_sum = np.zeros(shift.word_count(avg_depth))
-    for n in range(1, max_iter + 1):
-        g = apply_transfer(shift, v, f)
-        step_mass = rho.integrate(g)
-        cumulative *= step_mass
-        masses.append(cumulative)
-        if cumulative < MASS_FLOOR:
-            mu = DensityMeasure(f, rho)
-            raise MassCollapse(
-                n, masses, check_fixed_point(shift, v, mu, res_depth)
-            )
-        f = g * (1.0 / step_mass)
-        cesaro_sum = cesaro_sum + f.promote(avg_depth).values
-        mu_it = DensityMeasure(f, rho)
-        res_it = check_fixed_point(shift, v, mu_it, res_depth)
-        ces = CylinderFunction(shift, avg_depth, cesaro_sum / n)
-        mu_ces = DensityMeasure(ces, rho)
-        res_ces = check_fixed_point(shift, v, mu_ces, res_depth)
-        if res_it <= tol:
-            return AveragingResult(
-                mu_it, res_it, n, np.asarray(masses), "iterate", res_it, res_ces
-            )
-        if res_ces <= tol:
-            ces_total = mu_ces.total_mass()
-            mu_ces = DensityMeasure(ces * (1.0 / ces_total), rho)
-            return AveragingResult(
-                mu_ces, res_ces, n, np.asarray(masses), "cesaro", res_it, res_ces
-            )
-    raise NoConvergence(max_iter, {"iterate": res_it, "cesaro": res_ces})

@@ -31,19 +31,13 @@ from .errors import (
     ZeroMassConditioning,
 )
 from .measures import DensityMeasure, _pushforward_masses, check_fixed_point
-from .subshift import MAX_SAMPLE_SYMBOLS, CylinderFunction, branch_sum, prepend_walk
+from .subshift import MAX_SAMPLE_SYMBOLS, CylinderFunction, prepend_walk
 from .subshift import weight_product, word_string
 
 # samples drawn and walked per block, which bounds the uniforms held at once
 SAMPLE_BLOCK = 1 << 16
-
-
-def _drop_indices(shift, depth, steps):
-    """Map each depth-`depth` word to the index of the word minus its first `steps` symbols."""
-    idx = shift.suffix_indices(depth)
-    for d in range(depth - 1, depth - steps, -1):
-        idx = shift.suffix_indices(d)[idx]
-    return idx
+# largest gap between |filter|^2 and the weight that check_isometry accepts
+FILTER_TOL = 1e-12
 
 
 class PathMeasure:
@@ -146,8 +140,7 @@ def check_quasi_invariance(pm, depth, n_max):
             vn = vn.compose_with_shift()
         mu_n = pm.marginal(n)
         e = max(depth, vn.depth)
-        weighted = vn.promote(e).values * mu_n.masses_at(e)
-        rhs = branch_sum(shift.prefix_indices(e, depth), weighted, shift.word_count(depth))
+        rhs = shift.window_sums(vn.promote(e).values * mu_n.masses_at(e), e, 0, depth)
         lhs = pm.marginal(n + 1).masses_at(depth)
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst
@@ -386,12 +379,9 @@ def martingale_coordinates(pm, xi, level):
     coords[level] = xi.promote(dw)
     mu_top = pm.marginal(level)
     for n in range(level - 1, -1, -1):
-        steps = level - n
-        long = steps + dw
-        xi_long = xi.promote(long).values
-        top = mu_top.masses_at(long)
-        drop = _drop_indices(shift, long, steps)
-        num = branch_sum(drop, xi_long * top, shift.word_count(dw))
+        long = level - n + dw
+        weighted = xi.promote(long).values * mu_top.masses_at(long)
+        num = shift.window_sums(weighted, long, level - n, dw)
         den = pm.marginal(n).masses_at(dw)
         vals = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
         coords[n] = CylinderFunction(shift, dw, vals)
@@ -410,19 +400,20 @@ def project_once(pm, g, n):
     return CylinderFunction(pm.shift, g.depth, vals)
 
 
-def check_isometry(pm, filt, depth, tol=1e-12):
+def check_isometry(pm, filt, depth):
     """Defect of the filter-weighted composition operator being isometric.
 
-    Requires |filt|^2 to reproduce the weight pointwise (FilterMismatch
-    otherwise), then verifies, for every depth-d cylinder indicator,
-    that the squared norm of the composed-and-filtered function equals
-    the squared norm of the original.  Both sides reduce to cylinder
-    sums against mu0; the max absolute difference is returned.
+    Requires |filt|^2 to reproduce the weight pointwise within
+    FILTER_TOL (FilterMismatch otherwise), then verifies, for every
+    depth-d cylinder indicator, that the squared norm of the
+    composed-and-filtered function equals the squared norm of the
+    original.  Both sides reduce to cylinder sums against mu0; the max
+    absolute difference is returned.
     """
     m2 = filt.abs_squared()
     e = max(m2.depth, pm.v.depth)
     gap = float(np.abs(m2.promote(e).values - pm.v.promote(e).values).max())
-    if not gap <= tol:  # a NaN gap fails too
+    if not gap <= FILTER_TOL:  # a NaN gap fails too
         raise FilterMismatch(
             f"squared filter modulus differs from the weight by {gap:.3e}"
         )

@@ -247,6 +247,28 @@ class Subshift:
             self._suffix[d] = _frozen(self._first[d - 2][tail] + rank)
         return self._suffix[depth]
 
+    def window_sums(self, values, depth, start, width):
+        """Sum a depth-`depth` table onto the windows w[start:start + width], by `branch_sum`.
+
+        Out entry i sums values over the words w whose window is the i-th
+        depth-`width` word.  The first `start` symbols go through the
+        cached suffix maps, and a prefix map is built only when the window
+        stops short of the end of the word; a whole-word window returns
+        `values` itself.
+        """
+        if not (0 <= start and 1 <= width and start + width <= depth):
+            raise ValueError(f"no window {start}:{start + width} in a depth-{depth} word")
+        index = None
+        for d in range(depth, depth - start, -1):
+            suf = self.suffix_indices(d)
+            index = suf if index is None else suf[index]
+        if start + width < depth:
+            pre = self.prefix_indices(depth - start, width)
+            index = pre if index is None else pre[index]
+        if index is None:
+            return values
+        return branch_sum(index, values, self.word_count(width))
+
 
 class CylinderFunction:
     """A function of the first `depth` coordinates: one value per admissible word.

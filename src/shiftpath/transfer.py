@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DepthTooShallow, NotSubNormalized
 from .invariant import NORMALIZED_SLACK, _stationary_vector, absorption, closed_classes
-from .subshift import CylinderFunction, branch_sum, prepend_walk, weight_product
+from .subshift import CylinderFunction, prepend_walk, weight_product
 
 
 def _operator_pieces(shift, v, depth):
@@ -49,8 +49,8 @@ def apply_transfer(shift, v, f):
     CylinderFunction at depth max(depth(v) - 1, depth(f) - 1, 1).
     """
     out_depth = max(v.depth - 1, f.depth - 1, 1)
-    ve, suf, counts = _operator_pieces(shift, v, out_depth)
-    out = branch_sum(suf, ve * f.promote(out_depth + 1).values, len(counts))
+    ve, _, counts = _operator_pieces(shift, v, out_depth)
+    out = shift.window_sums(ve * f.promote(out_depth + 1).values, out_depth + 1, 1, out_depth)
     return CylinderFunction(shift, out_depth, out / counts)
 
 

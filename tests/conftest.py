@@ -17,7 +17,6 @@ from shiftpath import (
     DegenerateH,
     DensityMeasure,
     MarkovMeasure,
-    NoConvergence,
     RawMeasure,
     ZeroMassConditioning,
     apply_transfer,
@@ -291,7 +290,7 @@ def dense_ergodicity_oracle(shift, mu0, v, depth, rtol=1e-10, floor=1e-12):
 def loop_fixed_function(shift, v, tol=1e-13, max_iter=10000):
     """h = lim T^n 1 by the monotone iteration from the constant 1; returns (h, steps).
 
-    Stops when two iterates agree within tol and raises NoConvergence
+    Stops when two iterates agree within tol and raises AssertionError
     after max_iter steps.  Where h vanishes, the iterates stop at a
     residue of order tol, not at 0.
     """
@@ -302,7 +301,7 @@ def loop_fixed_function(shift, v, tol=1e-13, max_iter=10000):
         h = nxt
         if delta <= tol:
             return h, n
-    raise NoConvergence(max_iter, {"delta": delta})
+    raise AssertionError(f"no convergence within {max_iter} iterations (last delta {delta:.3e})")
 
 
 def lstsq_stationary_vector(kernel):

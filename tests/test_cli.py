@@ -420,6 +420,31 @@ def test_config_numbers_exit_two_naming_the_key(tmp_path, capsys, patch, named):
     assert named in capsys.readouterr().err
 
 
+ZERO_MASS_MU0 = {
+    "k": 2,
+    "matrix": [[1, 1], [1, 1]],
+    "V": {"depth": 1, "values": {"1": 1.0, "2": 1.0}},
+    "mu0": {"depth": 1, "values": {"1": 0.0, "2": 0.0}},
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "sample", "ergodicity"])
+def test_zero_mass_base_is_a_config_error(tmp_path, command):
+    """A mu0 table with no mass exits 2 with one line, not a traceback, and writes no report."""
+    cfg = write_config(tmp_path, ZERO_MASS_MU0)
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "shiftpath", command, "--config", cfg, "--depth", "2",
+         "--out", str(out)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("shiftpath: config error:")
+    assert "Traceback" not in proc.stderr
+    assert not list(out.glob("*_report.json"))
+
+
 def test_oversized_depth_exits_two_before_allocating(tmp_path):
     """The 2**40 depth-40 words exceed the table limit; nothing that size is built."""
     cfg = write_config(tmp_path, FULL_HALF)

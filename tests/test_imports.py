@@ -216,6 +216,56 @@ def test_package_states_its_bounds_as_absolute_ones():
     assert {name: calls for name, calls in found.items() if calls} == {}
 
 
+def unraised_errors(errors_source, sources):
+    """Exception classes of errors_source that no `raise` in sources names, nor a subclass of.
+
+    sources maps module names to source text.  A class counts as raised
+    when a `raise` names it, called or bare, or when it is a base,
+    directly or further up, of a class that is.
+    """
+    bases = {
+        node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+        for node in ast.parse(errors_source).body
+        if isinstance(node, ast.ClassDef)
+    }
+    live = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                live.add(getattr(exc, "attr", getattr(exc, "id", None)))
+    todo = list(live)
+    while todo:
+        for base in bases.get(todo.pop(), ()):
+            if base not in live:
+                live.add(base)
+                todo.append(base)
+    return [name for name in bases if name not in live]
+
+
+def test_unraised_errors_are_found():
+    errors_source = (
+        "class Base(Exception):\n    pass\n"
+        "class Mid(Base):\n    pass\n"
+        "class Leaf(Mid, ValueError):\n    pass\n"
+        "class Named(Base):\n    pass\n"
+        "class Dead(Base):\n    pass\n"
+        "class AlsoDead(Exception):\n    pass\n"
+    )
+    sources = {
+        "a": "from .errors import Leaf\ndef f():\n    raise Leaf('x') from None\n",
+        "b": "from . import errors\ndef g():\n    raise errors.Named\n"
+             "def h(exc):\n    Dead\n    raise\n",
+    }
+    assert unraised_errors(errors_source, sources) == ["Dead", "AlsoDead"]
+
+
+def test_every_error_type_is_raised():
+    """Each exception class in errors.py is raised somewhere in the package, or is a base of one that is."""
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert unraised_errors(sources["errors"], sources) == []
+
+
 SMALL = {
     "k": 2,
     "matrix": [[1, 1], [1, 1]],

@@ -16,18 +16,13 @@ from conftest import (
     solved_base,
     stock_systems,
     weight_full_half,
-    weight_markov_full,
 )
 from shiftpath import (
     CylinderFunction,
     DegenerateH,
     DensityMeasure,
     DepthTooShallow,
-    MassCollapse,
-    NoConvergence,
     RawMeasure,
-    apply_transfer,
-    averaging_fixed_point,
     build_subshift,
     check_fixed_point,
     fixed_density_measure,
@@ -176,64 +171,6 @@ def test_check_fixed_point_detects_perturbation(golden):
         CylinderFunction.from_table(golden, 1, {(1,): 1.3, (2,): 0.4}), rho
     )
     assert check_fixed_point(golden, v, bad, 2) > 1e-2
-
-
-def test_averaging_solver_recovers_density(full2):
-    v = weight_full_half(full2)
-    rho = quiet_invariant(full2)
-    seed = DensityMeasure(
-        CylinderFunction.from_table(full2, 1, {(1,): 0.3, (2,): 1.7}), rho
-    )
-    result = averaging_fixed_point(full2, v, seed)
-    assert result.residual <= 1e-12
-    expect = fixed_density_measure(full2, v)
-    d = result.measure.depth
-    assert np.abs(result.measure.masses_at(d) - expect.masses_at(d)).max() <= 1e-9
-    assert result.via in ("iterate", "cesaro")
-
-
-def test_averaging_solver_mass_collapse(full2):
-    """V = 1/2 halves the mass every step; the solver must say so."""
-    v = CylinderFunction.constant(full2, 0.5)
-    seed = DensityMeasure(CylinderFunction.constant(full2, 1.0), quiet_invariant(full2))
-    with pytest.raises(MassCollapse) as info:
-        averaging_fixed_point(full2, v, seed)
-    exc = info.value
-    assert exc.n_used >= 30
-    assert exc.masses[-1] == pytest.approx(0.5 ** exc.n_used, rel=1e-9)
-
-
-def test_averaging_solver_reports_its_last_residuals(full2):
-    """With one step allowed, NoConvergence carries that step's two residuals."""
-    v = weight_markov_full(full2)
-    rho = quiet_invariant(full2)
-    seed = DensityMeasure(
-        CylinderFunction.from_table(full2, 1, {(1,): 0.3, (2,): 1.7}), rho
-    )
-    with pytest.raises(NoConvergence) as info:
-        averaging_fixed_point(full2, v, seed, max_iter=1)
-    exc = info.value
-    # after one step the Cesaro average is the iterate itself
-    g = apply_transfer(full2, v, seed.density * (1.0 / seed.total_mass()))
-    first = DensityMeasure(g * (1.0 / rho.integrate(g)), rho)
-    residual = check_fixed_point(full2, v, first, 1)
-    assert residual > 1e-12
-    assert exc.max_iter == 1
-    assert exc.last_delta == pytest.approx({"iterate": residual, "cesaro": residual}, rel=1e-12)
-    assert f"{residual:.3e}" in str(exc)
-
-
-def test_averaging_solver_cesaro_route(perm2):
-    """On the two-cycle the iterates oscillate; the running average settles."""
-    v = CylinderFunction.constant(perm2, 1.0)
-    rho = quiet_invariant(perm2)
-    seed = DensityMeasure(
-        CylinderFunction.from_table(perm2, 1, {(1,): 1.2, (2,): 0.8}), rho
-    )
-    result = averaging_fixed_point(perm2, v, seed)
-    assert result.residual <= 1e-12
-    d = result.measure.depth
-    assert np.abs(result.measure.masses_at(d) - rho.masses_at(d)).max() <= 1e-9
 
 
 def test_transform_requires_strong_invariance_for_density_route(full2):

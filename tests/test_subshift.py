@@ -126,6 +126,33 @@ def test_prefix_depth_zero_is_the_empty_word_and_outside_depths_are_refused():
                 golden.prefix_indices(depth, prefix)
 
 
+def test_window_sums_match_a_dict_oracle():
+    """Every window w[start:start + width] of every word up to depth 5 sums as a dict does."""
+    rng = np.random.default_rng(18)
+    for matrix in (FULL2, GOLDEN, PERM2, BLOCK4):
+        shift = build_subshift(matrix)
+        for depth in range(1, 6):
+            words = brute_words(matrix, depth)
+            values = rng.random(len(words))
+            for start in range(depth):
+                for width in range(1, depth - start + 1):
+                    sums = {}
+                    for w, x in zip(words, values):
+                        key = w[start:start + width]
+                        sums[key] = sums.get(key, 0.0) + x
+                    expect = [sums.get(w, 0.0) for w in brute_words(matrix, width)]
+                    got = shift.window_sums(values, depth, start, width)
+                    assert got.tolist() == expect, (matrix, depth, start, width)
+
+
+def test_window_sums_refuse_empty_and_outside_windows():
+    golden = build_subshift(GOLDEN)
+    values = np.ones(golden.word_count(3))
+    for start, width in ((0, 0), (-1, 2), (2, 2), (0, 4)):
+        with pytest.raises(ValueError, match="in a depth-3 word"):
+            golden.window_sums(values, 3, start, width)
+
+
 def _uniform_path_measure(shift):
     one = CylinderFunction.constant(shift, 1.0)
     return build_path_measure(shift, one, DensityMeasure(one, quiet_invariant(shift)))
