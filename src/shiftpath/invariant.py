@@ -90,27 +90,37 @@ class MarkovMeasure:
         return float(self.q.sum())
 
     def masses_at(self, depth):
-        """Masses over shift.words(depth): the product rule, walked from the last symbol back."""
+        """Masses over shift.words(depth): the product rule, walked from the root down.
+
+        One walk fills the cache at every depth up to `depth`.  It carries
+        each word's product of kernel factors down one level at a time,
+        first factor first, and applies q last; only the current level's
+        product is kept.
+        """
         if depth not in self._mass_cache:
-            # padded with a row and a column for symbol 0, so that symbols index them directly
-            q, kernel = np.r_[0.0, self.q], np.pad(self.kernel, ((1, 0), (1, 0)))
-            columns = self.shift._columns(depth, np.arange(self.shift.word_count(depth)))
-            later = next(columns)
-            out = q[later]
-            for sym in columns:
-                out *= kernel[sym, later]
-                later = sym
-            out.setflags(write=False)
-            self._mass_cache[depth] = out
+            from .subshift import _levels  # subshift imports this module
+
+            # padded for symbol 0, the root's, whose step into every first symbol has factor 1
+            q, kernel = np.r_[0.0, self.q], np.pad(self.kernel, ((1, 0), (1, 0)), constant_values=1.0)
+            product, above = np.ones(1), np.zeros(1, dtype=np.intp)
+            for d, (parent, last) in enumerate(_levels(self.shift, depth), 1):
+                product = product[parent]
+                product *= kernel[above[parent], last]
+                above = last
+                if d not in self._mass_cache:
+                    mass = q[last]
+                    mass *= product
+                    mass.setflags(write=False)
+                    self._mass_cache[d] = mass
         return self._mass_cache[depth]
 
     def mass(self, word):
         word = tuple(word)
         self.shift.require_admissible(word)
-        p = self.q[word[-1] - 1]
-        for i in range(len(word) - 2, -1, -1):
-            p *= self.kernel[word[i] - 1, word[i + 1] - 1]
-        return float(p)
+        p = 1.0
+        for a, b in zip(word, word[1:]):
+            p *= self.kernel[a - 1, b - 1]
+        return float(p * self.q[word[-1] - 1])
 
     def integrate(self, f):
         """Exact integral of a cylinder function."""
@@ -426,14 +436,24 @@ def verify_strong_invariance(rho, depth):
 
 
 def _strong_invariance_defects(rho, depth):
-    """The defect of `verify_strong_invariance` at each depth 1, ..., depth alone, in one pass."""
+    """The defect of `verify_strong_invariance` at each depth 1, ..., depth alone, in one pass.
+
+    Each word's first symbol is carried down the parent tree; its second
+    is the first symbol of its suffix, read through the suffix map.
+    """
+    from .subshift import _levels  # subshift imports this module
+
     shift = rho.shift
+    rho.masses_at(depth)  # one walk caches every depth
     avg_kernel = shift.matrix / shift.column_sums
     defects = [np.abs(rho.masses_at(1) - avg_kernel @ rho.masses_at(1)).max()]
-    # the factor of each word's first two symbols, read through its depth-2 prefix
-    front = avg_kernel[tuple(shift.words_at(2, np.arange(shift.word_count(2))).T - 1)]
-    for d in range(2, depth + 1):
-        suffix_mass = rho.masses_at(d - 1)[shift.suffix_indices(d)]
-        rhs = front[shift.prefix_indices(d, 2)] * suffix_mass
+    # padded for symbol 0, so that symbols index it directly
+    front = np.pad(avg_kernel, ((1, 0), (1, 0)))
+    levels = _levels(shift, depth)
+    _, first = next(levels)
+    for d, (parent, _) in enumerate(levels, 2):
+        first, above = first[parent], first
+        suffix = shift.suffix_indices(d)
+        rhs = front[first, above[suffix]] * rho.masses_at(d - 1)[suffix]
         defects.append(np.abs(rho.masses_at(d) - rhs).max())
     return np.array(defects)

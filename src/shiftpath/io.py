@@ -165,8 +165,10 @@ def build_overrides_from_config(shift, cfg):
     return {n: RawMeasure(shift, masses.depth, masses.values)}
 
 
-# rows rendered and written per block, which bounds the text held in memory
-CSV_BLOCK_ROWS = 1 << 16
+# rows rendered and written per block, which bounds the text held in memory: a
+# block of a measure CSV is about 1 MiB of text matrices, and larger blocks
+# render no faster
+CSV_BLOCK_ROWS = 1 << 13
 
 
 class _TableWords:

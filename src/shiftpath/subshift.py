@@ -61,6 +61,18 @@ def prepend_walk(shift, depth, masses):
     return Chain(indptr, shift.prefix_indices(depth + 1, depth)[order], masses[order])
 
 
+def _levels(shift, depth):
+    """The parent tree's levels 1, ..., depth from the root down, as (parent, last) array pairs.
+
+    Level d's parent array indexes the words of level d - 1; level 0 is
+    the root, the empty word, with symbol 0.  A pass that keeps one
+    array per word carries it down with one gather per level.
+    """
+    shift._grow(depth)
+    for d in range(1, depth + 1):
+        yield shift._parent[d], shift._last[d]
+
+
 def _frozen(arr):
     arr.setflags(write=False)
     return arr
@@ -198,17 +210,13 @@ class Subshift:
         The symbols are `symbol_dtype`; widen them before any arithmetic
         that could leave 0..k.
         """
-        sym = np.empty(np.shape(index) + (depth,), dtype=self.symbol_dtype)
-        for d, column in enumerate(self._columns(depth, index), 1):
-            sym[..., -d] = column
-        return sym
-
-    def _columns(self, depth, index):
-        """The symbols of the depth-`depth` words at `index`, one column at a time, last first."""
         self._grow(depth)
+        sym = np.empty(np.shape(index) + (depth,), dtype=self.symbol_dtype)
+        # one column at a time, last first, up the parent tree
         for d in range(depth, 0, -1):
-            yield self._last[d][index]
+            sym[..., d - 1] = self._last[d][index]
             index = self._parent[d][index]
+        return sym
 
     def is_admissible(self, word):
         ok = len(word) > 0 and all(1 <= s <= self.k for s in word)

@@ -462,7 +462,9 @@ def test_oversized_depth_exits_two_before_allocating(tmp_path):
 def test_invariant_memory_holds_no_word_matrix(tmp_path):
     """Depth 11 on the full 3-shift (177147 words) without an (n, depth) symbol matrix.
 
-    With the matrix cached and the word column built whole, the peak was 48 MiB.
+    With the matrix cached and the word column built whole, the peak was 48 MiB;
+    with masses walked up from each word's last symbol and 65536-row CSV
+    blocks, 17.7 MiB.
     """
     cfg = write_config(tmp_path, {"k": 3, "matrix": [[1, 1, 1]] * 3})
     tracemalloc.start()
@@ -472,7 +474,7 @@ def test_invariant_memory_holds_no_word_matrix(tmp_path):
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert peak < 32 * 2**20
+    assert peak < 16 * 2**20
 
 
 def test_oversized_sample_exits_two_before_allocating(tmp_path):

@@ -1,7 +1,8 @@
 """Every name a package module imports or defines is used, and scipy loads late.
 
 No package module calls np.allclose or np.isclose: their default
-relative tolerance would widen any absolute bound.
+relative tolerance would widen any absolute bound.  No module but
+subshift.py reads a private attribute of a subshift.
 
 The package root is exempt from the import check: it imports names to
 re-export them, and a name it exports counts as used by the definition
@@ -214,6 +215,35 @@ def test_package_states_its_bounds_as_absolute_ones():
         for path in sorted(PACKAGE.glob("*.py"))
     }
     assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+def private_shift_reads(source):
+    """Reads of a private attribute, `shift._x` or `obj.shift._x`, of a subshift, by line."""
+    return [
+        f"{node.attr} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_") and not node.attr.startswith("__")
+        and "shift" in (getattr(node.value, "id", None), getattr(node.value, "attr", None))
+    ]
+
+
+def test_private_shift_reads_are_found():
+    source = (
+        "def f(rho, shift):\n    return rho.shift._columns(3), shift._last[1]\n"
+        "self._cache\nshift.__class__\nshift.words(2)\nself.shift.k\n"
+    )
+    assert private_shift_reads(source) == ["_columns (line 2)", "_last (line 2)"]
+
+
+def test_only_subshift_reads_the_word_tables():
+    """The tables' private arrays and walkers are read in subshift.py alone."""
+    found = {
+        path.name: private_shift_reads(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "subshift.py"
+    }
+    assert {name: reads for name, reads in found.items() if reads} == {}
 
 
 def unraised_errors(errors_source, sources):

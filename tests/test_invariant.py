@@ -26,6 +26,7 @@ from shiftpath import (
     transform_measure,
     verify_strong_invariance,
 )
+from shiftpath import subshift
 from shiftpath.invariant import (
     Chain,
     _lu_solve,
@@ -116,6 +117,45 @@ def test_one_pass_defects_match_the_per_depth_calls():
     assert np.allclose(defects, oracle, rtol=1e-12, atol=0)
     expected = [verify_strong_invariance(rho, d) for d in range(1, 6)]
     assert np.maximum.accumulate(defects).tolist() == expected
+
+
+def test_strong_invariance_walks_each_level_at_most_twice(monkeypatch):
+    """On the 2-cycle every depth has 2 words, so the pass must be linear in the depth.
+
+    A pass that walks every level above each depth again is quadratic in
+    the depth.
+    """
+    cycle = build_subshift([[0, 1], [1, 0]])
+    rho = strongly_invariant_measure(cycle)
+    levels, walked = subshift._levels, []
+
+    def counted(shift, depth):
+        for level in levels(shift, depth):
+            walked.append(level)
+            yield level
+
+    monkeypatch.setattr(subshift, "_levels", counted)
+    assert verify_strong_invariance(rho, 3000) == 0.0
+    assert 3000 <= len(walked) <= 2 * 3000
+
+
+@pytest.mark.parametrize("matrix, q", [
+    (np.ones((3, 3), dtype=int), [0.2, 0.3, 0.5]),
+    (BLOCK4, [0.375, 0.625, 0.0, 0.0]),
+])
+def test_mass_tables_do_not_depend_on_the_query_order(matrix, q):
+    """Every depth's table is the same bits whichever depths a fresh measure was asked first."""
+    shift = build_subshift(matrix)
+    kernel = np.random.default_rng(5).random(shift.matrix.shape) * shift.matrix
+    kernel /= kernel.sum(axis=0)
+    tables = []
+    for order in ([7], range(1, 8), [7, 3], [3, 7]):
+        rho = MarkovMeasure(shift, q, kernel=kernel)
+        for depth in order:
+            rho.masses_at(depth)
+        tables.append([rho.masses_at(depth).tobytes() for depth in range(1, 8)])
+    assert all(t == tables[0] for t in tables[1:])
+    assert not rho.strongly_invariant and rho.masses_at(7).min() < rho.masses_at(7).max()
 
 
 def test_strong_invariance_masses_do_not_use_the_suffix_map(monkeypatch):
