@@ -287,10 +287,14 @@ def dense_ergodicity_oracle(shift, mu0, v, depth, rtol=1e-10, floor=1e-12):
 # the former solvers of h and nu, kept as oracles
 
 
+class LoopNoConvergence(AssertionError):
+    """The monotone loop oracle ran out of steps before two iterates agreed."""
+
+
 def loop_fixed_function(shift, v, tol=1e-13, max_iter=10000):
     """h = lim T^n 1 by the monotone iteration from the constant 1; returns (h, steps).
 
-    Stops when two iterates agree within tol and raises AssertionError
+    Stops when two iterates agree within tol and raises LoopNoConvergence
     after max_iter steps.  Where h vanishes, the iterates stop at a
     residue of order tol, not at 0.
     """
@@ -301,7 +305,7 @@ def loop_fixed_function(shift, v, tol=1e-13, max_iter=10000):
         h = nxt
         if delta <= tol:
             return h, n
-    raise AssertionError(f"no convergence within {max_iter} iterations (last delta {delta:.3e})")
+    raise LoopNoConvergence(f"no convergence within {max_iter} iterations (last delta {delta:.3e})")
 
 
 def lstsq_stationary_vector(kernel):

@@ -39,6 +39,7 @@ from conftest import (
     dense_sample_paths,
     dense_stationary_vector,
     leaf_up_prefix_indices,
+    LoopNoConvergence,
     loop_fixed_density_measure,
     loop_fixed_function,
     lstsq_fixed_functional,
@@ -448,7 +449,8 @@ def solved_system(matrix, v_depth, values, leaky, solve=loop_fixed_density_measu
     word, so the weight is sub-normalized and h is not constant when a
     word leaks.  The default solve is the former one (the monotone loop
     and lstsq, `loop_fixed_density_measure`), whose bases carry residue
-    where h or the reference measure vanishes.
+    where h or the reference measure vanishes.  The base is None where
+    `solve` raises a ShiftPathError or the loop runs out of steps.
     """
     shift = build_subshift(matrix)
     suffix = shift.suffix_indices(v_depth)
@@ -461,7 +463,7 @@ def solved_system(matrix, v_depth, values, leaky, solve=loop_fixed_density_measu
     v = CylinderFunction(shift, v_depth, values)
     try:
         mu0 = solve(shift, v)
-    except ShiftPathError:
+    except (ShiftPathError, LoopNoConvergence):
         mu0 = None
     return shift, v, mu0
 
@@ -491,6 +493,19 @@ RESIDUE_EXAMPLES = (
 )
 
 
+# a leak so slow that the loop still moves by 3.6e-12 after 10000 steps
+SLOW_LOOP_EXAMPLES = (
+    (
+        [[1, 1, 1, 0], [0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1]],
+        3,
+        [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0,
+         0.25, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.25, 0.0, 0.0],
+        5,
+        1,
+    ),
+)
+
+
 def residue_masses(mu0, v, depth):
     """Whether some depth-e base mass is positive but at most 1e-12 of the total."""
     masses = mu0.masses_at(conditioning_depth(mu0, v, depth) + 1)
@@ -508,7 +523,7 @@ def with_examples(cases):
 
 @PROPERTY_SETTINGS
 @given(weighted_systems())
-@with_examples(EXTREMALITY_EXAMPLES + RESIDUE_EXAMPLES)
+@with_examples(EXTREMALITY_EXAMPLES + RESIDUE_EXAMPLES + SLOW_LOOP_EXAMPLES)
 def test_sparse_extremality_matches_dense_svd(system):
     """Closed classes and absorption give the dense SVD's solution space.
 
@@ -536,6 +551,15 @@ def test_extremality_examples_have_transient_words_below_the_conditioning_depth(
         transient = sum(rep.class_sizes) < shift.word_count(dw)
         kinds.add((transient, depth < dw, len(rep.class_sizes) > 1))
     assert (True, True, True) in kinds
+
+
+def test_slow_loop_examples_have_no_loop_base():
+    """The loop oracle runs out of steps on them, so the property test discards them."""
+    for matrix, v_depth, values, leaky, _ in SLOW_LOOP_EXAMPLES:
+        shift, v, mu0 = solved_system(matrix, v_depth, values, leaky)
+        assert mu0 is None
+        with pytest.raises(LoopNoConvergence):
+            loop_fixed_density_measure(shift, v)
 
 
 def test_residue_examples_carry_residue_masses():
