@@ -1,144 +1,106 @@
 """Transfer operators, weighted path measures, and inverse-branch sampling
-on subshifts of finite type."""
+on subshifts of finite type.
+
+The exported names resolve on first use (PEP 562): `import shiftpath`
+loads no submodule, and `shiftpath.X` imports the module that defines X
+the first time it is read.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .errors import (
-    ConfigError,
-    DegenerateH,
-    DepthDowngrade,
-    DepthTooShallow,
-    FilterMismatch,
-    InadmissibleWord,
-    NegativeWeight,
-    NonBinaryEntry,
-    NotFixedPoint,
-    NotSubNormalized,
-    ShiftPathError,
-    TableTooLarge,
-    TooFewSamples,
-    ZeroColumn,
-    ZeroMassConditioning,
-)
-from .extremality import (
-    Decomposition,
-    ErgodicityReport,
-    conditional_expectation,
-    decompose,
-    decompose_report,
-    relative_ergodicity_dimension,
-)
-from .invariant import (
-    MarkovMeasure,
-    NonUniqueFixedVector,
-    cylinder_mass,
-    markov_measure_for_weight,
-    strongly_invariant_measure,
-    verify_strong_invariance,
-)
-from .measures import (
-    DensityMeasure,
-    RawMeasure,
-    check_fixed_point,
-    fixed_density_measure,
-    masses_along_orbit,
-    transform_measure,
-    weight_pushforward_defect,
-)
-from .pathspace import (
-    EmpiricalReport,
-    MartingaleCoordinates,
-    PathMeasure,
-    PathSample,
-    SampleBatch,
-    build_path_measure,
-    check_consistency,
-    check_isometry,
-    check_quasi_invariance,
-    empirical_check,
-    martingale_coordinates,
-    project_once,
-    sample_path,
-    sample_paths,
-)
-from .subshift import (
-    CylinderFunction,
-    Subshift,
-    build_subshift,
-    weight_product,
-    word_string,
-)
-from .transfer import (
-    FixedFunctionResult,
-    TransferMatrix,
-    apply_transfer,
-    check_weight_pushforward,
-    iterate_fixed_function,
-    left_fixed_functional,
-    product_weight,
-    transfer_matrix,
-)
+# the defining submodule of each exported name
+_EXPORTS = {
+    "errors": (
+        "ConfigError",
+        "DegenerateH",
+        "DepthDowngrade",
+        "DepthTooShallow",
+        "FilterMismatch",
+        "InadmissibleWord",
+        "NegativeWeight",
+        "NonBinaryEntry",
+        "NotFixedPoint",
+        "NotSubNormalized",
+        "ShiftPathError",
+        "TableTooLarge",
+        "TooFewSamples",
+        "ZeroColumn",
+        "ZeroMassConditioning",
+    ),
+    "extremality": (
+        "Decomposition",
+        "ErgodicityReport",
+        "conditional_expectation",
+        "decompose",
+        "decompose_report",
+        "relative_ergodicity_dimension",
+    ),
+    "invariant": (
+        "MarkovMeasure",
+        "NonUniqueFixedVector",
+        "cylinder_mass",
+        "markov_measure_for_weight",
+        "strongly_invariant_measure",
+        "verify_strong_invariance",
+    ),
+    "measures": (
+        "DensityMeasure",
+        "RawMeasure",
+        "check_fixed_point",
+        "fixed_density_measure",
+        "masses_along_orbit",
+        "transform_measure",
+        "weight_pushforward_defect",
+    ),
+    "pathspace": (
+        "EmpiricalReport",
+        "MartingaleCoordinates",
+        "PathMeasure",
+        "PathSample",
+        "SampleBatch",
+        "build_path_measure",
+        "check_consistency",
+        "check_isometry",
+        "check_quasi_invariance",
+        "empirical_check",
+        "martingale_coordinates",
+        "project_once",
+        "sample_path",
+        "sample_paths",
+    ),
+    "subshift": (
+        "CylinderFunction",
+        "Subshift",
+        "build_subshift",
+        "weight_product",
+        "word_string",
+    ),
+    "transfer": (
+        "FixedFunctionResult",
+        "TransferMatrix",
+        "apply_transfer",
+        "check_weight_pushforward",
+        "iterate_fixed_function",
+        "left_fixed_functional",
+        "product_weight",
+        "transfer_matrix",
+    ),
+}
 
-__all__ = [
-    "ConfigError",
-    "CylinderFunction",
-    "Decomposition",
-    "DegenerateH",
-    "DensityMeasure",
-    "DepthDowngrade",
-    "DepthTooShallow",
-    "EmpiricalReport",
-    "ErgodicityReport",
-    "FilterMismatch",
-    "FixedFunctionResult",
-    "InadmissibleWord",
-    "MarkovMeasure",
-    "MartingaleCoordinates",
-    "NegativeWeight",
-    "NonBinaryEntry",
-    "NonUniqueFixedVector",
-    "NotFixedPoint",
-    "NotSubNormalized",
-    "PathMeasure",
-    "PathSample",
-    "RawMeasure",
-    "SampleBatch",
-    "ShiftPathError",
-    "Subshift",
-    "TableTooLarge",
-    "TooFewSamples",
-    "TransferMatrix",
-    "ZeroColumn",
-    "ZeroMassConditioning",
-    "apply_transfer",
-    "build_path_measure",
-    "build_subshift",
-    "check_consistency",
-    "check_fixed_point",
-    "check_isometry",
-    "check_quasi_invariance",
-    "check_weight_pushforward",
-    "conditional_expectation",
-    "cylinder_mass",
-    "decompose",
-    "decompose_report",
-    "empirical_check",
-    "fixed_density_measure",
-    "iterate_fixed_function",
-    "left_fixed_functional",
-    "markov_measure_for_weight",
-    "martingale_coordinates",
-    "masses_along_orbit",
-    "product_weight",
-    "project_once",
-    "relative_ergodicity_dimension",
-    "sample_path",
-    "sample_paths",
-    "strongly_invariant_measure",
-    "transfer_matrix",
-    "transform_measure",
-    "verify_strong_invariance",
-    "weight_product",
-    "weight_pushforward_defect",
-    "word_string",
-]
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -36,7 +36,6 @@ from .errors import (
     ShiftPathError,
     ZeroMassConditioning,
 )
-from .extremality import decompose_report, relative_ergodicity_dimension
 from .invariant import (
     _strong_invariance_defects,
     strongly_invariant_measure,
@@ -55,20 +54,10 @@ from .io import (
     write_measure_csv,
     write_report,
 )
-from .measures import (
-    fixed_density_measure,
-    masses_along_orbit,
-    weight_pushforward_defect,
-)
-from .pathspace import (
-    build_path_measure,
-    check_consistency,
-    check_isometry,
-    check_quasi_invariance,
-    empirical_check,
-)
 from .subshift import word_string
-from .transfer import iterate_fixed_function, left_fixed_functional
+
+# measures, transfer, pathspace and extremality are imported inside the
+# commands that use them, so that a process loads only what its command runs
 
 EXIT_OK = 0
 EXIT_IDENTITY = 1
@@ -110,6 +99,8 @@ def _invariant_quiet(shift):
 
 def _load_system(args):
     """Config, subshift, weight, invariant measure and base measure, solved when "auto"."""
+    from .measures import fixed_density_measure
+
     cfg, shift = _load(args)
     v = build_weight_from_config(shift, cfg)
     rho = _invariant_quiet(shift)
@@ -152,6 +143,8 @@ def cmd_invariant(args):
 
 
 def cmd_fixpoint(args):
+    from .transfer import iterate_fixed_function, left_fixed_functional
+
     cfg, shift = _load(args)
     v = build_weight_from_config(shift, cfg)
     result = iterate_fixed_function(shift, v)
@@ -180,6 +173,14 @@ def cmd_fixpoint(args):
 
 
 def cmd_verify(args):
+    from .measures import masses_along_orbit, weight_pushforward_defect
+    from .pathspace import (
+        build_path_measure,
+        check_consistency,
+        check_isometry,
+        check_quasi_invariance,
+    )
+
     cfg, shift, v, rho, mu0 = _load_system(args)
     overrides = build_overrides_from_config(shift, cfg)
     filt = build_filter_from_config(shift, cfg)
@@ -225,6 +226,8 @@ def cmd_verify(args):
 
 
 def cmd_sample(args):
+    from .pathspace import build_path_measure, empirical_check
+
     cfg, shift, v, _, mu0 = _load_system(args)
     overrides = build_overrides_from_config(shift, cfg)
     pm = build_path_measure(
@@ -259,6 +262,8 @@ def cmd_sample(args):
 
 
 def cmd_ergodicity(args):
+    from .extremality import decompose_report, relative_ergodicity_dimension
+
     cfg, shift, v, _, mu0 = _load_system(args)
     rep = relative_ergodicity_dimension(shift, mu0, v, args.depth, tol=args.tol)
     report = _base_report(cfg, "ergodicity")

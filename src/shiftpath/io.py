@@ -32,7 +32,6 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, InadmissibleWord
-from .measures import DensityMeasure, RawMeasure
 from .subshift import CylinderFunction, Subshift
 
 
@@ -134,6 +133,9 @@ def build_base_measure_from_config(shift, cfg, rho):
         density.require_nonnegative("mu0 density")
     except Exception as exc:
         raise ConfigError(str(exc)) from exc
+    # measures and the transfer module it imports load only for the commands that build a measure
+    from .measures import DensityMeasure
+
     mu0 = DensityMeasure(density, rho)
     if not mu0.total_mass() > 0:  # a NaN mass fails too
         raise ConfigError("mu0 density has no mass against the invariant measure")
@@ -162,6 +164,8 @@ def build_overrides_from_config(shift, cfg):
     )
     if masses.values.min() < 0:
         raise ConfigError("marginal_override masses must be nonnegative")
+    from .measures import RawMeasure
+
     return {n: RawMeasure(shift, masses.depth, masses.values)}
 
 

@@ -18,7 +18,6 @@ harmonic functions the extremality solve computes.
 
 import os
 from dataclasses import dataclass, field, replace
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -283,12 +282,21 @@ def sample_paths(pm, n_steps, n_samples, base_depth, seed, workers=1):
         for j in range(n_steps):
             states, prep_out[:, j] = kernel.step(states, uniforms[:, j + 1])
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    def draw(each):
+        """Draw the blocks in row order; `each` maps `run` over the parts of one block."""
         for start in range(0, n_samples, SAMPLE_BLOCK):
             rows = slice(start, min(start + SAMPLE_BLOCK, n_samples))
             uniforms = rng.random((rows.stop - start, n_steps + 1))
             arrays = (uniforms, base_words[rows], prepends[rows])
-            list(pool.map(run, zip(*(np.array_split(a, threads) for a in arrays))))
+            list(each(run, zip(*(np.array_split(a, threads) for a in arrays))))
+
+    if threads == 1:
+        draw(map)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            draw(pool.map)
     return SampleBatch(pm.shift, base_depth, n_steps, base_words, prepends)
 
 

@@ -1,26 +1,36 @@
-"""Every name a package module imports or defines is used, and scipy loads late.
+"""Every name a package module imports or defines is used, and each command loads only its modules.
 
 No package module calls np.allclose or np.isclose: their default
 relative tolerance would widen any absolute bound.  No module but
 subshift.py reads a private attribute of a subshift.
 
-The package root is exempt from the import check: it imports names to
-re-export them, and a name it exports counts as used by the definition
-check.  scipy is imported only inside the two leaf kernels of
-the chain solver, and only for chains of more than
-`invariant.DENSE_STATES` states, so the commands that never meet such a
-chain do not load it.  Nor do the setup and the
-`invariant`, `verify`, `sample` and `ergodicity` commands load
-`numpy.ma`, which costs every run the time of its import.
+The package root imports nothing to re-export: its 61 names resolve on
+first use through one table of the names each module exports, and a
+name in that table counts as used by the definition check.  Each command
+imports only the modules it runs: setup and `invariant` load errors,
+io, subshift and invariant; `fixpoint` adds transfer (and measures for
+the dual functional); `verify` and `sample` add measures, transfer and
+pathspace; `ergodicity` adds measures, transfer and extremality.  The
+sampler loads `concurrent.futures` only to run more than one thread.
+scipy is imported only inside the two leaf kernels of the chain solver,
+and only for chains of more than `invariant.DENSE_STATES` states, so
+the commands that never meet such a chain do not load it.  Nor do the
+setup and the `invariant`, `verify`, `sample` and `ergodicity` commands
+load `numpy.ma`, which costs every run the time of its import.
 """
 
 import ast
+import importlib
 import itertools
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import shiftpath
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "shiftpath"
 
@@ -50,19 +60,21 @@ def test_package_modules_import_nothing_unused():
     found = {
         path.name: unused_imports(path.read_text(encoding="utf-8"))
         for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "__init__.py"
     }
     assert {name: names for name, names in found.items() if names} == {}
 
 
-def unreferenced_names(sources):
+def unreferenced_names(sources, exports=None):
     """Module-level functions, classes and assignments that no code names outside their definition.
 
-    sources maps module names to source text.  A reference is a loaded
-    name, an attribute or a `from ... import` of the name, anywhere in
-    any module except inside the definition itself; dunder names are
-    exempt.
+    sources maps module names to source text, and exports maps module
+    names to the names the package exports from them, as the package's
+    export table does.  A reference is a loaded name, an attribute or a
+    `from ... import` of the name, anywhere in any module except inside
+    the definition itself, or the name's entry under its own module in
+    exports; dunder names are exempt.
     """
+    exports = exports or {}
     trees = {module: ast.parse(source) for module, source in sources.items()}
     references = {}
     for module, tree in trees.items():
@@ -91,6 +103,7 @@ def unreferenced_names(sources):
             dead.extend(
                 f"{module}.{name}" for name in names
                 if not (name.startswith("__") and name.endswith("__"))
+                and name not in exports.get(module, ())
                 and not any(m != module or line not in inside
                             for m, line in references.get(name, ()))
             )
@@ -105,10 +118,17 @@ def test_unreferenced_names_are_found():
     assert unreferenced_names(sources) == ["a.X", "a.Z", "a.f"]
 
 
+def test_exported_names_count_as_referenced():
+    """An export table entry is a reference only under the module that defines the name."""
+    sources = {"a": "X = 1\nY = 2\nZ = 3\n", "b": "W = 4\n"}
+    exports = {"a": ("X",), "b": ("Y",)}
+    assert unreferenced_names(sources, exports) == ["a.Y", "a.Z", "b.W"]
+
+
 def test_package_defines_nothing_unreferenced():
-    """Every module-level name of the package is used in it, or exported by `__init__.py`."""
+    """Every module-level name of the package is used in it, or is in the package's export table."""
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
-    assert unreferenced_names(sources) == []
+    assert unreferenced_names(sources, shiftpath._EXPORTS) == []
 
 
 def module_level_imports(source):
@@ -314,7 +334,18 @@ BLOCK = {
     "mu0": "auto",
 }
 
-# runs in a fresh interpreter; prints [exit code, scipy modules loaded] after each step
+
+def run_probe(probe, *args):
+    """Run a probe script in a fresh interpreter that imports this package; its printed JSON."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", probe, *args],
+        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+    return json.loads(result.stdout)
+
+
+# prints [exit code, scipy modules loaded] after each step
 SCIPY_PROBE = """
 import json, sys
 import shiftpath.cli
@@ -347,28 +378,25 @@ def test_scipy_loads_only_for_chains_above_the_dense_cut(tmp_path):
         # 2048 words of length 10, above the dense cut
         ergodicity + ["10"],
     ]
-    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, json.dumps(steps)],
-        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=path),
-    )
-    seen = json.loads(result.stdout)
+    seen = run_probe(SCIPY_PROBE, json.dumps(steps))
     assert [code for code, _ in seen] == [None, 0, 0, 0, 6, 6, 6, 6]
     assert [loaded for _, loaded in seen[:7]] == [[]] * 7
     assert "scipy.sparse.linalg" in seen[7][1]
 
 
-# runs in a fresh interpreter; prints whether numpy.ma is loaded after the setup and each command
-NUMPY_MA_PROBE = """
+# does the set-up of every command (import the CLI, build the subshift and the weight of
+# the config), runs the commands, and prints [exit code, watched modules loaded] after each
+LOADED_PROBE = """
 import json, sys
 import shiftpath.cli
 from shiftpath.io import build_subshift_from_config, build_weight_from_config, load_config
 cfg = load_config(sys.argv[1])
 build_weight_from_config(build_subshift_from_config(cfg), cfg)
-seen = [[None, "numpy.ma" in sys.modules]]
+watched = json.loads(sys.argv[3])
+seen = [[None, [m for m in watched if m in sys.modules]]]
 for argv in json.loads(sys.argv[2]):
     code = shiftpath.cli.main(argv)
-    seen.append([code, "numpy.ma" in sys.modules])
+    seen.append([code, [m for m in watched if m in sys.modules]])
 print(json.dumps(seen))
 """
 
@@ -388,11 +416,97 @@ def test_setup_and_small_commands_do_not_load_numpy_ma(tmp_path):
         ergodicity + ["1"],
         ergodicity + ["9"],
     ]
-    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", NUMPY_MA_PROBE, str(small), json.dumps(steps)],
-        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=path),
-    )
-    assert json.loads(result.stdout) == [
-        [None, False], [0, False], [0, False], [0, False], [6, False], [6, False]
+    seen = run_probe(LOADED_PROBE, str(small), json.dumps(steps), json.dumps(["numpy.ma"]))
+    assert seen == [[None, []], [0, []], [0, []], [0, []], [6, []], [6, []]]
+
+
+COMMAND_MODULES = [
+    "shiftpath.measures", "shiftpath.transfer", "shiftpath.pathspace", "shiftpath.extremality",
+    "concurrent.futures",
+]
+
+
+def test_each_command_loads_only_its_modules(tmp_path):
+    """Set-up and `invariant` load none of the command modules, and each later command adds its own.
+
+    `fixpoint` loads measures for the dual functional's RawMeasure, and
+    a one-thread `sample` builds no thread pool.  `ergodicity` runs in a
+    second interpreter, since the first has loaded pathspace by then.
+    """
+    small = tmp_path / "small.json"
+    small.write_text(json.dumps(SMALL))
+    out = str(tmp_path)
+    config = ["--config", str(small), "--out", out]
+    steps = [
+        ["invariant", *config, "--depth", "3"],
+        ["fixpoint", *config],
+        ["verify", *config, "--depth", "3", "--steps", "2"],
+        ["sample", *config, "--depth", "2", "--steps", "3", "--samples", "200", "--seed", "5"],
+    ]
+    watched = json.dumps(COMMAND_MODULES)
+    measures, transfer, pathspace, extremality, _ = COMMAND_MODULES
+    assert run_probe(LOADED_PROBE, str(small), json.dumps(steps), watched) == [
+        [None, []],
+        [0, []],
+        [0, [measures, transfer]],
+        [0, [measures, transfer, pathspace]],
+        [0, [measures, transfer, pathspace]],
+    ]
+    steps = [["ergodicity", *config, "--depth", "2"]]
+    assert run_probe(LOADED_PROBE, str(small), json.dumps(steps), watched) == [
+        [None, []],
+        [0, [measures, transfer, extremality]],
+    ]
+
+
+# the names the package exports, as they were when its root still imported them eagerly
+EXPORTED = [
+    "ConfigError", "CylinderFunction", "Decomposition", "DegenerateH", "DensityMeasure",
+    "DepthDowngrade", "DepthTooShallow", "EmpiricalReport", "ErgodicityReport", "FilterMismatch",
+    "FixedFunctionResult", "InadmissibleWord", "MarkovMeasure", "MartingaleCoordinates",
+    "NegativeWeight", "NonBinaryEntry", "NonUniqueFixedVector", "NotFixedPoint",
+    "NotSubNormalized", "PathMeasure", "PathSample", "RawMeasure", "SampleBatch",
+    "ShiftPathError", "Subshift", "TableTooLarge", "TooFewSamples", "TransferMatrix",
+    "ZeroColumn", "ZeroMassConditioning", "apply_transfer", "build_path_measure",
+    "build_subshift", "check_consistency", "check_fixed_point", "check_isometry",
+    "check_quasi_invariance", "check_weight_pushforward", "conditional_expectation",
+    "cylinder_mass", "decompose", "decompose_report", "empirical_check",
+    "fixed_density_measure", "iterate_fixed_function", "left_fixed_functional",
+    "markov_measure_for_weight", "martingale_coordinates", "masses_along_orbit",
+    "product_weight", "project_once", "relative_ergodicity_dimension", "sample_path",
+    "sample_paths", "strongly_invariant_measure", "transfer_matrix", "transform_measure",
+    "verify_strong_invariance", "weight_product", "weight_pushforward_defect", "word_string",
+]
+
+
+def test_package_exports_are_the_objects_their_modules_define():
+    assert shiftpath.__all__ == EXPORTED and len(EXPORTED) == 61
+    for name in EXPORTED:
+        value = getattr(shiftpath, name)
+        assert value.__module__.startswith("shiftpath.") and value.__name__ == name
+        assert value is getattr(importlib.import_module(value.__module__), name)
+    assert set(EXPORTED) <= set(dir(shiftpath))
+    namespace = {}
+    exec("from shiftpath import *", namespace)
+    del namespace["__builtins__"]
+    assert namespace == {name: getattr(shiftpath, name) for name in EXPORTED}
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        shiftpath.no_such_name  # noqa: B018
+
+
+# prints the package's submodules loaded after `import shiftpath`, then after reading one export
+PACKAGE_PROBE = """
+import json, sys
+import shiftpath
+loaded = lambda: sorted(m for m in sys.modules if m.startswith("shiftpath."))
+seen = [loaded()]
+shiftpath.Subshift
+seen.append(loaded())
+print(json.dumps(seen))
+"""
+
+
+def test_package_import_loads_no_submodule():
+    assert run_probe(PACKAGE_PROBE) == [
+        [], ["shiftpath.errors", "shiftpath.invariant", "shiftpath.subshift"]
     ]

@@ -204,7 +204,12 @@ def test_sampler_deterministic_across_workers(full2):
 
 
 def test_sampler_threads_are_bounded_by_cpus(full2, monkeypatch):
-    """No more blocks and threads than usable CPUs and samples, and the same batch."""
+    """No more blocks and threads than usable CPUs and samples, and the same batch.
+
+    One thread draws in the calling thread and builds no pool.
+    """
+    import concurrent.futures
+
     from shiftpath import pathspace
 
     pm = make_pm(full2, weight_markov_full(full2))
@@ -233,12 +238,14 @@ def test_sampler_threads_are_bounded_by_cpus(full2, monkeypatch):
         assert sections <= 64, f"asked for {sections} pieces"
         return real_split(array, sections)
 
-    monkeypatch.setattr(pathspace, "ThreadPoolExecutor", RecordingPool)
+    # the sampler imports the pool from concurrent.futures when it runs
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(pathspace, "_usable_cpus", lambda: 3)
     monkeypatch.setattr(np, "array_split", bounded_split)
-    for workers, samples, threads in ((10**9, 100, 3), (2, 100, 2), (10**9, 2, 2)):
+    for workers, samples, threads in ((10**9, 100, 3), (2, 100, 2), (10**9, 2, 2), (1, 100, None)):
+        before = list(pools)
         batch = sample_paths(pm, 3, samples, 2, seed=12, workers=workers)
-        assert pools[-1] == threads
+        assert pools == before + ([threads] if threads else [])
         assert batch.base_words.tobytes() == reference.base_words[:samples].tobytes()
         assert batch.prepends.tobytes() == reference.prepends[:samples].tobytes()
 
