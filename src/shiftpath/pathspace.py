@@ -272,6 +272,10 @@ def sample_paths(pm, n_steps, n_samples, base_depth, seed, workers=1):
     base_of = pm.shift.prefix_indices(working, base_depth)
     base_words = np.empty((n_samples, base_depth), dtype=pm.shift.symbol_dtype)
     prepends = np.empty((n_samples, n_steps), dtype=pm.shift.symbol_dtype)
+    # imported here, so that a process that loads pathspace but draws no sample
+    # (`verify`) does not load the pool
+    from concurrent.futures import ThreadPoolExecutor
+
     rng = np.random.default_rng(seed)
     threads = max(min(workers, n_samples, _usable_cpus()), 1)
 
@@ -282,21 +286,12 @@ def sample_paths(pm, n_steps, n_samples, base_depth, seed, workers=1):
         for j in range(n_steps):
             states, prep_out[:, j] = kernel.step(states, uniforms[:, j + 1])
 
-    def draw(each):
-        """Draw the blocks in row order; `each` maps `run` over the parts of one block."""
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         for start in range(0, n_samples, SAMPLE_BLOCK):
             rows = slice(start, min(start + SAMPLE_BLOCK, n_samples))
             uniforms = rng.random((rows.stop - start, n_steps + 1))
             arrays = (uniforms, base_words[rows], prepends[rows])
-            list(each(run, zip(*(np.array_split(a, threads) for a in arrays))))
-
-    if threads == 1:
-        draw(map)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            draw(pool.map)
+            list(pool.map(run, zip(*(np.array_split(a, threads) for a in arrays))))
     return SampleBatch(pm.shift, base_depth, n_steps, base_words, prepends)
 
 

