@@ -93,20 +93,22 @@ class MarkovMeasure:
         """Masses over shift.words(depth): the product rule, walked from the root down.
 
         One walk fills the cache at every depth up to `depth`.  It carries
-        each word's product of kernel factors down one level at a time,
-        first factor first, and applies q last; only the current level's
-        product is kept.
+        each word's product of kernel factors down one level at a time, in
+        row blocks, first factor first, and applies q last; only the
+        current level's product is kept.
         """
         if depth not in self._mass_cache:
-            from .subshift import _levels  # subshift imports this module
+            from .subshift import _levels, _row_blocks  # subshift imports this module
 
             # padded for symbol 0, the root's, whose step into every first symbol has factor 1
             q, kernel = np.r_[0.0, self.q], np.pad(self.kernel, ((1, 0), (1, 0)), constant_values=1.0)
             product, above = np.ones(1), np.zeros(1, dtype=np.intp)
             for d, (parent, last) in enumerate(_levels(self.shift, depth), 1):
-                product = product[parent]
-                product *= kernel[above[parent], last]
-                above = last
+                longer = np.empty(len(last))
+                for rows in _row_blocks(len(last)):
+                    up = parent[rows]
+                    np.multiply(product[up], kernel[above[up], last[rows]], out=longer[rows])
+                product, above = longer, last
                 if d not in self._mass_cache:
                     mass = q[last]
                     mass *= product
@@ -439,9 +441,11 @@ def _strong_invariance_defects(rho, depth):
     """The defect of `verify_strong_invariance` at each depth 1, ..., depth alone, in one pass.
 
     Each word's first symbol is carried down the parent tree; its second
-    is the first symbol of its suffix, read through the suffix map.
+    is the first symbol of its suffix, read through the suffix map.  Each
+    level is compared in row blocks, whose maxima combine with np.max, so
+    a NaN still shows.
     """
-    from .subshift import _levels  # subshift imports this module
+    from .subshift import _levels, _row_blocks  # subshift imports this module
 
     shift = rho.shift
     rho.masses_at(depth)  # one walk caches every depth
@@ -453,7 +457,11 @@ def _strong_invariance_defects(rho, depth):
     _, first = next(levels)
     for d, (parent, _) in enumerate(levels, 2):
         first, above = first[parent], first
-        suffix = shift.suffix_indices(d)
-        rhs = front[first, above[suffix]] * rho.masses_at(d - 1)[suffix]
-        defects.append(np.abs(rho.masses_at(d) - rhs).max())
+        suffix, masses, shorter = shift.suffix_indices(d), rho.masses_at(d), rho.masses_at(d - 1)
+        worst = []
+        for rows in _row_blocks(len(first)):
+            tail = suffix[rows]
+            rhs = front[first[rows], above[tail]] * shorter[tail]
+            worst.append(np.abs(masses[rows] - rhs).max())
+        defects.append(np.max(worst))
     return np.array(defects)

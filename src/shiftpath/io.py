@@ -25,7 +25,6 @@ shortest round-tripping decimal form), JSON keys are sorted, newlines
 are "\n" everywhere.
 """
 
-import hashlib
 import json
 import sys
 
@@ -49,9 +48,23 @@ def load_config(path):
 
 
 def config_sha256(cfg):
-    """Hash of the canonical (sorted, compact) JSON form of the config."""
+    """Hash of the canonical (sorted, compact) JSON form of the config.
+
+    It uses the interpreter's own SHA-256, as `random` does for sha512,
+    and hashlib only where that module is missing: hashlib maps OpenSSL,
+    3.6 MiB of resident memory, into every process that imports it.  The
+    module loads on the first call, so a process that writes no report
+    does not load it.
+    """
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10-3.11
+        except ImportError:
+            from hashlib import sha256
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    return sha256(canon.encode("utf-8")).hexdigest()
 
 
 def _finite(raw):
@@ -192,7 +205,8 @@ def _digits(values):
     """ASCII text of an integer array: a sign place, then the digits right-aligned, NUL-padded.
 
     The magnitude goes through uint64, so the most negative int64 keeps
-    all its digits.
+    all its digits.  Each remainder is rest - 10 * (rest // 10): numpy
+    divides by a scalar about five times faster than it takes `%`.
     """
     negative = values < 0
     magnitude = values.astype(np.uint64)
@@ -201,12 +215,15 @@ def _digits(values):
     # one row per place, so that each digit step writes contiguous bytes
     text = np.zeros((1 + width, len(values)), dtype=np.uint8)
     text[0, negative] = ord("-")
+    rest = magnitude
     for place in range(width, 0, -1):
-        text[place] = magnitude % 10
-        magnitude //= 10
-    text[1:] += ord("0")
-    # a zero left of the first nonzero digit is padding, except in the ones place
-    text[1:width][np.logical_and.accumulate(text[1:width] == ord("0"), axis=0)] = 0
+        tens = rest // 10
+        text[place] = rest - 10 * tens
+        text[place] += ord("0")
+        if place < width:
+            # the digit of 10**e is padding where the magnitude is below 10**e
+            text[place][rest == 0] = 0
+        rest = tens
     return text.T
 
 

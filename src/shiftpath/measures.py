@@ -135,9 +135,9 @@ def _pushforward_masses(shift, v, mu, out_depth):
     the output word obtained by dropping its first symbol and truncating.
     """
     e = max(out_depth + 1, v.depth)
-    ve = v.promote(e).values
-    masses = mu.masses_at(e)  # DepthTooShallow for raw measures that are too coarse
-    return shift.window_sums(ve * masses, e, 1, out_depth)
+    # one expression, so that the factors are freed before the sum runs;
+    # masses_at raises DepthTooShallow for raw measures that are too coarse
+    return shift.window_sums(v.promote(e).values * mu.masses_at(e), e, 1, out_depth)
 
 
 def transform_measure(shift, v, mu, out_depth=None):

@@ -30,7 +30,7 @@ from .errors import (
     ZeroMassConditioning,
 )
 from .measures import DensityMeasure, _pushforward_masses, check_fixed_point
-from .subshift import MAX_SAMPLE_SYMBOLS, CylinderFunction, prepend_walk
+from .subshift import MAX_SAMPLE_SYMBOLS, CylinderFunction, _row_blocks, prepend_walk
 from .subshift import weight_product, word_string
 
 # samples drawn and walked per block, which bounds the uniforms held at once
@@ -145,13 +145,18 @@ def check_quasi_invariance(pm, depth, n_max):
     return worst
 
 
-def _running_sums(indptr, values):
-    """Running sums of the values along each CSR row, added in stored order."""
-    out = np.array(values, dtype=np.float64)
+def _running_sums(indptr, out):
+    """Running sums along each CSR row of the float array `out`, in place, added in stored order.
+
+    Rows go in blocks; each entry is still its row's sum up to it, added
+    one entry at a time.
+    """
     counts = np.diff(indptr)
-    for j in range(1, counts.max(initial=0)):
-        at = indptr[:-1][counts > j] + j
-        out[at] += out[at - 1]
+    for rows in _row_blocks(len(counts)):
+        starts, lengths = indptr[:-1][rows], counts[rows]
+        for j in range(1, lengths.max(initial=0)):
+            at = starts[lengths > j] + j
+            out[at] += out[at - 1]
     return out
 
 
@@ -181,18 +186,19 @@ class _WalkKernel:
 
         walk = prepend_walk(self.shift, working_depth, pm.marginal(1).masses_at(working_depth + 1))
         self.start, last = walk.indptr[:-1], walk.indptr[1:] - 1
-        rowsum = _running_sums(walk.indptr, walk.data)[last]
-        self.invalid = (den <= 0) | (rowsum <= 0)
-        safe_den = np.where(self.invalid, 1.0, rowsum)
-        self.cdf = _running_sums(walk.indptr, walk.data / np.repeat(safe_den, np.diff(walk.indptr)))
-        # the last branch of a row takes every draw that rounding in its sum pushes past it
-        self.cdf[last] = np.inf
         self.kmax = int(np.diff(walk.indptr).max())
         self.nxt = walk.indices
         # depth-1 word i is symbol i + 1; the sum is intp, so it cannot wrap
-        self.syms = (self.shift.prefix_indices(working_depth, 1)[walk.indices] + 1).astype(
-            self.shift.symbol_dtype
-        )
+        first = (self.shift.prefix_indices(working_depth, 1) + 1).astype(self.shift.symbol_dtype)
+        self.syms = first[walk.indices]
+        rowsum = _running_sums(walk.indptr, walk.data.copy())[last]
+        self.invalid = (den <= 0) | (rowsum <= 0)
+        safe_den = np.where(self.invalid, 1.0, rowsum)
+        # the divisors are overwritten by the quotients, so one entry-sized array is made
+        self.cdf = np.repeat(safe_den, np.diff(walk.indptr))
+        _running_sums(walk.indptr, np.divide(walk.data, self.cdf, out=self.cdf))
+        # the last branch of a row takes every draw that rounding in its sum pushes past it
+        self.cdf[last] = np.inf
 
     def draw_base(self, r):
         return np.minimum(np.searchsorted(self.cum0, r, side="right"), len(self.cum0) - 1)

@@ -32,6 +32,28 @@ def word_string(word):
     return "".join(str(s) for s in word)
 
 
+class _Alias:
+    """An array's memory offered through the array interface, without its read-only flag."""
+
+    def __init__(self, arr):
+        self.base = arr
+        interface = arr.__array_interface__
+        self.__array_interface__ = dict(interface, data=(interface["data"][0], False))
+
+
+def _bincount(index, weights=None, minlength=0):
+    """np.bincount, without the whole copy it makes of each read-only input.
+
+    bincount asks numpy for writeable arrays, though it only reads them,
+    so a frozen index map or table would be copied whole (12 MiB for
+    the suffix map of 3**13 words).  Each read-only input goes in as an
+    alias of its own memory instead.
+    """
+    index, weights = (a if a is None or a.flags.writeable else np.asarray(_Alias(a))
+                      for a in (index, weights))
+    return np.bincount(index, weights, minlength)
+
+
 def branch_sum(index, values, size):
     """Sum over inverse branches: out[i] is the sum of values[j] over index[j] == i.
 
@@ -41,11 +63,11 @@ def branch_sum(index, values, size):
     """
     if np.iscomplexobj(values):
         out = np.empty(size, dtype=np.complex128)
-        out.real = np.bincount(index, values.real, size)
-        out.imag = np.bincount(index, values.imag, size)
+        out.real = _bincount(index, values.real, size)
+        out.imag = _bincount(index, values.imag, size)
         return out
     # bincount returns ints when there are no values at all
-    return np.bincount(index, values, size).astype(np.float64, copy=False)
+    return _bincount(index, values, size).astype(np.float64, copy=False)
 
 
 def prepend_walk(shift, depth, masses):
@@ -57,7 +79,7 @@ def prepend_walk(shift, depth, masses):
     """
     suf = shift.suffix_indices(depth + 1)
     order = np.argsort(suf, kind="stable")
-    indptr = np.r_[0, np.cumsum(np.bincount(suf, minlength=shift.word_count(depth)))]
+    indptr = np.r_[0, np.cumsum(_bincount(suf, minlength=shift.word_count(depth)))]
     return Chain(indptr, shift.prefix_indices(depth + 1, depth)[order], masses[order])
 
 
@@ -71,6 +93,17 @@ def _levels(shift, depth):
     shift._grow(depth)
     for d in range(1, depth + 1):
         yield shift._parent[d], shift._last[d]
+
+
+# rows per block of a level pass that only gathers, multiplies and takes maxima,
+# so that its temporaries stay small however many words the level holds; sums
+# are not blocked, since a blocked sum would add in another order
+LEVEL_BLOCK_ROWS = 1 << 13
+
+
+def _row_blocks(n):
+    """Slices that cover rows 0..n in order, LEVEL_BLOCK_ROWS rows each (the last may be short)."""
+    return (slice(start, start + LEVEL_BLOCK_ROWS) for start in range(0, n, LEVEL_BLOCK_ROWS))
 
 
 def _frozen(arr):
@@ -93,8 +126,10 @@ class Subshift:
     Each depth's words are two arrays, the parent index (the word minus
     its last symbol, intp) and the last symbol (`symbol_dtype`, one byte
     for k <= 255), built lazily and cached read-only.  Every index array
-    is intp, which numpy indexes with no cast.  Instances are immutable
-    after construction and safe for concurrent reads.
+    is intp, which numpy indexes with no cast, and every cached array
+    owns its contiguous buffer, so it holds only its own bytes.
+    Instances are immutable after construction and safe for concurrent
+    reads.
     """
 
     def __init__(self, matrix):
@@ -161,8 +196,9 @@ class Subshift:
         while len(self._last) <= depth:
             d = len(self._last)
             prev = self._last[d - 1]
-            # row-major order lists each parent's successors in symbol order
-            parent, last = np.nonzero(self._allowed[prev])
+            # row-major order lists each parent's successors in symbol order; np.nonzero
+            # would give strided views into one (n, 2) buffer, twice the bytes kept
+            parent, last = np.divmod(np.flatnonzero(self._allowed[prev]), self.k + 1)
             self._first[d - 1] = _frozen(np.searchsorted(parent, np.arange(len(prev))))
             self._parent[d] = _frozen(parent)
             self._last[d] = _frozen(last.astype(self.symbol_dtype))
@@ -179,17 +215,26 @@ class Subshift:
         """Table positions of one word (an int) or an (n, depth) array of words.
 
         Descends the table symbol by symbol through the contiguous
-        children.  Raises InadmissibleWord naming an inadmissible word.
+        children.  An integer array keeps its dtype, and one column at a
+        time is widened to intp.  Raises InadmissibleWord naming an
+        inadmissible word.
         """
-        arr = np.asarray(words, dtype=np.int64)
+        arr = np.asarray(words)
+        if arr.dtype.kind not in "iu":
+            arr = arr.astype(np.int64)
         if arr.ndim == 1:
             return int(self.word_index(arr[None, :])[0])
         bad = ~((arr >= 1) & (arr <= self.k)).all(axis=1)
         if arr.shape[1] and not bad.any():
             self._grow(arr.shape[1])
-            pos = arr[:, 0] - 1
+            # rank[a, b] sits at a * (k + 1) + b of the flat table
+            ranks, cur = self._rank.ravel(), arr[:, 0].astype(np.intp)
+            pos = cur - 1
             for d in range(1, arr.shape[1]):
-                rank = self._rank[arr[:, d - 1], arr[:, d]]
+                prev, cur = cur, arr[:, d].astype(np.intp)
+                prev *= self.k + 1
+                prev += cur
+                rank = ranks[prev]
                 bad = rank < 0
                 if bad.any():
                     break
@@ -232,13 +277,16 @@ class Subshift:
         Walked from the prefix depth down, one gather per deeper level
         over that level's words, so the cost is about the size of the
         deepest table, not (depth - prefix_depth) times it.  Prefix depth
-        0 is the empty word, index 0 of every word.
+        0 is the empty word, index 0 of every word.  One level up, the
+        map is the cached, read-only parent array itself.
         """
         if not 0 <= prefix_depth <= depth:
             raise ValueError(f"prefix depth {prefix_depth} is outside 0..{depth}")
         self._grow(depth)
-        idx = np.arange(len(self._last[prefix_depth]))
-        for d in range(prefix_depth + 1, depth + 1):
+        if prefix_depth == depth:
+            return np.arange(len(self._last[depth]))
+        idx = self._parent[prefix_depth + 1]
+        for d in range(prefix_depth + 2, depth + 1):
             idx = idx[self._parent[d]]
         return idx
 
@@ -250,9 +298,13 @@ class Subshift:
         # the tail of u b is child b of the tail of u; children are contiguous
         while len(self._suffix) < depth:
             d = len(self._suffix) + 1
-            tail = self._suffix[d - 1][self._parent[d]]
-            rank = self._rank[self._last[d - 2][tail], self._last[d]]
-            self._suffix[d] = _frozen(self._first[d - 2][tail] + rank)
+            parent, last, above = self._parent[d], self._last[d], self._suffix[d - 1]
+            suffix = np.empty(len(last), dtype=np.intp)
+            for rows in _row_blocks(len(last)):
+                tail = above[parent[rows]]
+                rank = self._rank[self._last[d - 2][tail], last[rows]]
+                np.add(self._first[d - 2][tail], rank, out=suffix[rows])
+            self._suffix[d] = _frozen(suffix)
         return self._suffix[depth]
 
     def window_sums(self, values, depth, start, width):
@@ -295,10 +347,18 @@ class CylinderFunction:
             raise ValueError(
                 f"expected {expected} values for depth {depth}, got shape {vals.shape}"
             )
-        if np.iscomplexobj(vals):
-            vals = vals.astype(np.complex128)
-        else:
-            vals = vals.astype(np.float64)
+        # a copy, so that freezing the values leaves the caller's array writeable
+        self._hold(shift, depth, vals.astype(np.complex128 if np.iscomplexobj(vals) else np.float64))
+
+    @classmethod
+    def _owning(cls, shift, depth, vals):
+        """A function of a new array of the right length that nothing else holds, kept uncopied."""
+        out = cls.__new__(cls)
+        out._hold(shift, depth, vals.astype(np.complex128 if np.iscomplexobj(vals) else np.float64,
+                                            copy=False))
+        return out
+
+    def _hold(self, shift, depth, vals):
         vals.setflags(write=False)
         object.__setattr__(self, "shift", shift)
         object.__setattr__(self, "depth", depth)
@@ -366,13 +426,13 @@ class CylinderFunction:
         if depth == self.depth:
             return self
         idx = self.shift.prefix_indices(depth, self.depth)
-        return CylinderFunction(self.shift, depth, self.values[idx])
+        return CylinderFunction._owning(self.shift, depth, self.values[idx])
 
     def compose_with_shift(self):
         """The function x -> f(shift(x)), one level deeper than f."""
         d = self.depth + 1
         suf = self.shift.suffix_indices(d)
-        return CylinderFunction(self.shift, d, self.values[suf])
+        return CylinderFunction._owning(self.shift, d, self.values[suf])
 
     def _pair(self, other):
         if not isinstance(other, CylinderFunction):
@@ -384,38 +444,38 @@ class CylinderFunction:
 
     def __add__(self, other):
         if np.isscalar(other):
-            return CylinderFunction(self.shift, self.depth, self.values + other)
+            return CylinderFunction._owning(self.shift, self.depth, self.values + other)
         a, b = self._pair(other)
-        return CylinderFunction(a.shift, a.depth, a.values + b.values)
+        return CylinderFunction._owning(a.shift, a.depth, a.values + b.values)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if np.isscalar(other):
-            return CylinderFunction(self.shift, self.depth, self.values - other)
+            return CylinderFunction._owning(self.shift, self.depth, self.values - other)
         a, b = self._pair(other)
-        return CylinderFunction(a.shift, a.depth, a.values - b.values)
+        return CylinderFunction._owning(a.shift, a.depth, a.values - b.values)
 
     def __rsub__(self, other):
         if np.isscalar(other):
-            return CylinderFunction(self.shift, self.depth, other - self.values)
+            return CylinderFunction._owning(self.shift, self.depth, other - self.values)
         return NotImplemented
 
     def __mul__(self, other):
         if np.isscalar(other):
-            return CylinderFunction(self.shift, self.depth, self.values * other)
+            return CylinderFunction._owning(self.shift, self.depth, self.values * other)
         a, b = self._pair(other)
-        return CylinderFunction(a.shift, a.depth, a.values * b.values)
+        return CylinderFunction._owning(a.shift, a.depth, a.values * b.values)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if np.isscalar(other):
-            return CylinderFunction(self.shift, self.depth, self.values / other)
+            return CylinderFunction._owning(self.shift, self.depth, self.values / other)
         return NotImplemented
 
     def __neg__(self):
-        return CylinderFunction(self.shift, self.depth, -self.values)
+        return CylinderFunction._owning(self.shift, self.depth, -self.values)
 
     def abs_squared(self):
         """Pointwise |f|^2 as a real cylinder function."""

@@ -422,7 +422,7 @@ def test_setup_and_small_commands_do_not_load_numpy_ma(tmp_path):
 
 COMMAND_MODULES = [
     "shiftpath.measures", "shiftpath.transfer", "shiftpath.pathspace", "shiftpath.extremality",
-    "concurrent.futures",
+    "concurrent.futures", "_hashlib",
 ]
 
 
@@ -432,6 +432,9 @@ def test_each_command_loads_only_its_modules(tmp_path):
     `fixpoint` loads measures for the dual functional's RawMeasure, and
     only `sample` loads the sampler's thread pool.  `ergodicity` runs in
     a second interpreter, since the first has loaded pathspace by then.
+    The config hash uses the interpreter's own SHA-256, so no command but
+    `sample` maps OpenSSL (`_hashlib`): numpy.random imports `secrets`,
+    which imports hashlib.
     """
     small = tmp_path / "small.json"
     small.write_text(json.dumps(SMALL))
@@ -444,13 +447,14 @@ def test_each_command_loads_only_its_modules(tmp_path):
         ["sample", *config, "--depth", "2", "--steps", "3", "--samples", "200", "--seed", "5"],
     ]
     watched = json.dumps(COMMAND_MODULES)
-    measures, transfer, pathspace, extremality, pool = COMMAND_MODULES
+    measures, transfer, pathspace, extremality, pool, openssl = COMMAND_MODULES
     assert run_probe(LOADED_PROBE, str(small), json.dumps(steps), watched) == [
         [None, []],
         [0, []],
         [0, [measures, transfer]],
         [0, [measures, transfer, pathspace]],
-        [0, [measures, transfer, pathspace, pool]],
+        # numpy.random -> secrets -> hashlib loads OpenSSL
+        [0, [measures, transfer, pathspace, pool, openssl]],
     ]
     steps = [["ergodicity", *config, "--depth", "2"]]
     assert run_probe(LOADED_PROBE, str(small), json.dumps(steps), watched) == [

@@ -192,6 +192,27 @@ def test_symbols_are_one_byte_and_indices_intp(k, depth):
     assert sorted(shift._parent) == sorted(shift._suffix) == list(range(1, depth + 1))
 
 
+@pytest.mark.parametrize("matrix", [
+    np.ones((3, 3), dtype=int),
+    [[1, 1, 0], [1, 1, 1], [0, 1, 1]],
+    BLOCK4,
+])
+def test_tree_arrays_own_contiguous_memory(matrix):
+    """Every cached tree array holds only its own bytes: no strided view keeps a larger buffer alive.
+
+    Parents read from np.nonzero were a stride-16 view of its (n, 2)
+    buffer, so the tree kept 16 bytes per word where it read 8.
+    """
+    shift = build_subshift(matrix)
+    depth = 7
+    shift.suffix_indices(depth)
+    tables = {name: getattr(shift, name) for name in ("_parent", "_last", "_first", "_suffix")}
+    assert [len(tables[name]) for name in tables] == [depth, depth + 1, depth, depth]
+    for name, table in tables.items():
+        for d, arr in table.items():
+            assert arr.flags.c_contiguous and arr.base is None, f"{name}[{d}]"
+
+
 def test_the_largest_one_byte_alphabet_does_not_wrap():
     """On the full 255-shift, symbol 255 comes through every table, map, mass and batch intact."""
     k = 255
