@@ -32,8 +32,7 @@ print("f values:          ", f.values)
 print("averaged v*f values:", apply_transfer(shift, v, f).values)
 
 # The same operator as an explicit matrix on depth-1 values.
-tm = transfer_matrix(shift, v, 1)
-print("operator matrix:\n", tm.matrix)
+print("operator matrix:\n", transfer_matrix(shift, v, 1))
 
 # The limit of the iterates from the constant one, solved directly.
 res = iterate_fixed_function(shift, v)

@@ -43,8 +43,8 @@ print("quasi-invariance residual:", f"{check_quasi_invariance(pm, 2, 5):.2e}")
 # Draw 50000 trajectories of 3 prepend steps each, reproducibly.
 batch = sample_paths(pm, n_steps=3, n_samples=50000, base_depth=2, seed=42)
 print("\nfirst three sampled paths (base word, then prepended symbols):")
-for path in list(batch.paths())[:3]:
-    print("  base", "".join(map(str, path.base)), " prepends", list(path.prepends))
+for base, prepends in zip(batch.base_words[:3].tolist(), batch.prepends[:3].tolist()):
+    print("  base", "".join(map(str, base)), " prepends", prepends)
 
 # Empirical frequencies of the level-n coordinate against the exact
 # marginal, with a 3-sigma multinomial band.

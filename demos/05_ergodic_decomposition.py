@@ -9,8 +9,6 @@ selves.  Dimension one means only constants solve it and the measure is
 an extreme point; dimension two or more yields an explicit convex split.
 """
 
-import warnings
-
 import numpy as np
 
 from shiftpath import (
@@ -35,10 +33,8 @@ print("full shift: solution dimension", rep.solution_dim,
 block = build_subshift(
     [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]]
 )
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore")
-    vb = CylinderFunction.constant(block, 1.0)
-    mub = fixed_density_measure(block, vb)
+vb = CylinderFunction.constant(block, 1.0)
+mub = fixed_density_measure(block, vb)
 rep = relative_ergodicity_dimension(block, mub, vb, depth=1)
 print("\nblock shift: solution dimension", rep.solution_dim)
 

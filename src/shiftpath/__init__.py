@@ -32,15 +32,12 @@ _EXPORTS = {
     "extremality": (
         "Decomposition",
         "ErgodicityReport",
-        "conditional_expectation",
         "decompose",
         "decompose_report",
         "relative_ergodicity_dimension",
     ),
     "invariant": (
         "MarkovMeasure",
-        "NonUniqueFixedVector",
-        "cylinder_mass",
         "markov_measure_for_weight",
         "strongly_invariant_measure",
         "verify_strong_invariance",
@@ -58,7 +55,6 @@ _EXPORTS = {
         "EmpiricalReport",
         "MartingaleCoordinates",
         "PathMeasure",
-        "PathSample",
         "SampleBatch",
         "build_path_measure",
         "check_consistency",
@@ -67,7 +63,6 @@ _EXPORTS = {
         "empirical_check",
         "martingale_coordinates",
         "project_once",
-        "sample_path",
         "sample_paths",
     ),
     "subshift": (
@@ -79,12 +74,10 @@ _EXPORTS = {
     ),
     "transfer": (
         "FixedFunctionResult",
-        "TransferMatrix",
         "apply_transfer",
         "check_weight_pushforward",
         "iterate_fixed_function",
         "left_fixed_functional",
-        "product_weight",
         "transfer_matrix",
     ),
 }

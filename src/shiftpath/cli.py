@@ -24,7 +24,6 @@ regardless of worker count.
 import argparse
 import os
 import sys
-import warnings
 
 import numpy as np
 
@@ -91,19 +90,13 @@ def _load(args):
     return cfg, shift
 
 
-def _invariant_quiet(shift):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return strongly_invariant_measure(shift)
-
-
 def _load_system(args):
     """Config, subshift, weight, invariant measure and base measure, solved when "auto"."""
     from .measures import fixed_density_measure
 
     cfg, shift = _load(args)
     v = build_weight_from_config(shift, cfg)
-    rho = _invariant_quiet(shift)
+    rho = strongly_invariant_measure(shift)
     mu0 = build_base_measure_from_config(shift, cfg, rho=rho)
     if mu0 is None:
         mu0 = fixed_density_measure(shift, v, rho=rho)
@@ -112,7 +105,7 @@ def _load_system(args):
 
 def cmd_invariant(args):
     cfg, shift = _load(args)
-    rho = _invariant_quiet(shift)
+    rho = strongly_invariant_measure(shift)
     # the report's defect at depth d is the worst over depths 1..d
     worst = np.maximum.accumulate(_strong_invariance_defects(rho, args.depth))
     defects = {str(d): float(x) for d, x in enumerate(worst, start=1)}

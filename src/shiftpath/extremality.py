@@ -38,30 +38,11 @@ import numpy as np
 
 from .errors import NotFixedPoint
 from .invariant import absorption, closed_classes
-from .measures import _pushforward_masses, check_fixed_point
+from .measures import check_fixed_point
 from .subshift import CylinderFunction, prepend_walk
 
 NULL_SPACE_RTOL = 1e-10
 ESSENTIAL_FLOOR = 1e-12
-
-
-def conditional_expectation(shift, mu0, v, g):
-    """Average of v * g over the prepended extensions, given the current word.
-
-    On a word w the value is
-
-        sum_a v(aw) g(aw) mu0([aw])  /  sum_a mu0([aw]),
-
-    with the sums over admissible prepend symbols a, evaluated at a
-    depth fine enough to resolve v, g and the base density.  Words whose
-    one-step extension carries no mu0 mass get the value 0.  The result
-    never exceeds the sup of v * g in absolute value.
-    """
-    dout = max(max(v.depth, g.depth) - 1, mu0.depth - 1, 1)
-    num = _pushforward_masses(shift, v * g, mu0, dout)
-    den = _pushforward_masses(shift, CylinderFunction.constant(shift, 1.0), mu0, dout)
-    vals = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-    return CylinderFunction(shift, dout, vals)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ CSR arrays, linear in the steps, and numpy's dense LU; above it scipy's
 graph search and sparse LU, which only they import.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +30,6 @@ DENSE_STATES = 1024
 
 # how far a branch average may stray from 1 and still count as normalized
 NORMALIZED_SLACK = 1e-12
-
-
-class NonUniqueFixedVector(UserWarning):
-    pass
 
 
 class MarkovMeasure:
@@ -129,10 +124,6 @@ class MarkovMeasure:
         vals = f.values
         out = np.sum(vals * self.masses_at(f.depth))  # not a BLAS dot: thread-count free
         return complex(out) if np.iscomplexobj(vals) else float(out)
-
-
-def cylinder_mass(rho, word):
-    return rho.mass(word)
 
 
 @dataclass(frozen=True)
@@ -377,19 +368,13 @@ def strongly_invariant_measure(shift):
     closed class the fixed vector is unique and the result is the
     canonical reference measure of the subshift.  With several
     (reducible matrices) q is the uniform mixture of the per-class
-    stationary vectors, `non_unique` is set, and a warning is emitted.
+    stationary vectors and `non_unique` is set.
 
     Returns
     -------
     MarkovMeasure
     """
     q, n_classes = _fixed_vector(shift.matrix / shift.column_sums)
-    if n_classes > 1:
-        warnings.warn(
-            f"fixed vector is not unique ({n_classes} closed classes); "
-            "returning the uniform mixture over the closed classes",
-            NonUniqueFixedVector,
-        )
     return MarkovMeasure(shift, q, non_unique=n_classes > 1)
 
 

@@ -215,12 +215,6 @@ class _WalkKernel:
 
 
 @dataclass(frozen=True)
-class PathSample:
-    base: tuple  # depth-D truncation of the starting coordinate
-    prepends: tuple  # symbols prepended at steps 1, 2, ...
-
-
-@dataclass(frozen=True)
 class SampleBatch:
     shift: object
     base_depth: int
@@ -230,12 +224,6 @@ class SampleBatch:
 
     def __len__(self):
         return self.base_words.shape[0]
-
-    def paths(self):
-        return [
-            PathSample(tuple(int(s) for s in b), tuple(int(a) for a in p))
-            for b, p in zip(self.base_words, self.prepends)
-        ]
 
     def theta_words(self, n, depth):
         """Depth-d truncations of coordinate n, as an (n_samples, d) array."""
@@ -299,11 +287,6 @@ def sample_paths(pm, n_steps, n_samples, base_depth, seed, workers=1):
             arrays = (uniforms, base_words[rows], prepends[rows])
             list(pool.map(run, zip(*(np.array_split(a, threads) for a in arrays))))
     return SampleBatch(pm.shift, base_depth, n_steps, base_words, prepends)
-
-
-def sample_path(pm, n_steps, base_depth, seed):
-    """A single trajectory record; see sample_paths."""
-    return sample_paths(pm, n_steps, 1, base_depth, seed).paths()[0]
 
 
 @dataclass(frozen=True)
@@ -416,8 +399,9 @@ def check_isometry(pm, filt, depth):
     FILTER_TOL (FilterMismatch otherwise), then verifies, for every
     depth-d cylinder indicator, that the squared norm of the
     composed-and-filtered function equals the squared norm of the
-    original.  Both sides reduce to cylinder sums against mu0; the max
-    absolute difference is returned.
+    original.  Both sides reduce to cylinder sums against mu0, which is
+    the fixed-point check with weight |filt|^2; the max absolute
+    difference is returned.
     """
     m2 = filt.abs_squared()
     e = max(m2.depth, pm.v.depth)
@@ -426,7 +410,4 @@ def check_isometry(pm, filt, depth):
         raise FilterMismatch(
             f"squared filter modulus differs from the weight by {gap:.3e}"
         )
-    mu0 = pm.marginal(0)
-    lhs = _pushforward_masses(pm.shift, m2, mu0, depth)
-    rhs = mu0.masses_at(depth)
-    return float(np.abs(lhs - rhs).max())
+    return check_fixed_point(pm.shift, m2, pm.marginal(0), depth)

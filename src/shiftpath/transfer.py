@@ -54,20 +54,6 @@ def apply_transfer(shift, v, f):
     return CylinderFunction(shift, out_depth, out / counts)
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
-    """Matrix of the transfer operator on depth-d tables.
-
-    matrix[i, j] is the value of the transferred j-th indicator on the
-    i-th depth-d word, so matrix @ f.values computes the operator.
-    """
-
-    shift: object
-    v: CylinderFunction
-    depth: int
-    matrix: np.ndarray
-
-
 def _operator_matrix(shift, v, depth):
     """The operator on depth-`depth` tables: the prepend walk with steps v(aw)/c(w).
 
@@ -79,12 +65,14 @@ def _operator_matrix(shift, v, depth):
 
 
 def transfer_matrix(shift, v, depth):
-    """Assemble the operator as a dense matrix acting on depth-`depth` tables.
+    """The operator as a dense array acting on depth-`depth` tables.
 
-    Requires depth >= max(depth(v) - 1, 1) so that depth-d tables map
-    into depth-d tables.
+    Entry [i, j] is the value of the transferred j-th indicator on the
+    i-th depth-d word, so transfer_matrix(shift, v, d) @ f.values
+    computes the operator.  Requires depth >= max(depth(v) - 1, 1) so
+    that depth-d tables map into depth-d tables.
     """
-    return TransferMatrix(shift, v, depth, _operator_matrix(shift, v, depth).toarray())
+    return _operator_matrix(shift, v, depth).toarray()
 
 
 @dataclass(frozen=True)
@@ -169,10 +157,3 @@ def check_weight_pushforward(shift, v, f, rho, n):
         g = apply_transfer(shift, v, g)
     rhs = rho.integrate(g)
     return abs(lhs - rhs)
-
-
-def product_weight(v, w):
-    """Pointwise product of two nonnegative weights at their common depth."""
-    v.require_nonnegative()
-    w.require_nonnegative()
-    return v * w

@@ -6,7 +6,6 @@ agreement between the two is evidence rather than tautology.
 """
 
 import itertools
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -26,6 +25,7 @@ from shiftpath import (
     transfer_matrix,
 )
 from shiftpath.invariant import closed_classes
+from shiftpath.measures import _pushforward_masses
 from shiftpath.pathspace import SampleBatch, _usable_cpus
 from shiftpath.subshift import word_string
 
@@ -62,13 +62,6 @@ def perm2():
 @pytest.fixture
 def ident2():
     return build_subshift(IDENT2)
-
-
-def quiet_invariant(shift):
-    """Strongly invariant measure with the non-uniqueness warning silenced."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return strongly_invariant_measure(shift)
 
 
 def weight_full_half(shift):
@@ -116,7 +109,7 @@ def stock_systems():
 
 def solved_base(shift, v):
     """mu0 = h d(rho) for the weight, built from the solver."""
-    return fixed_density_measure(shift, v, rho=quiet_invariant(shift))
+    return fixed_density_measure(shift, v, rho=strongly_invariant_measure(shift))
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +241,27 @@ def conditioning_depth(mu0, v, depth):
     return max(v.depth - 1, depth, d0 - 1, 1)
 
 
+def conditional_expectation(shift, mu0, v, g):
+    """Average of v * g over the prepended extensions, given the current word.
+
+    The former `extremality.conditional_expectation`, kept as an oracle.
+
+    On a word w the value is
+
+        sum_a v(aw) g(aw) mu0([aw])  /  sum_a mu0([aw]),
+
+    with the sums over admissible prepend symbols a, evaluated at a
+    depth fine enough to resolve v, g and the base density.  Words whose
+    one-step extension carries no mu0 mass get the value 0.  The result
+    never exceeds the sup of v * g in absolute value.
+    """
+    dout = max(max(v.depth, g.depth) - 1, mu0.depth - 1, 1)
+    num = _pushforward_masses(shift, v * g, mu0, dout)
+    den = _pushforward_masses(shift, CylinderFunction.constant(shift, 1.0), mu0, dout)
+    vals = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    return CylinderFunction(shift, dout, vals)
+
+
 def dense_ergodicity_oracle(shift, mu0, v, depth, rtol=1e-10, floor=1e-12):
     """Invariant functions of a fixed point from the dense system and an SVD.
 
@@ -323,7 +337,7 @@ def lstsq_fixed_functional(shift, v, depth=None):
     """Dual fixed vector from the dense operator: lstsq on its first mass-keeping closed class."""
     if depth is None:
         depth = max(v.depth - 1, 1)
-    op = transfer_matrix(shift, v, depth).matrix
+    op = transfer_matrix(shift, v, depth)
     for members in closed_classes(op):
         if np.abs(op[members].sum(axis=1) - 1.0).max() <= 1e-10:
             masses = np.zeros(len(op))

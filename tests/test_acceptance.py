@@ -17,7 +17,6 @@ from conftest import (
     GOLDEN,
     IDENT2,
     SAMPLER_P,
-    quiet_invariant,
     random_function,
     random_subshift,
     random_weight,
@@ -44,7 +43,6 @@ from shiftpath import (
     iterate_fixed_function,
     martingale_coordinates,
     masses_along_orbit,
-    product_weight,
     project_once,
     relative_ergodicity_dimension,
     strongly_invariant_measure,
@@ -90,11 +88,11 @@ def test_c01_strong_invariance_exact():
     ]
     worst = 0.0
     for shift in shifts:
-        rho = quiet_invariant(shift)
+        rho = strongly_invariant_measure(shift)
         defect = verify_strong_invariance(rho, 5)
         worst = max(worst, defect)
         assert defect <= 1e-12
-    golden_rho = quiet_invariant(build_subshift(GOLDEN))
+    golden_rho = strongly_invariant_measure(build_subshift(GOLDEN))
     gap = np.abs(golden_rho.q - np.array([2.0 / 3.0, 1.0 / 3.0])).max()
     assert gap <= 1e-12
     elapsed = time.perf_counter() - t0
@@ -109,7 +107,7 @@ def test_c02_transfer_duality():
     worst = 0.0
     for matrix in (FULL2, GOLDEN):
         shift = build_subshift(matrix)
-        rho = quiet_invariant(shift)
+        rho = strongly_invariant_measure(shift)
         for _ in range(100):
             v = random_weight(shift, rng, int(rng.integers(1, 4)))
             f = random_function(shift, rng, int(rng.integers(1, 4)))
@@ -214,7 +212,7 @@ def test_c06_route_equivalence():
     worst = 0.0
     for matrix in (FULL2, GOLDEN):
         shift = build_subshift(matrix)
-        rho = quiet_invariant(shift)
+        rho = strongly_invariant_measure(shift)
         for _ in range(50):
             v = random_weight(shift, rng, int(rng.integers(1, 3)))
             d = int(rng.integers(1, 3))
@@ -230,7 +228,7 @@ def test_c06_route_equivalence():
         one = CylinderFunction.constant(shift, 1.0)
         for _ in range(10):
             v = random_weight(shift, rng, int(rng.integers(1, 3)))
-            vw = product_weight(v, one)
+            vw = v * one
             f = CylinderFunction(shift, 1, rng.uniform(0.0, 2.0, shift.k))
             for n in (1, 2, 3):
                 start = n + 2

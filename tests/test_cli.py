@@ -351,7 +351,7 @@ def test_commands_agree_at_the_normalization_edge(tmp_path, eps, code):
     assert codes == [code] * len(EDGE_COMMANDS)
 
 
-def test_config_errors_exit_two(tmp_path):
+def test_config_errors_exit_two(tmp_path, capsys):
     bad = dict(GOLDEN_FLAT)
     bad["V"] = {"depth": 1, "values": {"1": 1.0}}  # missing word "2"
     cfg = write_config(tmp_path, bad)
@@ -368,6 +368,13 @@ def test_config_errors_exit_two(tmp_path):
     not_json = tmp_path / "broken.json"
     not_json.write_text("{not json")
     assert run(["fixpoint", "--config", str(not_json), "--out", str(tmp_path)]) == 2
+
+    # bytes that are not UTF-8, nesting too deep for the parser, an integer past the digit limit
+    capsys.readouterr()
+    for data in (b"\xff\xfe", b"[" * 200000 + b"]" * 200000, b'{"seed": ' + b"1" * 5000 + b"}"):
+        not_json.write_bytes(data)
+        assert run(["invariant", "--config", str(not_json), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("shiftpath: config error: config is not valid JSON")
 
     zero_col = dict(GOLDEN_FLAT)
     zero_col["matrix"] = [[1, 0], [1, 0]]

@@ -8,7 +8,7 @@ import pytest
 from conftest import (
     BLOCK4,
     IDENT2,
-    quiet_invariant,
+    conditional_expectation,
     solved_base,
     stock_systems,
     weight_full_half,
@@ -21,17 +21,17 @@ from shiftpath import (
     RawMeasure,
     build_subshift,
     check_fixed_point,
-    conditional_expectation,
     decompose,
     decompose_report,
     relative_ergodicity_dimension,
+    strongly_invariant_measure,
 )
 from shiftpath.extremality import _null_space
 
 
 def flat_system(shift):
     one = CylinderFunction.constant(shift, 1.0)
-    mu0 = DensityMeasure(CylinderFunction.constant(shift, 1.0), quiet_invariant(shift))
+    mu0 = DensityMeasure(CylinderFunction.constant(shift, 1.0), strongly_invariant_measure(shift))
     return one, mu0
 
 
@@ -146,7 +146,7 @@ def test_no_essential_direction_returns_none(ident2):
 
 
 def test_precheck_rejects_non_fixed_point(full2):
-    rho = quiet_invariant(full2)
+    rho = strongly_invariant_measure(full2)
     v = weight_full_half(full2)
     skew = DensityMeasure(
         CylinderFunction.from_table(full2, 1, {(1,): 1.7, (2,): 0.3}), rho
@@ -158,7 +158,7 @@ def test_precheck_rejects_non_fixed_point(full2):
 def test_precheck_rejects_a_nan_residual(full2):
     """A NaN residual is no fixed point, even under an infinite tolerance."""
     v = weight_full_half(full2)
-    rho = quiet_invariant(full2)
+    rho = strongly_invariant_measure(full2)
     broken = DensityMeasure(CylinderFunction(full2, 1, np.array([np.nan, 1.0])), rho)
     with pytest.raises(NotFixedPoint):
         relative_ergodicity_dimension(full2, broken, v, 1, tol=float("inf"))
@@ -217,7 +217,7 @@ def test_many_classes_below_the_conditioning_depth():
     shift = build_subshift(BLOCK4)
     v = CylinderFunction.constant(shift, 1.0, 9)
     mu0 = DensityMeasure(CylinderFunction(shift, 1, np.array([2.0, 2.0, 0.0, 0.0])),
-                         quiet_invariant(shift))
+                         strongly_invariant_measure(shift))
     rep = relative_ergodicity_dimension(shift, mu0, v, 6)
     assert rep.solution_dim == 65
     assert rep.class_sizes == [256] + [1] * 256

@@ -4,7 +4,7 @@ No package module calls np.allclose or np.isclose: their default
 relative tolerance would widen any absolute bound.  No module but
 subshift.py reads a private attribute of a subshift.
 
-The package root imports nothing to re-export: its 61 names resolve on
+The package root imports nothing to re-export: its 54 names resolve on
 first use through one table of the names each module exports, and a
 name in that table counts as used by the definition check.  Each command
 imports only the modules it runs: setup and `invariant` load errors,
@@ -129,6 +129,29 @@ def test_package_defines_nothing_unreferenced():
     """Every module-level name of the package is used in it, or is in the package's export table."""
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_names(sources, shiftpath._EXPORTS) == []
+
+
+# the names that no package module and no demo uses, each exported for a reason of its own
+SERVE_NO_COMMAND = [
+    # the paper's measure for a normalized weight
+    "invariant.markov_measure_for_weight",
+    # the second route of the c06 route-equivalence check
+    "measures.transform_measure",
+    # the per-function oracle of weight_pushforward_defect, and a bench trace target
+    "transfer.check_weight_pushforward",
+]
+
+
+def test_every_other_export_serves_a_command_or_a_demo():
+    """Without the export table, the package modules and the demos leave only SERVE_NO_COMMAND unused."""
+    sources = {
+        path.stem: path.read_text(encoding="utf-8")
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    for path in sorted((PACKAGE.parents[1] / "demos").glob("*.py")):
+        sources[f"demos.{path.stem}"] = path.read_text(encoding="utf-8")
+    assert unreferenced_names(sources) == SERVE_NO_COMMAND
 
 
 def module_level_imports(source):
@@ -463,28 +486,28 @@ def test_each_command_loads_only_its_modules(tmp_path):
     ]
 
 
-# the names the package exports, as they were when its root still imported them eagerly
+# the names the package exports
 EXPORTED = [
     "ConfigError", "CylinderFunction", "Decomposition", "DegenerateH", "DensityMeasure",
     "DepthDowngrade", "DepthTooShallow", "EmpiricalReport", "ErgodicityReport", "FilterMismatch",
     "FixedFunctionResult", "InadmissibleWord", "MarkovMeasure", "MartingaleCoordinates",
-    "NegativeWeight", "NonBinaryEntry", "NonUniqueFixedVector", "NotFixedPoint",
-    "NotSubNormalized", "PathMeasure", "PathSample", "RawMeasure", "SampleBatch",
-    "ShiftPathError", "Subshift", "TableTooLarge", "TooFewSamples", "TransferMatrix",
+    "NegativeWeight", "NonBinaryEntry", "NotFixedPoint",
+    "NotSubNormalized", "PathMeasure", "RawMeasure", "SampleBatch",
+    "ShiftPathError", "Subshift", "TableTooLarge", "TooFewSamples",
     "ZeroColumn", "ZeroMassConditioning", "apply_transfer", "build_path_measure",
     "build_subshift", "check_consistency", "check_fixed_point", "check_isometry",
-    "check_quasi_invariance", "check_weight_pushforward", "conditional_expectation",
-    "cylinder_mass", "decompose", "decompose_report", "empirical_check",
+    "check_quasi_invariance", "check_weight_pushforward",
+    "decompose", "decompose_report", "empirical_check",
     "fixed_density_measure", "iterate_fixed_function", "left_fixed_functional",
     "markov_measure_for_weight", "martingale_coordinates", "masses_along_orbit",
-    "product_weight", "project_once", "relative_ergodicity_dimension", "sample_path",
+    "project_once", "relative_ergodicity_dimension",
     "sample_paths", "strongly_invariant_measure", "transfer_matrix", "transform_measure",
     "verify_strong_invariance", "weight_product", "weight_pushforward_defect", "word_string",
 ]
 
 
 def test_package_exports_are_the_objects_their_modules_define():
-    assert shiftpath.__all__ == EXPORTED and len(EXPORTED) == 61
+    assert shiftpath.__all__ == EXPORTED and len(EXPORTED) == 54
     for name in EXPORTED:
         value = getattr(shiftpath, name)
         assert value.__module__.startswith("shiftpath.") and value.__name__ == name

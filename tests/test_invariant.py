@@ -1,6 +1,7 @@
 """Strongly invariant measures and their product-formula masses."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from conftest import (
     GOLDEN,
     IDENT2,
     brute_invariant_mass,
-    quiet_invariant,
     random_subshift,
     weight_markov_full,
 )
@@ -18,9 +18,7 @@ from shiftpath import (
     CylinderFunction,
     DensityMeasure,
     MarkovMeasure,
-    NonUniqueFixedVector,
     build_subshift,
-    cylinder_mass,
     markov_measure_for_weight,
     strongly_invariant_measure,
     transform_measure,
@@ -46,8 +44,8 @@ def test_golden_symbol_masses_exact(golden):
 
 def test_golden_cylinder_masses_frozen(golden):
     rho = strongly_invariant_measure(golden)
-    assert cylinder_mass(rho, (2, 1, 1)) == pytest.approx(1.0 / 6.0, abs=1e-14)
-    assert cylinder_mass(rho, (1, 2, 1)) == pytest.approx(1.0 / 3.0, abs=1e-14)
+    assert rho.mass((2, 1, 1)) == pytest.approx(1.0 / 6.0, abs=1e-14)
+    assert rho.mass((1, 2, 1)) == pytest.approx(1.0 / 3.0, abs=1e-14)
 
 
 def test_full_and_permutation_shifts_are_uniform(full2, perm2):
@@ -169,7 +167,7 @@ def test_strong_invariance_masses_do_not_use_the_suffix_map(monkeypatch):
     golden = build_subshift(GOLDEN)
     right = golden.suffix_indices
     wrong = right(4)[[2, 1, 0, *range(3, golden.word_count(4))]]
-    suffix_masses = quiet_invariant(build_subshift(GOLDEN)).masses_at(3)
+    suffix_masses = strongly_invariant_measure(build_subshift(GOLDEN)).masses_at(3)
     assert suffix_masses[wrong[0]] != suffix_masses[right(4)[0]]
     monkeypatch.setattr(golden, "suffix_indices", lambda d: wrong if d == 4 else right(d))
     rho = strongly_invariant_measure(golden)
@@ -178,12 +176,13 @@ def test_strong_invariance_masses_do_not_use_the_suffix_map(monkeypatch):
 
 
 def test_reducible_matrices_flag_non_uniqueness():
+    """Non-uniqueness is reported by the `non_unique` flag alone, with no warning."""
     for matrix, expected_q in ((BLOCK4, [0.25] * 4), (IDENT2, [0.5, 0.5])):
-        from shiftpath import build_subshift
-
         shift = build_subshift(matrix)
-        with pytest.warns(NonUniqueFixedVector):
+        with warnings.catch_warnings(record=True) as raised:
+            warnings.simplefilter("always")
             rho = strongly_invariant_measure(shift)
+        assert raised == []
         assert rho.non_unique
         assert np.allclose(rho.q, expected_q, atol=1e-12)
         # the mixture is still strongly invariant
@@ -267,7 +266,8 @@ def test_markov_measure_for_weight_rejects_unnormalized(full2):
 
 
 def test_quiet_invariant_helper_matches(block4):
-    rho = quiet_invariant(block4)
+    """Tests call the solver directly, as no warning needs muting: BLOCK4 is flagged non-unique."""
+    rho = strongly_invariant_measure(block4)
     assert rho.non_unique
 
 

@@ -10,7 +10,6 @@ from conftest import (
     brute_pushforward,
     function_dict,
     measure_dict,
-    quiet_invariant,
     random_function,
     random_weight,
     solved_base,
@@ -27,13 +26,14 @@ from shiftpath import (
     check_fixed_point,
     fixed_density_measure,
     masses_along_orbit,
+    strongly_invariant_measure,
     transform_measure,
 )
 from shiftpath import transfer
 
 
 def test_raw_measure_aggregation(golden):
-    rho = quiet_invariant(golden)
+    rho = strongly_invariant_measure(golden)
     raw = RawMeasure(golden, 3, rho.masses_at(3))
     assert np.allclose(raw.masses_at(2), rho.masses_at(2), atol=1e-14)
     assert np.allclose(raw.masses_at(1), rho.masses_at(1), atol=1e-14)
@@ -51,7 +51,7 @@ def test_raw_measure_refuses_nan(full2):
 
 
 def test_density_measure_accessors(golden):
-    rho = quiet_invariant(golden)
+    rho = strongly_invariant_measure(golden)
     f = CylinderFunction.from_table(golden, 1, {(1,): 1.2, (2,): 0.6})
     mu = DensityMeasure(f, rho)
     for depth in range(1, 5):
@@ -68,7 +68,7 @@ def test_transform_routes_agree():
     rng = np.random.default_rng(31)
     for matrix in (FULL2, GOLDEN):
         shift = build_subshift(matrix)
-        rho = quiet_invariant(shift)
+        rho = strongly_invariant_measure(shift)
         for _ in range(25):
             v = random_weight(shift, rng, int(rng.integers(1, 3)))
             d = int(rng.integers(1, 3))
@@ -83,7 +83,7 @@ def test_transform_routes_agree():
 
 def test_raw_transform_matches_brute_force(golden):
     rng = np.random.default_rng(37)
-    rho = quiet_invariant(golden)
+    rho = strongly_invariant_measure(golden)
     for _ in range(10):
         v = random_weight(golden, rng, 2)
         d = 3
@@ -128,7 +128,7 @@ def test_fixed_density_is_exactly_zero_off_the_kept_class():
     """Symbols 3 and 4 lose half their mass per step, so h and the density vanish there."""
     block = build_subshift(BLOCK4)
     v = CylinderFunction.from_table(block, 1, {(1,): 1.0, (2,): 1.0, (3,): 0.5, (4,): 0.5})
-    mu0 = fixed_density_measure(block, v, rho=quiet_invariant(block))
+    mu0 = fixed_density_measure(block, v, rho=strongly_invariant_measure(block))
     assert mu0.density.values.tolist() == [1.0, 1.0, 0.0, 0.0]
 
 
@@ -155,7 +155,7 @@ def test_mass_constant_along_orbit():
 
 
 def test_mass_not_constant_for_non_fixed_point(full2):
-    rho = quiet_invariant(full2)
+    rho = strongly_invariant_measure(full2)
     v = weight_full_half(full2)
     skew = DensityMeasure(
         CylinderFunction.from_table(full2, 1, {(1,): 1.6, (2,): 0.4}), rho
@@ -166,7 +166,7 @@ def test_mass_not_constant_for_non_fixed_point(full2):
 
 def test_check_fixed_point_detects_perturbation(golden):
     v = CylinderFunction.constant(golden, 1.0)
-    rho = quiet_invariant(golden)
+    rho = strongly_invariant_measure(golden)
     bad = DensityMeasure(
         CylinderFunction.from_table(golden, 1, {(1,): 1.3, (2,): 0.4}), rho
     )

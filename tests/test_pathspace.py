@@ -7,7 +7,6 @@ import pytest
 
 from conftest import (
     SAMPLER_P,
-    quiet_invariant,
     random_function,
     solved_base,
     stock_systems,
@@ -31,8 +30,8 @@ from shiftpath import (
     empirical_check,
     martingale_coordinates,
     project_once,
-    sample_path,
     sample_paths,
+    strongly_invariant_measure,
     weight_product,
 )
 from shiftpath import pathspace
@@ -43,7 +42,7 @@ def make_pm(shift, v):
 
 
 def test_build_rejects_non_fixed_point(full2):
-    rho = quiet_invariant(full2)
+    rho = strongly_invariant_measure(full2)
     v = weight_full_half(full2)
     skew = DensityMeasure(
         CylinderFunction.from_table(full2, 1, {(1,): 1.6, (2,): 0.4}), rho
@@ -54,7 +53,7 @@ def test_build_rejects_non_fixed_point(full2):
 
 def test_build_rejects_a_nan_residual(full2):
     """A NaN residual is no fixed point, even under an infinite tolerance."""
-    rho = quiet_invariant(full2)
+    rho = strongly_invariant_measure(full2)
     v = weight_full_half(full2)
     broken = DensityMeasure(CylinderFunction(full2, 1, np.array([np.nan, 1.0])), rho)
     with pytest.raises(NotFixedPoint):
@@ -76,7 +75,7 @@ def test_marginals_are_reweighted_base(full2):
 def test_raw_base_too_shallow_for_a_level_weight(full2):
     """A level-n weight deeper than a raw base's table cannot reweight it."""
     one = CylinderFunction.constant(full2, 1.0)
-    base = RawMeasure(full2, 2, quiet_invariant(full2).masses_at(2))
+    base = RawMeasure(full2, 2, strongly_invariant_measure(full2).masses_at(2))
     pm = build_path_measure(full2, one, base)
     assert pm.marginal(2).depth == 2
     with pytest.raises(DepthTooShallow):
@@ -130,7 +129,7 @@ def test_consistency_and_quasi_invariance_all_systems():
 def test_corrupted_marginal_breaks_consistency(full2):
     """Swapping one level for the flat measure must leave a visible defect."""
     v = CylinderFunction.constant(full2, 1.0)
-    rho = quiet_invariant(full2)
+    rho = strongly_invariant_measure(full2)
     mu0 = DensityMeasure(
         CylinderFunction.from_table(full2, 1, {(1,): 2.0, (2,): 0.0}), rho
     )
@@ -253,7 +252,7 @@ def test_sampler_memory_is_the_batch_and_one_block():
     """
     full3 = build_subshift([[1, 1, 1]] * 3)
     one = CylinderFunction.constant(full3, 1.0)
-    pm = build_path_measure(full3, one, DensityMeasure(one, quiet_invariant(full3)))
+    pm = build_path_measure(full3, one, DensityMeasure(one, strongly_invariant_measure(full3)))
     tracemalloc.start()
     try:
         batch = sample_paths(pm, n_steps=6, n_samples=200000, base_depth=3, seed=8)
@@ -272,7 +271,7 @@ def test_sampler_memory_holds_one_byte_symbols():
     """
     full3 = build_subshift([[1, 1, 1]] * 3)
     one = CylinderFunction.constant(full3, 1.0)
-    pm = build_path_measure(full3, one, DensityMeasure(one, quiet_invariant(full3)))
+    pm = build_path_measure(full3, one, DensityMeasure(one, strongly_invariant_measure(full3)))
     tracemalloc.start()
     try:
         batch = sample_paths(pm, n_steps=6, n_samples=300000, base_depth=3, seed=8)
@@ -296,9 +295,9 @@ def test_sampler_deterministic_across_runs(full2):
 def test_single_path_helper(full2):
     v = weight_markov_full(full2)
     pm = make_pm(full2, v)
-    path = sample_path(pm, n_steps=3, base_depth=2, seed=21)
-    assert len(path.base) == 2
-    assert len(path.prepends) == 3
+    batch = sample_paths(pm, n_steps=3, n_samples=1, base_depth=2, seed=21)
+    assert batch.base_words.shape == (1, 2)
+    assert batch.prepends.shape == (1, 3)
 
 
 def test_empirical_frequencies_match_marginals(full2):
@@ -329,7 +328,7 @@ def test_empirical_check_needs_samples(full2):
 def test_zero_mass_conditioning_raises(full2):
     """A corrupted level can walk the chain onto a massless cylinder."""
     v = CylinderFunction.constant(full2, 1.0)
-    rho = quiet_invariant(full2)
+    rho = strongly_invariant_measure(full2)
     mu0 = DensityMeasure(
         CylinderFunction.from_table(full2, 1, {(1,): 2.0, (2,): 0.0}), rho
     )
@@ -415,7 +414,7 @@ def test_isometry_rejects_a_nan_filter(full2):
 
 def test_isometry_detects_broken_base(full2):
     """With a non fixed base the filter identity must fail loudly."""
-    rho = quiet_invariant(full2)
+    rho = strongly_invariant_measure(full2)
     v = weight_full_half(full2)
     skew = DensityMeasure(
         CylinderFunction.from_table(full2, 1, {(1,): 1.6, (2,): 0.4}), rho

@@ -43,7 +43,6 @@ from conftest import (
     loop_fixed_density_measure,
     loop_fixed_function,
     lstsq_fixed_functional,
-    quiet_invariant,
     scipy_null_space,
     slow_leak_weight,
     solved_base,
@@ -68,6 +67,7 @@ from shiftpath import (
     markov_measure_for_weight,
     relative_ergodicity_dimension,
     sample_paths,
+    strongly_invariant_measure,
     transfer_matrix,
     transform_measure,
     weight_pushforward_defect,
@@ -191,7 +191,7 @@ def test_transfer_matrix_acts_like_apply_transfer(matrix, v_depth, data):
     v = table(data, shift, v_depth)
     depth = data.draw(st.integers(max(v_depth - 1, 1), 4))
     f = table(data, shift, data.draw(st.integers(1, depth)), -2.0, 2.0)
-    got = transfer_matrix(shift, v, depth).matrix @ f.promote(depth).values
+    got = transfer_matrix(shift, v, depth) @ f.promote(depth).values
     expected = apply_transfer(shift, v, f).promote(depth).values
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
 
@@ -201,7 +201,7 @@ def test_transfer_matrix_acts_like_apply_transfer(matrix, v_depth, data):
 def test_raw_transform_matches_density_route(matrix, v_depth, f_depth, depth, data):
     shift = build_subshift(matrix)
     v = table(data, shift, v_depth)
-    mu = DensityMeasure(table(data, shift, f_depth), quiet_invariant(shift))
+    mu = DensityMeasure(table(data, shift, f_depth), strongly_invariant_measure(shift))
     density_route = transform_measure(shift, v, mu).masses_at(depth)
     raw_route = transform_measure(shift, v, mu, out_depth=depth).masses
     np.testing.assert_allclose(raw_route, density_route, rtol=1e-12, atol=1e-12)
@@ -215,7 +215,7 @@ def test_dual_pushforward_defect_matches_per_indicator_check(matrix, v_depth, de
     # the strongly invariant reference, where the identity holds, and a
     # consistent Markov reference of another kernel, where it need not
     markov = markov_measure_for_weight(shift, normalized_weight(data, shift))
-    for rho in (quiet_invariant(shift), markov):
+    for rho in (strongly_invariant_measure(shift), markov):
         oracle = max(
             check_weight_pushforward(shift, v, CylinderFunction.indicator(shift, w), rho, n)
             for w in shift.words(depth)
@@ -230,7 +230,7 @@ def test_left_functional_is_the_fixed_probability_vector(matrix, depth, data):
     shift = build_subshift(matrix)
     v = normalized_weight(data, shift)
     nu = left_fixed_functional(shift, v, depth)
-    operator = transfer_matrix(shift, v, depth).matrix
+    operator = transfer_matrix(shift, v, depth)
     assert nu.masses.min() >= 0.0
     assert abs(nu.total_mass() - 1.0) <= 1e-12
     assert np.abs(nu.masses @ operator - nu.masses).max() <= 1e-10
@@ -312,7 +312,7 @@ def test_fixed_function_is_the_limit_of_the_monotone_loop(system):
     """
     shift, v = system
     res = iterate_fixed_function(shift, v)
-    surviving = surviving_states(transfer_matrix(shift, v, res.h.depth).matrix)
+    surviving = surviving_states(transfer_matrix(shift, v, res.h.depth))
     tol = 1e-13 if surviving.any() else 1e-17
     loop, _ = loop_fixed_function(shift, v, tol=tol, max_iter=10**6)
     assert np.abs(res.h.values - loop.values).max() <= 1e-10
@@ -331,7 +331,7 @@ def test_fixed_density_is_h_and_h_pairs_to_one_with_nu(system):
         with pytest.raises(DegenerateH):
             fixed_density_measure(shift, v)
         return
-    mu0 = fixed_density_measure(shift, v, rho=quiet_invariant(shift))
+    mu0 = fixed_density_measure(shift, v, rho=strongly_invariant_measure(shift))
     assert mu0.density.values.tobytes() == res.h.values.tobytes()
     assert abs(left_fixed_functional(shift, v).integrate(res.h) - 1.0) <= 1e-13
 
@@ -354,7 +354,7 @@ def test_left_functional_matches_dense_lstsq(system, extra_depth):
     assert (nu is None) == (oracle is None)
     if nu is not None:
         assert np.abs(nu.masses - oracle.masses).max() <= 1e-12
-        operator = transfer_matrix(shift, v, depth).matrix
+        operator = transfer_matrix(shift, v, depth)
         assert np.abs(nu.masses @ operator - nu.masses).max() <= 1e-13
 
 
@@ -364,7 +364,7 @@ def test_non_unique_means_a_null_space_above_one(matrix):
     shift = build_subshift(matrix)
     kernel = shift.matrix / shift.column_sums
     singular = np.linalg.svd(kernel - np.eye(shift.k), compute_uv=False)
-    assert quiet_invariant(shift).non_unique == ((singular < 1e-10).sum() > 1)
+    assert strongly_invariant_measure(shift).non_unique == ((singular < 1e-10).sum() > 1)
 
 
 @PROPERTY_SETTINGS
@@ -372,7 +372,7 @@ def test_non_unique_means_a_null_space_above_one(matrix):
 def test_sampled_batches_do_not_depend_on_workers(matrix, steps, samples, depth, data):
     shift = build_subshift(matrix)
     # a normalized weight fixes the strongly invariant measure itself
-    mu0 = DensityMeasure(CylinderFunction.constant(shift, 1.0), quiet_invariant(shift))
+    mu0 = DensityMeasure(CylinderFunction.constant(shift, 1.0), strongly_invariant_measure(shift))
     pm = build_path_measure(shift, normalized_weight(data, shift), mu0)
     seed = data.draw(st.integers(0, 2**32 - 1))
     batches = [sample_paths(pm, steps, samples, depth, seed, workers=w) for w in (1, 2, 3)]
@@ -397,7 +397,8 @@ def test_streamed_sampler_matches_the_dense_oracle(data, steps, samples, depth):
     if data.draw(st.booleans()):
         shift = build_subshift(data.draw(matrices()))
         v = normalized_weight(data, shift)
-        mu0 = DensityMeasure(CylinderFunction.constant(shift, 1.0), quiet_invariant(shift))
+        one = CylinderFunction.constant(shift, 1.0)
+        mu0 = DensityMeasure(one, strongly_invariant_measure(shift))
     else:
         shift, v = data.draw(sub_normalized_weights())
         try:

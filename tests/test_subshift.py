@@ -11,7 +11,6 @@ from conftest import (
     brute_weight_product,
     brute_words,
     function_dict,
-    quiet_invariant,
     random_subshift,
     random_weight,
     table_value,
@@ -28,6 +27,7 @@ from shiftpath import (
     build_path_measure,
     build_subshift,
     sample_paths,
+    strongly_invariant_measure,
     verify_strong_invariance,
     weight_product,
 )
@@ -155,7 +155,7 @@ def test_window_sums_refuse_empty_and_outside_windows():
 
 def _uniform_path_measure(shift):
     one = CylinderFunction.constant(shift, 1.0)
-    return build_path_measure(shift, one, DensityMeasure(one, quiet_invariant(shift)))
+    return build_path_measure(shift, one, DensityMeasure(one, strongly_invariant_measure(shift)))
 
 
 @pytest.mark.parametrize("k, depth", [(3, 6), (25, 3)])
@@ -225,7 +225,7 @@ def test_the_largest_one_byte_alphabet_does_not_wrap():
     assert shift.suffix_indices(2).tolist() == second.tolist()
     pm = _uniform_path_measure(shift)
     np.testing.assert_allclose(pm.mu0.masses_at(2), 1.0 / k**2, rtol=1e-12)
-    assert verify_strong_invariance(quiet_invariant(shift), 2) <= 1e-12
+    assert verify_strong_invariance(strongly_invariant_measure(shift), 2) <= 1e-12
     assert sorted(set(pm._kernel(1).syms.tolist())) == list(range(1, k + 1))
     batch = sample_paths(pm, n_steps=3, n_samples=2000, base_depth=1, seed=2)
     assert batch.prepends.max() == k and batch.prepends.min() >= 1

@@ -9,7 +9,6 @@ from conftest import (
     GOLDEN,
     brute_transfer,
     function_dict,
-    quiet_invariant,
     random_function,
     random_weight,
     slow_leak_weight,
@@ -25,7 +24,7 @@ from shiftpath import (
     check_weight_pushforward,
     iterate_fixed_function,
     left_fixed_functional,
-    product_weight,
+    strongly_invariant_measure,
     transfer_matrix,
     weight_product,
 )
@@ -33,21 +32,20 @@ from shiftpath import (
 
 def test_full_shift_matrix_frozen(full2):
     """V = (3/2, 1/2) averages to the rank-one matrix [[3/4,1/4],[3/4,1/4]]."""
-    tm = transfer_matrix(full2, weight_full_half(full2), 1)
-    assert np.allclose(tm.matrix, [[0.75, 0.25], [0.75, 0.25]], atol=1e-15)
+    op = transfer_matrix(full2, weight_full_half(full2), 1)
+    assert np.allclose(op, [[0.75, 0.25], [0.75, 0.25]], atol=1e-15)
 
 
 def test_golden_flat_matrix_frozen(golden):
-    tm = transfer_matrix(golden, CylinderFunction.constant(golden, 1.0), 1)
-    assert np.allclose(tm.matrix, [[0.5, 0.5], [1.0, 0.0]], atol=1e-15)
+    op = transfer_matrix(golden, CylinderFunction.constant(golden, 1.0), 1)
+    assert np.allclose(op, [[0.5, 0.5], [1.0, 0.0]], atol=1e-15)
 
 
 def test_transfer_matrix_depth_guard(golden):
     v = weight_markov_golden(golden)
     with pytest.raises(DepthTooShallow):
         transfer_matrix(golden, v, 0)
-    tm = transfer_matrix(golden, v, 1)
-    assert tm.matrix.shape == (2, 2)
+    assert transfer_matrix(golden, v, 1).shape == (2, 2)
 
 
 def test_apply_transfer_matches_brute_force():
@@ -78,8 +76,7 @@ def test_matrix_agrees_with_action(golden):
     rng = np.random.default_rng(8)
     v = random_weight(golden, rng, 2)
     f = random_function(golden, rng, 2)
-    tm = transfer_matrix(golden, v, 2)
-    via_matrix = tm.matrix @ f.values
+    via_matrix = transfer_matrix(golden, v, 2) @ f.values
     direct = apply_transfer(golden, v, f).promote(2).values
     assert np.allclose(via_matrix, direct, atol=1e-14)
 
@@ -174,8 +171,8 @@ def test_left_functional_full_shift(full2):
 def test_left_functional_fixed_under_matrix(golden):
     v = weight_markov_golden(golden)
     nu = left_fixed_functional(golden, v)
-    tm = transfer_matrix(golden, v, nu.depth)
-    assert np.abs(tm.matrix.T @ nu.masses - nu.masses).max() <= 1e-10
+    op = transfer_matrix(golden, v, nu.depth)
+    assert np.abs(op.T @ nu.masses - nu.masses).max() <= 1e-10
 
 
 CHAIN3 = [[1, 1, 0], [1, 1, 1], [0, 1, 1]]
@@ -224,7 +221,7 @@ def test_weight_pushforward_identity():
     rng = np.random.default_rng(23)
     for matrix in (FULL2, GOLDEN):
         shift = build_subshift(matrix)
-        rho = quiet_invariant(shift)
+        rho = strongly_invariant_measure(shift)
         for _ in range(25):
             v = random_weight(shift, rng, int(rng.integers(1, 4)))
             f = random_function(shift, rng, int(rng.integers(1, 4)))
@@ -234,7 +231,7 @@ def test_weight_pushforward_identity():
 
 def test_weight_pushforward_by_hand(full2):
     """One fully hand-computed case: V=(3/2,1/2), f=indicator of [1], n=2."""
-    rho = quiet_invariant(full2)
+    rho = strongly_invariant_measure(full2)
     v = weight_full_half(full2)
     f = CylinderFunction.indicator(full2, (1,))
     w2 = weight_product(v, 2)
@@ -250,6 +247,6 @@ def test_product_weight(golden):
     rng = np.random.default_rng(29)
     a = random_weight(golden, rng, 1)
     b = random_weight(golden, rng, 2)
-    c = product_weight(a, b)
+    c = a * b
     for w in golden.words(2):
         assert c.value(w) == pytest.approx(a.value(w) * b.value(w), abs=1e-15)
