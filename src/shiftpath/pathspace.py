@@ -17,6 +17,7 @@ harmonic functions the extremality solve computes.
 """
 
 import os
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -193,6 +194,7 @@ class _WalkKernel:
         self.syms = first[walk.indices]
         rowsum = _running_sums(walk.indptr, walk.data.copy())[last]
         self.invalid = (den <= 0) | (rowsum <= 0)
+        self.has_invalid = bool(self.invalid.any())
         safe_den = np.where(self.invalid, 1.0, rowsum)
         # the divisors are overwritten by the quotients, so one entry-sized array is made
         self.cdf = np.repeat(safe_den, np.diff(walk.indptr))
@@ -204,14 +206,17 @@ class _WalkKernel:
         return np.minimum(np.searchsorted(self.cum0, r, side="right"), len(self.cum0) - 1)
 
     def step(self, states, r):
-        invalid = self.invalid[states]
-        if invalid.any():
-            word = word_string(self.shift.words_at(self.depth, states[invalid][0]))
-            raise ZeroMassConditioning(f"trajectory reached the zero-mass cylinder [{word}]")
-        pos = self.start[states]
+        if self.has_invalid:
+            invalid = self.invalid[states]
+            if invalid.any():
+                word = word_string(self.shift.words_at(self.depth, states[invalid][0]))
+                raise ZeroMassConditioning(f"trajectory reached the zero-mass cylinder [{word}]")
+        # the strided column is read once per branch, so it is copied once
+        r = np.ascontiguousarray(r)
+        pos = self.start.take(states)
         for _ in range(self.kmax - 1):
-            pos += self.cdf[pos] <= r
-        return self.nxt[pos], self.syms[pos]
+            pos += self.cdf.take(pos) <= r
+        return self.nxt.take(pos), self.syms.take(pos)
 
 
 @dataclass(frozen=True)
@@ -244,18 +249,28 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
+def _stream_at(state, skip):
+    """A generator on a copy of PCG64 `state`, past its first `skip` draws."""
+    bits = np.random.PCG64()
+    bits.state = state
+    return np.random.Generator(bits.advance(skip))
+
+
 def sample_paths(pm, n_steps, n_samples, base_depth, seed, workers=1):
     """Draw trajectories of the path process, exactly and reproducibly.
 
     The base record is drawn from mu0 at the working depth (the larger
     of base_depth, the weight depth and `PathMeasure.density_depth`, so
     the conditional ratios are exact), then each step prepends a symbol with
-    its conditional mass ratio.  All randomness comes from one generator
-    seeded with `seed`, drawn in row order SAMPLE_BLOCK samples at a time,
-    and each block is split between at most as many threads as usable
-    CPUs and samples.  So the batch depends only on (arguments, seed),
-    and the scratch memory does not grow with n_samples.  A batch of
-    more than MAX_SAMPLE_SYMBOLS symbols raises TableTooLarge first.
+    its conditional mass ratio.  Row i reads uniforms i * (n_steps + 1)
+    onward of the one PCG64 stream of `np.random.default_rng(seed)`, so
+    the batch depends only on (arguments, seed).  Each of at most as many
+    threads as usable CPUs and samples walks one contiguous range of rows
+    from its own copy of the stream, SAMPLE_BLOCK // threads rows at a
+    time through a buffer allocated here, so the scratch memory does not
+    grow with n_samples.  The caller walks the first range, joins every
+    thread and raises the first error in row order.  A batch of more
+    than MAX_SAMPLE_SYMBOLS symbols raises TableTooLarge first.
     """
     if n_steps < 0 or n_samples < 1 or base_depth < 1:
         raise ValueError("need n_steps >= 0, n_samples >= 1, base_depth >= 1")
@@ -266,26 +281,44 @@ def sample_paths(pm, n_steps, n_samples, base_depth, seed, workers=1):
     base_of = pm.shift.prefix_indices(working, base_depth)
     base_words = np.empty((n_samples, base_depth), dtype=pm.shift.symbol_dtype)
     prepends = np.empty((n_samples, n_steps), dtype=pm.shift.symbol_dtype)
-    # imported here, so that a process that loads pathspace but draws no sample
-    # (`verify`) does not load the pool
-    from concurrent.futures import ThreadPoolExecutor
-
-    rng = np.random.default_rng(seed)
+    width = n_steps + 1
+    state = np.random.default_rng(seed).bit_generator.state
     threads = max(min(workers, n_samples, _usable_cpus()), 1)
+    edges = [t * n_samples // threads for t in range(threads + 1)]
+    block = max(SAMPLE_BLOCK // threads, 1)
+    # allocated here, not in the threads, whose malloc arenas would keep the memory
+    buffers = np.empty((threads, min(block, -(-n_samples // threads)), width))
+    spans = [(edges[t], edges[t + 1], buffers[t]) for t in range(threads)]
+    errors = {}
 
-    def run(part):
-        uniforms, base_out, prep_out = part
-        states = kernel.draw_base(uniforms[:, 0])
-        base_out[:] = pm.shift.words_at(base_depth, base_of[states])
-        for j in range(n_steps):
-            states, prep_out[:, j] = kernel.step(states, uniforms[:, j + 1])
+    def walk(first, stop, buffer):
+        rng = _stream_at(state, first * width)
+        for start in range(first, stop, block):
+            rows = slice(start, min(start + block, stop))
+            uniforms = rng.random(out=buffer[: rows.stop - start])
+            states = kernel.draw_base(uniforms[:, 0])
+            base_words[rows] = pm.shift.words_at(base_depth, base_of[states])
+            for j in range(n_steps):
+                states, prepends[rows, j] = kernel.step(states, uniforms[:, j + 1])
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for start in range(0, n_samples, SAMPLE_BLOCK):
-            rows = slice(start, min(start + SAMPLE_BLOCK, n_samples))
-            uniforms = rng.random((rows.stop - start, n_steps + 1))
-            arrays = (uniforms, base_words[rows], prepends[rows])
-            list(pool.map(run, zip(*(np.array_split(a, threads) for a in arrays))))
+    def run(span):
+        try:
+            walk(*span)
+        except BaseException as exc:
+            errors[span[0]] = exc
+
+    started = []
+    try:
+        for span in spans[1:]:
+            thread = threading.Thread(target=run, args=(span,))
+            thread.start()
+            started.append(thread)
+        walk(*spans[0])
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
     return SampleBatch(pm.shift, base_depth, n_steps, base_words, prepends)
 
 

@@ -240,6 +240,15 @@ def test_sample_zero_mass_exit(tmp_path):
     assert code == 5
 
 
+def test_sample_zero_mass_exit_with_two_workers(tmp_path):
+    """An error raised while two threads sample still exits 5, and no samples.csv is written."""
+    cfg = write_config(tmp_path, CORRUPTED)
+    argv = ["sample", "--config", cfg, "--depth", "1", "--steps", "5", "--samples", "64",
+            "--tol", "1.0", "--workers", "2", "--out", str(tmp_path)]
+    assert run(argv) == 5
+    assert not (tmp_path / "samples.csv").exists()
+
+
 def test_sample_gate_rejects_bad_base(tmp_path):
     """Without a loose tolerance the corrupted base fails the gate first."""
     cfg = write_config(tmp_path, CORRUPTED)

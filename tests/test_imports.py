@@ -10,8 +10,8 @@ name in that table counts as used by the definition check.  Each command
 imports only the modules it runs: setup and `invariant` load errors,
 io, subshift and invariant; `fixpoint` adds transfer (and measures for
 the dual functional); `verify` and `sample` add measures, transfer and
-pathspace; `ergodicity` adds measures, transfer and extremality.  Only
-a command that draws samples loads `concurrent.futures`.
+pathspace; `ergodicity` adds measures, transfer and extremality.  No
+command loads `concurrent.futures`: the sampler starts plain threads.
 scipy is imported only inside the two leaf kernels of the chain solver,
 and only for chains of more than `invariant.DENSE_STATES` states, so
 the commands that never meet such a chain do not load it.  Nor do the
@@ -453,7 +453,7 @@ def test_each_command_loads_only_its_modules(tmp_path):
     """Set-up and `invariant` load none of the command modules, and each later command adds its own.
 
     `fixpoint` loads measures for the dual functional's RawMeasure, and
-    only `sample` loads the sampler's thread pool.  `ergodicity` runs in
+    no command loads `concurrent.futures`.  `ergodicity` runs in
     a second interpreter, since the first has loaded pathspace by then.
     The config hash uses the interpreter's own SHA-256, so no command but
     `sample` maps OpenSSL (`_hashlib`): numpy.random imports `secrets`,
@@ -470,14 +470,14 @@ def test_each_command_loads_only_its_modules(tmp_path):
         ["sample", *config, "--depth", "2", "--steps", "3", "--samples", "200", "--seed", "5"],
     ]
     watched = json.dumps(COMMAND_MODULES)
-    measures, transfer, pathspace, extremality, pool, openssl = COMMAND_MODULES
+    measures, transfer, pathspace, extremality, _, openssl = COMMAND_MODULES
     assert run_probe(LOADED_PROBE, str(small), json.dumps(steps), watched) == [
         [None, []],
         [0, []],
         [0, [measures, transfer]],
         [0, [measures, transfer, pathspace]],
         # numpy.random -> secrets -> hashlib loads OpenSSL
-        [0, [measures, transfer, pathspace, pool, openssl]],
+        [0, [measures, transfer, pathspace, openssl]],
     ]
     steps = [["ergodicity", *config, "--depth", "2"]]
     assert run_probe(LOADED_PROBE, str(small), json.dumps(steps), watched) == [

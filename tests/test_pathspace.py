@@ -203,44 +203,50 @@ def test_sampler_deterministic_across_workers(full2):
 
 
 def test_sampler_threads_are_bounded_by_cpus(full2, monkeypatch):
-    """No more blocks and threads than usable CPUs and samples, and the same batch."""
-    import concurrent.futures
+    """No more threads than usable CPUs and samples, row ranges that cover every row once, the same batch."""
+    import threading
 
     from shiftpath import pathspace
 
     pm = make_pm(full2, weight_markov_full(full2))
     reference = sample_paths(pm, 3, 100, 2, seed=12)
-    pools = []
+    spans = []
 
-    class RecordingPool:
-        """Stands in for the thread pool: records its size, runs in this thread."""
+    class RecordingThread:
+        """Stands in for threading.Thread: records its row range, runs in this thread."""
 
-        def __init__(self, max_workers):
-            pools.append(max_workers)
+        def __init__(self, target, args):
+            self.target, self.args = target, args
+            spans.append(args[0][:2])
 
-        def __enter__(self):
-            return self
+        def start(self):
+            self.target(*self.args)
 
-        def __exit__(self, *exc):
-            return False
+        def join(self):
+            pass
 
-        def map(self, fn, items):
-            return map(fn, items)
+    drawn = []
+    draw_base = pathspace._WalkKernel.draw_base
 
-    real_split = np.array_split
+    def counted_draw_base(kernel, r):
+        drawn.append(len(r))
+        return draw_base(kernel, r)
 
-    def bounded_split(array, sections):
-        # an unclamped worker count would build that many pieces
-        assert sections <= 64, f"asked for {sections} pieces"
-        return real_split(array, sections)
-
-    # the sampler imports the pool from concurrent.futures when it runs
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(threading, "Thread", RecordingThread)
+    monkeypatch.setattr(pathspace._WalkKernel, "draw_base", counted_draw_base)
     monkeypatch.setattr(pathspace, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(np, "array_split", bounded_split)
     for workers, samples, threads in ((10**9, 100, 3), (2, 100, 2), (10**9, 2, 2), (1, 100, 1)):
+        spans.clear()
+        drawn.clear()
         batch = sample_paths(pm, 3, samples, 2, seed=12, workers=workers)
-        assert pools[-1] == threads
+        assert 1 + len(spans) == threads
+        # the caller walks the first range itself, up to where the threads' ranges begin
+        firsts = [first for first, _ in spans]
+        ranges = [(0, (firsts + [samples])[0])] + spans
+        assert [row for first, stop in ranges for row in range(first, stop)] == list(range(samples))
+        assert all(first < stop for first, stop in ranges)
+        # every base draw, the caller's included, walks one row of one range
+        assert sum(drawn) == samples
         assert batch.base_words.tobytes() == reference.base_words[:samples].tobytes()
         assert batch.prepends.tobytes() == reference.prepends[:samples].tobytes()
 
@@ -338,6 +344,49 @@ def test_zero_mass_conditioning_raises(full2):
     )
     with pytest.raises(ZeroMassConditioning):
         sample_paths(pm, n_steps=6, n_samples=64, base_depth=1, seed=2)
+
+
+def test_zero_mass_conditioning_raises_from_worker_threads(full2, monkeypatch):
+    """A worker thread's error reaches the caller, after every thread has been joined.
+
+    Two steps from the base cylinder [1] stay on mass exactly when the
+    first prepend is 1.  At seed 17 rows 0 and 1 do and row 2 does not,
+    so at 2 and 3 threads only a worker's range meets the zero-mass
+    cylinder.
+    """
+    import threading
+
+    v = CylinderFunction.constant(full2, 1.0)
+    rho = strongly_invariant_measure(full2)
+    mu0 = DensityMeasure(CylinderFunction.from_table(full2, 1, {(1,): 2.0, (2,): 0.0}), rho)
+    override = {1: RawMeasure(full2, 2, rho.masses_at(2))}
+    pm = build_path_measure(full2, v, mu0, tol=float("inf"), marginal_overrides=override)
+    monkeypatch.setattr(pathspace, "_usable_cpus", lambda: 3)
+    clean = sample_paths(pm, n_steps=2, n_samples=2, base_depth=1, seed=17, workers=3)
+    assert clean.prepends.shape == (2, 2)
+    for workers in (1, 2, 3):
+        before = threading.active_count()
+        with pytest.raises(ZeroMassConditioning):
+            sample_paths(pm, n_steps=2, n_samples=3, base_depth=1, seed=17, workers=workers)
+        assert threading.active_count() == before
+
+
+def test_a_row_range_reads_its_slice_of_the_one_stream():
+    """A range that starts at an odd row draws what one full uniform matrix holds in its rows."""
+    seed, n, width, first = 91, 40, 7, 13
+    state = np.random.default_rng(seed).bit_generator.state
+    rows = pathspace._stream_at(state, first * width).random((n - first, width))
+    assert rows.tobytes() == np.random.default_rng(seed).random((n, width))[first:].tobytes()
+
+
+def test_a_seed_sequence_gives_one_batch_at_any_thread_count(full2, monkeypatch):
+    pm = make_pm(full2, weight_markov_full(full2))
+    monkeypatch.setattr(pathspace, "_usable_cpus", lambda: 3)
+    one, three = (
+        sample_paths(pm, 4, 301, 2, seed=np.random.SeedSequence(2024), workers=w) for w in (1, 3)
+    )
+    assert one.base_words.tobytes() == three.base_words.tobytes()
+    assert one.prepends.tobytes() == three.prepends.tobytes()
 
 
 def test_martingale_tower_property():

@@ -386,8 +386,9 @@ def test_sampled_batches_do_not_depend_on_workers(matrix, steps, samples, depth,
 @PROPERTY_SETTINGS
 @given(st.data(), st.integers(0, 4), st.integers(1, 60), st.integers(1, 3))
 def test_streamed_sampler_matches_the_dense_oracle(data, steps, samples, depth):
-    """Blocks of 7 samples, split across 1 or 3 threads, give the batch of the former sampler.
+    """Rows split across 1, 2 or 3 threads, in blocks of 7 // threads, give the batch of the former sampler.
 
+    The oracle draws every uniform at once, as one (samples, steps + 1) matrix.
     The kernel's flat running sums, next states and symbols are the
     dense kernel's rows bit for bit, so no draw can move.  Half of the
     systems are a normalized weight over the strongly invariant measure;
@@ -424,7 +425,7 @@ def test_streamed_sampler_matches_the_dense_oracle(data, steps, samples, depth):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pathspace, "SAMPLE_BLOCK", 7)
         patch.setattr(pathspace, "_usable_cpus", lambda: 3)
-        for workers in (1, 3):
+        for workers in (1, 2, 3):
             batch = sample_paths(pm, steps, samples, depth, seed, workers=workers)
             assert values(batch) == expected
             assert batch.base_words.dtype == batch.prepends.dtype == np.uint8
