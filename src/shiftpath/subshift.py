@@ -169,16 +169,6 @@ class Subshift:
         classes = closed_classes(self.matrix)
         return len(classes) == 1 and len(classes[0]) == self.k
 
-    def preimage_symbols(self, j):
-        """Symbols a with matrix[a, j] == 1, i.e. the inverse branches at [j...]."""
-        if not 1 <= j <= self.k:
-            raise InadmissibleWord(f"symbol {j} outside 1..{self.k}")
-        return tuple((np.flatnonzero(self.matrix[:, j - 1]) + 1).tolist())
-
-    def branch_count(self, j):
-        """Number of preimages of any point whose first symbol is j."""
-        return int(self.column_sums[j - 1])
-
     def _grow(self, depth):
         """Build the tables down to `depth`, refusing any above MAX_TABLE_WORDS."""
         if depth < 1:
@@ -482,9 +472,6 @@ class CylinderFunction:
         return CylinderFunction(
             self.shift, self.depth, (self.values.conj() * self.values).real
         )
-
-    def sup_norm(self):
-        return float(np.abs(self.values).max())
 
     def max(self):
         return float(self.values.max().real)

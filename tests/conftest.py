@@ -2,29 +2,24 @@
 
 The oracle helpers below work on plain dicts and itertools enumeration,
 with no shared code paths with the library's vectorized internals, so
-agreement between the two is evidence rather than tautology.
+agreement between the two is evidence rather than tautology.  The exact
+chain solves behind h, nu and rho, and the helpers they use, live in `exact_chain`.
 """
 
-import itertools
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from exact_chain import brute_column_sums, brute_words, closure_reaching, table_value
 from shiftpath import (
     CylinderFunction,
-    DegenerateH,
     DensityMeasure,
-    MarkovMeasure,
-    RawMeasure,
     ZeroMassConditioning,
-    apply_transfer,
     build_subshift,
     fixed_density_measure,
     strongly_invariant_measure,
-    transfer_matrix,
 )
-from shiftpath.invariant import closed_classes
 from shiftpath.measures import _pushforward_masses
 from shiftpath.pathspace import SampleBatch, _usable_cpus
 from shiftpath.subshift import word_string
@@ -116,34 +111,12 @@ def solved_base(shift, v):
 # brute-force oracles (dict and loop based on purpose)
 
 
-def brute_words(matrix, depth):
-    """All admissible words by direct product enumeration, lexicographic."""
-    k = len(matrix)
-    out = []
-    for w in itertools.product(range(1, k + 1), repeat=depth):
-        if all(matrix[w[i] - 1][w[i + 1] - 1] == 1 for i in range(depth - 1)):
-            out.append(w)
-    return out
-
-
 def leaf_up_prefix_indices(shift, depth, prefix_depth):
     """The former prefix map, kept as an oracle: each word walks the parent arrays up to its prefix."""
     idx = np.arange(shift.word_count(depth), dtype=np.int64)
     for d in range(depth, prefix_depth, -1):
         idx = shift._parent[d][idx]
     return idx
-
-
-def brute_column_sums(matrix):
-    k = len(matrix)
-    return [sum(matrix[i][j] for i in range(k)) for j in range(k)]
-
-
-def table_value(table, word):
-    """Value of a cylinder-function dict on a (possibly longer) word."""
-    depth = len(next(iter(table)))
-    assert len(word) >= depth
-    return table[tuple(word[:depth])]
 
 
 def measure_mass(mu, word):
@@ -272,10 +245,10 @@ def dense_ergodicity_oracle(shift, mu0, v, depth, rtol=1e-10, floor=1e-12):
     one row per depth-dw word w, by looping over the depth-(dw+1) words
     and indexing words through dicts, then takes its null space from a
     full SVD with the relative cutoff rtol.  Masses at or below floor
-    times the total are taken as 0 first: the fixed-function iteration
-    leaves residue of 1e-13 to 1e-32 on words its limit does not charge,
-    and when every charged step is a self-loop the whole matrix is made
-    of that residue, so the SVD's relative cutoff would rank it.
+    times the total are taken as 0 first: a base may carry residue on
+    words that its fixed function does not charge, and when every
+    charged step is a self-loop the whole matrix is made of that
+    residue, so the SVD's relative cutoff would rank it.
     Returns (dimension, basis) with orthonormal basis columns over the
     depth-d words.
     """
@@ -295,124 +268,6 @@ def dense_ergodicity_oracle(shift, mu0, v, depth, rtol=1e-10, floor=1e-12):
     smax = sing[0] if len(sing) else 0.0
     rank = int((sing > rtol * smax).sum()) if smax > 0 else 0
     return len(cols) - rank, vt[rank:].T
-
-
-# ---------------------------------------------------------------------------
-# the former solvers of h and nu, kept as oracles
-
-
-class LoopNoConvergence(AssertionError):
-    """The monotone loop oracle ran out of steps before two iterates agreed."""
-
-
-def loop_fixed_function(shift, v, tol=1e-13, max_iter=10000):
-    """h = lim T^n 1 by the monotone iteration from the constant 1; returns (h, steps).
-
-    Stops when two iterates agree within tol and raises LoopNoConvergence
-    after max_iter steps.  Where h vanishes, the iterates stop at a
-    residue of order tol, not at 0.
-    """
-    h = CylinderFunction.constant(shift, 1.0, max(v.depth - 1, 1))
-    for n in range(1, max_iter + 1):
-        nxt = apply_transfer(shift, v, h)
-        delta = float(np.abs(nxt.values - h.values).max())
-        h = nxt
-        if delta <= tol:
-            return h, n
-    raise LoopNoConvergence(f"no convergence within {max_iter} iterations (last delta {delta:.3e})")
-
-
-def lstsq_stationary_vector(kernel):
-    """Solve q = kernel q, sum q = 1, by a dense least-squares solve."""
-    k = kernel.shape[0]
-    block = np.vstack([kernel - np.eye(k), np.ones((1, k))])
-    rhs = np.zeros(k + 1)
-    rhs[-1] = 1.0
-    q, *_ = np.linalg.lstsq(block, rhs, rcond=None)
-    q = np.clip(q, 0.0, None)
-    return q / q.sum()
-
-
-def lstsq_fixed_functional(shift, v, depth=None):
-    """Dual fixed vector from the dense operator: lstsq on its first mass-keeping closed class."""
-    if depth is None:
-        depth = max(v.depth - 1, 1)
-    op = transfer_matrix(shift, v, depth)
-    for members in closed_classes(op):
-        if np.abs(op[members].sum(axis=1) - 1.0).max() <= 1e-10:
-            masses = np.zeros(len(op))
-            masses[members] = lstsq_stationary_vector(op[np.ix_(members, members)].T)
-            return RawMeasure(shift, depth, masses)
-    return None
-
-
-def lstsq_invariant_measure(shift):
-    """The strongly invariant measure from lstsq: on the whole kernel when it has one closed class.
-
-    With one closed class and transient symbols, the solve leaves
-    residue of rounding size on the transient symbols.
-    """
-    kernel = shift.matrix / shift.column_sums
-    classes = closed_classes(kernel.T)
-    if len(classes) == 1:
-        return MarkovMeasure(shift, lstsq_stationary_vector(kernel))
-    q = np.zeros(shift.k)
-    for members in classes:
-        q[members] += lstsq_stationary_vector(kernel[np.ix_(members, members)]) / len(classes)
-    return MarkovMeasure(shift, q, non_unique=True)
-
-
-def loop_fixed_density_measure(shift, v):
-    """h d(rho) from the loop, the lstsq nu and the lstsq rho, h scaled to unit pairing with nu.
-
-    Its bases carry the residue of the loop and of the lstsq rho on
-    words where h or rho vanishes.
-    """
-    rho = lstsq_invariant_measure(shift)
-    h, _ = loop_fixed_function(shift, v)
-    if h.sup_norm() < 1e-9:
-        raise DegenerateH("monotone limit is identically zero")
-    # the loop's h is not exactly 1 on the kept classes, so it is scaled to nu(h) = 1
-    nu = lstsq_fixed_functional(shift, v)
-    pairing = 0.0 if nu is None else nu.integrate(h)
-    if pairing > 1e-12:
-        return DensityMeasure(h * (1.0 / pairing), rho)
-    total = rho.integrate(h)
-    if total <= 0:
-        raise DegenerateH("fixed function integrates to zero mass")
-    return DensityMeasure(h * (1.0 / total), rho)
-
-
-# ---------------------------------------------------------------------------
-# the former dense graph search of the chain solver, kept as an oracle
-
-
-def boolean_closure(graph):
-    """reach[i, j] when a path of nonzero entries of a dense graph, maybe empty, leads from i to j.
-
-    Boolean squaring until nothing changes, O(n^3 log n).
-    """
-    reach = (graph != 0) | np.eye(graph.shape[0], dtype=bool)
-    while True:
-        step = reach.astype(np.float64)
-        wider = step @ step > 0
-        if (wider == reach).all():
-            return reach
-        reach = wider
-
-
-def closure_closed_classes(graph):
-    """The closed classes of a dense graph from its closure, ordered by lowest state."""
-    reach = boolean_closure(graph)
-    mutual = reach & reach.T
-    # a class reaches nothing outside itself; its lowest state stands for it
-    closed = (reach == mutual).all(axis=1) & (mutual.argmax(axis=1) == np.arange(len(reach)))
-    return [np.flatnonzero(mutual[i]) for i in np.flatnonzero(closed)]
-
-
-def closure_reaching(graph, targets):
-    """Mask of the states of a dense graph with a path, maybe empty, into targets."""
-    return boolean_closure(graph)[:, targets].any(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -462,27 +317,6 @@ def scipy_null_space(matrix):
     if rank:
         null[perm[:rank]] = -solve_triangular(r[:rank, :rank], r[:rank, rank:])
     return null
-
-
-def surviving_states(op):
-    """States of a dense sub-stochastic matrix with a path into a closed class whose rows sum to 1.
-
-    By boolean transitive closure: state i is in a closed class when
-    every state it reaches reaches it back, and that class is the set
-    it reaches.  Rows sum to 1 within 1e-10.
-    """
-    n = len(op)
-    reach = (op != 0) | np.eye(n, dtype=bool)
-    for k in range(n):
-        reach |= reach[:, [k]] & reach[[k], :]
-    keeps = np.array(
-        [
-            reach[reach[i], i].all() and np.abs(op[reach[i]].sum(axis=1) - 1.0).max() <= 1e-10
-            for i in range(n)
-        ],
-        dtype=bool,
-    )
-    return reach[:, keeps].any(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -150,7 +150,7 @@ def test_fixpoint_degenerate_exit(tmp_path):
 
 
 def test_fixpoint_solves_a_slowly_leaking_word(tmp_path):
-    """Word 2 keeps 1 - 1e-4 of its mass per step, too slow for a 10000-step loop."""
+    """Word 2 keeps 1 - 1e-4 of its mass per step, so T^n 1 nears h there only by that factor per step."""
     cfg = write_config(tmp_path, SLOW_LEAK)
     code = run(["fixpoint", "--config", cfg, "--out", str(tmp_path)])
     assert code == 0

@@ -16,7 +16,8 @@ scipy is imported only inside the two leaf kernels of the chain solver,
 and only for chains of more than `invariant.DENSE_STATES` states, so
 the commands that never meet such a chain do not load it.  Nor do the
 setup and the `invariant`, `verify`, `sample` and `ergodicity` commands
-load `numpy.ma`, which costs every run the time of its import.
+load `numpy.ma`, which costs every run the time of its import.  The
+tests' exact chain oracle imports no package code.
 """
 
 import ast
@@ -226,6 +227,12 @@ def test_only_the_two_leaf_kernels_import_scipy():
     """The graph search and the LU solve are the only places that pick dense or sparse."""
     source = (PACKAGE / "invariant.py").read_text(encoding="utf-8")
     assert scipy_importers(source) == {"_components", "_lu_solve"}
+
+
+def test_the_exact_chain_oracle_imports_no_package_code():
+    """Not shiftpath, and not conftest, which imports it."""
+    source = Path(__file__).with_name("exact_chain.py").read_text(encoding="utf-8")
+    assert set(imported_modules(ast.parse(source))) <= {"fractions", "itertools", "numpy"}
 
 
 def relative_closeness_calls(source):

@@ -2,16 +2,15 @@
 
 Hypothesis draws transition matrices with k <= 4 symbols and no zero
 column, and depths up to 6.  The word tables, index maps and word lookup
-are compared with the tuple oracle in conftest; the branch-sum primitive
-is compared bit for bit with numpy's unbuffered scatter-add.  On random
-nonnegative weights, the operator matrix is compared with the operator's
-action, the raw transform with the density route, the dual pushforward
-check with the per-indicator one, and sampled batches across worker
-counts and with the former dense sampler.  The closed-class fixed
-vectors are compared with dense eigen- and singular-value oracles, and
-so are the invariant functions of the extremality solve.  On sub-normalized weights with zero and
-leaky branches, the solved fixed function is compared with the former
-monotone loop and the dual functional with a dense least-squares solve.
+are compared with the tuple oracle; the branch-sum primitive is compared
+bit for bit with numpy's unbuffered scatter-add.  On random nonnegative
+weights, the operator matrix is compared with the operator's action, the
+raw transform with the density route, the dual pushforward check with
+the per-indicator one, and sampled batches across worker counts and with
+the former dense sampler.  h, nu and rho are compared with the exact
+rational solves of `exact_chain` (the same zeros, relative errors of at
+most EXACT_RTOL elsewhere), nu also with a dense eigenvector, and the
+extremality solve with a dense SVD on bases from the exact h and rho.
 On random sub-stochastic chains the dense and the sparse branch of the
 chain solver give the same classes, masks, absorption and stationary
 vectors; at the default cut the two LU solves equal the former dense
@@ -21,40 +20,37 @@ masks.
 The null space by numpy's QR and SVD is compared with scipy's pivoted QR.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import exact_chain
 from conftest import (
     BLOCK4,
     FULL2,
-    brute_words,
-    closure_closed_classes,
-    closure_reaching,
     conditioning_depth,
     DenseWalkKernel,
     dense_absorption,
     dense_ergodicity_oracle,
     dense_sample_paths,
     dense_stationary_vector,
+    function_dict,
     leaf_up_prefix_indices,
-    LoopNoConvergence,
-    loop_fixed_density_measure,
-    loop_fixed_function,
-    lstsq_fixed_functional,
     scipy_null_space,
     slow_leak_weight,
     solved_base,
     stock_systems,
-    surviving_states,
 )
+from exact_chain import brute_words, closure_closed_classes, closure_reaching
 from shiftpath import (
     CylinderFunction,
     DegenerateH,
     DensityMeasure,
     InadmissibleWord,
-    ShiftPathError,
+    MarkovMeasure,
     apply_transfer,
     build_path_measure,
     build_subshift,
@@ -78,6 +74,10 @@ from shiftpath.invariant import Chain, _reaching, _stationary_vector, absorption
 from shiftpath.subshift import branch_sum, prepend_walk
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
+
+# bound on the relative error of a solved h, nu, rho or base mass against the exact one;
+# measured up to 4e-13 on nu's small entries and 2e-15 elsewhere
+EXACT_RTOL = 1e-11
 
 
 @st.composite
@@ -249,11 +249,7 @@ def sub_normalized_weights(draw):
     at least one, are set to 0.  At depth 1 the weight is scaled so that
     its largest branch average is 1.  Deeper, the branches of each word
     are scaled to average 1, and to 1/2 on one drawn leaky word, if any;
-    words whose branches are all 0 lose all their mass.  Not every leak
-    on this grid is fast: `slow_degenerate` loses about 1e-4 of its mass
-    per step, and the loop oracle needs over 10**5 steps for it.  With
-    free floats a depth-1 weight can lose 1e-7 of its mass per step, and
-    the loop then needs more than 10**6 steps.
+    words whose branches are all 0 lose all their mass.
     """
     shift = build_subshift(draw(matrices()))
     v_depth = draw(st.integers(1, 3))
@@ -295,30 +291,26 @@ def slow_degenerate():
     return shift, CylinderFunction(shift, 3, values)
 
 
+def assert_matches_exact(values, exact):
+    """values is 0 exactly where exact is, and within EXACT_RTOL of it elsewhere."""
+    assert len(values) == len(exact)
+    for value, x in zip(values.tolist(), exact):
+        assert (value == 0) == (x == 0)
+        assert abs(Fraction(value) - x) <= EXACT_RTOL * abs(x)
+
+
 @PROPERTY_SETTINGS
 @given(sub_normalized_weights())
 @example(tiny_leak())
 @example(slow_degenerate())
 def test_fixed_function_is_the_limit_of_the_monotone_loop(system):
-    """h agrees with the former loop and is positive exactly where a path keeps its mass.
-
-    The loop runs with a cap far above its former default of 10000
-    steps, which slowly leaking words exceed.  Where no word keeps its
-    mass, the iterates fall to 0 with no rounding floor, so the loop runs
-    to a step of 1e-17: at a leak of 1e-4 per step, about 10**4 times the
-    last step is still to go, 9e-10 after a step of 1e-13.  Elsewhere the
-    iterates settle within rounding of values near 1 and may never step
-    by less than 1e-16.
-    """
+    """h is the exact lim T^n 1 of its chain, with the same status: positive exactly
+    where a path keeps its mass, however slowly a word leaks."""
     shift, v = system
     res = iterate_fixed_function(shift, v)
-    surviving = surviving_states(transfer_matrix(shift, v, res.h.depth))
-    tol = 1e-13 if surviving.any() else 1e-17
-    loop, _ = loop_fixed_function(shift, v, tol=tol, max_iter=10**6)
-    assert np.abs(res.h.values - loop.values).max() <= 1e-10
-    assert res.h.values.min() >= 0.0
-    assert ((res.h.values > 0) == surviving).all()
-    assert res.status == ("converged" if surviving.any() else "degenerate")
+    h, nu = exact_chain.fixed_vectors(shift.matrix.tolist(), function_dict(v), res.h.depth)
+    assert_matches_exact(res.h.values, h)
+    assert res.status == ("degenerate" if nu is None else "converged")
 
 
 @PROPERTY_SETTINGS
@@ -346,14 +338,15 @@ def block_flat():
 @given(sub_normalized_weights(), st.integers(0, 1))
 @example(block_flat(), 0)
 @example(block_flat(), 1)
-def test_left_functional_matches_dense_lstsq(system, extra_depth):
+def test_left_functional_matches_the_exact_chain(system, extra_depth):
     shift, v = system
     depth = max(v.depth - 1, 1) + extra_depth
     nu = left_fixed_functional(shift, v, depth)
-    oracle = lstsq_fixed_functional(shift, v, depth)
-    assert (nu is None) == (oracle is None)
+    _, exact = exact_chain.fixed_vectors(shift.matrix.tolist(), function_dict(v), depth)
+    assert (nu is None) == (exact is None)
     if nu is not None:
-        assert np.abs(nu.masses - oracle.masses).max() <= 1e-12
+        assert_matches_exact(nu.masses, exact)
+        assert np.abs(nu.masses - np.array(exact, dtype=float)).max() <= 1e-12
         operator = transfer_matrix(shift, v, depth)
         assert np.abs(nu.masses @ operator - nu.masses).max() <= 1e-13
 
@@ -361,10 +354,12 @@ def test_left_functional_matches_dense_lstsq(system, extra_depth):
 @PROPERTY_SETTINGS
 @given(matrices())
 def test_non_unique_means_a_null_space_above_one(matrix):
-    shift = build_subshift(matrix)
-    kernel = shift.matrix / shift.column_sums
-    singular = np.linalg.svd(kernel - np.eye(shift.k), compute_uv=False)
-    assert strongly_invariant_measure(shift).non_unique == ((singular < 1e-10).sum() > 1)
+    """rho's q is the exact one, and non-unique exactly where the kernel has more than one
+    closed class: their number is the dimension of its fixed space."""
+    rho = strongly_invariant_measure(build_subshift(matrix))
+    q, n_classes = exact_chain.invariant_measure(matrix)
+    assert_matches_exact(rho.q, q)
+    assert rho.non_unique == (n_classes > 1)
 
 
 @PROPERTY_SETTINGS
@@ -443,16 +438,14 @@ def weighted_systems(draw):
     return matrix, v_depth, values, leaky, draw(st.integers(1, 3))
 
 
-def solved_system(matrix, v_depth, values, leaky, solve=loop_fixed_density_measure):
-    """A weight with zeros and its fixed measure h d(rho), found by `solve`.
+def solved_system(matrix, v_depth, values, leaky, residue=0.0):
+    """A weight with zeros and its fixed measure h d(rho), from the exact h and rho.
 
     The branch values of each depth-(v_depth - 1) word are scaled to
     average 1 (all-zero branches become 1), and to 1/2 on the leaky
     word, so the weight is sub-normalized and h is not constant when a
-    word leaks.  The default solve is the former one (the monotone loop
-    and lstsq, `loop_fixed_density_measure`), whose bases carry residue
-    where h or the reference measure vanishes.  The base is None where
-    `solve` raises a ShiftPathError or the loop runs out of steps.
+    word leaks.  h and the q of rho are the exact ones rounded, with
+    `residue` in place of their zeros; a base of no mass is None.
     """
     shift = build_subshift(matrix)
     suffix = shift.suffix_indices(v_depth)
@@ -463,11 +456,11 @@ def solved_system(matrix, v_depth, values, leaky, solve=loop_fixed_density_measu
     if leaky is not None:
         values[suffix == leaky] *= 0.5
     v = CylinderFunction(shift, v_depth, values)
-    try:
-        mu0 = solve(shift, v)
-    except (ShiftPathError, LoopNoConvergence):
-        mu0 = None
-    return shift, v, mu0
+    h, _ = exact_chain.fixed_vectors(matrix, function_dict(v), max(v_depth - 1, 1))
+    q, _ = exact_chain.invariant_measure(matrix)
+    h, q = ([float(x) if x else residue for x in exact] for exact in (h, q))
+    mu0 = DensityMeasure(CylinderFunction(shift, max(v_depth - 1, 1), h), MarkovMeasure(shift, q))
+    return shift, v, (mu0 if mu0.total_mass() > 0 else None)
 
 
 # one transient word and two classes in one depth-1 fibre; one transient
@@ -478,9 +471,9 @@ EXTREMALITY_EXAMPLES = (
     (FULL2, 2, [2.0, 0.0, 0.0, 2.0], None, 1),
 )
 
-# bases charged only on self-loops, with iteration residue on every other
-# word: one point mass at and below the conditioning depth, and two point
-# masses (at 1...1 and 4...4) that the residue would join
+# bases charged only on self-loops, which carry residue on every other word
+# in the residue tests: one point mass at and below the conditioning depth,
+# and two point masses (at 1...1 and 4...4) that the residue would join
 RESIDUE_EXAMPLES = (
     ([[1, 1], [0, 1]], 2, [1.0, 3.0, 0.0], None, 2),
     ([[1, 1, 0], [1, 0, 0], [1, 0, 1]], 2, [4.0, 0.0, 1.0, 5.0, 0.0], None, 1),
@@ -495,16 +488,17 @@ RESIDUE_EXAMPLES = (
 )
 
 
-# a leak so slow that the loop still moves by 3.6e-12 after 10000 steps
-SLOW_LOOP_EXAMPLES = (
-    (
-        [[1, 1, 1, 0], [0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1]],
-        3,
-        [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0,
-         0.25, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.25, 0.0, 0.0],
-        5,
-        1,
-    ),
+# systems that iterated bases got wrong: every word leaks, so slowly that T^n 1 still
+# moves by 3.6e-12 after 10000 steps (h = 0); residue cost the sparse solve one of the
+# dense SVD's 8 dimensions; and h d(rho) has no mass, as h charges only words rho does not
+PINNED_EXAMPLES = (
+    ([[1, 1, 1, 0], [0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1]], 3,
+     [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0,
+      0.25, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.25, 0.0, 0.0], 5, 1),
+    ([[0, 0, 1], [1, 0, 1], [0, 1, 1]], 3, [0.5, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0], 0, 3),
+    ([[0, 1, 1, 1], [0, 1, 0, 0], [1, 0, 0, 0], [1, 1, 1, 1]], 3,
+     [0.0, 0.0, 0.0, 0.0, 1.0, 0.125, 1.0, 0.0, 0.0, 1.0,
+      0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.75], 2, 1),
 )
 
 
@@ -525,21 +519,38 @@ def with_examples(cases):
 
 @PROPERTY_SETTINGS
 @given(weighted_systems())
-@with_examples(EXTREMALITY_EXAMPLES + RESIDUE_EXAMPLES + SLOW_LOOP_EXAMPLES)
+@with_examples(EXTREMALITY_EXAMPLES + RESIDUE_EXAMPLES + PINNED_EXAMPLES)
 def test_sparse_extremality_matches_dense_svd(system):
-    """Closed classes and absorption give the dense SVD's solution space.
+    """Closed classes and absorption give the dense SVD's solution space, with no mass floor.
 
-    Dimensions must be equal and the projectors onto the two spaces
-    must agree.  Both sides take base masses at or below 1e-12 of the
-    total as 0: the fixed-function iteration leaves such residue on
-    words its limit does not charge, and counted as edges it would make
-    the answer depend on the residue (see the RESIDUE_EXAMPLES).
-    """
+    The exact base carries no residue; the sparse solve must give the dimension and
+    projector of its dense SVD."""
     matrix, v_depth, values, leaky, depth = system
     shift, v, mu0 = solved_system(matrix, v_depth, values, leaky)
     assume(mu0 is not None)
-    dim, basis = dense_ergodicity_oracle(shift, mu0, v, depth)
+    dim, basis = dense_ergodicity_oracle(shift, mu0, v, depth, floor=0.0)
     rep = relative_ergodicity_dimension(shift, mu0, v, depth)
+    assert rep.solution_dim == dim
+    np.testing.assert_allclose(rep.basis @ rep.basis.T, basis @ basis.T, rtol=0, atol=1e-8)
+
+
+@PROPERTY_SETTINGS
+@given(weighted_systems())
+@with_examples(EXTREMALITY_EXAMPLES + RESIDUE_EXAMPLES + PINNED_EXAMPLES)
+def test_solved_bases_need_no_mass_floor(system):
+    """Bases built from the solved h are exactly 0 where the exact base is.
+
+    So they carry no residue, and the sparse solve on them gives the exact base's
+    dense SVD with no mass floor."""
+    matrix, v_depth, values, leaky, depth = system
+    shift, v, mu0 = solved_system(matrix, v_depth, values, leaky)
+    assume(mu0 is not None)
+    solved = solved_base(shift, v)
+    e = conditioning_depth(mu0, v, depth) + 1
+    assert_matches_exact(solved.masses_at(e), mu0.masses_at(e).tolist())
+    assert not residue_masses(solved, v, depth)
+    dim, basis = dense_ergodicity_oracle(shift, mu0, v, depth, floor=0.0)
+    rep = relative_ergodicity_dimension(shift, solved, v, depth)
     assert rep.solution_dim == dim
     np.testing.assert_allclose(rep.basis @ rep.basis.T, basis @ basis.T, rtol=0, atol=1e-8)
 
@@ -555,36 +566,38 @@ def test_extremality_examples_have_transient_words_below_the_conditioning_depth(
     assert (True, True, True) in kinds
 
 
-def test_slow_loop_examples_have_no_loop_base():
-    """The loop oracle runs out of steps on them, so the property test discards them."""
-    for matrix, v_depth, values, leaky, _ in SLOW_LOOP_EXAMPLES:
-        shift, v, mu0 = solved_system(matrix, v_depth, values, leaky)
-        assert mu0 is None
-        with pytest.raises(LoopNoConvergence):
-            loop_fixed_density_measure(shift, v)
-
-
 def test_residue_examples_carry_residue_masses():
-    """Each residue example has residue, and counted as edges it would merge classes."""
+    """With 1e-13 on each zero of h and q, residue that would merge classes stays under the floor."""
     for matrix, v_depth, values, leaky, depth in RESIDUE_EXAMPLES:
-        shift, v, mu0 = solved_system(matrix, v_depth, values, leaky)
+        shift, v, mu0 = solved_system(matrix, v_depth, values, leaky, residue=1e-13)
         assert residue_masses(mu0, v, depth)
         rep = relative_ergodicity_dimension(shift, mu0, v, depth)
         assert rep.class_sizes == [1] * shift.word_count(conditioning_depth(mu0, v, depth))
         raw, _ = dense_ergodicity_oracle(shift, mu0, v, depth, floor=0.0)
-        assert raw < rep.solution_dim
+        dim, basis = dense_ergodicity_oracle(shift, mu0, v, depth)
+        assert raw < rep.solution_dim == dim
+        np.testing.assert_allclose(rep.basis @ rep.basis.T, basis @ basis.T, rtol=0, atol=1e-8)
+
+
+def test_pinned_systems_without_a_base_have_none():
+    """Every word of the first pinned system leaks, so h = 0; the last one's h d(rho) has no mass."""
+    for case, error in ((PINNED_EXAMPLES[0], DegenerateH), (PINNED_EXAMPLES[2], ValueError)):
+        shift, v, mu0 = solved_system(*case[:4])
+        assert mu0 is None
+        with pytest.raises(error):
+            build_path_measure(shift, v, solved_base(shift, v))
 
 
 def test_residue_does_not_join_two_point_masses():
     """A base of 2/9 at 1...1 and 1/9 at 4...4 splits although residue links them.
 
-    The words between the two carry masses of about 1e-13.  Counted as
+    The words between the two carry masses of about 1e-13 or less.  Counted as
     edges they joined the two point masses into one closed class, and
     the dense SVD, whose largest singular value was itself residue
     because the charged steps are self-loops, found no decomposition
     either.
     """
-    shift, v, mu0 = solved_system(*RESIDUE_EXAMPLES[2][:4])
+    shift, v, mu0 = solved_system(*RESIDUE_EXAMPLES[2][:4], residue=1e-13)
     dec = decompose(shift, mu0, v, 1)
     assert dec.lam == pytest.approx(1 / 3, abs=1e-9)
     assert dec.mu1.masses_at(1)[3] <= 1e-12
@@ -594,25 +607,6 @@ def test_residue_does_not_join_two_point_masses():
         assert np.abs(mix - mu0.masses_at(depth)).max() <= 1e-13
         for comp in (dec.mu1, dec.mu2):
             assert check_fixed_point(shift, v, comp, depth) <= 1e-11
-
-
-@PROPERTY_SETTINGS
-@given(weighted_systems())
-@with_examples(EXTREMALITY_EXAMPLES + RESIDUE_EXAMPLES)
-def test_solved_bases_need_no_mass_floor(system):
-    """Bases built from the solved h are exactly 0 where h vanishes.
-
-    So they carry no residue, and the dense SVD with no mass floor gives
-    the sparse solve's solution space.
-    """
-    matrix, v_depth, values, leaky, depth = system
-    shift, v, mu0 = solved_system(matrix, v_depth, values, leaky, solve=solved_base)
-    assume(mu0 is not None)
-    assert not residue_masses(mu0, v, depth)
-    dim, basis = dense_ergodicity_oracle(shift, mu0, v, depth, floor=0.0)
-    rep = relative_ergodicity_dimension(shift, mu0, v, depth)
-    assert rep.solution_dim == dim
-    np.testing.assert_allclose(rep.basis @ rep.basis.T, basis @ basis.T, rtol=0, atol=1e-8)
 
 
 @st.composite

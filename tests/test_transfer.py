@@ -106,7 +106,7 @@ def test_iteration_requires_sub_normalization(full2):
 def test_degenerate_weight_detected(full2):
     res = iterate_fixed_function(full2, CylinderFunction.constant(full2, 0.5))
     assert res.status == "degenerate"
-    assert res.h.sup_norm() < 1e-9
+    assert np.abs(res.h.values).max() < 1e-9
 
 
 def test_monotone_iteration_random_weights():
@@ -131,7 +131,7 @@ def test_monotone_iteration_random_weights():
 
 
 def test_fixed_function_of_a_slowly_leaking_word(full2):
-    """h(2) = (1e-4 / 2) / 1e-4 = 1/2; the monotone loop needed more than 10000 steps."""
+    """h(2) = (1e-4 / 2) / 1e-4 = 1/2, which T^n 1 nears only by a factor 1 - 1e-4 per step."""
     res = iterate_fixed_function(full2, slow_leak_weight(full2))
     assert res.status == "converged"
     assert np.abs(res.h.values - [1.0, 0.5]).max() <= 1e-12
