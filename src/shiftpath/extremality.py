@@ -26,10 +26,11 @@ the walk is searched and solved dense, with numpy, or sparse, with
 scipy, is decided inside `invariant` by its two leaf kernels: dense up
 to 1024 words (`invariant.DENSE_STATES`), and then only on the
 transient block.  No dense matrix of all words by all words is formed.
-A base mass at or below ESSENTIAL_FLOOR times the total is no edge.  No
-package function finds a base by iteration any more; the floor is for
-tables supplied from outside, where an iteration leaves residue on words
-its limit does not charge, which as edges would join separate classes.
+Base masses are read as given: every positive mass is a step of the walk
+and part of the support, however small, so scaling a base changes
+neither the solution space nor its split (the fixed-point pre-check's
+tol is absolute, though).  ESSENTIAL_FLOOR gates only the split score,
+a deviation of an orthonormal basis column, never a mass.
 """
 
 from dataclasses import dataclass
@@ -85,9 +86,7 @@ def relative_ergodicity_dimension(shift, mu0, v, depth, tol=1e-10):
     a finite chain the harmonic functions are exactly the combinations
     of the absorption probabilities into the walk's closed classes; a
     word with no positive branch is a closed class of its own, so its
-    value is free.  A branch whose base mass is at or below
-    ESSENTIAL_FLOOR times the total (residue of an outside iteration;
-    no package function iterates for a base) counts as no branch.  Below
+    value is free.  Every positive base mass is a branch.  Below
     depth dw the combinations must also be constant on every depth-d
     fibre, and depth-d words with no depth-dw extension stay free.
 
@@ -105,10 +104,7 @@ def relative_ergodicity_dimension(shift, mu0, v, depth, tol=1e-10):
 
     e = dw + 1
     suf = shift.suffix_indices(e)
-    masses = mu0.masses_at(e)
-    # masses at or below the floor are residue of an outside iteration, not edges
-    coef = np.where(masses > ESSENTIAL_FLOOR * masses.sum(), masses, 0.0)
-    coef *= v.promote(e).values
+    coef = mu0.masses_at(e) * v.promote(e).values
     # one step of the walk as probabilities; a word with no positive branch is its own class
     coef /= np.where(coef > 0, shift.window_sums(coef, e, 1, dw)[suf], 1.0)
     walk = prepend_walk(shift, dw, coef)
@@ -167,12 +163,13 @@ def decompose_report(shift, mu0, report):
 
     Picks, from the invariant-function space at the report's depth, the
     direction with the largest deviation from its mu0-mean on the
-    support of mu0; directions invisible to mu0 cannot separate
-    anything, so if none is essential the function returns None, as it
-    does when the space is one-dimensional.  The chosen direction b is
-    turned into a density f1 = (b - min b) / integral, the complement
-    f2 = (1 - lam f1) / (1 - lam) with lam = 1 / (2 sup f1), and the
-    components mu_i = f_i d(mu0) satisfy
+    support of mu0, the words of positive mass; directions invisible to
+    mu0 cannot separate anything, so if no deviation exceeds
+    ESSENTIAL_FLOOR (rounding in an orthonormal column) the function
+    returns None, as it does when the space is one-dimensional or mu0
+    has no mass.  The chosen direction b is turned into a density
+    f1 = (b - min b) / integral, the complement f2 = (1 - lam f1) / (1 - lam)
+    with lam = 1 / (2 sup f1), and the components mu_i = f_i d(mu0) satisfy
 
         mu0 = lam mu1 + (1 - lam) mu2
 
@@ -183,18 +180,20 @@ def decompose_report(shift, mu0, report):
     depth = report.depth
 
     masses = mu0.masses_at(depth)
+    support = masses > 0
+    if not support.any():
+        return None
     total = masses.sum()
-    support = masses > ESSENTIAL_FLOOR * max(total, 1.0)
     best = None
     best_score = 0.0
     for j in range(report.basis.shape[1]):
         b = report.basis[:, j]
         centered = b - np.sum(b * masses) / total
-        score = np.abs(centered[support]).max() if support.any() else 0.0
+        score = np.abs(centered[support]).max()
         if score > best_score:
             best_score = score
             best = centered
-    if best is None or best_score <= ESSENTIAL_FLOOR:
+    if best_score <= ESSENTIAL_FLOOR:
         return None
 
     first = int(np.argmax(support))

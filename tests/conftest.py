@@ -235,7 +235,7 @@ def conditional_expectation(shift, mu0, v, g):
     return CylinderFunction(shift, dout, vals)
 
 
-def dense_ergodicity_oracle(shift, mu0, v, depth, rtol=1e-10, floor=1e-12):
+def dense_ergodicity_oracle(shift, mu0, v, depth, rtol=1e-10):
     """Invariant functions of a fixed point from the dense system and an SVD.
 
     Builds the (depth-dw words) x (depth-d words) matrix of
@@ -244,11 +244,10 @@ def dense_ergodicity_oracle(shift, mu0, v, depth, rtol=1e-10, floor=1e-12):
 
     one row per depth-dw word w, by looping over the depth-(dw+1) words
     and indexing words through dicts, then takes its null space from a
-    full SVD with the relative cutoff rtol.  Masses at or below floor
-    times the total are taken as 0 first: a base may carry residue on
-    words that its fixed function does not charge, and when every
-    charged step is a self-loop the whole matrix is made of that
-    residue, so the SVD's relative cutoff would rank it.
+    full SVD with the relative cutoff rtol.  Masses are read as given,
+    with no floor: every positive mass is an entry of the system, and
+    scaling the base scales the matrix, which leaves the relative
+    cutoff's rank and null space unchanged.
     Returns (dimension, basis) with orthonormal basis columns over the
     depth-d words.
     """
@@ -258,7 +257,6 @@ def dense_ergodicity_oracle(shift, mu0, v, depth, rtol=1e-10, floor=1e-12):
     cols = {w: i for i, w in enumerate(brute_words(matrix, depth))}
     weight = function_dict(v)
     masses = mu0.masses_at(dw + 1)
-    masses = np.where(masses > floor * masses.sum(), masses, 0.0)
     system = np.zeros((len(rows), len(cols)))
     for aw, mass in zip(brute_words(matrix, dw + 1), masses):
         coef = table_value(weight, aw) * mass

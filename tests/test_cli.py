@@ -284,6 +284,20 @@ def test_ergodicity_command_decomposes(tmp_path):
     assert float(mass) == pytest.approx(0.5, abs=1e-12)
 
 
+def test_ergodicity_splits_a_base_of_small_total_mass(tmp_path):
+    """BLOCK4's flat base at density 1e-13 splits with lambda 1/4, as at density 1.
+
+    Masses are read as given, so a total far below 1 keeps its support.
+    """
+    cfg = write_config(tmp_path, dict(BLOCK_FLAT, mu0={
+        "depth": 1, "values": {symbol: 1e-13 for symbol in "1234"}}))
+    code = run(["ergodicity", "--config", cfg, "--depth", "2", "--out", str(tmp_path)])
+    assert code == 6
+    report = load(tmp_path, "ergodicity_report.json")
+    assert report["closed_classes"] == [4, 4]
+    assert report["decomposition"]["lambda"] == pytest.approx(0.25, abs=1e-12)
+
+
 def block_split(seed, depth=10):
     """BLOCK4 with a depth-`depth` weight whose two branches average exactly 1.
 
@@ -717,8 +731,16 @@ def test_integer_cells_are_their_decimal_text(tmp_path):
     assert (tmp_path / "r.csv").read_text() == "n\n" + "".join(f"{x}\n" for x in drawn.tolist())
 
 
-def test_config_hash_is_the_sha256_of_the_canonical_json():
-    """The interpreter's own SHA-256 gives hashlib's digest, pinned."""
+@pytest.mark.parametrize("hidden", [(), ("_sha2",), ("_sha2", "_sha256")],
+                         ids=["builtin", "no_sha2", "hashlib"])
+def test_config_hash_is_the_sha256_of_the_canonical_json(monkeypatch, hidden):
+    """Each SHA-256 that `io.config_sha256` falls back to gives hashlib's digest, pinned.
+
+    A module set to None in sys.modules fails to import, so hiding the
+    interpreter's built-in hashes runs the next branch, down to hashlib.
+    """
+    for name in hidden:
+        monkeypatch.setitem(sys.modules, name, None)
     cfg = {"k": 2, "matrix": [[1, 1], [1, 0]], "V": {"depth": 1, "values": {"1": 1.5, "2": 0.5}}}
     canon = '{"V":{"depth":1,"values":{"1":1.5,"2":0.5}},"k":2,"matrix":[[1,1],[1,0]]}'
     assert json.dumps(cfg, sort_keys=True, separators=(",", ":")) == canon

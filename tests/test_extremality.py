@@ -1,6 +1,7 @@
 """Invariant-function dimension, certificates, and constructive splits."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -137,12 +138,32 @@ def test_components_are_distinct_from_base(block4):
 
 
 def test_no_essential_direction_returns_none(ident2):
-    """A base charging one class only cannot be split at depth 1."""
+    """A base charging one class only cannot be split at depth 1, nor can a base of no mass."""
     one = CylinderFunction.constant(ident2, 1.0)
     mu0 = RawMeasure(ident2, 2, np.array([1.0, 0.0]))
     rep = relative_ergodicity_dimension(ident2, mu0, one, 1)
     assert rep.solution_dim == 2
     assert decompose(ident2, mu0, one, 1) is None
+    empty = RawMeasure(ident2, 2, np.zeros(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no mean is taken over an empty support
+        assert decompose(ident2, empty, one, 1) is None
+
+
+@pytest.mark.parametrize("p", [1e-3, 1e-4, 1e-8])
+def test_small_bernoulli_masses_are_steps(full2, p):
+    """A Bernoulli(p) base on the full 2-shift is ergodic however small p is.
+
+    Base masses are read as given: a floor of 1e-12 of the total once cut
+    the words with many 2s out of the walk, which gave dimension 7, 17 and
+    27 at depth 5 and a false split at p = 1e-4.
+    """
+    twos = np.array([word.count(2) for word in full2.words(6)])
+    mu0 = RawMeasure(full2, 6, p**twos * (1 - p) ** (6 - twos))
+    rep = relative_ergodicity_dimension(full2, mu0, CylinderFunction.constant(full2, 1.0), 5)
+    assert rep.solution_dim == 1
+    assert len(rep.class_sizes) == 1
+    assert decompose_report(full2, mu0, rep) is None
 
 
 def test_precheck_rejects_non_fixed_point(full2):

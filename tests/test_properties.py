@@ -10,7 +10,8 @@ the per-indicator one, and sampled batches across worker counts and with
 the former dense sampler.  h, nu and rho are compared with the exact
 rational solves of `exact_chain` (the same zeros, relative errors of at
 most EXACT_RTOL elsewhere), nu also with a dense eigenvector, and the
-extremality solve with a dense SVD on bases from the exact h and rho.
+extremality solve with a dense SVD on bases from the exact h and rho,
+and with its own solve on those bases scaled by 1e-13.
 On random sub-stochastic chains the dense and the sparse branch of the
 chain solver give the same classes, masks, absorption and stationary
 vectors; at the default cut the two LU solves equal the former dense
@@ -54,9 +55,9 @@ from shiftpath import (
     apply_transfer,
     build_path_measure,
     build_subshift,
-    check_fixed_point,
     check_weight_pushforward,
     decompose,
+    decompose_report,
     fixed_density_measure,
     iterate_fixed_function,
     left_fixed_functional,
@@ -471,9 +472,9 @@ EXTREMALITY_EXAMPLES = (
     (FULL2, 2, [2.0, 0.0, 0.0, 2.0], None, 1),
 )
 
-# bases charged only on self-loops, which carry residue on every other word
-# in the residue tests: one point mass at and below the conditioning depth,
-# and two point masses (at 1...1 and 4...4) that the residue would join
+# bases charged only on self-loops: one point mass at and below the conditioning
+# depth, and two point masses (at 1...1 and 4...4) that small masses on the words
+# between them join
 RESIDUE_EXAMPLES = (
     ([[1, 1], [0, 1]], 2, [1.0, 3.0, 0.0], None, 2),
     ([[1, 1, 0], [1, 0, 0], [1, 0, 1]], 2, [4.0, 0.0, 1.0, 5.0, 0.0], None, 1),
@@ -502,12 +503,6 @@ PINNED_EXAMPLES = (
 )
 
 
-def residue_masses(mu0, v, depth):
-    """Whether some depth-e base mass is positive but at most 1e-12 of the total."""
-    masses = mu0.masses_at(conditioning_depth(mu0, v, depth) + 1)
-    return bool(((masses > 0) & (masses <= 1e-12 * masses.sum())).any())
-
-
 def with_examples(cases):
     def wrap(test):
         for case in cases:
@@ -523,15 +518,24 @@ def with_examples(cases):
 def test_sparse_extremality_matches_dense_svd(system):
     """Closed classes and absorption give the dense SVD's solution space, with no mass floor.
 
-    The exact base carries no residue; the sparse solve must give the dimension and
-    projector of its dense SVD."""
+    The sparse solve on the exact base, and on that base scaled by 1e-13, must give the
+    dimension and projector of the exact base's dense SVD; the two give the same split."""
     matrix, v_depth, values, leaky, depth = system
     shift, v, mu0 = solved_system(matrix, v_depth, values, leaky)
     assume(mu0 is not None)
-    dim, basis = dense_ergodicity_oracle(shift, mu0, v, depth, floor=0.0)
-    rep = relative_ergodicity_dimension(shift, mu0, v, depth)
-    assert rep.solution_dim == dim
-    np.testing.assert_allclose(rep.basis @ rep.basis.T, basis @ basis.T, rtol=0, atol=1e-8)
+    dim, basis = dense_ergodicity_oracle(shift, mu0, v, depth)
+    small = DensityMeasure(mu0.density * 1e-13, mu0.rho)
+    lams = []
+    for base in (mu0, small):
+        rep = relative_ergodicity_dimension(shift, base, v, depth)
+        assert rep.solution_dim == dim
+        np.testing.assert_allclose(rep.basis @ rep.basis.T, basis @ basis.T, rtol=0, atol=1e-8)
+        dec = decompose_report(shift, base, rep)
+        lams.append(None if dec is None else dec.lam)
+    if lams[0] is None:
+        assert lams[1] is None
+    else:
+        assert lams[1] == pytest.approx(lams[0], rel=1e-12, abs=0)
 
 
 @PROPERTY_SETTINGS
@@ -540,16 +544,14 @@ def test_sparse_extremality_matches_dense_svd(system):
 def test_solved_bases_need_no_mass_floor(system):
     """Bases built from the solved h are exactly 0 where the exact base is.
 
-    So they carry no residue, and the sparse solve on them gives the exact base's
-    dense SVD with no mass floor."""
+    So the sparse solve on them gives the exact base's dense SVD with no mass floor."""
     matrix, v_depth, values, leaky, depth = system
     shift, v, mu0 = solved_system(matrix, v_depth, values, leaky)
     assume(mu0 is not None)
     solved = solved_base(shift, v)
     e = conditioning_depth(mu0, v, depth) + 1
     assert_matches_exact(solved.masses_at(e), mu0.masses_at(e).tolist())
-    assert not residue_masses(solved, v, depth)
-    dim, basis = dense_ergodicity_oracle(shift, mu0, v, depth, floor=0.0)
+    dim, basis = dense_ergodicity_oracle(shift, mu0, v, depth)
     rep = relative_ergodicity_dimension(shift, solved, v, depth)
     assert rep.solution_dim == dim
     np.testing.assert_allclose(rep.basis @ rep.basis.T, basis @ basis.T, rtol=0, atol=1e-8)
@@ -566,19 +568,6 @@ def test_extremality_examples_have_transient_words_below_the_conditioning_depth(
     assert (True, True, True) in kinds
 
 
-def test_residue_examples_carry_residue_masses():
-    """With 1e-13 on each zero of h and q, residue that would merge classes stays under the floor."""
-    for matrix, v_depth, values, leaky, depth in RESIDUE_EXAMPLES:
-        shift, v, mu0 = solved_system(matrix, v_depth, values, leaky, residue=1e-13)
-        assert residue_masses(mu0, v, depth)
-        rep = relative_ergodicity_dimension(shift, mu0, v, depth)
-        assert rep.class_sizes == [1] * shift.word_count(conditioning_depth(mu0, v, depth))
-        raw, _ = dense_ergodicity_oracle(shift, mu0, v, depth, floor=0.0)
-        dim, basis = dense_ergodicity_oracle(shift, mu0, v, depth)
-        assert raw < rep.solution_dim == dim
-        np.testing.assert_allclose(rep.basis @ rep.basis.T, basis @ basis.T, rtol=0, atol=1e-8)
-
-
 def test_pinned_systems_without_a_base_have_none():
     """Every word of the first pinned system leaks, so h = 0; the last one's h d(rho) has no mass."""
     for case, error in ((PINNED_EXAMPLES[0], DegenerateH), (PINNED_EXAMPLES[2], ValueError)):
@@ -588,25 +577,18 @@ def test_pinned_systems_without_a_base_have_none():
             build_path_measure(shift, v, solved_base(shift, v))
 
 
-def test_residue_does_not_join_two_point_masses():
-    """A base of 2/9 at 1...1 and 1/9 at 4...4 splits although residue links them.
+def test_small_masses_join_two_point_masses():
+    """A base of 2/9 at 1...1 and 1/9 at 4...4 splits, and does not with 1e-13 between them.
 
-    The words between the two carry masses of about 1e-13 or less.  Counted as
-    edges they joined the two point masses into one closed class, and
-    the dense SVD, whose largest singular value was itself residue
-    because the charged steps are self-loops, found no decomposition
-    either.
+    Base masses are read as given: with 1e-13 on each zero of h and q, the
+    words between the two point masses carry positive mass, so their steps
+    join the two into one fixed point that no depth-1 function splits.
     """
+    shift, v, mu0 = solved_system(*RESIDUE_EXAMPLES[2][:4])
+    assert decompose(shift, mu0, v, 1).lam == pytest.approx(1 / 3, abs=1e-12)
     shift, v, mu0 = solved_system(*RESIDUE_EXAMPLES[2][:4], residue=1e-13)
-    dec = decompose(shift, mu0, v, 1)
-    assert dec.lam == pytest.approx(1 / 3, abs=1e-9)
-    assert dec.mu1.masses_at(1)[3] <= 1e-12
-    assert dec.mu2.masses_at(1)[3] == pytest.approx(1 / 6, abs=1e-9)
-    for depth in range(1, 4):
-        mix = dec.lam * dec.mu1.masses_at(depth) + (1 - dec.lam) * dec.mu2.masses_at(depth)
-        assert np.abs(mix - mu0.masses_at(depth)).max() <= 1e-13
-        for comp in (dec.mu1, dec.mu2):
-            assert check_fixed_point(shift, v, comp, depth) <= 1e-11
+    assert relative_ergodicity_dimension(shift, mu0, v, 1).solution_dim == 1
+    assert decompose(shift, mu0, v, 1) is None
 
 
 @st.composite
