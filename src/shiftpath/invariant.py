@@ -12,13 +12,15 @@ averaging a function over the inverse branches of the shift.  The same
 product rule with a different column-stochastic kernel realises the
 natural measures attached to normalized weights; see
 `markov_measure_for_weight`.  The finite-chain solver behind every fixed
-object of the package lives here too: `closed_classes`, `absorption`
-and the stationary vector of a closed class, each one body at every
-size.  Only two leaf kernels pick dense or sparse, by the state count:
-the graph search `_components` and the LU solve `_lu_solve`.  At or
-below DENSE_STATES states they run an iterative Tarjan search over the
-CSR arrays, linear in the steps, and numpy's dense LU; above it scipy's
-graph search and sparse LU, which only they import.
+object of the package lives here too: `closed_classes`, `absorption`,
+the reachability mask `_reaching` (one breadth-first search back along
+the steps) and the stationary vector of a closed class, each one body
+at every size.  Only two leaf kernels pick dense or sparse, by the
+state count: the component search `_components` and the LU solve
+`_lu_solve`.  At or below DENSE_STATES states they run an iterative
+Tarjan search over the CSR arrays, linear in the steps, and numpy's
+dense LU; above it scipy's strong components and sparse LU, which only
+they import.
 """
 
 from dataclasses import dataclass
@@ -174,22 +176,19 @@ def _as_chain(graph):
     return Chain(np.r_[0, np.cumsum(np.bincount(rows, minlength=len(graph)))], cols, graph[rows, cols])
 
 
-def _strong_components(chain, targets):
+def _strong_components(chain):
     """Tarjan's strong components of the nonzero steps of a `Chain`, searched without recursion.
 
     Returns each state's component label, numbered as the search closes
-    the components, so that every step between two components goes to a
-    lower label; whether a step leaves each component; and whether a
-    path from each component, maybe empty, enters the mask `targets`.
-    All three take one pass over the steps, linear in their number.
+    the components, and whether a step leaves each component, both in
+    one pass over the steps, linear in their number.
     """
     n = chain.shape[0]
     nonzero = chain.data != 0
     heads = chain.indices[nonzero].tolist()
     start = np.r_[0, np.cumsum(np.bincount(chain.rows()[nonzero], minlength=n))].tolist()
-    hit = targets.tolist()
     order, low, label = [-1] * n, [0] * n, [-1] * n
-    open_states, leaves, reaches = [], [], []
+    open_states, leaves = [], []
     count = 0
     for root in range(n):
         if order[root] >= 0:
@@ -226,28 +225,15 @@ def _strong_components(chain, targets):
                 members.append(w)
                 if w == v:
                     break
-            leaving = reaching = False
-            for u in members:
-                reaching = reaching or hit[u]
-                for w in heads[start[u]:start[u + 1]]:
-                    if label[w] != c:
-                        leaving = True
-                        reaching = reaching or reaches[label[w]]
-            leaves.append(leaving)
-            reaches.append(reaching)
-    return np.array(label, dtype=np.int64), np.array(leaves, dtype=bool), np.array(reaches, dtype=bool)
+            leaves.append(any(label[w] != c for u in members for w in heads[start[u]:start[u + 1]]))
+    return np.array(label, dtype=np.int64), np.array(leaves, dtype=bool)
 
 
-def _components(chain, targets):
-    """Labels, leaving flags and the reaching mask of `_strong_components`, per state.
-
-    At or below DENSE_STATES states by that search; above, by scipy's
-    strong components and a breadth-first search of the reversed steps.
-    """
+def _components(chain):
+    """Labels and leaving flags as `_strong_components` gives them; above DENSE_STATES, by scipy."""
     n = chain.shape[0]
     if n <= DENSE_STATES:
-        labels, leaving, reaches = _strong_components(chain, targets)
-        return labels, leaving, reaches[labels]
+        return _strong_components(chain)
     from scipy.sparse import csgraph, csr_matrix
 
     nonzero = chain.data != 0
@@ -256,13 +242,7 @@ def _components(chain, targets):
     graph = csr_matrix((np.ones(len(cols)), cols, indptr), shape=(n, n))
     n_comp, labels = csgraph.connected_components(graph, directed=True, connection="strong")
     leaving = np.bincount(labels[rows], weights=labels[rows] != labels[cols], minlength=n_comp) > 0
-    # the reversed steps, and one extra vertex n with a step into every target
-    heads = np.r_[cols, np.full(np.count_nonzero(targets), n)]
-    tails = np.r_[rows, np.flatnonzero(targets)]
-    back = csr_matrix((np.ones(len(heads)), (heads, tails)), shape=(n + 1, n + 1))
-    reach = np.zeros(n + 1, dtype=bool)
-    reach[csgraph.breadth_first_order(back, n, return_predecessors=False)] = True
-    return labels, leaving, reach[:n]
+    return labels, leaving
 
 
 def _lu_solve(n, rows, cols, values, rhs, **options):
@@ -312,7 +292,7 @@ def closed_classes(graph):
     exactly the mixtures of the stationary vectors of these classes.
     """
     chain = _as_chain(graph)
-    labels, leaving, _ = _components(chain, np.zeros(chain.shape[0], dtype=bool))
+    labels, leaving = _components(chain)
     members = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
     # component labels follow no order; each class's first state fixes its place
     _, first = np.unique(labels, return_index=True)
@@ -320,8 +300,27 @@ def closed_classes(graph):
 
 
 def _reaching(graph, targets):
-    """Mask of the states from which a path of nonzero entries of graph enters targets."""
-    return _components(_as_chain(graph), np.asarray(targets, dtype=bool))[2]
+    """Mask of the states from which a path of nonzero entries of graph enters targets.
+
+    A breadth-first search back along the steps, sorted by head once, so
+    each round reads only the steps into its level, deduped by a sort.
+    """
+    chain = _as_chain(graph)
+    nonzero = chain.data != 0
+    heads = chain.indices[nonzero]
+    tails = chain.rows()[nonzero][np.argsort(heads, kind="stable")]
+    # the steps into state j are tails[start[j]:start[j + 1]]
+    start = np.r_[0, np.cumsum(np.bincount(heads, minlength=chain.shape[0]))]
+    reach = np.array(targets, dtype=bool)
+    level = np.flatnonzero(reach)
+    while len(level):
+        counts = start[level + 1] - start[level]
+        ends = np.cumsum(counts)
+        found = tails[np.arange(ends[-1]) + np.repeat(start[level + 1] - ends, counts)]
+        found = np.sort(found[~reach[found]])
+        level = found[np.diff(found, prepend=-1) != 0]
+        reach[level] = True
+    return reach
 
 
 def absorption(chain, classes, values):

@@ -5,10 +5,9 @@ Config files are JSON with the shape
     {
       "k": 2,
       "matrix": [[1, 1], [1, 0]],
-      "V": {"depth": 1, "values": {"1": 1.5, "2": 0.5}},
+      "V": {"depth": 1, "values": {"1": 1.0, "2": 1.0}},
       "mu0": "auto",
-      "filter": {"depth": 1, "values": {"1": [1.0, 0.5], "2": 0.5}},
-      "marginal_override": {"n": 1, "depth": 1, "masses": {"1": 0.5, "2": 0.5}}
+      "filter": {"depth": 1, "values": {"1": [0.6, 0.8], "2": 1.0}}
     }
 
 Only "k" and "matrix" are mandatory.  Cylinder tables are keyed by the
@@ -16,9 +15,10 @@ word written as a digit string (hence k <= 9), must list every
 admissible word of the stated depth and nothing else.  "mu0" is either
 "auto" (solve for the fixed density) or a density table against the
 strongly invariant base measure.  Filter values may be numbers or
-[real, imag] pairs.  "marginal_override" substitutes a raw measure for
-one level of the path family, which is only useful for feeding the
-verifier deliberately broken data.
+[real, imag] pairs.  "marginal_override", {"n": n, "depth": d, "masses":
+table}, substitutes a raw measure for level n of the path family, which
+is only useful for feeding the verifier deliberately broken data; d must
+exceed the command's --depth.
 
 All writers emit byte-stable output: floats go through repr() (the
 shortest round-tripping decimal form), JSON keys are sorted, newlines

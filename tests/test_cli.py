@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from shiftpath import (
+    TableTooLarge,
     build_subshift,
     extremality,
     io,
@@ -488,6 +489,79 @@ def test_oversized_depth_exits_two_before_allocating(tmp_path):
     assert code == 2
     assert peak < 2**23
     assert not (tmp_path / "invariant_report.json").exists()
+
+
+FULL3_FLAT = {
+    "k": 3,
+    "matrix": [[1, 1, 1], [1, 1, 1], [1, 1, 1]],
+    "V": {"depth": 1, "values": {"1": 1.0, "2": 1.0, "3": 1.0}},
+    "mu0": "auto",
+}
+
+
+def table_cap_message():
+    """The `TableTooLarge` message for depth 14 of the full 3-shift, its first table above the cap."""
+    with pytest.raises(TableTooLarge) as refused:
+        build_subshift(np.ones((3, 3), dtype=int)).word_count(14)
+    return str(refused.value)
+
+
+def test_invariant_at_depth_14_of_the_full_3_shift_is_refused_before_any_table(tmp_path, capsys):
+    cfg = write_config(tmp_path, FULL3_FLAT)
+    message = table_cap_message()
+    tracemalloc.start()
+    try:
+        code = run(["invariant", "--config", cfg, "--depth", "14", "--out", str(tmp_path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == f"shiftpath: {message}\n"
+    assert peak < 2**23
+    assert not (tmp_path / "invariant_report.json").exists()
+
+
+def test_ergodicity_refuses_conditioning_tables_above_the_cap(tmp_path):
+    """At --depth 13 the conditioning tables need depth 14: exit 2, not a kill for want of memory.
+
+    Run in its own process, which builds the 3**13 words of depth 13 first.
+    """
+    cfg = write_config(tmp_path, FULL3_FLAT)
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "shiftpath", "ergodicity", "--config", cfg, "--depth", "13",
+         "--out", str(out)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"shiftpath: {table_cap_message()}\n"
+    assert not list(out.glob("*_report.json"))
+
+
+def readme_example():
+    """README's one JSON config and its command lines, each split into arguments."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    config = json.loads(text.split("```json\n", 1)[1].split("```", 1)[0])
+    return config, [line.split()[1:] for line in text.splitlines() if line.startswith("shiftpath ")]
+
+
+def io_docstring_config():
+    """The config shown in the module docstring of `shiftpath.io`."""
+    doc = io.__doc__
+    return json.loads(doc[doc.index("    {"):doc.index("    }") + len("    }")])
+
+
+@pytest.mark.parametrize("source", ["README", "io docstring"])
+def test_documented_configs_pass_every_readme_command(tmp_path, source):
+    config, commands = readme_example()
+    if source == "io docstring":
+        config = io_docstring_config()
+    cfg = write_config(tmp_path, config, "cfg.json")
+    assert [argv[0] for argv in commands] == ["invariant", "fixpoint", "verify", "sample", "ergodicity"]
+    for argv in commands:
+        argv = [cfg if arg == "cfg.json" else arg for arg in argv]
+        assert run(argv + ["--out", str(tmp_path / argv[0])]) == 0, argv
 
 
 def test_invariant_memory_holds_no_word_matrix(tmp_path):

@@ -414,6 +414,25 @@ def test_scipy_loads_only_for_chains_above_the_dense_cut(tmp_path):
     assert "scipy.sparse.linalg" in seen[7][1]
 
 
+# searches back along a 2048-state path from its last state; prints [states reached,
+# scipy modules and numpy.ma loaded]
+REACHING_PROBE = """
+import json, sys
+import numpy as np
+from shiftpath.invariant import DENSE_STATES, Chain, _reaching
+n = 2 * DENSE_STATES
+chain = Chain(np.minimum(np.arange(n + 1), n - 1), np.arange(1, n), np.ones(n - 1))
+reached = _reaching(chain, np.arange(n) == n - 1)
+loaded = [m for m in sys.modules if m.split(".")[0] == "scipy" or m == "numpy.ma"]
+print(json.dumps([int(reached.sum()), loaded]))
+"""
+
+
+def test_reachability_above_the_dense_cut_loads_no_scipy():
+    """`_reaching` is one numpy search at every size; neither scipy nor numpy.ma loads for it."""
+    assert run_probe(REACHING_PROBE) == [2 * shiftpath.invariant.DENSE_STATES, []]
+
+
 # does the set-up of every command (import the CLI, build the subshift and the weight of
 # the config), runs the commands, and prints [exit code, watched modules loaded] after each
 LOADED_PROBE = """

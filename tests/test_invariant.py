@@ -24,7 +24,7 @@ from shiftpath import (
     transform_measure,
     verify_strong_invariance,
 )
-from shiftpath import subshift
+from shiftpath import invariant, subshift
 from shiftpath.invariant import (
     Chain,
     _lu_solve,
@@ -313,6 +313,33 @@ def test_graph_search_walks_1024_states_without_recursion(name):
     for state, expected in ((0, into_first), (LONG - 1, into_last)):
         targets = np.arange(LONG) == state
         assert np.flatnonzero(_reaching(chain, targets)).tolist() == expected
+
+
+def test_reachability_above_the_cut_searches_one_level_per_round():
+    """A 3000-state path into a closed state, with a branch off its middle that reaches none of it.
+
+    State 1500 steps half to 1501 and half to the first of 100 branch
+    states, which end in a state of no steps, a closed class that holds 0.
+    The search back from the path's end takes 3000 rounds above the dense cut.
+    """
+    n, branch, fork = 3000, 100, 1500
+    steps = [[i + 1] for i in range(n - 1)] + [[n - 1]]
+    steps += [[i + 1] for i in range(n, n + branch - 1)] + [[]]
+    weights = [[1.0] * len(s) for s in steps]
+    steps[fork], weights[fork] = [fork + 1, n], [0.5, 0.5]
+    chain = Chain(np.r_[0, np.cumsum([len(s) for s in steps])], np.array([j for s in steps for j in s]),
+                  np.array([x for w in weights for x in w]))
+    assert chain.shape[0] > invariant.DENSE_STATES
+    states = np.arange(n + branch)
+    assert _reaching(chain, states == n - 1).tolist() == (states < n).tolist()
+    into_branch = (states <= fork) | (states >= n)
+    assert _reaching(chain, states == n + branch - 1).tolist() == into_branch.tolist()
+
+    classes = closed_classes(chain)
+    assert [c.tolist() for c in classes] == [[n - 1], [n + branch - 1]]
+    held = absorption(chain, classes, np.array([[1.0], [0.0]]))[:, 0]
+    assert (held[n:] == 0.0).all()
+    assert held[:n].tolist() == np.where(states[:n] <= fork, 0.5, 1.0).tolist()
 
 
 def test_lu_solve_adds_duplicate_entries():

@@ -688,7 +688,7 @@ def walk_chains(draw):
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(wide_chains(), walk_chains()), st.data())
 def test_graph_search_matches_csgraph_and_the_closure(chain, data):
-    """Classes, in order, and reachability masks equal csgraph's and the boolean closure's."""
+    """Classes, in order, equal csgraph's and the boolean closure's; reachability masks the closure's."""
     n = chain.shape[0]
     assert n <= invariant.DENSE_STATES
     dense = chain.toarray()

@@ -1,15 +1,16 @@
 """The chain-solver tests again, with both leaf kernels on their sparse side.
 
-Two leaf kernels of `invariant`, the graph search `_components` and the
-LU solve `_lu_solve`, pick dense or sparse by the chain's state count;
-chains of at most `invariant.DENSE_STATES` states are solved dense, and
-almost every chain of the test suite is that small.  This module
-collects the tests of `test_invariant.py`, `test_transfer.py` and
+Two leaf kernels of `invariant`, the component search `_components`
+and the LU solve `_lu_solve`, pick dense or sparse by the chain's state
+count; chains of at most `invariant.DENSE_STATES` states are solved
+dense, and almost every chain of the test suite is that small.  This
+module collects the tests of `test_invariant.py`, `test_transfer.py` and
 `test_extremality.py`, the property tests against dense and exact oracles
 and the pin of the fixed density against h and nu, and runs them with the
-cut at 0, so that every closed-class search, reachability mask,
-absorption and stationary vector goes through scipy.  Their own
-modules run them at the default cut.
+cut at 0, so that every closed-class search, absorption and stationary
+vector goes through scipy.  Their own modules run them at the default
+cut.  The reachability mask (`invariant._reaching`) reads no cut: it is
+one breadth-first search at every size, the same here as there.
 """
 
 import pytest
