@@ -28,9 +28,9 @@ to 1024 words (`invariant.DENSE_STATES`), and then only on the
 transient block.  No dense matrix of all words by all words is formed.
 Base masses are read as given: every positive mass is a step of the walk
 and part of the support, however small, so scaling a base changes
-neither the solution space nor its split (the fixed-point pre-check's
-tol is absolute, though).  ESSENTIAL_FLOOR gates only the split score,
-a deviation of an orthonormal basis column, never a mass.
+neither the solution space, its split, nor the pre-check, whose tol is
+relative to the base's total mass.  ESSENTIAL_FLOOR gates only the
+split score, a deviation of an orthonormal basis column, never a mass.
 """
 
 from dataclasses import dataclass
@@ -94,13 +94,13 @@ def relative_ergodicity_dimension(shift, mu0, v, depth, tol=1e-10):
     certificate field is True when nothing else does.  class_sizes
     lists the word count of each closed class.  Raises NotFixedPoint
     first if mu0 fails the fixed-point identity at the conditioning
-    depth.
+    depth by more than tol times its total mass.
     """
     v.require_nonnegative()
     dw = max(v.depth - 1, depth, mu0.depth - 1, 1)
     residual = check_fixed_point(shift, v, mu0, dw)
-    if not residual <= tol:  # a NaN residual fails too
-        raise NotFixedPoint(residual, tol)
+    if not residual <= tol * mu0.total_mass():  # a NaN residual fails too
+        raise NotFixedPoint(residual, tol * mu0.total_mass())
 
     e = dw + 1
     suf = shift.suffix_indices(e)
@@ -162,14 +162,13 @@ def decompose_report(shift, mu0, report):
     """Decomposition of mu0 along an already solved invariant-function space.
 
     Picks, from the invariant-function space at the report's depth, the
-    direction with the largest deviation from its mu0-mean on the
-    support of mu0, the words of positive mass; directions invisible to
-    mu0 cannot separate anything, so if no deviation exceeds
-    ESSENTIAL_FLOOR (rounding in an orthonormal column) the function
-    returns None, as it does when the space is one-dimensional or mu0
-    has no mass.  The chosen direction b is turned into a density
-    f1 = (b - min b) / integral, the complement f2 = (1 - lam f1) / (1 - lam)
-    with lam = 1 / (2 sup f1), and the components mu_i = f_i d(mu0) satisfy
+    first direction whose deviation from its mu0-mean on the support of
+    mu0, the words of positive mass, is largest to within ESSENTIAL_FLOOR
+    (rounding in an orthonormal column), so ties pick alike at any scale.
+    Directions invisible to mu0 separate nothing: with no deviation above
+    the floor, one dimension or no mass, it returns None.  The chosen b
+    gives f1 = (b - min b) / integral, f2 = (1 - lam f1) / (1 - lam) with
+    lam = 1 / (2 sup f1), and the components mu_i = f_i d(mu0) satisfy
 
         mu0 = lam mu1 + (1 - lam) mu2
 
@@ -190,7 +189,7 @@ def decompose_report(shift, mu0, report):
         b = report.basis[:, j]
         centered = b - np.sum(b * masses) / total
         score = np.abs(centered[support]).max()
-        if score > best_score:
+        if score > best_score + ESSENTIAL_FLOOR:
             best_score = score
             best = centered
     if best_score <= ESSENTIAL_FLOOR:

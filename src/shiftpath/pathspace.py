@@ -84,9 +84,9 @@ def build_path_measure(shift, v, mu0, tol=1e-10, marginal_overrides=None):
     """Validate that mu0 is fixed under the v-weighted transformer and wrap it.
 
     The defect is checked on the cylinders fine enough to resolve both
-    the density (or the stored raw table) and the transferred density;
-    at that depth a zero defect characterizes the fixed-point property
-    exactly.  Raises NotFixedPoint when the residual exceeds tol.
+    the density (or stored raw table) and the transferred density; there
+    a zero defect characterizes the fixed-point property exactly.  Raises
+    NotFixedPoint when the residual exceeds tol times mu0's total mass.
 
     `marginal_overrides` replaces selected level measures, which breaks
     the consistency identities on purpose; it exists so the checking and
@@ -104,8 +104,8 @@ def build_path_measure(shift, v, mu0, tol=1e-10, marginal_overrides=None):
             )
         d_check = mu0.depth - 1
     residual = check_fixed_point(shift, v, mu0, d_check)
-    if not residual <= tol:  # a NaN residual fails too
-        raise NotFixedPoint(residual, tol)
+    if not residual <= tol * mu0.total_mass():  # a NaN residual fails too
+        raise NotFixedPoint(residual, tol * mu0.total_mass())
     return PathMeasure(shift, v, mu0, residual, marginal_overrides)
 
 

@@ -3,7 +3,8 @@
 The oracle helpers below work on plain dicts and itertools enumeration,
 with no shared code paths with the library's vectorized internals, so
 agreement between the two is evidence rather than tautology.  The exact
-chain solves behind h, nu and rho, and the helpers they use, live in `exact_chain`.
+solves behind h, nu, rho and the extremality space, and the helpers they
+use, live in `exact_chain`.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -233,39 +234,6 @@ def conditional_expectation(shift, mu0, v, g):
     den = _pushforward_masses(shift, CylinderFunction.constant(shift, 1.0), mu0, dout)
     vals = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
     return CylinderFunction(shift, dout, vals)
-
-
-def dense_ergodicity_oracle(shift, mu0, v, depth, rtol=1e-10):
-    """Invariant functions of a fixed point from the dense system and an SVD.
-
-    Builds the (depth-dw words) x (depth-d words) matrix of
-
-        sum_a v(aw) mu0([aw]) * (f((aw) truncated) - f(w truncated)) = 0,
-
-    one row per depth-dw word w, by looping over the depth-(dw+1) words
-    and indexing words through dicts, then takes its null space from a
-    full SVD with the relative cutoff rtol.  Masses are read as given,
-    with no floor: every positive mass is an entry of the system, and
-    scaling the base scales the matrix, which leaves the relative
-    cutoff's rank and null space unchanged.
-    Returns (dimension, basis) with orthonormal basis columns over the
-    depth-d words.
-    """
-    dw = conditioning_depth(mu0, v, depth)
-    matrix = shift.matrix.tolist()
-    rows = {w: i for i, w in enumerate(brute_words(matrix, dw))}
-    cols = {w: i for i, w in enumerate(brute_words(matrix, depth))}
-    weight = function_dict(v)
-    masses = mu0.masses_at(dw + 1)
-    system = np.zeros((len(rows), len(cols)))
-    for aw, mass in zip(brute_words(matrix, dw + 1), masses):
-        coef = table_value(weight, aw) * mass
-        system[rows[aw[1:]], cols[aw[:depth]]] += coef
-        system[rows[aw[1:]], cols[aw[1 : depth + 1]]] -= coef
-    _, sing, vt = np.linalg.svd(system)
-    smax = sing[0] if len(sing) else 0.0
-    rank = int((sing > rtol * smax).sum()) if smax > 0 else 0
-    return len(cols) - rank, vt[rank:].T
 
 
 # ---------------------------------------------------------------------------

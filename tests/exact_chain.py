@@ -1,8 +1,10 @@
-"""Exact solves, in Fractions, of the chains behind h, nu and rho: the oracle for the chain solver.
+"""Exact solves, in Fractions, of the systems behind h, nu, rho and the extremality space.
 
-Words come from itertools, closed classes from a boolean closure and
-solves from Bareiss's fraction-free elimination (Math. Comp. 22, 1968).
-Only fractions, itertools and numpy are imported: no code is shared with the package.
+The oracle for the chain solver and the extremality solve.  Words come
+from itertools, closed classes from a boolean closure, and every solve
+and null space from one elimination, Bareiss's fraction-free one
+(Math. Comp. 22, 1968).  Only fractions, itertools and numpy are
+imported: no code is shared with the package.
 """
 
 import itertools
@@ -64,30 +66,48 @@ def closure_reaching(graph, targets):
     return boolean_closure(graph)[:, targets].any(axis=1)
 
 
-def bareiss_solve(system, rhs):
-    """x with system @ x = rhs, for a nonsingular square system of Fractions.
+def null_space(rows, width):
+    """A basis of the x with rows @ x = 0, in Fractions: one vector per column with no pivot.
 
-    With each row scaled to integers, every division of the elimination is exact, and
-    so is back substitution for the integers D * x, D the last pivot (Cramer's rule).
+    Bareiss's elimination brings the rows, each scaled to integers, to echelon
+    form, skipping the columns with no pivot; every division is exact.  A free
+    column set to the last pivot D and the other free columns to 0 make every
+    pivot value an integer (Cramer's rule), found by exact back substitution.
     """
     a = []
-    for row in (list(row) + [Fraction(b)] for row, b in zip(system, rhs)):
+    for row in ([Fraction(x) for x in row] for row in rows):
         scale = 1
         for x in row:  # lcm(scale, d) = scale * (d / gcd(scale, d))
             scale *= Fraction(scale, x.denominator).denominator
         a.append([int(x * scale) for x in row])
-    n, prev = len(a), 1
-    for k in range(n):
-        pivot = next(i for i in range(k, n) if a[i][k])
-        a[k], a[pivot] = a[pivot], a[k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n + 1):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    y = [0] * n
-    for i in reversed(range(n)):
-        y[i] = (prev * a[i][n] - sum(a[i][j] * y[j] for j in range(i + 1, n))) // a[i][i]
-    return [Fraction(yi, prev) for yi in y]
+    pivots, prev = [], 1
+    for col in range(width):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        for i in range(r + 1, len(a)):
+            for j in range(col + 1, width):
+                a[i][j] = (a[r][col] * a[i][j] - a[i][col] * a[r][j]) // prev
+            a[i][col] = 0
+        prev = a[r][col]
+        pivots.append(col)
+    basis = []
+    for free in sorted(set(range(width)) - set(pivots)):
+        x = [0] * width
+        x[free] = prev
+        for r in reversed(range(len(pivots))):
+            col = pivots[r]
+            x[col] = -sum(a[r][j] * x[j] for j in range(col + 1, width)) // a[r][col]
+        basis.append([Fraction(xi, prev) for xi in x])
+    return basis
+
+
+def bareiss_solve(system, rhs):
+    """x with system @ x = rhs, for a nonsingular square system: the null vector of [system | -rhs]."""
+    (x,) = null_space([list(row) + [-Fraction(b)] for row, b in zip(system, rhs)], len(system) + 1)
+    return x[:-1]
 
 
 def closed_classes(chain):
@@ -148,3 +168,26 @@ def invariant_measure(matrix):
         for i, x in zip(members, stationary_vector(chain, members)):
             q[i] += x / len(classes)
     return q, len(classes)
+
+
+def invariant_functions(matrix, weight, masses, depth, dw):
+    """The f on the depth-`depth` words that solve the extremality system, as orthogonal Fractions.
+
+    One equation per depth-dw word w: sum_a v(aw) mu0([aw]) (f((aw)[:depth]) - f(w[:depth])) = 0,
+    with the base `masses` given on the depth-(dw + 1) words.  Its exact null space is
+    orthogonalised by Gram-Schmidt with no normalising, so every step stays exact.
+    """
+    rows = {w: i for i, w in enumerate(brute_words(matrix, dw))}
+    cols = {w: i for i, w in enumerate(brute_words(matrix, depth))}
+    system = [[Fraction(0)] * len(cols) for _ in rows]
+    for aw, mass in zip(brute_words(matrix, dw + 1), masses):
+        coef = Fraction(table_value(weight, aw)) * Fraction(mass)
+        system[rows[aw[1:]]][cols[aw[:depth]]] += coef
+        system[rows[aw[1:]]][cols[aw[1 : depth + 1]]] -= coef
+    basis = []
+    for x in null_space(system, len(cols)):
+        for u in basis:
+            c = sum(a * b for a, b in zip(x, u)) / sum(b * b for b in u)
+            x = [a - c * b for a, b in zip(x, u)]
+        basis.append(x)
+    return basis

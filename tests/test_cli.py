@@ -564,6 +564,18 @@ def test_documented_configs_pass_every_readme_command(tmp_path, source):
         assert run(argv + ["--out", str(tmp_path / argv[0])]) == 0, argv
 
 
+def test_a_base_of_large_total_mass_passes_the_fixed_point_pre_check(tmp_path):
+    """README's weight, with no filter, on a fixed base of density 1e13 on each symbol.
+
+    Its fixed-point residual is rounding at the base's scale, about 1e-3,
+    and the pre-check's tol is relative to the base's total mass.
+    """
+    config = {key: value for key, value in readme_example()[0].items() if key != "filter"}
+    cfg = write_config(tmp_path, dict(config, mu0={"depth": 1, "values": {"1": 1e13, "2": 1e13}}))
+    for argv in (["sample", "--samples", "1000", "--depth", "2"], ["ergodicity", "--depth", "2"]):
+        assert run(argv + ["--config", cfg, "--out", str(tmp_path / argv[0])]) == 0, argv
+
+
 def test_invariant_memory_holds_no_word_matrix(tmp_path):
     """Depth 11 on the full 3-shift (177147 words) without an (n, depth) symbol matrix.
 

@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import exact_chain
-from conftest import FULL2, PERM2
+from conftest import BLOCK4, FULL2, PERM2
 from shiftpath import invariant
 
 
@@ -32,3 +32,19 @@ def test_a_chain_that_leaks_everywhere_has_h_zero():
     """Both words keep 1 - 2**-11 of their mass per step; the slack is the package's."""
     assert exact_chain.fixed_vectors(FULL2, {(1,): 1.0, (2,): 1.0 - 2.0**-10}, 1) == ([0, 0], None)
     assert exact_chain.NORMALIZED_SLACK == invariant.NORMALIZED_SLACK
+
+
+def test_a_rank_deficient_system_has_one_null_vector_per_free_column():
+    """The second row is twice the first, and the third column is zero, so it is free."""
+    rows = [[1, 2, 0, 3], [2, 4, 0, 6], [0, 0, 0, 1]]
+    assert exact_chain.null_space(rows, 4) == [[-2, 1, 0, 0], [0, 0, 1, 0]]
+
+
+def test_the_flat_full_2_shift_has_only_the_constants_at_depth_1():
+    assert exact_chain.invariant_functions(FULL2, {(1,): 1.0, (2,): 1.0}, [0.25] * 4, 1, 1) == [[1, 1]]
+
+
+def test_flat_block4_has_the_two_block_indicators_at_depth_1():
+    flat = {(a,): 1.0 for a in range(1, 5)}
+    basis = exact_chain.invariant_functions(BLOCK4, flat, [0.125] * 8, 1, 1)
+    assert basis == [[1, 1, 0, 0], [0, 0, 1, 1]]

@@ -10,8 +10,8 @@ the per-indicator one, and sampled batches across worker counts and with
 the former dense sampler.  h, nu and rho are compared with the exact
 rational solves of `exact_chain` (the same zeros, relative errors of at
 most EXACT_RTOL elsewhere), nu also with a dense eigenvector, and the
-extremality solve with a dense SVD on bases from the exact h and rho,
-and with its own solve on those bases scaled by 1e-13.
+extremality solve with the exact null space of its system on bases from
+the exact h and rho, also scaled by 1e-13 and by 1e13.
 On random sub-stochastic chains the dense and the sparse branch of the
 chain solver give the same classes, masks, absorption and stationary
 vectors; at the default cut the two LU solves equal the former dense
@@ -35,7 +35,6 @@ from conftest import (
     conditioning_depth,
     DenseWalkKernel,
     dense_absorption,
-    dense_ergodicity_oracle,
     dense_sample_paths,
     dense_stationary_vector,
     function_dict,
@@ -490,8 +489,11 @@ RESIDUE_EXAMPLES = (
 
 
 # systems that iterated bases got wrong: every word leaks, so slowly that T^n 1 still
-# moves by 3.6e-12 after 10000 steps (h = 0); residue cost the sparse solve one of the
-# dense SVD's 8 dimensions; and h d(rho) has no mass, as h charges only words rho does not
+# moves by 3.6e-12 after 10000 steps (h = 0); residue cost the sparse solve one of its
+# 8 invariant functions; h d(rho) has no mass, as h charges only words rho does not;
+# an exact null space whose echelon basis has entries near 1e17, too ill-conditioned
+# for a float QR; and two split directions of equal deviation, which rounding ranked
+# one way at base scale 1 and the other at 1e13 (lam 0.1875 against 0.3125)
 PINNED_EXAMPLES = (
     ([[1, 1, 1, 0], [0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1]], 3,
      [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0,
@@ -500,6 +502,10 @@ PINNED_EXAMPLES = (
     ([[0, 1, 1, 1], [0, 1, 0, 0], [1, 0, 0, 0], [1, 1, 1, 1]], 3,
      [0.0, 0.0, 0.0, 0.0, 1.0, 0.125, 1.0, 0.0, 0.0, 1.0,
       0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.75], 2, 1),
+    ([[0, 0, 0, 1], [1, 1, 0, 0], [0, 1, 1, 1], [1, 0, 1, 0]], 2,
+     [1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 0.0], 0, 2),
+    ([[1, 1, 0, 1], [1, 1, 1, 0], [0, 1, 1, 0], [1, 1, 0, 1]], 2,
+     [0.75, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.14796510700684337, 0.0, 0.0, 0.25], 1, 3),
 )
 
 
@@ -512,30 +518,44 @@ def with_examples(cases):
     return wrap
 
 
+def exact_invariant_projector(shift, mu0, v, depth):
+    """Dimension and orthogonal projector of the extremality system's exact null space.
+
+    The exact basis is orthogonal already, so only its norms are taken in float.
+    """
+    dw = conditioning_depth(mu0, v, depth)
+    basis = exact_chain.invariant_functions(
+        shift.matrix.tolist(), function_dict(v), mu0.masses_at(dw + 1).tolist(), depth, dw
+    )
+    q = np.array([[float(x) for x in u] for u in basis]).T
+    q /= np.linalg.norm(q, axis=0)
+    return len(basis), q @ q.T
+
+
 @PROPERTY_SETTINGS
 @given(weighted_systems())
 @with_examples(EXTREMALITY_EXAMPLES + RESIDUE_EXAMPLES + PINNED_EXAMPLES)
-def test_sparse_extremality_matches_dense_svd(system):
-    """Closed classes and absorption give the dense SVD's solution space, with no mass floor.
+def test_extremality_matches_the_exact_null_space_at_every_scale(system):
+    """Closed classes and absorption give the exact null space of the system, at any base scale.
 
-    The sparse solve on the exact base, and on that base scaled by 1e-13, must give the
-    dimension and projector of the exact base's dense SVD; the two give the same split."""
+    The sparse solve on the exact base, and on that base scaled by 1e-13 and by 1e13, must
+    give the dimension and projector of the exact base's exact null space, and one split.
+    The fixed-point pre-check scales with the base, so the largest base passes it too."""
     matrix, v_depth, values, leaky, depth = system
     shift, v, mu0 = solved_system(matrix, v_depth, values, leaky)
     assume(mu0 is not None)
-    dim, basis = dense_ergodicity_oracle(shift, mu0, v, depth)
-    small = DensityMeasure(mu0.density * 1e-13, mu0.rho)
+    dim, projector = exact_invariant_projector(shift, mu0, v, depth)
     lams = []
-    for base in (mu0, small):
+    for base in (mu0, *(DensityMeasure(mu0.density * s, mu0.rho) for s in (1e-13, 1e13))):
         rep = relative_ergodicity_dimension(shift, base, v, depth)
         assert rep.solution_dim == dim
-        np.testing.assert_allclose(rep.basis @ rep.basis.T, basis @ basis.T, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(rep.basis @ rep.basis.T, projector, rtol=0, atol=1e-8)
         dec = decompose_report(shift, base, rep)
         lams.append(None if dec is None else dec.lam)
     if lams[0] is None:
-        assert lams[1] is None
+        assert lams == [None] * 3
     else:
-        assert lams[1] == pytest.approx(lams[0], rel=1e-12, abs=0)
+        assert lams[1:] == pytest.approx([lams[0]] * 2, rel=1e-12, abs=0)
 
 
 @PROPERTY_SETTINGS
@@ -544,17 +564,17 @@ def test_sparse_extremality_matches_dense_svd(system):
 def test_solved_bases_need_no_mass_floor(system):
     """Bases built from the solved h are exactly 0 where the exact base is.
 
-    So the sparse solve on them gives the exact base's dense SVD with no mass floor."""
+    So the sparse solve on them gives the exact base's exact null space with no mass floor."""
     matrix, v_depth, values, leaky, depth = system
     shift, v, mu0 = solved_system(matrix, v_depth, values, leaky)
     assume(mu0 is not None)
     solved = solved_base(shift, v)
     e = conditioning_depth(mu0, v, depth) + 1
     assert_matches_exact(solved.masses_at(e), mu0.masses_at(e).tolist())
-    dim, basis = dense_ergodicity_oracle(shift, mu0, v, depth)
+    dim, projector = exact_invariant_projector(shift, mu0, v, depth)
     rep = relative_ergodicity_dimension(shift, solved, v, depth)
     assert rep.solution_dim == dim
-    np.testing.assert_allclose(rep.basis @ rep.basis.T, basis @ basis.T, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(rep.basis @ rep.basis.T, projector, rtol=0, atol=1e-8)
 
 
 def test_extremality_examples_have_transient_words_below_the_conditioning_depth():
@@ -580,15 +600,20 @@ def test_pinned_systems_without_a_base_have_none():
 def test_small_masses_join_two_point_masses():
     """A base of 2/9 at 1...1 and 1/9 at 4...4 splits, and does not with 1e-13 between them.
 
-    Base masses are read as given: with 1e-13 on each zero of h and q, the
-    words between the two point masses carry positive mass, so their steps
-    join the two into one fixed point that no depth-1 function splits.
+    With 1e-13 on each zero of h and q, the words between the two point
+    masses carry positive mass, so their steps join the two into one fixed
+    point that no depth-1 function splits: the exact null space, and the
+    solve with it, drop from 4 dimensions to 1.
     """
-    shift, v, mu0 = solved_system(*RESIDUE_EXAMPLES[2][:4])
-    assert decompose(shift, mu0, v, 1).lam == pytest.approx(1 / 3, abs=1e-12)
-    shift, v, mu0 = solved_system(*RESIDUE_EXAMPLES[2][:4], residue=1e-13)
-    assert relative_ergodicity_dimension(shift, mu0, v, 1).solution_dim == 1
-    assert decompose(shift, mu0, v, 1) is None
+    dims, lams = [], []
+    for residue in (0.0, 1e-13):
+        shift, v, mu0 = solved_system(*RESIDUE_EXAMPLES[2][:4], residue=residue)
+        dims.append(exact_invariant_projector(shift, mu0, v, 1)[0])
+        assert relative_ergodicity_dimension(shift, mu0, v, 1).solution_dim == dims[-1]
+        dec = decompose(shift, mu0, v, 1)
+        lams.append(None if dec is None else dec.lam)
+    assert dims == [4, 1]
+    assert lams == [pytest.approx(1 / 3, abs=1e-12), None]
 
 
 @st.composite
@@ -631,8 +656,7 @@ def test_dense_and_sparse_chain_solvers_agree(chain, data):
     classes = dense
 
     targets = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
-    dense, sparse = on_both_branches(lambda: _reaching(chain, targets))
-    assert dense.tolist() == sparse.tolist()
+    assert _reaching(chain, targets).tolist() == closure_reaching(given_steps, targets).tolist()
 
     values = int_array(data, 2 * len(classes), 4).reshape(len(classes), 2) / 4.0
     dense, sparse = on_both_branches(lambda: absorption(chain, classes, values))
@@ -698,9 +722,7 @@ def test_graph_search_matches_csgraph_and_the_closure(chain, data):
     assert [c.tolist() for c in sparse] == expected
     for _ in range(3):
         targets = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).random(n) < 0.05
-        searched, sparse = on_both_branches(lambda: _reaching(chain, targets))
-        assert searched.tolist() == closure_reaching(dense, targets).tolist()
-        assert sparse.tolist() == searched.tolist()
+        assert _reaching(chain, targets).tolist() == closure_reaching(dense, targets).tolist()
 
 
 @settings(max_examples=100, deadline=None)

@@ -5,8 +5,9 @@ and the LU solve `_lu_solve`, pick dense or sparse by the chain's state
 count; chains of at most `invariant.DENSE_STATES` states are solved
 dense, and almost every chain of the test suite is that small.  This
 module collects the tests of `test_invariant.py`, `test_transfer.py` and
-`test_extremality.py`, the property tests against dense and exact oracles
-and the pin of the fixed density against h and nu, and runs them with the
+`test_extremality.py`, the property tests of the chain solver and the
+extremality solve against the exact oracle and a dense eigenvector, and
+the pin of the fixed density against h and nu, and runs them with the
 cut at 0, so that every closed-class search, absorption and stationary
 vector goes through scipy.  Their own modules run them at the default
 cut.  The reachability mask (`invariant._reaching`) reads no cut: it is
@@ -27,7 +28,7 @@ DENSE_ORACLE_TESTS = (
     "test_fixed_density_is_h_and_h_pairs_to_one_with_nu",
     "test_left_functional_matches_the_exact_chain",
     "test_non_unique_means_a_null_space_above_one",
-    "test_sparse_extremality_matches_dense_svd",
+    "test_extremality_matches_the_exact_null_space_at_every_scale",
     "test_solved_bases_need_no_mass_floor",
 )
 
