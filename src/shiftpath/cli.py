@@ -190,15 +190,20 @@ def cmd_verify(args):
         ),
         "quasi_invariance": float(check_quasi_invariance(pm, args.depth, args.steps)),
     }
-    orbit = masses_along_orbit(shift, v, mu0, 10)
+    total = mu0.total_mass()
     residuals["mass_conservation"] = float(
-        np.abs(orbit - mu0.total_mass()).max()
+        np.abs(masses_along_orbit(shift, v, mu0, 10) - total).max()
     )
     residuals["weight_pushforward"] = weight_pushforward_defect(
         shift, v, rho, args.depth, 3
     )
     if filt is not None:
         residuals["isometry"] = float(check_isometry(pm, filt, args.depth))
+    # every residual but rho's two scales with mu0, so each is read per unit of mu0's mass
+    base = {"total_mass": total,
+            "residuals": sorted(residuals.keys() - {"strong_invariance", "weight_pushforward"})}
+    for key in base["residuals"]:
+        residuals[key] /= total
 
     # np.max keeps a NaN wherever it is, and a NaN is never <= tol
     worst = float(np.max(list(residuals.values())))
@@ -208,6 +213,7 @@ def cmd_verify(args):
             "depth": args.depth,
             "levels_checked": args.steps,
             "residuals": residuals,
+            "mu0": base,
             "worst_residual": worst,
             "tolerance": args.tol,
             "unique_invariant": not rho.non_unique,
@@ -258,8 +264,9 @@ def cmd_ergodicity(args):
     from .extremality import decompose_report, relative_ergodicity_dimension
 
     cfg, shift, v, _, mu0 = _load_system(args)
-    rep = relative_ergodicity_dimension(shift, mu0, v, args.depth, tol=args.tol)
+    # hashed before the solve, so that the canonical config text is freed before its peak
     report = _base_report(cfg, "ergodicity")
+    rep = relative_ergodicity_dimension(shift, mu0, v, args.depth, tol=args.tol)
     report.update(
         {
             "depth": args.depth,

@@ -18,7 +18,7 @@ symbol with weight v * mu0.  On a finite chain the harmonic functions
 are spanned by the absorption probabilities into the closed classes of
 the walk, the strongly connected classes that no positive-weight step
 leaves (`invariant.closed_classes`).  So the solve is one walk in CSR
-form (`subshift.prepend_walk`, the walk the trajectory sampler steps
+form (`subshift.step_walk`, the walk the trajectory sampler steps
 along), one LU solve for the transient words (`invariant.absorption`),
 and a dense step with one column per closed class, whose null space
 below the conditioning depth comes from numpy's QR and SVD.  Whether
@@ -28,19 +28,19 @@ to 1024 words (`invariant.DENSE_STATES`), and then only on the
 transient block.  No dense matrix of all words by all words is formed.
 Base masses are read as given: every positive mass is a step of the walk
 and part of the support, however small, so scaling a base changes
-neither the solution space, its split, nor the pre-check, whose tol is
-relative to the base's total mass.  ESSENTIAL_FLOOR gates only the
-split score, a deviation of an orthonormal basis column, never a mass.
+neither the solution space, its split, nor the fixed-point gate
+(`measures.require_fixed_point`, the sampler's), whose tol is relative
+to the base's total mass.  ESSENTIAL_FLOOR gates only the split score,
+never a mass.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotFixedPoint
 from .invariant import absorption, closed_classes
-from .measures import check_fixed_point
-from .subshift import CylinderFunction, prepend_walk
+from .measures import require_fixed_point
+from .subshift import CylinderFunction, step_walk
 
 NULL_SPACE_RTOL = 1e-10
 ESSENTIAL_FLOOR = 1e-12
@@ -92,22 +92,15 @@ def relative_ergodicity_dimension(shift, mu0, v, depth, tol=1e-10):
 
     The constants always solve the system, so solution_dim >= 1; the
     certificate field is True when nothing else does.  class_sizes
-    lists the word count of each closed class.  Raises NotFixedPoint
-    first if mu0 fails the fixed-point identity at the conditioning
-    depth by more than tol times its total mass.
+    lists the word count of each closed class.  mu0 first passes
+    `measures.require_fixed_point`, the gate of `build_path_measure`, at
+    any depth; base_residual is the gate's residual.
     """
     v.require_nonnegative()
+    residual = require_fixed_point(shift, v, mu0, tol)
     dw = max(v.depth - 1, depth, mu0.depth - 1, 1)
-    residual = check_fixed_point(shift, v, mu0, dw)
-    if not residual <= tol * mu0.total_mass():  # a NaN residual fails too
-        raise NotFixedPoint(residual, tol * mu0.total_mass())
-
-    e = dw + 1
-    suf = shift.suffix_indices(e)
-    coef = mu0.masses_at(e) * v.promote(e).values
-    # one step of the walk as probabilities; a word with no positive branch is its own class
-    coef /= np.where(coef > 0, shift.window_sums(coef, e, 1, dw)[suf], 1.0)
-    walk = prepend_walk(shift, dw, coef)
+    # a word with no positive branch keeps a zero row, a closed class of its own
+    walk = step_walk(shift, dw, mu0.masses_at(dw + 1) * v.promote(dw + 1).values)
     classes = closed_classes(walk)
     absorbed = absorption(walk, classes, np.eye(len(classes)))
 

@@ -17,7 +17,7 @@ density: transforming (f drho) gives (averaged v*f) drho.
 
 import numpy as np
 
-from .errors import DegenerateH, DepthTooShallow
+from .errors import DegenerateH, DepthTooShallow, NotFixedPoint
 from .invariant import strongly_invariant_measure
 from .subshift import weight_product
 from .transfer import _operator_pieces, apply_transfer, iterate_fixed_function
@@ -181,6 +181,23 @@ def check_fixed_point(shift, v, mu0, depth):
     lhs = mu0.masses_at(depth)
     rhs = _pushforward_masses(shift, v, mu0, depth)
     return float(np.abs(lhs - rhs).max())
+
+
+def base_depth(mu0):
+    """mu0's own depth: its density's, or one less than a raw table's."""
+    return mu0.density.depth if isinstance(mu0, DensityMeasure) else max(mu0.depth - 1, 1)
+
+
+def require_fixed_point(shift, v, mu0, tol):
+    """The fixed-point gate of every object built on mu0: its residual, or NotFixedPoint.
+
+    Checks at max(base_depth(mu0), depth(v) - 1), where a zero residual is
+    the identity at every depth, against tol times mu0's total mass.
+    """
+    residual = check_fixed_point(shift, v, mu0, max(base_depth(mu0), v.depth - 1))
+    if not residual <= tol * mu0.total_mass():  # a NaN residual fails too
+        raise NotFixedPoint(residual, tol * mu0.total_mass())
+    return residual
 
 
 def masses_along_orbit(shift, v, mu0, n_max):

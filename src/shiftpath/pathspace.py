@@ -12,8 +12,10 @@ the exact finite-depth marginals.  Consistency of the family and the
 reweighting relation between consecutive levels are checkable
 identities, and the trajectory process can be sampled exactly because
 the one-step conditional masses are ratios of stored cylinder masses:
-the sampler steps along `subshift.prepend_walk`, the walk whose
-harmonic functions the extremality solve computes.
+the sampler steps along `subshift.step_walk`, the same walk of
+probabilities whose harmonic functions the extremality solve computes.
+`build_path_measure` admits mu0 through `measures.require_fixed_point`,
+the one fixed-point gate, which the extremality solve passes too.
 """
 
 import os
@@ -22,16 +24,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    DepthTooShallow,
-    FilterMismatch,
-    NotFixedPoint,
-    TableTooLarge,
-    TooFewSamples,
-    ZeroMassConditioning,
-)
-from .measures import DensityMeasure, _pushforward_masses, check_fixed_point
-from .subshift import MAX_SAMPLE_SYMBOLS, CylinderFunction, _row_blocks, prepend_walk
+from .errors import FilterMismatch, TableTooLarge, TooFewSamples, ZeroMassConditioning
+from .measures import _pushforward_masses, base_depth, check_fixed_point, require_fixed_point
+from .subshift import MAX_SAMPLE_SYMBOLS, CylinderFunction, _row_blocks, step_walk
 from .subshift import weight_product, word_string
 
 # samples drawn and walked per block, which bounds the uniforms held at once
@@ -57,10 +52,8 @@ class PathMeasure:
 
     @property
     def density_depth(self):
-        """mu0's own depth: its density's, or for a raw table one less, where build_path_measure checks it."""
-        if isinstance(self.mu0, DensityMeasure):
-            return self.mu0.density.depth
-        return max(self.mu0.depth - 1, 1)
+        """mu0's own depth, `measures.base_depth`, which the fixed-point gate reads too."""
+        return base_depth(self.mu0)
 
     def marginal(self, n):
         """The level-n measure: mu0 reweighted by the n-step product of v."""
@@ -83,10 +76,11 @@ class PathMeasure:
 def build_path_measure(shift, v, mu0, tol=1e-10, marginal_overrides=None):
     """Validate that mu0 is fixed under the v-weighted transformer and wrap it.
 
-    The defect is checked on the cylinders fine enough to resolve both
-    the density (or stored raw table) and the transferred density; there
-    a zero defect characterizes the fixed-point property exactly.  Raises
-    NotFixedPoint when the residual exceeds tol times mu0's total mass.
+    mu0 passes `measures.require_fixed_point`, the gate that the
+    extremality solve shares: the defect is checked on the cylinders fine
+    enough to resolve both mu0 and its transform, where a zero defect
+    characterizes the fixed-point property exactly.  Raises NotFixedPoint
+    when the residual exceeds tol times mu0's total mass.
 
     `marginal_overrides` replaces selected level measures, which breaks
     the consistency identities on purpose; it exists so the checking and
@@ -95,17 +89,7 @@ def build_path_measure(shift, v, mu0, tol=1e-10, marginal_overrides=None):
     v.require_nonnegative()
     if mu0.total_mass() <= 0:
         raise ValueError("base measure must have positive mass")
-    if isinstance(mu0, DensityMeasure):
-        d_check = max(mu0.density.depth, v.depth - 1, 1)
-    else:
-        if mu0.depth < max(v.depth, 2):
-            raise DepthTooShallow(
-                f"raw base measure needs depth >= {max(v.depth, 2)}"
-            )
-        d_check = mu0.depth - 1
-    residual = check_fixed_point(shift, v, mu0, d_check)
-    if not residual <= tol * mu0.total_mass():  # a NaN residual fails too
-        raise NotFixedPoint(residual, tol * mu0.total_mass())
+    residual = require_fixed_point(shift, v, mu0, tol)
     return PathMeasure(shift, v, mu0, residual, marginal_overrides)
 
 
@@ -172,8 +156,9 @@ class _WalkKernel:
     and denominator, so the ratio equals mu_1([a u]) / mu_0([u]) at
     every step and the record sequence is a time-homogeneous Markov
     chain on the depth-D words.  No truncation bias remains.  A step
-    moves along the CSR row of `subshift.prepend_walk` of mu_1 to the
-    first branch whose running sum of probabilities exceeds the draw.
+    moves along the CSR row of `subshift.step_walk` of mu_1, the walk
+    the extremality solve builds too, to the first branch whose running
+    sum of probabilities exceeds the draw.
     """
 
     def __init__(self, pm, working_depth):
@@ -185,20 +170,17 @@ class _WalkKernel:
         self.cum0 = np.cumsum(den / total)
         self.cum0[-1] = 1.0
 
-        walk = prepend_walk(self.shift, working_depth, pm.marginal(1).masses_at(working_depth + 1))
+        walk = step_walk(self.shift, working_depth, pm.marginal(1).masses_at(working_depth + 1))
         self.start, last = walk.indptr[:-1], walk.indptr[1:] - 1
         self.kmax = int(np.diff(walk.indptr).max())
         self.nxt = walk.indices
         # depth-1 word i is symbol i + 1; the sum is intp, so it cannot wrap
         first = (self.shift.prefix_indices(working_depth, 1) + 1).astype(self.shift.symbol_dtype)
         self.syms = first[walk.indices]
-        rowsum = _running_sums(walk.indptr, walk.data.copy())[last]
-        self.invalid = (den <= 0) | (rowsum <= 0)
+        self.cdf = _running_sums(walk.indptr, walk.data)
+        # a row of no mass stays zero, so its running sum ends at zero
+        self.invalid = (den <= 0) | (self.cdf[last] <= 0)
         self.has_invalid = bool(self.invalid.any())
-        safe_den = np.where(self.invalid, 1.0, rowsum)
-        # the divisors are overwritten by the quotients, so one entry-sized array is made
-        self.cdf = np.repeat(safe_den, np.diff(walk.indptr))
-        _running_sums(walk.indptr, np.divide(walk.data, self.cdf, out=self.cdf))
         # the last branch of a row takes every draw that rounding in its sum pushes past it
         self.cdf[last] = np.inf
 

@@ -83,6 +83,16 @@ def prepend_walk(shift, depth, masses):
     return Chain(indptr, shift.prefix_indices(depth + 1, depth)[order], masses[order])
 
 
+def step_walk(shift, depth, masses):
+    """`prepend_walk` with each row divided by its sum, added in the order of a.
+
+    A row of no mass stays zero.  The sampler and the extremality solve step along it.
+    """
+    suf = shift.suffix_indices(depth + 1)
+    total = branch_sum(suf, masses, shift.word_count(depth))
+    return prepend_walk(shift, depth, masses / np.where(total > 0, total, 1.0)[suf])
+
+
 def _levels(shift, depth):
     """The parent tree's levels 1, ..., depth from the root down, as (parent, last) array pairs.
 

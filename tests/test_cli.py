@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.util
+import itertools
 import json
 import os
 import subprocess
@@ -574,6 +575,36 @@ def test_a_base_of_large_total_mass_passes_the_fixed_point_pre_check(tmp_path):
     cfg = write_config(tmp_path, dict(config, mu0={"depth": 1, "values": {"1": 1e13, "2": 1e13}}))
     for argv in (["sample", "--samples", "1000", "--depth", "2"], ["ergodicity", "--depth", "2"]):
         assert run(argv + ["--config", cfg, "--out", str(tmp_path / argv[0])]) == 0, argv
+
+
+# a depth-3 base on the full 2-shift with weight 1, fixed at depth 2 and not at depth 3:
+# 1/4 more density on 121 and 212 keeps every depth-2 mass equal to its preimage sum
+FIXED_ONLY_AT_DEPTH_2 = {
+    "k": 2,
+    "matrix": [[1, 1], [1, 1]],
+    "V": {"depth": 1, "values": {"1": 1.0, "2": 1.0}},
+    "mu0": {"depth": 3, "values": {"".join(w): 1.25 if "".join(w) in ("121", "212") else 1.0
+                                   for w in itertools.product("12", repeat=3)}},
+}
+
+
+def test_every_command_refuses_a_base_fixed_only_below_its_depth(tmp_path, capsys):
+    """`ergodicity` at depths 1 and 2 refuses the base with the residual `sample` reports.
+
+    The one gate checks at the density's depth, 3, whatever depth is asked for.
+    """
+    cfg = write_config(tmp_path, FIXED_ONLY_AT_DEPTH_2)
+    messages = []
+    for argv in (["sample", "--samples", "1000", "--depth", "2"], ["verify"],
+                 ["ergodicity", "--depth", "1"], ["ergodicity", "--depth", "2"],
+                 ["ergodicity", "--depth", "3"]):
+        assert run(argv + ["--config", cfg, "--out", str(tmp_path / argv[0])]) == 1, argv
+        messages.append(capsys.readouterr().err)
+    assert messages[0] == ("shiftpath: not a fixed point: "
+                           "fixed-point residual 1.562e-02 exceeds tolerance 1.1e-10\n")
+    assert messages[2:] == messages[:1] * 3
+    assert load(tmp_path / "verify", "verify_report.json")["residuals"]["base_fixed_point"] == (
+        pytest.approx(0.015625 / 1.0625, rel=1e-12))
 
 
 def test_invariant_memory_holds_no_word_matrix(tmp_path):

@@ -2,7 +2,8 @@
 
 No package module calls np.allclose or np.isclose: their default
 relative tolerance would widen any absolute bound.  No module but
-subshift.py reads a private attribute of a subshift.
+subshift.py reads a private attribute of a subshift.  One function,
+the fixed-point gate, constructs NotFixedPoint.
 
 The package root imports nothing to re-export: its 54 names resolve on
 first use through one table of the names each module exports, and a
@@ -338,6 +339,43 @@ def test_unraised_errors_are_found():
              "def h(exc):\n    Dead\n    raise\n",
     }
     assert unraised_errors(errors_source, sources) == ["Dead", "AlsoDead"]
+
+
+def constructing_functions(sources, name):
+    """The functions of sources that call or raise `name`, as sorted "module.qualname" strings.
+
+    Code outside any function counts under the module's name.
+    """
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            target = child.func if isinstance(child, ast.Call) else getattr(child, "exc", None)
+            if getattr(target, "attr", getattr(target, "id", None)) == name:
+                found.add(where)
+            visit(child, where)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module)
+    return sorted(found)
+
+
+def test_constructing_functions_are_found():
+    sources = {
+        "a": "from .errors import E\ndef f():\n    def g():\n        raise E(1)\n    return g\n",
+        "b": "from . import errors\nclass C:\n    def m(self):\n        return errors.E(2)\n"
+             "def h():\n    raise E\ndef unrelated():\n    E\n    F(E)\n",
+    }
+    assert constructing_functions(sources, "E") == ["a.f.g", "b.C.m", "b.h"]
+
+
+def test_not_fixed_point_is_raised_by_one_gate():
+    """The fixed-point pre-check of every object built on a base lives in one function."""
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert constructing_functions(sources, "NotFixedPoint") == ["measures.require_fixed_point"]
 
 
 def test_every_error_type_is_raised():

@@ -11,7 +11,11 @@ the former dense sampler.  h, nu and rho are compared with the exact
 rational solves of `exact_chain` (the same zeros, relative errors of at
 most EXACT_RTOL elsewhere), nu also with a dense eigenvector, and the
 extremality solve with the exact null space of its system on bases from
-the exact h and rho, also scaled by 1e-13 and by 1e13.
+the exact h and rho, also scaled by 1e-13 and by 1e13.  A solved base
+perturbed below the depth of its fixed-point identity gets one verdict
+from the path family and from the extremality solve at every depth, and
+`verify` gives a solved base scaled by 1e-13 to 1e13 the verdict and the
+residuals of the base itself.
 On random sub-stochastic chains the dense and the sparse branch of the
 chain solver give the same classes, masks, absorption and stationary
 vectors; at the default cut the two LU solves equal the former dense
@@ -21,6 +25,7 @@ masks.
 The null space by numpy's QR and SVD is compared with scipy's pivoted QR.
 """
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +37,7 @@ import exact_chain
 from conftest import (
     BLOCK4,
     FULL2,
+    GOLDEN,
     conditioning_depth,
     DenseWalkKernel,
     dense_absorption,
@@ -51,6 +57,7 @@ from shiftpath import (
     DensityMeasure,
     InadmissibleWord,
     MarkovMeasure,
+    NotFixedPoint,
     apply_transfer,
     build_path_measure,
     build_subshift,
@@ -69,9 +76,10 @@ from shiftpath import (
     weight_pushforward_defect,
 )
 from shiftpath import invariant, pathspace
+from shiftpath.cli import main as cli_main
 from shiftpath.extremality import _null_space
 from shiftpath.invariant import Chain, _reaching, _stationary_vector, absorption, closed_classes
-from shiftpath.subshift import branch_sum, prepend_walk
+from shiftpath.subshift import branch_sum, prepend_walk, word_string
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -614,6 +622,108 @@ def test_small_masses_join_two_point_masses():
         lams.append(None if dec is None else dec.lam)
     assert dims == [4, 1]
     assert lams == [pytest.approx(1 / 3, abs=1e-12), None]
+
+
+def stationarity_rows(shift, v, rho, depth):
+    """The fixed-point identity one level above `depth`, as rows on depth-`depth` densities.
+
+    Row w of the matrix maps a density f to the mass of [w] under f d(rho)
+    minus that of its transform: the depth-(depth - 1) masses against the
+    sum over a of v f rho on [aw].
+    """
+    n = shift.word_count(depth)
+    rho_d = rho.masses_at(depth)
+    rows = np.zeros((shift.word_count(depth - 1), n))
+    np.add.at(rows, (shift.prefix_indices(depth, depth - 1), np.arange(n)), rho_d)
+    np.add.at(rows, (shift.suffix_indices(depth), np.arange(n)), -v.promote(depth).values * rho_d)
+    return rows
+
+
+def gate_outcome(call):
+    """The residual of the NotFixedPoint that call() raises, or None when it passes."""
+    try:
+        call()
+    except NotFixedPoint as exc:
+        return exc.residual
+    return None
+
+
+@PROPERTY_SETTINGS
+@given(weighted_systems(), st.integers(1, 2), st.data())
+def test_the_path_family_and_the_extremality_solve_share_one_gate(system, extra, data):
+    """A base perturbed below its identity's depth is refused by both, with one residual, or by neither.
+
+    The perturbation of the solved density, at `extra` levels deeper than
+    it, lies in the null space of the stationarity rows one level up, on
+    the words the density charges: the identity holds to rounding at the
+    depth the extremality solve conditions on for shallow requests, and
+    in general not at the depth the sampler's gate checks.  Both must
+    agree at every requested depth.
+    """
+    matrix, v_depth, values, leaky, _ = system
+    shift, v, mu0 = solved_system(matrix, v_depth, values, leaky)
+    assume(mu0 is not None)
+    deep = mu0.density.depth + extra
+    density = mu0.density.promote(deep).values.copy()
+    support = np.flatnonzero(density > 0)
+    rows = stationarity_rows(shift, v, mu0.rho, deep)[:, support]
+    _, s, vt = np.linalg.svd(rows)
+    null = vt[int((s > 1e-10 * max(s.max(initial=0.0), 1.0)).sum()):].T
+    assume(null.shape[1] > 0)
+    step = null @ (int_array(data, null.shape[1], 8) - 4.0) / 4.0
+    falling = step < 0
+    # at most half of each charged word's density is taken away
+    scale = min(0.5 * (density[support][falling] / -step[falling]).min(initial=2.0), 1.0)
+    density[support] += scale * step
+    base = DensityMeasure(CylinderFunction(shift, deep, density), mu0.rho)
+    built = gate_outcome(lambda: build_path_measure(shift, v, base))
+    for depth in range(1, deep + 2):
+        assert gate_outcome(lambda: relative_ergodicity_dimension(shift, base, v, depth)) == built
+
+
+def verify_config(mu0, v, scale):
+    """A config of the weight and of mu0's density scaled by `scale`, a base over the invariant measure."""
+    shift = v.shift
+
+    def table(f, factor):
+        return {"depth": f.depth, "values": {
+            word_string(w): x * factor for w, x in zip(shift.words(f.depth), f.values.tolist())}}
+
+    return {"k": shift.k, "matrix": shift.matrix.tolist(), "V": table(v, 1.0),
+            "mu0": table(mu0.density, scale)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(sub_normalized_weights())
+@example((build_subshift(GOLDEN), CylinderFunction(build_subshift(GOLDEN), 2, [4 / 3, 1.0, 2 / 3])))
+def test_verify_verdicts_do_not_depend_on_the_base_scale(tmp_path_factory, system):
+    """A solved base scaled by 1e-13 to 1e13 gets the verdict and the residuals of the base itself.
+
+    Each residual of a measure built on the base is read per unit of its
+    total mass, so a valid base passes at any scale, and every residual
+    stays within rounding of its value at scale 1.
+    """
+    shift, v = system
+    try:
+        mu0 = solved_base(shift, v)
+    except DegenerateH:
+        assume(False)
+    assume(mu0.total_mass() > 0)
+    reports = {}
+    for scale in (1.0, 1e-13, 1e-6, 1e6, 1e13):
+        out = tmp_path_factory.mktemp("verify")
+        (out / "config.json").write_text(json.dumps(verify_config(mu0, v, scale)))
+        code = cli_main(["verify", "--config", str(out / "config.json"), "--out", str(out)])
+        reports[scale] = (code, json.loads((out / "verify_report.json").read_text()))
+    verdicts = {scale: (code, report["passed"]) for scale, (code, report) in reports.items()}
+    assert set(verdicts.values()) == {verdicts[1.0]}, verdicts
+    report = reports[1.0][1]
+    for scale, (_, report_s) in reports.items():
+        assert report_s["mu0"]["residuals"] == report["mu0"]["residuals"]
+        assert report_s["mu0"]["total_mass"] == pytest.approx(
+            scale * report["mu0"]["total_mass"], rel=1e-12)
+        for key, value in report["residuals"].items():
+            assert abs(report_s["residuals"][key] - value) <= 1e-13, (scale, key)
 
 
 @st.composite
