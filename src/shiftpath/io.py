@@ -204,27 +204,31 @@ class _TableWords:
 
 
 def _digits(values):
-    """ASCII text of an integer array: a sign place, then the digits right-aligned, NUL-padded.
+    """ASCII text of an integer array: the digits right-aligned and NUL-padded.
 
-    The magnitude goes through uint64, so the most negative int64 keeps
-    all its digits.  Each remainder is rest - 10 * (rest // 10): numpy
-    divides by a scalar about five times faster than it takes `%`.
+    A sign place leads only when some value is negative.  The magnitude
+    goes through uint64, so the most negative int64 keeps all its
+    digits.  Each remainder is rest - 10 * (rest // 10): numpy divides
+    by a scalar about five times faster than it takes `%`.
     """
-    negative = values < 0
+    signed = bool(values.min() < 0)
     magnitude = values.astype(np.uint64)
-    magnitude[negative] = np.uint64(0) - magnitude[negative]
+    if signed:
+        negative = values < 0
+        magnitude[negative] = np.uint64(0) - magnitude[negative]
     width = len(str(int(magnitude.max())))
     # one row per place, so that each digit step writes contiguous bytes
-    text = np.zeros((1 + width, len(values)), dtype=np.uint8)
-    text[0, negative] = ord("-")
-    rest = magnitude
-    for place in range(width, 0, -1):
+    text = np.zeros((signed + width, len(values)), dtype=np.uint8)
+    if signed:
+        text[0, negative] = ord("-")
+    digits, rest = text[signed:], magnitude
+    for place in range(width - 1, -1, -1):
         tens = rest // 10
-        text[place] = rest - 10 * tens
-        text[place] += ord("0")
-        if place < width:
+        digits[place] = rest - 10 * tens
+        digits[place] += ord("0")
+        if place < width - 1:
             # the digit of 10**e is padding where the magnitude is below 10**e
-            text[place][rest == 0] = 0
+            digits[place][rest == 0] = 0
         rest = tens
     return text.T
 
@@ -260,9 +264,10 @@ def _cells(column):
 def write_csv(path, header, *columns):
     """Write equal-length columns (2-D ones hold words) under a header, one row per line.
 
-    Each block of rows is one uint8 matrix of cell texts and separators,
-    padded with NUL, and is written without its NULs.  No cell text has
-    a NUL of its own: digits, ASCII words and repr never do.
+    Each block of rows is filled into one preallocated uint8 matrix of
+    cell texts and separators, padded with NUL, and is written without
+    its NUL bytes.  No cell text has a NUL of its own: digits, ASCII
+    words and repr never do.
     """
     n_rows = len(columns[0])
     if any(len(c) != n_rows for c in columns):
@@ -271,11 +276,16 @@ def write_csv(path, header, *columns):
         fh.write((",".join(header) + "\n").encode("utf-8"))
         for start in range(0, n_rows, CSV_BLOCK_ROWS):
             stop = min(start + CSV_BLOCK_ROWS, n_rows)
-            comma = np.full((stop - start, 1), ord(","), dtype=np.uint8)
-            parts = [part for c in columns for part in (_cells(c[start:stop]), comma)]
-            parts[-1] = np.full_like(comma, ord("\n"))
-            block = np.hstack(parts)
-            fh.write(block[block != 0].tobytes())
+            cells = [_cells(c[start:stop]) for c in columns]
+            block = np.empty((stop - start, sum(c.shape[1] + 1 for c in cells)), dtype=np.uint8)
+            at = 0
+            for text in cells:
+                block[:, at : at + text.shape[1]] = text
+                at += text.shape[1]
+                block[:, at] = ord(",")
+                at += 1
+            block[:, -1] = ord("\n")
+            fh.write(block.tobytes().replace(b"\0", b""))
 
 
 def write_measure_csv(path, shift, depth, masses):

@@ -29,8 +29,8 @@ from .measures import _pushforward_masses, base_depth, check_fixed_point, requir
 from .subshift import MAX_SAMPLE_SYMBOLS, CylinderFunction, _row_blocks, step_walk
 from .subshift import weight_product, word_string
 
-# samples drawn and walked per block, which bounds the uniforms held at once
-SAMPLE_BLOCK = 1 << 16
+# samples drawn and walked per block, which bounds the uniforms held at once, and their copy
+SAMPLE_BLOCK = 1 << 14
 # largest gap between |filter|^2 and the weight that check_isometry accepts
 FILTER_TOL = 1e-12
 
@@ -193,8 +193,6 @@ class _WalkKernel:
             if invalid.any():
                 word = word_string(self.shift.words_at(self.depth, states[invalid][0]))
                 raise ZeroMassConditioning(f"trajectory reached the zero-mass cylinder [{word}]")
-        # the strided column is read once per branch, so it is copied once
-        r = np.ascontiguousarray(r)
         pos = self.start.take(states)
         for _ in range(self.kmax - 1):
             pos += self.cdf.take(pos) <= r
@@ -250,9 +248,12 @@ def sample_paths(pm, n_steps, n_samples, base_depth, seed, workers=1):
     threads as usable CPUs and samples walks one contiguous range of rows
     from its own copy of the stream, SAMPLE_BLOCK // threads rows at a
     time through a buffer allocated here, so the scratch memory does not
-    grow with n_samples.  The caller walks the first range, joins every
-    thread and raises the first error in row order.  A batch of more
-    than MAX_SAMPLE_SYMBOLS symbols raises TableTooLarge first.
+    grow with n_samples.  Each block's uniforms are copied once into an
+    (n_steps + 1, rows) buffer allocated here too, so that the base draw
+    and every step read one contiguous row of draws.  The caller walks
+    the first range, joins every thread and raises the first error in
+    row order.  A batch of more than MAX_SAMPLE_SYMBOLS symbols raises
+    TableTooLarge first.
     """
     if n_steps < 0 or n_samples < 1 or base_depth < 1:
         raise ValueError("need n_steps >= 0, n_samples >= 1, base_depth >= 1")
@@ -269,19 +270,22 @@ def sample_paths(pm, n_steps, n_samples, base_depth, seed, workers=1):
     edges = [t * n_samples // threads for t in range(threads + 1)]
     block = max(SAMPLE_BLOCK // threads, 1)
     # allocated here, not in the threads, whose malloc arenas would keep the memory
-    buffers = np.empty((threads, min(block, -(-n_samples // threads)), width))
-    spans = [(edges[t], edges[t + 1], buffers[t]) for t in range(threads)]
+    rows_held = min(block, -(-n_samples // threads))
+    buffers = np.empty((threads, rows_held, width))
+    columns = np.empty((threads, width, rows_held))
+    spans = [(edges[t], edges[t + 1], buffers[t], columns[t]) for t in range(threads)]
     errors = {}
 
-    def walk(first, stop, buffer):
+    def walk(first, stop, buffer, column):
         rng = _stream_at(state, first * width)
         for start in range(first, stop, block):
             rows = slice(start, min(start + block, stop))
-            uniforms = rng.random(out=buffer[: rows.stop - start])
-            states = kernel.draw_base(uniforms[:, 0])
+            draws = column[:, : rows.stop - start]
+            draws[...] = rng.random(out=buffer[: rows.stop - start]).T
+            states = kernel.draw_base(draws[0])
             base_words[rows] = pm.shift.words_at(base_depth, base_of[states])
             for j in range(n_steps):
-                states, prepends[rows, j] = kernel.step(states, uniforms[:, j + 1])
+                states, prepends[rows, j] = kernel.step(states, draws[j + 1])
 
     def run(span):
         try:

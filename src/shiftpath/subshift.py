@@ -216,16 +216,22 @@ class Subshift:
 
         Descends the table symbol by symbol through the contiguous
         children.  An integer array keeps its dtype, and one column at a
-        time is widened to intp.  Raises InadmissibleWord naming an
-        inadmissible word.
+        time is widened to intp.  The symbol range is checked by one min
+        and one max.  Raises InadmissibleWord naming the first word with
+        a symbol outside 1..k, or else the first word to leave the table
+        at the shallowest depth.
         """
         arr = np.asarray(words)
         if arr.dtype.kind not in "iu":
             arr = arr.astype(np.int64)
         if arr.ndim == 1:
             return int(self.word_index(arr[None, :])[0])
-        bad = ~((arr >= 1) & (arr <= self.k)).all(axis=1)
-        if arr.shape[1] and not bad.any():
+        if arr.size and not (arr.min() >= 1 and arr.max() <= self.k):
+            # the per-row mask is built only to name the first bad row
+            bad = ((arr < 1) | (arr > self.k)).any(axis=1)
+        elif not arr.shape[1]:
+            bad = np.ones(len(arr), dtype=bool)  # no table holds a word of no symbols
+        else:
             self._grow(arr.shape[1])
             # rank[a, b] sits at a * (k + 1) + b of the flat table
             ranks, cur = self._rank.ravel(), arr[:, 0].astype(np.intp)

@@ -316,6 +316,11 @@ def block_split(seed, depth=10):
     return dict(BLOCK_FLAT, V={"depth": depth, "values": table})
 
 
+def files_in(out):
+    """The files of an output directory, by name."""
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
 def written_at_blas_threads(tmp_path, argv, code):
     """The files a subcommand writes at one and at two BLAS threads, each run exiting `code`."""
     written = []
@@ -328,7 +333,7 @@ def written_at_blas_threads(tmp_path, argv, code):
             env=env, capture_output=True, text=True,
         )
         assert proc.returncode == code, proc.stderr
-        written.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+        written.append(files_in(out))
     return written
 
 
@@ -788,9 +793,11 @@ def csv_edge_cases():
         ("int32 and uint64 extremes",
          (np.array([-(2**31), 2**31 - 1, 0], dtype=np.int32),
           np.array([0, 2**63, 2**64 - 1], dtype=np.uint64))),
-        # one digit up to the block boundary, then 19 digits and a sign
+        # one digit up to the block boundary, then 19 digits and a sign: a sign place
+        # is taken only by a block that holds a negative value
         ("width change across the block boundary",
          (np.r_[np.full(BLOCK, 7), EDGES], digits[: BLOCK + len(EDGES)])),
+        ("sign place in the first block only", (np.r_[EDGES, np.full(BLOCK, 7)],)),
         ("width change inside a block",
          (rng.integers(-(10 ** rng.integers(0, 19, 300)), 10 ** rng.integers(0, 19, 300)),)),
         ("one row past the block boundary", (np.arange(BLOCK + 1), digits[: BLOCK + 1])),
@@ -925,3 +932,66 @@ def test_report_hash_tracks_config(tmp_path):
     h1 = json.loads((out1 / "invariant_report.json").read_text())["config_sha256"]
     h2 = json.loads((out2 / "invariant_report.json").read_text())["config_sha256"]
     assert h1 != h2
+
+
+def full3_weight():
+    """A depth-3 weight on the full 3-shift whose three branches sum to exactly 3 on every tail."""
+    values = {}
+    for i, tail in enumerate(itertools.product("123", repeat=2)):
+        c, d = (i % 4) / 8, (i % 3) / 8
+        for a, val in zip("123", (1 - c, 1 + c - d, 1 + d)):
+            values[a + "".join(tail)] = val
+    return values
+
+
+FULL3_SAMPLED = {"k": 3, "matrix": [[1, 1, 1]] * 3, "V": {"depth": 3, "values": full3_weight()},
+                 "mu0": "auto"}
+# sha256 of samples.csv and sample_report.json for 20000 six-step samples at depth 3,
+# pinned before the sampler read its uniforms through a contiguous copy
+GOLDEN_SAMPLES = {
+    11: ("0fdc62d7dbe5739f09491f374ef27d8f03451eaa5f2dca0e32f955f3596e6a0b",
+         "478db9d7d670c6235ee349fbb215942492e0d1d60f009b23511cb012fdfa2a11"),
+    12: ("71bca096f3a282d70c4fffce11258843c0c0d75ec84586e1263b0755f44d31cb",
+         "a2a7b145f7b670148b65e7f0344f0d743b335ef6f7e8032009af7e9184536c52"),
+}
+
+
+@pytest.mark.parametrize("block", [7, 65536])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("seed", sorted(GOLDEN_SAMPLES))
+def test_sample_bytes_are_pinned(tmp_path, monkeypatch, seed, workers, block):
+    """The samples and the report of a fixed run keep their bytes at any block size and worker count."""
+    monkeypatch.setattr(pathspace, "SAMPLE_BLOCK", block)
+    cfg = write_config(tmp_path, FULL3_SAMPLED)
+    argv = ["sample", "--config", cfg, "--depth", "3", "--steps", "6", "--samples", "20000",
+            "--seed", str(seed), "--workers", str(workers), "--out", str(tmp_path)]
+    assert run(argv) == 0
+    written = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in ("samples.csv", "sample_report.json"))
+    assert written == GOLDEN_SAMPLES[seed]
+
+
+def test_the_module_entry_point_exits_with_the_code_of_main(tmp_path, capsys):
+    """`python -m shiftpath` exits with main's code, says what main says and writes the same files."""
+    missing_word = dict(GOLDEN_FLAT, V={"depth": 1, "values": {"1": 1.0}})
+    cases = [
+        (["sample", "--config", write_config(tmp_path, FULL3_SAMPLED, "sample.json"), "--depth",
+          "3", "--steps", "6", "--samples", "20000", "--seed", "11", "--workers", "2"], 0),
+        (["fixpoint", "--config", write_config(tmp_path, missing_word, "bad.json")], 2),
+        (["ergodicity", "--config", write_config(tmp_path, block_split(0, 4), "split.json"),
+          "--depth", "3"], 6),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    for i, (argv, code) in enumerate(cases):
+        spawned, in_process = tmp_path / f"spawned{i}", tmp_path / f"main{i}"
+        proc = subprocess.run([sys.executable, "-m", "shiftpath", *argv, "--out", str(spawned)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == code, proc.stderr
+        capsys.readouterr()
+        assert main([*argv, "--out", str(in_process)]) == code
+        assert proc.stderr == capsys.readouterr().err
+        if code == 2:
+            assert proc.stderr.startswith("shiftpath: config error: ")
+            assert not spawned.exists() and not in_process.exists()
+        else:
+            assert files_in(spawned) == files_in(in_process)

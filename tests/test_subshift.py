@@ -1,5 +1,7 @@
 """Word enumeration, cylinder functions, and weight products."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,7 @@ from shiftpath import (
     verify_strong_invariance,
     weight_product,
 )
+from shiftpath.subshift import word_string
 
 
 def test_word_enumeration_matches_brute_force():
@@ -93,6 +96,21 @@ def test_admissibility_checks():
     assert not golden.is_admissible((1, 3))
     with pytest.raises(InadmissibleWord):
         golden.require_admissible((2, 2))
+
+
+@pytest.mark.parametrize("bad, dtype", [(0, np.int64), (3, np.int64), (-5, np.int64),
+                                        (255, np.uint8), ((2, 2), np.int64)])
+def test_word_index_names_the_first_bad_row(bad, dtype):
+    """Symbols outside 1..k, in any integer dtype, and an inadmissible pair name the first bad row."""
+    golden = build_subshift(GOLDEN)  # k = 2, and 22 is inadmissible
+    words = golden.symbols_array(3).astype(dtype)
+    broken = words.copy()
+    broken[[2, 4], :2] = bad
+    named = re.escape(word_string(broken[2].tolist()))
+    with pytest.raises(InadmissibleWord, match=f"^word {named} is not admissible$"):
+        golden.word_index(broken)
+    assert golden.word_index(words[:0]).shape == (0,)
+    assert golden.word_index(words).tolist() == list(range(len(words)))
 
 
 def test_prefix_and_suffix_index_maps():
