@@ -3,9 +3,19 @@ import sys
 
 from .cli import main
 
-if __name__ == "__main__":
-    code = main()
-    # the collections at interpreter shutdown would walk every object left alive, numpy's
-    # included; frozen, they are freed by reference counts alone, and the exit is faster
+
+def run(argv=None):
+    """The command line, as `python -m shiftpath` and the installed `shiftpath` run it.
+
+    Runs `main` and returns its exit code, after `gc.freeze()`: the
+    collections at interpreter shutdown would walk every object left
+    alive, numpy's included; frozen, they are freed by reference counts
+    alone, and the exit is faster.
+    """
+    code = main(argv)
     gc.freeze()
-    sys.exit(code)
+    return code
+
+
+if __name__ == "__main__":
+    sys.exit(run())

@@ -34,11 +34,9 @@ to the base's total mass.  ESSENTIAL_FLOOR gates only the split score,
 never a mass.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .invariant import absorption, closed_classes
+from .invariant import Record, absorption, closed_classes
 from .measures import require_fixed_point
 from .subshift import CylinderFunction, step_walk
 
@@ -46,14 +44,15 @@ NULL_SPACE_RTOL = 1e-10
 ESSENTIAL_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class ErgodicityReport:
-    depth: int
-    solution_dim: int
-    basis: np.ndarray  # (word_count(depth), solution_dim), orthonormal columns
-    extremal_certificate: bool
-    class_sizes: list  # word count of each closed class of the walk, by lowest word
-    base_residual: float
+class ErgodicityReport(Record):
+    __slots__ = (
+        "depth",
+        "solution_dim",
+        "basis",  # (word_count(depth), solution_dim), orthonormal columns
+        "extremal_certificate",
+        "class_sizes",  # word count of each closed class of the walk, by lowest word
+        "base_residual",
+    )
 
 
 def _null_space(matrix):
@@ -132,14 +131,8 @@ def relative_ergodicity_dimension(shift, mu0, v, depth, tol=1e-10):
     )
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    lam: float
-    f1: CylinderFunction
-    f2: CylinderFunction
-    mu1: object
-    mu2: object
-    report: ErgodicityReport
+class Decomposition(Record):
+    __slots__ = ("lam", "f1", "f2", "mu1", "mu2", "report")
 
 
 def decompose(shift, mu0, v, depth, tol=1e-10):

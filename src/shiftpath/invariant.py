@@ -20,10 +20,9 @@ state count: the component search `_components` and the LU solve
 `_lu_solve`.  At or below DENSE_STATES states they run an iterative
 Tarjan search over the CSR arrays, linear in the steps, and numpy's
 dense LU; above it scipy's strong components and sparse LU, which only
-they import.
+they import.  `Record`, the immutable field record of the package's
+result types, lives here too, since every command loads this module.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +31,62 @@ DENSE_STATES = 1024
 
 # how far a branch average may stray from 1 and still count as normalized
 NORMALIZED_SLACK = 1e-12
+
+
+class Record:
+    """An immutable record of the fields named in `__slots__`, in that order.
+
+    Built from one positional or keyword argument per field; setting or
+    deleting a field raises AttributeError.  Two records of one type are
+    equal, and hash alike, when their fields are equal; the fields named
+    in `_hidden` neither compare nor appear in the repr.  Copies and
+    pickles keep every field.  A plain class, so that no code is
+    generated when a module defining one is imported.
+    """
+
+    __slots__ = ()
+    _hidden = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} fields, got {len(args)}")
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names or name in values:
+                raise TypeError(f"{type(self).__name__} got an unknown or repeated field {name!r}")
+            values[name] = value
+        missing = [name for name in names if name not in values]
+        if missing:
+            raise TypeError(f"{type(self).__name__} is missing the fields {missing}")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # copies and pickles are rebuilt through __init__, since no field can be set
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def _compared(self):
+        return tuple(getattr(self, name) for name in self.__slots__ if name not in self._hidden)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self):
+        return hash(self._compared())
+
+    def __repr__(self):
+        shown = [f"{name}={getattr(self, name)!r}"
+                 for name in self.__slots__ if name not in self._hidden]
+        return f"{type(self).__name__}({', '.join(shown)})"
 
 
 class MarkovMeasure:
@@ -128,17 +183,14 @@ class MarkovMeasure:
         return complex(out) if np.iscomplexobj(vals) else float(out)
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(Record):
     """The steps of a finite chain in CSR form, held in numpy arrays.
 
     Row i steps to the states indices[indptr[i]:indptr[i + 1]] with the
     weights data[indptr[i]:indptr[i + 1]]; zero weights may be stored.
     """
 
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
+    __slots__ = ("indptr", "indices", "data")
 
     @property
     def shape(self):

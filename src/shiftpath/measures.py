@@ -206,11 +206,18 @@ def masses_along_orbit(shift, v, mu0, n_max):
     Entry n is the integral of the n-step running weight product against
     mu0, which equals the total mass of the n-fold transformed measure.
     For a genuine fixed point the sequence is constant at mu0's mass.
+    The n-step product has depth depth(v) + n - 1, so a density base's
+    reference measure walks once, to the deepest depth, and its cache
+    serves every n.
     """
-    out = []
-    w = None
+    if isinstance(mu0, DensityMeasure):
+        mu0.rho.masses_at(max(v.depth + n_max - 1, mu0.depth))
+    out, w = [], v
     for n in range(1, n_max + 1):
-        w = v if n == 1 else v * w.compose_with_shift()
+        if n > 1:
+            # two steps, so that the shallower product is freed before v multiplies in
+            w = w.compose_with_shift()
+            w = v * w
         out.append(mu0.integrate(w))
     return np.asarray(out)
 

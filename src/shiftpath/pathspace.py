@@ -20,11 +20,11 @@ the one fixed-point gate, which the extremality solve passes too.
 
 import os
 import threading
-from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import FilterMismatch, TableTooLarge, TooFewSamples, ZeroMassConditioning
+from .invariant import Record
 from .measures import _pushforward_masses, base_depth, check_fixed_point, require_fixed_point
 from .subshift import MAX_SAMPLE_SYMBOLS, CylinderFunction, _row_blocks, step_walk
 from .subshift import weight_product, word_string
@@ -199,13 +199,14 @@ class _WalkKernel:
         return self.nxt.take(pos), self.syms.take(pos)
 
 
-@dataclass(frozen=True)
-class SampleBatch:
-    shift: object
-    base_depth: int
-    n_steps: int
-    base_words: np.ndarray  # (n_samples, base_depth) symbols, of shift.symbol_dtype
-    prepends: np.ndarray  # (n_samples, n_steps) symbols, of shift.symbol_dtype
+class SampleBatch(Record):
+    __slots__ = (
+        "shift",
+        "base_depth",
+        "n_steps",
+        "base_words",  # (n_samples, base_depth) symbols, of shift.symbol_dtype
+        "prepends",  # (n_samples, n_steps) symbols, of shift.symbol_dtype
+    )
 
     def __len__(self):
         return self.base_words.shape[0]
@@ -308,16 +309,18 @@ def sample_paths(pm, n_steps, n_samples, base_depth, seed, workers=1):
     return SampleBatch(pm.shift, base_depth, n_steps, base_words, prepends)
 
 
-@dataclass(frozen=True)
-class EmpiricalReport:
-    n: int
-    n_samples: int
-    depth: int
-    max_dev: float
-    sigma_bound: float
-    passed: bool
-    worst_word: tuple
-    batch: SampleBatch = field(repr=False, compare=False)
+class EmpiricalReport(Record):
+    __slots__ = (
+        "n",
+        "n_samples",
+        "depth",
+        "max_dev",
+        "sigma_bound",
+        "passed",
+        "worst_word",
+        "batch",  # the SampleBatch drawn, left out of the repr and of ==
+    )
+    _hidden = ("batch",)
 
 
 def empirical_check(pm, n, n_samples, depth, seed, workers=1):
@@ -336,7 +339,8 @@ def empirical_check(pm, n, n_samples, depth, seed, workers=1):
     counts = np.zeros(shift.word_count(depth), dtype=np.int64)
     for start in range(0, n_samples, SAMPLE_BLOCK):
         rows = slice(start, start + SAMPLE_BLOCK)
-        block = replace(batch, base_words=batch.base_words[rows], prepends=batch.prepends[rows])
+        block = SampleBatch(batch.shift, batch.base_depth, batch.n_steps,
+                            batch.base_words[rows], batch.prepends[rows])
         counts += np.bincount(shift.word_index(block.theta_words(n, depth)), minlength=len(counts))
     exact = pm.marginal(n).masses_at(depth)
     p = exact / exact.sum()
@@ -356,12 +360,13 @@ def empirical_check(pm, n, n_samples, depth, seed, workers=1):
     )
 
 
-@dataclass(frozen=True)
-class MartingaleCoordinates:
-    pm: object
-    level: int
-    depth: int
-    coordinates: list  # CylinderFunction per level 0 .. level
+class MartingaleCoordinates(Record):
+    __slots__ = (
+        "pm",
+        "level",
+        "depth",
+        "coordinates",  # CylinderFunction per level 0 .. level
+    )
 
     def norms(self):
         """L2 norm of each coordinate against its own level measure."""

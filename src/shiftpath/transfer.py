@@ -10,12 +10,10 @@ On cylinder tables this is exact: if v has depth m and f depth d, the
 result depends on the first max(m - 1, d - 1, 1) coordinates.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DepthTooShallow, NotSubNormalized
-from .invariant import NORMALIZED_SLACK, _stationary_vector, absorption, closed_classes
+from .invariant import NORMALIZED_SLACK, Record, _stationary_vector, absorption, closed_classes
 from .subshift import CylinderFunction, prepend_walk, weight_product
 
 
@@ -75,12 +73,13 @@ def transfer_matrix(shift, v, depth):
     return _operator_matrix(shift, v, depth).toarray()
 
 
-@dataclass(frozen=True)
-class FixedFunctionResult:
-    h: CylinderFunction
-    n_used: int
-    status: str  # "converged" or "degenerate"
-    residual: float
+class FixedFunctionResult(Record):
+    __slots__ = (
+        "h",  # CylinderFunction
+        "n_used",
+        "status",  # "converged" or "degenerate"
+        "residual",
+    )
 
 
 def _kept_classes(op):

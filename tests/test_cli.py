@@ -1,5 +1,6 @@
 """Command line behavior: outputs, exit codes, and reproducibility."""
 
+import gc
 import hashlib
 import importlib.util
 import itertools
@@ -995,3 +996,20 @@ def test_the_module_entry_point_exits_with_the_code_of_main(tmp_path, capsys):
             assert not spawned.exists() and not in_process.exists()
         else:
             assert files_in(spawned) == files_in(in_process)
+
+
+def test_both_entry_points_freeze_after_the_command(tmp_path, monkeypatch, capsys):
+    """`run` returns main's code and freezes after main has written; the script runs `run`."""
+    entry = importlib.import_module("shiftpath.__main__")
+    frozen = []  # the files written when each freeze runs
+    monkeypatch.setattr(gc, "freeze", lambda: frozen.append(sorted(os.listdir(tmp_path))))
+    cfg = write_config(tmp_path, GOLDEN_FLAT)
+    assert entry.run(["invariant", "--config", cfg, "--depth", "2", "--out", str(tmp_path)]) == 0
+    assert frozen == [["config.json", "invariant_measure.csv", "invariant_report.json"]]
+    missing_word = dict(GOLDEN_FLAT, V={"depth": 1, "values": {"1": 1.0}})
+    bad = write_config(tmp_path, missing_word, "bad.json")
+    assert entry.run(["fixpoint", "--config", bad, "--out", str(tmp_path / "none")]) == 2
+    assert capsys.readouterr().err.startswith("shiftpath: config error: ")
+    assert len(frozen) == 2
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert '\n[project.scripts]\nshiftpath = "shiftpath.__main__:run"\n' in pyproject

@@ -13,6 +13,8 @@ io, subshift and invariant; `fixpoint` adds transfer (and measures for
 the dual functional); `verify` and `sample` add measures, transfer and
 pathspace; `ergodicity` adds measures, transfer and extremality.  No
 command loads `concurrent.futures`: the sampler starts plain threads.
+Nor does any load `dataclasses`: the result types are plain slotted
+records, so no module generates code when it is imported.
 scipy is imported only inside the two leaf kernels of the chain solver,
 and only for chains of more than `invariant.DENSE_STATES` states, so
 the commands that never meet such a chain do not load it.  Nor do the
@@ -154,6 +156,34 @@ def test_every_other_export_serves_a_command_or_a_demo():
     for path in sorted((PACKAGE.parents[1] / "demos").glob("*.py")):
         sources[f"demos.{path.stem}"] = path.read_text(encoding="utf-8")
     assert unreferenced_names(sources) == SERVE_NO_COMMAND
+
+
+def trace_targets(source):
+    """The (module, attribute path) pairs of the TARGETS tuple of a tracer script, by AST alone."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
+            return [(entry.elts[0].value, entry.elts[1].value) for entry in node.value.elts]
+    raise AssertionError("no TARGETS assignment")
+
+
+def test_every_trace_target_resolves():
+    """Each function and method the benchmark's tracer wraps is still where it looks for it.
+
+    The tracer reads a method from its class's own `__dict__` and a
+    function from its module; a renamed or moved target would go
+    untraced without an error.
+    """
+    source = (PACKAGE.parents[1] / "bench" / "trace_child.py").read_text(encoding="utf-8")
+    targets = trace_targets(source)
+    assert len(targets) >= 30
+    missing = []
+    for module, path in targets:
+        owner = importlib.import_module(f"shiftpath.{module}")
+        *cls, attr = path.split(".")
+        scope = vars(getattr(owner, cls[0])) if cls else vars(owner)
+        if not callable(scope.get(attr)):
+            missing.append(f"{module}.{path}")
+    assert missing == []
 
 
 def module_level_imports(source):
@@ -509,7 +539,7 @@ def test_setup_and_small_commands_do_not_load_numpy_ma(tmp_path):
 
 COMMAND_MODULES = [
     "shiftpath.measures", "shiftpath.transfer", "shiftpath.pathspace", "shiftpath.extremality",
-    "concurrent.futures", "_hashlib",
+    "concurrent.futures", "_hashlib", "dataclasses",
 ]
 
 
@@ -517,7 +547,7 @@ def test_each_command_loads_only_its_modules(tmp_path):
     """Set-up and `invariant` load none of the command modules, and each later command adds its own.
 
     `fixpoint` loads measures for the dual functional's RawMeasure, and
-    no command loads `concurrent.futures`.  `ergodicity` runs in
+    no command loads `concurrent.futures` or `dataclasses`.  `ergodicity` runs in
     a second interpreter, since the first has loaded pathspace by then.
     The config hash uses the interpreter's own SHA-256, so no command but
     `sample` maps OpenSSL (`_hashlib`): numpy.random imports `secrets`,
@@ -534,7 +564,7 @@ def test_each_command_loads_only_its_modules(tmp_path):
         ["sample", *config, "--depth", "2", "--steps", "3", "--samples", "200", "--seed", "5"],
     ]
     watched = json.dumps(COMMAND_MODULES)
-    measures, transfer, pathspace, extremality, _, openssl = COMMAND_MODULES
+    measures, transfer, pathspace, extremality, _, openssl, _ = COMMAND_MODULES
     assert run_probe(LOADED_PROBE, str(small), json.dumps(steps), watched) == [
         [None, []],
         [0, []],

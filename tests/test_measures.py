@@ -21,6 +21,7 @@ from shiftpath import (
     DegenerateH,
     DensityMeasure,
     DepthTooShallow,
+    MarkovMeasure,
     RawMeasure,
     build_subshift,
     check_fixed_point,
@@ -29,7 +30,7 @@ from shiftpath import (
     strongly_invariant_measure,
     transform_measure,
 )
-from shiftpath import transfer
+from shiftpath import subshift, transfer
 
 
 def test_raw_measure_aggregation(golden):
@@ -152,6 +153,47 @@ def test_mass_constant_along_orbit():
         mu0 = solved_base(shift, v)
         masses = masses_along_orbit(shift, v, mu0, 10)
         assert np.abs(masses - mu0.total_mass()).max() <= 1e-10, name
+
+
+def orbit_per_depth(v, mu0, n_max):
+    """masses_along_orbit as a loop of integrals, each depth's masses walked on its first use."""
+    out, w = [], v
+    for n in range(1, n_max + 1):
+        out.append(mu0.integrate(w))
+        w = v * w.compose_with_shift()
+    return np.asarray(out)
+
+
+def test_orbit_walks_the_reference_once_to_the_same_bits(monkeypatch):
+    """One walk of rho, at depth(v) + n_max - 1, gives every mass of a walk per depth."""
+    walks = []
+    levels = subshift._levels
+    monkeypatch.setattr(subshift, "_levels",
+                        lambda shift, depth: walks.append(depth) or levels(shift, depth))
+    for name, shift, v in stock_systems():
+        base = solved_base(shift, v)
+
+        def fresh():
+            return DensityMeasure(base.density, MarkovMeasure(shift, base.rho.q, base.rho.kernel))
+
+        walks.clear()
+        masses = masses_along_orbit(shift, v, fresh(), 10)
+        assert walks == [max(v.depth + 9, base.depth)], name
+        expected = orbit_per_depth(v, fresh(), 10)
+        assert masses.tobytes() == expected.tobytes(), name
+
+
+def test_orbit_of_a_raw_base_raises_at_its_first_deeper_product(full2):
+    """The orbit of a raw base raises where a per-depth loop does: at its first deeper product."""
+    v = weight_full_half(full2)
+    raw = RawMeasure(full2, 3, strongly_invariant_measure(full2).masses_at(3))
+    with pytest.raises(DepthTooShallow) as expected:
+        orbit_per_depth(v, raw, 5)
+    with pytest.raises(DepthTooShallow) as raised:
+        masses_along_orbit(full2, v, raw, 5)
+    assert str(raised.value) == str(expected.value)
+    assert str(raised.value) == "cannot integrate a depth-4 function at depth 3"
+    assert masses_along_orbit(full2, v, raw, 3).tobytes() == orbit_per_depth(v, raw, 3).tobytes()
 
 
 def test_mass_not_constant_for_non_fixed_point(full2):
