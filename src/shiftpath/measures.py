@@ -201,19 +201,18 @@ def require_fixed_point(shift, v, mu0, tol):
 
 
 def masses_along_orbit(shift, v, mu0, n_max):
-    """Total masses of the transformed iterates, n = 1 .. n_max.
+    """Total masses of the transformed iterates, n = 1 .. n_max; constant for a fixed point.
 
-    Entry n is the integral of the n-step running weight product against
-    mu0, which equals the total mass of the n-fold transformed measure.
-    For a genuine fixed point the sequence is constant at mu0's mass.
-    The n-step product has depth depth(v) + n - 1, so a density base's
-    reference measure walks once, to the deepest depth, and its cache
-    serves every n.
+    A density f drho over a strongly invariant rho takes n transfer steps at depth
+    max(depth(v) - 1, depth(f) - 1, 1), by the weight-pushforward identity; any other
+    base integrates the n-step weight product, of depth depth(v) + n - 1, against mu0.
     """
-    if isinstance(mu0, DensityMeasure):
-        mu0.rho.masses_at(max(v.depth + n_max - 1, mu0.depth))
-    out, w = [], v
+    out, w, mu = [], v, mu0
     for n in range(1, n_max + 1):
+        if isinstance(mu0, DensityMeasure) and mu0.rho.strongly_invariant:
+            mu = transform_measure(shift, v, mu)
+            out.append(mu.total_mass())
+            continue
         if n > 1:
             # two steps, so that the shallower product is freed before v multiplies in
             w = w.compose_with_shift()

@@ -317,6 +317,16 @@ def block_split(seed, depth=10):
     return dict(BLOCK_FLAT, V={"depth": depth, "values": table})
 
 
+def test_verify_runs_at_the_depth_of_its_inputs(tmp_path):
+    """BLOCK4 with a depth-13 weight verifies at depth 12: the orbit masses need no depth-21 table."""
+    cfg = write_config(tmp_path, block_split(0, depth=13))
+    code = run(["verify", "--config", cfg, "--depth", "12", "--steps", "2", "--out", str(tmp_path)])
+    assert code == 0
+    report = load(tmp_path, "verify_report.json")
+    assert report["passed"]
+    assert report["residuals"]["mass_conservation"] <= report["tolerance"]
+
+
 def files_in(out):
     """The files of an output directory, by name."""
     return {path.name: path.read_bytes() for path in sorted(out.iterdir())}

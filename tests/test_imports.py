@@ -139,8 +139,6 @@ def test_package_defines_nothing_unreferenced():
 SERVE_NO_COMMAND = [
     # the paper's measure for a normalized weight
     "invariant.markov_measure_for_weight",
-    # the second route of the c06 route-equivalence check
-    "measures.transform_measure",
     # the per-function oracle of weight_pushforward_defect, and a bench trace target
     "transfer.check_weight_pushforward",
 ]

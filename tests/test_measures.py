@@ -12,6 +12,7 @@ from conftest import (
     measure_dict,
     random_function,
     random_weight,
+    slow_leak_weight,
     solved_base,
     stock_systems,
     weight_full_half,
@@ -22,6 +23,7 @@ from shiftpath import (
     DensityMeasure,
     DepthTooShallow,
     MarkovMeasure,
+    NegativeWeight,
     RawMeasure,
     build_subshift,
     check_fixed_point,
@@ -156,7 +158,7 @@ def test_mass_constant_along_orbit():
 
 
 def orbit_per_depth(v, mu0, n_max):
-    """masses_along_orbit as a loop of integrals, each depth's masses walked on its first use."""
+    """The table walk: each n-step weight product integrated against mu0, the oracle of the transfer steps."""
     out, w = [], v
     for n in range(1, n_max + 1):
         out.append(mu0.integrate(w))
@@ -164,23 +166,58 @@ def orbit_per_depth(v, mu0, n_max):
     return np.asarray(out)
 
 
-def test_orbit_walks_the_reference_once_to_the_same_bits(monkeypatch):
-    """One walk of rho, at depth(v) + n_max - 1, gives every mass of a walk per depth."""
+def fresh_base(shift, v):
+    """The solved base over a new copy of its rho, whose masses no depth has cached yet."""
+    base = solved_base(shift, v)
+    return DensityMeasure(base.density, MarkovMeasure(shift, base.rho.q, base.rho.kernel))
+
+
+def test_orbit_of_a_density_base_builds_nothing_deeper_than_its_inputs(monkeypatch):
+    """Transfer steps walk rho, and grow the shift's tables, no deeper than max(depth(v), depth(f)).
+
+    The tables may reach depth 2, the least depth of one step's branch sums.
+    """
     walks = []
     levels = subshift._levels
     monkeypatch.setattr(subshift, "_levels",
                         lambda shift, depth: walks.append(depth) or levels(shift, depth))
     for name, shift, v in stock_systems():
-        base = solved_base(shift, v)
-
-        def fresh():
-            return DensityMeasure(base.density, MarkovMeasure(shift, base.rho.q, base.rho.kernel))
-
+        base = fresh_base(shift, v)
+        deepest = max(v.depth, base.depth)
         walks.clear()
-        masses = masses_along_orbit(shift, v, fresh(), 10)
-        assert walks == [max(v.depth + 9, base.depth)], name
-        expected = orbit_per_depth(v, fresh(), 10)
-        assert masses.tobytes() == expected.tobytes(), name
+        masses_along_orbit(shift, v, base, 10)
+        assert walks and max(walks) <= deepest, name
+        assert len(shift._last) - 1 <= max(deepest, 2), name
+
+
+def test_orbit_of_a_density_base_is_the_table_walk_within_rounding(full2):
+    """Each mass is within 10 eps of the table walk's on fixed, leaky and non-fixed bases.
+
+    The two routes add the same terms in another order.  A reference
+    measure with a non-default kernel keeps the table walk, bit for bit.
+    """
+    rho = strongly_invariant_measure(full2)
+    skew = DensityMeasure(CylinderFunction.from_table(full2, 1, {(1,): 1.6, (2,): 0.4}), rho)
+    leak = slow_leak_weight(full2)
+    cases = [(name, shift, v, solved_base(shift, v)) for name, shift, v in stock_systems()]
+    cases += [("leaky", full2, leak, solved_base(full2, leak)),
+              ("skew", full2, weight_full_half(full2), skew)]
+    for name, shift, v, base in cases:
+        masses = masses_along_orbit(shift, v, base, 10)
+        expected = orbit_per_depth(v, base, 10)
+        assert np.all(np.abs(masses - expected) <= 10 * np.finfo(float).eps * expected), name
+    sticky = MarkovMeasure(full2, [0.5, 0.5], kernel=[[0.8, 0.2], [0.2, 0.8]])
+    base = DensityMeasure(skew.density, sticky)
+    v = weight_full_half(full2)
+    assert masses_along_orbit(full2, v, base, 6).tobytes() == orbit_per_depth(v, base, 6).tobytes()
+
+
+def test_orbit_of_a_density_base_refuses_a_signed_weight(full2):
+    """The transfer steps refuse a signed weight with NegativeWeight, as transform_measure does."""
+    signed = CylinderFunction.from_table(full2, 1, {(1,): 1.5, (2,): -0.5})
+    base = DensityMeasure(CylinderFunction.constant(full2, 1.0), strongly_invariant_measure(full2))
+    with pytest.raises(NegativeWeight):
+        masses_along_orbit(full2, signed, base, 3)
 
 
 def test_orbit_of_a_raw_base_raises_at_its_first_deeper_product(full2):
