@@ -21,11 +21,11 @@ leaves (`invariant.closed_classes`).  So the solve is one walk in CSR
 form (`subshift.step_walk`, the walk the trajectory sampler steps
 along), one LU solve for the transient words (`invariant.absorption`),
 and a dense step with one column per closed class, whose null space
-below the conditioning depth comes from numpy's QR and SVD.  Whether
-the walk is searched and solved dense, with numpy, or sparse, with
-scipy, is decided inside `invariant` by its two leaf kernels: dense up
-to 1024 words (`invariant.DENSE_STATES`), and then only on the
-transient block.  No dense matrix of all words by all words is formed.
+below the conditioning depth comes from numpy's QR and SVD.  Inside
+`invariant` the walk's closed classes come from one numpy colour
+search at every size, and its transient block is solved dense, with
+numpy, up to 1024 words (`invariant.DENSE_STATES`), and sparse, with
+scipy, above.  No dense matrix of all words by all words is formed.
 Base masses are read as given: every positive mass is a step of the walk
 and part of the support, however small, so scaling a base changes
 neither the solution space, its split, nor the fixed-point gate

@@ -15,19 +15,22 @@ natural measures attached to normalized weights; see
 object of the package lives here too: `closed_classes`, `absorption`,
 the reachability mask `_reaching` (one breadth-first search back along
 the steps) and the stationary vector of a closed class, each one body
-at every size.  Only two leaf kernels pick dense or sparse, by the
-state count: the component search `_components` and the LU solve
-`_lu_solve`.  At or below DENSE_STATES states they run an iterative
-Tarjan search over the CSR arrays, linear in the steps, and numpy's
-dense LU; above it scipy's strong components and sparse LU, which only
-they import.  `Record`, the immutable field record of the package's
+at every size.  The closed classes come from one numpy colour search
+(`_components`); only a search past SEARCH_ROUNDS rounds, as on a long
+path or cycle, falls back to scipy's strong components.  The LU
+solve `_lu_solve` picks by the state count: numpy's dense LU at or below
+DENSE_STATES states, scipy's sparse LU above.  Only these two fallbacks
+import scipy.  `Record`, the immutable field record of the package's
 result types, lives here too, since every command loads this module.
 """
 
 import numpy as np
 
-# chains of at most this many states are solved dense; scipy loads only above it
+# chains of at most this many states get numpy's dense LU; scipy's sparse LU loads only above it
 DENSE_STATES = 1024
+
+# rounds the colour search for closed classes may take before scipy's strong components run
+SEARCH_ROUNDS = 64
 
 # how far a branch average may stray from 1 and still count as normalized
 NORMALIZED_SLACK = 1e-12
@@ -228,68 +231,46 @@ def _as_chain(graph):
     return Chain(np.r_[0, np.cumsum(np.bincount(rows, minlength=len(graph)))], cols, graph[rows, cols])
 
 
-def _strong_components(chain):
-    """Tarjan's strong components of the nonzero steps of a `Chain`, searched without recursion.
+def _components(chain):
+    """Each state's label, and whether a step leaves each label's states.
 
-    Returns each state's component label, numbered as the search closes
-    the components, and whether a step leaves each component, both in
-    one pass over the steps, linear in their number.
+    The states of each closed class share one label, not flagged leaving;
+    a label flagged leaving holds no closed class.  A colour search finds
+    them: colour(v), the largest state v reaches, is raised to the largest
+    colour among v's steps until nothing changes.  From each root r, where
+    colour(r) = r, the states r reaches along steps inside its colour all
+    reach r; they are a closed class when none of them steps to another
+    colour, and every closed class's largest state is such a root.  Each
+    closed class is labelled by its root, every other state by n.  When
+    the two loops take more than SEARCH_ROUNDS rounds together, as on a
+    long path or cycle, scipy's strong components give the labels.
     """
     n = chain.shape[0]
     nonzero = chain.data != 0
-    heads = chain.indices[nonzero].tolist()
-    start = np.r_[0, np.cumsum(np.bincount(chain.rows()[nonzero], minlength=n))].tolist()
-    order, low, label = [-1] * n, [0] * n, [-1] * n
-    open_states, leaves = [], []
-    count = 0
-    for root in range(n):
-        if order[root] >= 0:
-            continue
-        order[root] = low[root] = count
-        count += 1
-        open_states.append(root)
-        path = [[root, start[root]]]  # the search path, each state with its next step
-        while path:
-            top = path[-1]
-            v, pos = top
-            if pos < start[v + 1]:
-                top[1] = pos + 1
-                w = heads[pos]
-                if order[w] < 0:
-                    order[w] = low[w] = count
-                    count += 1
-                    open_states.append(w)
-                    path.append([w, start[w]])
-                elif label[w] < 0 and order[w] < low[v]:  # w is open, so it is in v's component
-                    low[v] = order[w]
-                continue
-            path.pop()
-            if path and low[v] < low[path[-1][0]]:
-                low[path[-1][0]] = low[v]
-            if low[v] < order[v]:
-                continue
-            # v is the first state of its component, which holds the states opened after it
-            c = len(leaves)
-            members = []
-            while True:
-                w = open_states.pop()
-                label[w] = c
-                members.append(w)
-                if w == v:
-                    break
-            leaves.append(any(label[w] != c for u in members for w in heads[start[u]:start[u + 1]]))
-    return np.array(label, dtype=np.int64), np.array(leaves, dtype=bool)
-
-
-def _components(chain):
-    """Labels and leaving flags as `_strong_components` gives them; above DENSE_STATES, by scipy."""
-    n = chain.shape[0]
-    if n <= DENSE_STATES:
-        return _strong_components(chain)
+    rows, cols = chain.rows()[nonzero], chain.indices[nonzero]
+    # the first step of each row that has steps; the steps are in row order
+    first = np.flatnonzero(np.diff(rows, prepend=-1))
+    busy = rows[first]
+    colour = np.arange(n)
+    rounds = iter(range(SEARCH_ROUNDS))
+    for _ in rounds:
+        raised = np.maximum.reduceat(colour[cols], first)
+        up = raised > colour[busy]
+        if not up.any():
+            break
+        colour[busy[up]] = raised[up]
+    root = colour == np.arange(n)
+    inside = colour[rows] == colour[cols]
+    reached = root.copy()
+    for _ in rounds:  # none are left if the colours did not settle
+        new = reached[rows] & inside & ~reached[cols]
+        if not new.any():
+            leaks = np.zeros(n, dtype=bool)
+            leaks[colour[rows[reached[rows] & ~inside]]] = True
+            return np.where(reached & ~leaks[colour], colour, n), np.r_[leaks | ~root, True]
+        reached[cols[new]] = True
     from scipy.sparse import csgraph, csr_matrix
 
-    nonzero = chain.data != 0
-    rows, cols = chain.rows()[nonzero], chain.indices[nonzero]
     indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=n))]
     graph = csr_matrix((np.ones(len(cols)), cols, indptr), shape=(n, n))
     n_comp, labels = csgraph.connected_components(graph, directed=True, connection="strong")
@@ -345,10 +326,13 @@ def closed_classes(graph):
     """
     chain = _as_chain(graph)
     labels, leaving = _components(chain)
-    members = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
-    # component labels follow no order; each class's first state fixes its place
-    _, first = np.unique(labels, return_index=True)
-    return [members[c] for c in labels[np.sort(first)] if not leaving[c]]
+    states = np.flatnonzero(~leaving[labels])
+    # a stable sort by label keeps each class ascending
+    grouped = states[np.argsort(labels[states], kind="stable")]
+    starts = np.flatnonzero(np.diff(labels[grouped], prepend=-1))
+    classes = np.split(grouped, starts[1:])
+    # labels follow no order; each class's lowest state fixes its place
+    return [classes[c] for c in np.argsort(grouped[starts])]
 
 
 def _reaching(graph, targets):

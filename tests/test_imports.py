@@ -15,9 +15,11 @@ pathspace; `ergodicity` adds measures, transfer and extremality.  No
 command loads `concurrent.futures`: the sampler starts plain threads.
 Nor does any load `dataclasses`: the result types are plain slotted
 records, so no module generates code when it is imported.
-scipy is imported only inside the two leaf kernels of the chain solver,
-and only for chains of more than `invariant.DENSE_STATES` states, so
-the commands that never meet such a chain do not load it.  Nor do the
+scipy is imported only inside the two fallbacks of the chain solver:
+its strong components for a closed-class search past
+`invariant.SEARCH_ROUNDS` rounds, and its sparse LU for more than
+`invariant.DENSE_STATES` live states, so the commands that never meet
+such a chain do not load it.  Nor do the
 setup and the `invariant`, `verify`, `sample` and `ergodicity` commands
 load `numpy.ma`, which costs every run the time of its import.  The
 tests' exact chain oracle imports no package code.
@@ -253,7 +255,11 @@ def test_scipy_importers_are_found():
 
 
 def test_only_the_two_leaf_kernels_import_scipy():
-    """The graph search and the LU solve are the only places that pick dense or sparse."""
+    """Only the two fallbacks import scipy.
+
+    The closed-class search imports it past its round budget, the LU
+    solve above the dense cut.
+    """
     source = (PACKAGE / "invariant.py").read_text(encoding="utf-8")
     assert scipy_importers(source) == {"_components", "_lu_solve"}
 
@@ -454,8 +460,42 @@ print(json.dumps(seen))
 """
 
 
+# solves three chains and prints each result and the scipy modules then loaded: the closed
+# classes of a star, whose 2 * DENSE_STATES outer states each step half to themselves and
+# half to state 0, which steps to itself alone; the star's absorption into state 0, one LU
+# of 2 * DENSE_STATES live transient states; and the closed classes of a 100-state path,
+# whose colour search needs 101 rounds
+CHAIN_PROBE = """
+import json, sys
+import numpy as np
+from shiftpath.invariant import DENSE_STATES, Chain, absorption, closed_classes
+
+def scipy_loaded():
+    return [m for m in ("scipy.sparse.csgraph", "scipy.sparse.linalg") if m in sys.modules]
+
+n = 2 * DENSE_STATES + 1
+others = np.arange(1, n)
+star = Chain(np.r_[0, np.arange(1, 2 * n, 2)], np.r_[0, np.column_stack([others, 0 * others]).ravel()],
+             np.r_[1.0, np.full(2 * n - 2, 0.5)])
+classes = closed_classes(star)
+seen = [[c.tolist() for c in classes], scipy_loaded()]
+held = absorption(star, classes, np.ones((1, 1)))[:, 0]
+seen += [sorted(set(held.tolist())), scipy_loaded()]
+path = Chain(np.minimum(np.arange(101), 99), np.arange(1, 100), np.ones(99))
+seen += [[c.tolist() for c in closed_classes(path)], scipy_loaded()]
+print(json.dumps(seen))
+"""
+
+
 def test_scipy_loads_only_for_chains_above_the_dense_cut(tmp_path):
-    """Only the 2048-word walk of BLOCK4 loads scipy; smaller chains and the null space do not."""
+    """No command here loads scipy; the sparse LU loads above the cut, csgraph past the round budget.
+
+    BLOCK4's walks on 256, 1024 and 2048 words settle inside the colour
+    search's budget and have no transient word, so even `ergodicity
+    --depth 10` loads no scipy.  `scipy.sparse.linalg` loads for an LU of
+    more than DENSE_STATES live states, and `scipy.sparse.csgraph` only
+    for a closed-class search past SEARCH_ROUNDS rounds.
+    """
     small, block = tmp_path / "small.json", tmp_path / "block.json"
     small.write_text(json.dumps(SMALL))
     block.write_text(json.dumps(BLOCK))
@@ -468,16 +508,46 @@ def test_scipy_loads_only_for_chains_above_the_dense_cut(tmp_path):
          "--seed", "5", "--out", out],
         # below the conditioning depth: the null space by numpy's QR and SVD
         ergodicity + ["1"],
-        # walks on the 256 and 1024 words of lengths 7 and 9, solved dense
+        # walks on the 256, 1024 and 2048 words of lengths 7, 9 and 10
         ergodicity + ["7"],
         ergodicity + ["9"],
-        # 2048 words of length 10, above the dense cut
         ergodicity + ["10"],
     ]
     seen = run_probe(SCIPY_PROBE, json.dumps(steps))
     assert [code for code, _ in seen] == [None, 0, 0, 0, 6, 6, 6, 6]
-    assert [loaded for _, loaded in seen[:7]] == [[]] * 7
-    assert "scipy.sparse.linalg" in seen[7][1]
+    assert [loaded for _, loaded in seen] == [[]] * 8
+
+    assert run_probe(CHAIN_PROBE) == [
+        [[0]], [], [1.0], ["scipy.sparse.linalg"], [[99]], ["scipy.sparse.csgraph", "scipy.sparse.linalg"]
+    ]
+
+
+# the closed classes of the prepend walk on the 177147 words of length 11 of the full
+# 3-shift, with positive masses and with a tenth of them zero; prints [state count, class
+# counts, scipy modules loaded, whether scipy's strong components give the same classes,
+# whether they loaded]
+FULL3_WALK_PROBE = """
+import json, sys
+import numpy as np
+from shiftpath import build_subshift, invariant
+from shiftpath.invariant import closed_classes
+from shiftpath.subshift import prepend_walk
+shift = build_subshift([[1, 1, 1]] * 3)
+rng = np.random.default_rng(0)
+masses = rng.random(shift.word_count(12))
+walks = [prepend_walk(shift, 11, masses), prepend_walk(shift, 11, masses * (rng.random(len(masses)) >= 0.1))]
+searched = [[c.tolist() for c in closed_classes(walk)] for walk in walks]
+loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+invariant.SEARCH_ROUNDS = -1
+same = searched == [[c.tolist() for c in closed_classes(walk)] for walk in walks]
+print(json.dumps([walks[0].shape[0], [len(c) for c in searched], loaded, same,
+                  "scipy.sparse.csgraph" in sys.modules]))
+"""
+
+
+def test_the_full_3_shift_walk_at_depth_11_settles_inside_the_round_budget():
+    """The colour search alone finds the classes of 177147 words, the same as csgraph's; no scipy loads."""
+    assert run_probe(FULL3_WALK_PROBE) == [177147, [1, 163], [], True, True]
 
 
 # searches back along a 2048-state path from its last state; prints [states reached,

@@ -293,34 +293,71 @@ def pinned_chain(steps):
     return Chain(np.r_[0, np.cumsum(has)], steps[has], np.ones(has.sum()))
 
 
+def csgraph_calls(monkeypatch):
+    """A list that grows by one each time scipy's strong components run."""
+    from scipy.sparse import csgraph
+
+    calls, strong_components = [], csgraph.connected_components
+    monkeypatch.setattr(csgraph, "connected_components",
+                        lambda *args, **kwargs: calls.append(args) or strong_components(*args, **kwargs))
+    return calls
+
+
+def search_both_sides(monkeypatch, chain, rounds):
+    """The closed classes, and the csgraph calls, at the budget, at `rounds` - 1 rounds and at `rounds`.
+
+    `rounds` is the count the colour search needs on the chain: scipy's
+    strong components run just below it and not at it.
+    """
+    calls = csgraph_calls(monkeypatch)
+    found = []
+    for budget in (invariant.SEARCH_ROUNDS, rounds - 1, rounds):
+        monkeypatch.setattr(invariant, "SEARCH_ROUNDS", budget)
+        found.append(([c.tolist() for c in closed_classes(chain)], len(calls)))
+        calls.clear()
+    return found
+
+
 LONG = 1024
 PINNED = {
     # each state's one step (-1 for none), the closed classes, the states reaching state 0,
-    # the states reaching the last state
-    "path": (np.r_[np.arange(1, LONG), -1], [[LONG - 1]], [0], list(range(LONG))),
-    "reversed path": (np.arange(-1, LONG - 1), [[0]], list(range(LONG)), [LONG - 1]),
+    # the states reaching the last state, the rounds the colour search needs
+    "path": (np.r_[np.arange(1, LONG), -1], [[LONG - 1]], [0], list(range(LONG)), LONG + 1),
+    "reversed path": (np.arange(-1, LONG - 1), [[0]], list(range(LONG)), [LONG - 1], 2),
     "cycle": (np.roll(np.arange(LONG), -1), [list(range(LONG))], list(range(LONG)),
-              list(range(LONG))),
+              list(range(LONG)), 2 * LONG),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
-def test_graph_search_walks_1024_states_without_recursion(name):
-    """Paths and a cycle as long as the dense cut: a recursive search would overflow the stack."""
-    steps, classes, into_first, into_last = PINNED[name]
+def test_graph_search_walks_1024_states_without_recursion(name, monkeypatch):
+    """Paths and a cycle as long as the dense cut, on both sides of the round budget.
+
+    The colour search raises a path's colours one state a round and
+    walks a cycle once more from its root, so both go to scipy at the
+    default budget; the reversed path settles in two rounds.  With the
+    budget at the rounds it needs, the colour search alone gives the
+    same classes.
+    """
+    steps, classes, into_first, into_last, rounds = PINNED[name]
     chain = pinned_chain(steps)
-    assert [c.tolist() for c in closed_classes(chain)] == classes
+    falls_back = int(rounds > invariant.SEARCH_ROUNDS)
+    assert search_both_sides(monkeypatch, chain, rounds) == [
+        (classes, falls_back), (classes, 1), (classes, 0)
+    ]
     for state, expected in ((0, into_first), (LONG - 1, into_last)):
         targets = np.arange(LONG) == state
         assert np.flatnonzero(_reaching(chain, targets)).tolist() == expected
 
 
-def test_reachability_above_the_cut_searches_one_level_per_round():
+def test_reachability_above_the_cut_searches_one_level_per_round(monkeypatch):
     """A 3000-state path into a closed state, with a branch off its middle that reaches none of it.
 
     State 1500 steps half to 1501 and half to the first of 100 branch
     states, which end in a state of no steps, a closed class that holds 0.
-    The search back from the path's end takes 3000 rounds above the dense cut.
+    The search back from the path's end takes 3000 rounds above the dense
+    cut.  The colour search needs 1602 rounds, so at the default budget
+    the classes come from scipy's strong components.
     """
     n, branch, fork = 3000, 100, 1500
     steps = [[i + 1] for i in range(n - 1)] + [[n - 1]]
@@ -335,8 +372,9 @@ def test_reachability_above_the_cut_searches_one_level_per_round():
     into_branch = (states <= fork) | (states >= n)
     assert _reaching(chain, states == n + branch - 1).tolist() == into_branch.tolist()
 
+    pinned = [[n - 1], [n + branch - 1]]
+    assert search_both_sides(monkeypatch, chain, 1602) == [(pinned, 1), (pinned, 1), (pinned, 0)]
     classes = closed_classes(chain)
-    assert [c.tolist() for c in classes] == [[n - 1], [n + branch - 1]]
     held = absorption(chain, classes, np.array([[1.0], [0.0]]))[:, 0]
     assert (held[n:] == 0.0).all()
     assert held[:n].tolist() == np.where(states[:n] <= fork, 0.5, 1.0).tolist()

@@ -16,12 +16,13 @@ perturbed below the depth of its fixed-point identity gets one verdict
 from the path family and from the extremality solve at every depth, and
 `verify` gives a solved base scaled by 1e-13 to 1e13 the verdict and the
 residuals of the base itself.
-On random sub-stochastic chains the dense and the sparse branch of the
-chain solver give the same classes, masks, absorption and stationary
-vectors; at the default cut the two LU solves equal the former dense
-bodies bit for bit; on chains of up to 300 states and on prepend walks
-the graph search gives csgraph's and the boolean closure's classes and
-masks.
+On random sub-stochastic chains the chain solver gives the same
+classes, masks, absorption and stationary vectors with numpy and with
+scipy (the colour search and csgraph's strong components, the dense
+and the sparse LU); at the default cut the two LU solves equal the
+former dense bodies bit for bit; on chains of up to 300 states and on
+prepend walks the colour search gives csgraph's and the boolean
+closure's classes and masks.
 The null space by numpy's QR and SVD is compared with scipy's pivoted QR.
 """
 
@@ -748,10 +749,16 @@ def leaky_chains(draw):
 
 
 def on_both_branches(solve):
-    """solve() at the default cut, where these chains are dense, and with every chain sparse."""
+    """solve() at the defaults, and with every chain on scipy's side.
+
+    At the defaults these chains are solved dense and their classes come
+    from the colour search; with the cut at 0 and no search rounds, from
+    scipy's sparse LU and strong components.
+    """
     dense = solve()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(invariant, "DENSE_STATES", 0)
+        patch.setattr(invariant, "SEARCH_ROUNDS", -1)
         return dense, solve()
 
 

@@ -1,17 +1,19 @@
-"""The chain-solver tests again, with both leaf kernels on their sparse side.
+"""The chain-solver tests again, with both of scipy's fallbacks in place of numpy.
 
-Two leaf kernels of `invariant`, the component search `_components`
-and the LU solve `_lu_solve`, pick dense or sparse by the chain's state
-count; chains of at most `invariant.DENSE_STATES` states are solved
-dense, and almost every chain of the test suite is that small.  This
-module collects the tests of `test_invariant.py`, `test_transfer.py` and
-`test_extremality.py`, the property tests of the chain solver and the
-extremality solve against the exact oracle and a dense eigenvector, and
-the pin of the fixed density against h and nu, and runs them with the
-cut at 0, so that every closed-class search, absorption and stationary
-vector goes through scipy.  Their own modules run them at the default
-cut.  The reachability mask (`invariant._reaching`) reads no cut: it is
-one breadth-first search at every size, the same here as there.
+Two kernels of `invariant` fall back to scipy.  The closed-class search
+`_components` runs a numpy colour search and calls scipy's strong
+components only past SEARCH_ROUNDS rounds; the LU solve `_lu_solve` is
+dense at or below `invariant.DENSE_STATES` states, and almost every
+chain of the test suite is that small.  This module collects the tests
+of `test_invariant.py`, `test_transfer.py` and `test_extremality.py`,
+the property tests of the chain solver and the extremality solve
+against the exact oracle and a dense eigenvector, and the pin of the
+fixed density against h and nu, and runs them with the cut at 0 and no
+search rounds, so that every closed-class search, absorption and
+stationary vector goes through scipy.  Their own modules run them at
+the defaults.  The reachability mask (`invariant._reaching`) reads
+neither: it is one breadth-first search at every size, the same here as
+there.
 """
 
 import pytest
@@ -42,4 +44,5 @@ def every_chain_sparse():
     # module scope: hypothesis refuses function-scoped fixtures around @given tests
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(invariant, "DENSE_STATES", 0)
+        patch.setattr(invariant, "SEARCH_ROUNDS", -1)
         yield
