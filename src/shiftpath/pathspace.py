@@ -31,6 +31,8 @@ from .subshift import weight_product, word_string
 
 # samples drawn and walked per block, which bounds the uniforms held at once, and their copy
 SAMPLE_BLOCK = 1 << 14
+# most buckets of the base draw's guide table, 8 bytes each
+MAX_GUIDE_BUCKETS = 1 << 16
 # largest gap between |filter|^2 and the weight that check_isometry accepts
 FILTER_TOL = 1e-12
 
@@ -159,6 +161,19 @@ class _WalkKernel:
     moves along the CSR row of `subshift.step_walk` of mu_1, the walk
     the extremality solve builds too, to the first branch whose running
     sum of probabilities exceeds the draw.
+
+    A base state is the first state whose running sum of mu0 exceeds the
+    draw r, `np.searchsorted(cum0, r, side="right")`, found through a
+    guide table: the indexed search of Chen and Asau (1974; Devroye,
+    Non-Uniform Random Variate Generation, 1986, III.2.4).  The table
+    cuts [0, 1) into B equal buckets, B the power of two of at least 8
+    per state, clamped to [2**10, MAX_GUIDE_BUCKETS]; at 8 bytes a bucket
+    it holds at most 512 KiB.  A draw in bucket b, [b/B, (b+1)/B), gets a
+    state from #{cum0 <= b/B} to #{cum0 < (b+1)/B}.  When the two counts
+    agree the bucket holds that state, and the draw is one gather;
+    otherwise a running sum splits the bucket, which holds -1, and only
+    the draws in it search cum0.  B is a power of two, so r*B and b/B are
+    exact, and every guided state is the searched one bit for bit.
     """
 
     def __init__(self, pm, working_depth):
@@ -169,6 +184,11 @@ class _WalkKernel:
             raise ZeroMassConditioning("base measure has no mass at the record depth")
         self.cum0 = np.cumsum(den / total)
         self.cum0[-1] = 1.0
+        self.buckets = min(max(1 << (8 * len(den) - 1).bit_length(), 1 << 10), MAX_GUIDE_BUCKETS)
+        edges = np.arange(self.buckets + 1) / self.buckets
+        lo = self._search(edges[:-1])
+        # -1 marks a bucket with a running sum strictly inside it
+        self.guide = np.where(lo == np.searchsorted(self.cum0, edges[1:]), lo, -1)
 
         walk = step_walk(self.shift, working_depth, pm.marginal(1).masses_at(working_depth + 1))
         self.start, last = walk.indptr[:-1], walk.indptr[1:] - 1
@@ -184,8 +204,15 @@ class _WalkKernel:
         # the last branch of a row takes every draw that rounding in its sum pushes past it
         self.cdf[last] = np.inf
 
-    def draw_base(self, r):
+    def _search(self, r):
         return np.minimum(np.searchsorted(self.cum0, r, side="right"), len(self.cum0) - 1)
+
+    def draw_base(self, r):
+        states = self.guide.take((r * self.buckets).astype(np.intp))
+        split = states < 0
+        if split.any():
+            states[split] = self._search(r[split])
+        return states
 
     def step(self, states, r):
         if self.has_invalid:
@@ -243,18 +270,21 @@ def sample_paths(pm, n_steps, n_samples, base_depth, seed, workers=1):
     The base record is drawn from mu0 at the working depth (the larger
     of base_depth, the weight depth and `PathMeasure.density_depth`, so
     the conditional ratios are exact), then each step prepends a symbol with
-    its conditional mass ratio.  Row i reads uniforms i * (n_steps + 1)
-    onward of the one PCG64 stream of `np.random.default_rng(seed)`, so
-    the batch depends only on (arguments, seed).  Each of at most as many
-    threads as usable CPUs and samples walks one contiguous range of rows
-    from its own copy of the stream, SAMPLE_BLOCK // threads rows at a
-    time through a buffer allocated here, so the scratch memory does not
-    grow with n_samples.  Each block's uniforms are copied once into an
-    (n_steps + 1, rows) buffer allocated here too, so that the base draw
-    and every step read one contiguous row of draws.  The caller walks
-    the first range, joins every thread and raises the first error in
-    row order.  A batch of more than MAX_SAMPLE_SYMBOLS symbols raises
-    TableTooLarge first.
+    its conditional mass ratio.  A base draw is one gather from the
+    kernel's guide table, and a search of mu0's running sums only where a
+    sum splits the draw's bucket; it is the searched state bit for bit
+    (`_WalkKernel`, after Chen and Asau).  Row i reads uniforms
+    i * (n_steps + 1) onward of the one PCG64 stream of
+    `np.random.default_rng(seed)`, so the batch depends only on
+    (arguments, seed).  Each of at most as many threads as usable CPUs
+    and samples walks one contiguous range of rows from its own copy of
+    the stream, SAMPLE_BLOCK // threads rows at a time through a buffer
+    allocated here, so the scratch memory does not grow with n_samples.
+    Each block's uniforms are copied once into an (n_steps + 1, rows)
+    buffer allocated here too, so that the base draw and every step read
+    one contiguous row of draws.  The caller walks the first range, joins
+    every thread and raises the first error in row order.  A batch of
+    more than MAX_SAMPLE_SYMBOLS symbols raises TableTooLarge first.
     """
     if n_steps < 0 or n_samples < 1 or base_depth < 1:
         raise ValueError("need n_steps >= 0, n_samples >= 1, base_depth >= 1")

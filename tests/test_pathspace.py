@@ -1,11 +1,14 @@
 """Path-space marginals, exact sampling, martingales, and the filter isometry."""
 
+import hashlib
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import (
+    BLOCK4,
     SAMPLER_P,
     random_function,
     solved_base,
@@ -387,6 +390,49 @@ def test_a_seed_sequence_gives_one_batch_at_any_thread_count(full2, monkeypatch)
     )
     assert one.base_words.tobytes() == three.base_words.tobytes()
     assert one.prepends.tobytes() == three.prepends.tobytes()
+
+
+def dyadic_full3_pm(depth):
+    """Full 3-shift, a depth-`depth` weight whose three dyadic branches sum to exactly 3, mu0 solved."""
+    shift = build_subshift([[1, 1, 1]] * 3)
+    table = {}
+    for i, tail in enumerate(itertools.product((1, 2, 3), repeat=depth - 1)):
+        c, d = (i % 4) / 8, (i % 3) / 8
+        for a, val in zip((1, 2, 3), (1 - c, 1 + c - d, 1 + d)):
+            table[(a,) + tail] = val
+    v = CylinderFunction.from_table(shift, depth, table)
+    return build_path_measure(shift, v, solved_base(shift, v))
+
+
+def one_block_pm():
+    """BLOCK4, weight 1, mu0 of density 2 on symbols 1-2 and no mass on symbols 3-4."""
+    shift = build_subshift(BLOCK4)
+    mu0 = DensityMeasure(CylinderFunction(shift, 1, np.array([2.0, 2.0, 0.0, 0.0])),
+                         strongly_invariant_measure(shift))
+    return build_path_measure(shift, CylinderFunction.constant(shift, 1.0), mu0)
+
+
+# sha256 of base_words and prepends of 20000 six-step samples at seed 5, pinned while the
+# base state was still a searchsorted over mu0's running sums
+GOLDEN_BATCHES = {
+    "full3 weight depth 8": (lambda: dyadic_full3_pm(8), 8, (
+        "c51db01c2db9ca0b51be1f33b934fdeb89325f9345db64676a42bce48297e2da",
+        "a40b1288335a306f37aa470cbb6acd525bf8b3285e03faa9376745b74b5092a6")),
+    "one block of BLOCK4": (one_block_pm, 6, (
+        "be5a99703593655afb3c904fec4509661105a48e02eddde1df552931ef411150",
+        "544b148b02df26f64519fc92dfb2acbbd63f6842ebfc10f05b66356be7154553")),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(GOLDEN_BATCHES))
+def test_sampled_batch_bytes_are_pinned(name, workers):
+    """The batch of a fixed library call keeps its bytes at one and at two workers."""
+    make, base_depth, golden = GOLDEN_BATCHES[name]
+    batch = sample_paths(make(), 6, 20000, base_depth, seed=5, workers=workers)
+    written = tuple(hashlib.sha256(a.tobytes()).hexdigest()
+                    for a in (batch.base_words, batch.prepends))
+    assert written == golden
 
 
 def test_martingale_tower_property():

@@ -7,7 +7,9 @@ bit for bit with numpy's unbuffered scatter-add.  On random nonnegative
 weights, the operator matrix is compared with the operator's action, the
 raw transform with the density route, the dual pushforward check with
 the per-indicator one, and sampled batches across worker counts and with
-the former dense sampler.  h, nu and rho are compared with the exact
+the former dense sampler.  The sampler's guided base draw is the
+searched one on bases with zero, dyadic and tiny masses, and on more
+states than the guide has buckets.  h, nu and rho are compared with the exact
 rational solves of `exact_chain` (the same zeros, relative errors of at
 most EXACT_RTOL elsewhere), nu also with a dense eigenvector, and the
 extremality solve with the exact null space of its system on bases from
@@ -59,6 +61,7 @@ from shiftpath import (
     InadmissibleWord,
     MarkovMeasure,
     NotFixedPoint,
+    RawMeasure,
     apply_transfer,
     build_path_measure,
     build_subshift,
@@ -433,6 +436,67 @@ def test_streamed_sampler_matches_the_dense_oracle(data, steps, samples, depth):
             batch = sample_paths(pm, steps, samples, depth, seed, workers=workers)
             assert values(batch) == expected
             assert batch.base_words.dtype == batch.prepends.dtype == np.uint8
+
+
+def guided_kernel(k, depth, masses):
+    """The sampler's kernel on the full k-shift whose base has these depth-`depth` masses."""
+    shift = build_subshift([[1] * k] * k)
+    levels = {0: RawMeasure(shift, depth, masses),
+              1: RawMeasure(shift, depth + 1, np.ones(k ** (depth + 1)))}
+    return pathspace._WalkKernel(pathspace.PathMeasure(shift, None, None, 0.0, levels), depth)
+
+
+@st.composite
+def base_masses(draw):
+    """(k, depth, masses) of a base on the full k-shift: zero masses, dyadic masses or tiny ones."""
+    k = draw(st.sampled_from([2, 3]))
+    depth = draw(st.integers(1, 9 if k == 2 else 6))
+    n, rng = k**depth, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["zeros", "dyadic", "tiny"]))
+    if kind == "zeros":
+        masses = rng.integers(0, 10, n).astype(np.float64)
+        masses[n - draw(st.integers(0, n - 1)):] = 0.0
+        masses[0] += 1.0
+    elif kind == "dyadic":
+        # a power-of-two total keeps every running sum on a multiple of 2**-units
+        units = draw(st.integers(0, 18))
+        masses = rng.multinomial(2**units, rng.dirichlet(np.ones(n))).astype(np.float64)
+    else:
+        masses = np.where(rng.random(n) < 0.1, 1.0, rng.random(n) * 10.0 ** -rng.integers(6, 16))
+        masses[rng.integers(n)] = 1.0
+    return k, depth, masses
+
+
+@PROPERTY_SETTINGS
+@given(base_masses())
+# the running sum reaches 1 + 2**-52 before the trailing zero-mass states, where it is set to 1
+@example((2, 4, np.array([8, 5, 9, 9, 1, 9, 2] + [0] * 9, dtype=np.float64)))
+# twice as many states as the largest guide has buckets, some without mass
+@example((2, 17, np.random.default_rng(33).random(2**17) * (np.arange(2**17) % 7 != 0)))
+def test_guided_base_draws_are_the_searched_ones(system):
+    """The guide gives every base draw the state `searchsorted` gives, and searches only split buckets.
+
+    Draws fall at 0, at 1 - 2**-53, at each running sum of mu0, one ulp
+    either side of it, and at each bucket's lower edge.  A bucket is
+    split when a running sum lies strictly inside it.
+    """
+    kernel = guided_kernel(*system)
+    cum0, buckets = kernel.cum0, kernel.buckets
+    assert buckets & (buckets - 1) == 0 and 1 << 10 <= buckets <= pathspace.MAX_GUIDE_BUCKETS
+    assert buckets >= min(8 * len(cum0), pathspace.MAX_GUIDE_BUCKETS)
+    inside = cum0[cum0 < 1] * buckets
+    split = np.unique(inside[inside % 1 != 0].astype(np.intp))
+    assert np.array_equal(np.flatnonzero(kernel.guide < 0), split)
+    r = np.concatenate([[0.0, 1 - 2**-53], cum0, np.nextafter(cum0, 0), np.nextafter(cum0, 2),
+                        np.arange(buckets) / buckets])
+    r = r[(r >= 0) & (r < 1)]
+    searched = []
+    search = kernel._search
+    kernel._search = lambda x: searched.append(x.copy()) or search(x)
+    states = kernel.draw_base(r)
+    assert np.array_equal(states, np.minimum(np.searchsorted(cum0, r, side="right"), len(cum0) - 1))
+    in_split = np.isin((r * buckets).astype(np.intp), split)
+    assert np.array_equal(np.concatenate(searched) if searched else r[:0], r[in_split])
 
 
 @st.composite
