@@ -1,22 +1,27 @@
 """
-Extremality of the base measure, tested by linear algebra
-=========================================================
+Extremality of the base measure, and its ergodic decomposition
+==============================================================
 
-Whether the base measure can be split into two distinct fixed points is
-a finite question: solutions of one linear system are exactly the
+Whether the base measure can be split into distinct fixed points is a
+finite question: solutions of one linear system are exactly the
 functions that conditioning cannot distinguish from their shifted
-selves.  Dimension one means only constants solve it and the measure is
-an extreme point; dimension two or more yields an explicit convex split.
+selves, on the words the base charges.  They are spanned by the
+absorption probabilities a_c of a walk on those words into its closed
+classes c.  One class means only constants solve it and the measure is
+an extreme point; with more, each class gives a component
+mu_c = (a_c / lam_c) mu0 of weight lam_c, and mu0 = sum_c lam_c mu_c.
 """
 
 import numpy as np
 
 from shiftpath import (
     CylinderFunction,
+    DensityMeasure,
     check_fixed_point,
     decompose,
     fixed_density_measure,
     relative_ergodicity_dimension,
+    strongly_invariant_measure,
 )
 from shiftpath.subshift import build_subshift
 
@@ -39,15 +44,22 @@ rep = relative_ergodicity_dimension(block, mub, vb, depth=1)
 print("\nblock shift: solution dimension", rep.solution_dim)
 
 dec = decompose(block, mub, vb, depth=1)
-print("mixing coefficient lambda =", dec.lam)
-print("component 1 symbol masses:", dec.mu1.masses_at(1))
-print("component 2 symbol masses:", dec.mu2.masses_at(1))
+print("component weights lambda_c =", dec.weights)
+for c, comp in enumerate(dec.components, start=1):
+    print(f"component {c} symbol masses:", comp.masses_at(1))
 
-mix = dec.lam * dec.mu1.masses_at(2) + (1 - dec.lam) * dec.mu2.masses_at(2)
+mix = sum(lam * comp.masses_at(2) for lam, comp in zip(dec.weights, dec.components))
 print("recombination error:", f"{np.abs(mix - mub.masses_at(2)).max():.2e}")
 print("components are fixed points:",
-      check_fixed_point(block, vb, dec.mu1, 2) < 1e-11,
-      check_fixed_point(block, vb, dec.mu2, 2) < 1e-11)
+      *(check_fixed_point(block, vb, comp, 2) < 1e-11 for comp in dec.components))
+
+# A base on one block only is ergodic: the words of the other block carry
+# no mass, so they are null and leave the walk, even 14 symbols deep.
+one_block = DensityMeasure(CylinderFunction(block, 1, np.array([2.0, 2.0, 0.0, 0.0])),
+                           strongly_invariant_measure(block))
+rep = relative_ergodicity_dimension(block, one_block, vb, depth=14)
+print("\nbase on one block, depth 14: solution dimension", rep.solution_dim,
+      " extremal:", rep.extremal_certificate)
 
 # The same machinery reports dimension 1 for anything irreducible, here
 # the golden-mean shift with a nonflat weight.

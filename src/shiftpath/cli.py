@@ -12,8 +12,8 @@ Exit codes: 0 all checks passed, 1 an identity failed its tolerance,
 2 config or precondition problem (also a flag out of its range, and
 fewer than 100 samples), 3 the invariant vector is not unique (more
 than one closed class), 4 the fixed density is degenerate, 5 sampling
-hit a zero-mass state, 6 the fixed point is not extremal at the
-requested depth.
+hit a zero-mass state, 6 the fixed point has more than one component
+at the requested depth (one component_<c>.csv is written for each).
 
 Every JSON report embeds the tool version and a sha256 of the
 canonical config so downstream diffs can tell configs apart.  All
@@ -279,19 +279,15 @@ def cmd_ergodicity(args):
     )
     dec = decompose_report(shift, mu0, rep)
     report["decomposition"] = None
-    if dec is None and not rep.extremal_certificate:
-        report["note"] = "extra solutions vanish on the support of the base measure"
-    elif dec is not None:
+    if dec is not None:
         report["decomposition"] = {
-            "lambda": float(dec.lam),
-            "component_masses": [
-                float(dec.mu1.total_mass()),
-                float(dec.mu2.total_mass()),
-            ],
+            "lambda": float(dec.weights[0]),
+            "weights": dec.weights.tolist(),
+            "component_masses": [mu.total_mass() for mu in dec.components],
         }
-        for i, mu in enumerate((dec.mu1, dec.mu2), start=1):
+        for c, mu in enumerate(dec.components, start=1):
             write_measure_csv(
-                _outpath(args, f"component_{i}.csv"),
+                _outpath(args, f"component_{c}.csv"),
                 shift,
                 args.depth,
                 mu.masses_at(args.depth),

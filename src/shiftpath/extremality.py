@@ -1,4 +1,4 @@
-"""Extremality certificates and constructive decompositions of fixed points.
+"""Extremality certificates and the ergodic decomposition of fixed points.
 
 A fixed point mu0 of the v-weighted transformer is extremal among fixed
 points exactly when the only bounded functions f with
@@ -6,32 +6,44 @@ points exactly when the only bounded functions f with
     (conditional average of v * (f at the prepended word) given w) = f(w)
 
 mu0-almost surely are the constants.  At a fixed cylinder depth this is
-a finite homogeneous linear system; its solution space always contains
-the constants, and extra dimensions produce genuine decompositions
-mu0 = lam * mu1 + (1 - lam) * mu2 into distinct fixed points.  The
-converse is depth-limited: a one-dimensional solution space at depth d
-rules out depth-d witnesses only, so the certificate is reported
-per depth rather than as an absolute verdict.
+a finite homogeneous linear system, and only the words mu0 charges
+enter it: a word of no base mass is mu0-null, so f is free there and
+counts for nothing.  Each extra dimension of its solution space gives a
+genuine decomposition of mu0 into distinct fixed points.  The converse
+is depth-limited: a one-dimensional solution space at depth d rules out
+depth-d witnesses only, so the certificate is reported per depth rather
+than as an absolute verdict.
 
-The system says that f is harmonic for a walk on words that prepends a
-symbol with weight v * mu0.  On a finite chain the harmonic functions
-are spanned by the absorption probabilities into the closed classes of
-the walk, the strongly connected classes that no positive-weight step
-leaves (`invariant.closed_classes`).  So the solve is one walk in CSR
-form (`subshift.step_walk`, the walk the trajectory sampler steps
-along), one LU solve for the transient words (`invariant.absorption`),
-and a dense step with one column per closed class, whose null space
-below the conditioning depth comes from numpy's QR and SVD.  Inside
-`invariant` the walk's closed classes come from one numpy colour
+The system says that f is harmonic for a walk on the charged words that
+prepends a symbol with weight v * mu0.  A charged word steps only to
+charged words, since a step's weight v(aw) mu0([aw]) is part of its
+target's mass.  On a finite chain the harmonic functions are spanned by
+the absorption probabilities a_c into the closed classes c of the walk,
+the strongly connected classes that no positive-weight step leaves
+(`invariant.closed_classes`; Kemeny and Snell, Finite Markov Chains,
+ch. III).  So the solve is one walk in CSR form (`subshift.step_walk`,
+the walk the trajectory sampler steps along), restricted to the charged
+words, and one LU solve for its transient words (`invariant.absorption`).
+Inside `invariant` the walk's closed classes come from one numpy colour
 search at every size, and its transient block is solved dense, with
 numpy, up to 1024 words (`invariant.DENSE_STATES`), and sparse, with
-scipy, above.  No dense matrix of all words by all words is formed.
-Base masses are read as given: every positive mass is a step of the walk
-and part of the support, however small, so scaling a base changes
-neither the solution space, its split, nor the fixed-point gate
-(`measures.require_fixed_point`, the sampler's), whose tol is relative
-to the base's total mass.  ESSENTIAL_FLOOR gates only the split score,
-never a mass.
+scipy, above.  No dense matrix of all words by all words is formed, and
+no QR or SVD runs.
+
+At the conditioning depth the decomposition is exact and complete: with
+lam_c = (integral of a_c d(mu0)) / mu0(1) and mu_c = (a_c / lam_c) mu0,
+
+    mu0 = sum_c lam_c mu_c,
+
+each mu_c a fixed point whose own walk has the one closed class c.
+Below it, a solution must also be constant on every depth-d fibre, the
+charged words of one depth-d prefix; classes whose absorption
+probabilities differ within a fibre are glued into one component, and
+the components are the groups so glued.  Base masses are read as given:
+every positive mass is a step of the walk and part of the support,
+however small, so scaling a base changes neither the components nor
+their weights, nor the fixed-point gate (`measures.require_fixed_point`,
+the sampler's), whose tol is relative to the base's total mass.
 """
 
 import numpy as np
@@ -40,86 +52,100 @@ from .invariant import Record, absorption, closed_classes
 from .measures import require_fixed_point
 from .subshift import CylinderFunction, step_walk
 
-NULL_SPACE_RTOL = 1e-10
-ESSENTIAL_FLOOR = 1e-12
+# a difference of absorption probabilities within one fibre above this glues the classes
+GLUE_TOL = 1e-10
 
 
 class ErgodicityReport(Record):
+    """The components of a fixed point's depth-d invariant functions, from the charged walk.
+
+    basis holds one column per component, its absorption probability read
+    at depth d and 0 on null words; the columns are not orthonormalised,
+    and none of them needs a QR or an SVD.
+    """
+
     __slots__ = (
         "depth",
-        "solution_dim",
-        "basis",  # (word_count(depth), solution_dim), orthonormal columns
+        "solution_dim",  # the number of components
+        "basis",  # (word_count(depth), solution_dim): each component's absorption column, 0 off mu0
         "extremal_certificate",
-        "class_sizes",  # word count of each closed class of the walk, by lowest word
+        "class_sizes",  # word count of each closed class of the charged walk, by lowest word
         "base_residual",
     )
 
 
-def _null_space(matrix):
-    """Null-space basis of a matrix of probability differences, from numpy's QR and SVD.
+def _glued(absorbed, first):
+    """Absorption columns summed over the groups of classes that fibres glue.
 
-    The SVD runs on the R factor, at most (columns x columns), whose
-    right singular vectors are the matrix's.  The rank counts the
-    singular values above NULL_SPACE_RTOL times the largest one, or
-    times 1 when all are smaller: the entries are differences of
-    probabilities, so a matrix of rounding residue has rank 0 and its
-    null space is the identity.  The basis is the trailing rows of V^T.
+    absorbed holds one row per charged word, in ascending order, and the
+    fibre of the charged words first[i]:first[i + 1] is the i-th.  Two
+    classes whose columns differ by more than GLUE_TOL within one fibre
+    are glued, and so on through shared classes.  Then every group's
+    column is constant on every fibre, since each row sums to 1.  Groups
+    are ordered by their lowest class.
     """
-    _, s, vt = np.linalg.svd(np.linalg.qr(matrix, mode="r"))
-    rank = int((s > NULL_SPACE_RTOL * max(s.max(initial=0.0), 1.0)).sum())
-    return vt[rank:].T if rank else np.eye(matrix.shape[1])
+    counts = np.diff(np.r_[first, len(absorbed)])
+    differs = np.abs(absorbed - np.repeat(absorbed[first], counts, axis=0)) > GLUE_TOL
+    glue = np.logical_or.reduceat(differs, first, axis=0)
+    k = absorbed.shape[1]
+    label = np.arange(k)
+    while True:  # each class takes the lowest label of the classes a fibre glues it to
+        lowest = np.where(glue, label, k).min(axis=1)
+        raised = np.minimum(label, np.where(glue, lowest[:, None], k).min(axis=0))
+        if (raised == label).all():
+            break
+        label = raised
+    _, group = np.unique(label, return_inverse=True)
+    return np.column_stack([absorbed[:, group == g].sum(axis=1) for g in range(group.max() + 1)])
 
 
 def relative_ergodicity_dimension(shift, mu0, v, depth, tol=1e-10):
-    """Dimension of the depth-d invariant-function space of a fixed point.
+    """Components of the depth-d invariant functions of a fixed point, and their number.
 
     Solves, for unknown values f on the depth-d words, the homogeneous
     system
 
         sum_a v(aw) mu0([aw]) * (f((aw) truncated) - f(w truncated)) = 0
 
-    with one equation per word w of the conditioning depth dw, the
-    depth fine enough to resolve v and the base density.  Each equation
-    says that f, read at depth dw, is harmonic for the walk that steps
-    from w to the depth-dw prefix of aw with weight v(aw) mu0([aw]).  On
-    a finite chain the harmonic functions are exactly the combinations
-    of the absorption probabilities into the walk's closed classes; a
-    word with no positive branch is a closed class of its own, so its
-    value is free.  Every positive base mass is a branch.  Below
-    depth dw the combinations must also be constant on every depth-d
-    fibre, and depth-d words with no depth-dw extension stay free.
+    with one equation per charged word w of the conditioning depth dw,
+    the depth fine enough to resolve v and the base density; a word is
+    charged when some one-symbol extension has positive base mass.  Each
+    equation says that f, read at depth dw, is harmonic for the walk on
+    the charged words that steps from w to the depth-dw prefix of aw with
+    weight v(aw) mu0([aw]).  Its solutions are the combinations of the
+    absorption probabilities into the walk's closed classes; a charged
+    word with no positive branch, which only a base that is not exactly
+    fixed can have, is a closed class of its own.  Uncharged words are
+    mu0-null and leave the walk, whatever row the fixed-point gate lets
+    through for them.  Below depth dw the combinations must also be
+    constant on every depth-d fibre, and a depth-d word with no charged
+    extension is null.
 
-    The constants always solve the system, so solution_dim >= 1; the
-    certificate field is True when nothing else does.  class_sizes
-    lists the word count of each closed class.  mu0 first passes
-    `measures.require_fixed_point`, the gate of `build_path_measure`, at
-    any depth; base_residual is the gate's residual.
+    solution_dim counts the components; basis holds each component's
+    absorption column read at depth d, 0 on null words, and the columns
+    sum to 1 on the rest.  The certificate field is True when there is
+    one component.  class_sizes lists the word count of each closed
+    class.  mu0 first passes `measures.require_fixed_point`, the gate of
+    `build_path_measure`, at any depth; base_residual is the gate's
+    residual.
     """
     v.require_nonnegative()
     residual = require_fixed_point(shift, v, mu0, tol)
     dw = max(v.depth - 1, depth, mu0.depth - 1, 1)
-    # a word with no positive branch keeps a zero row, a closed class of its own
     walk = step_walk(shift, dw, mu0.masses_at(dw + 1) * v.promote(dw + 1).values)
+    # the masses are read again, after the walk is built, and the charged words found by a
+    # mask, not np.unique: every other order or way tried raised the command's peak RSS
+    charged = np.zeros(shift.word_count(dw), dtype=bool)
+    charged[shift.prefix_indices(dw + 1, dw)[mu0.masses_at(dw + 1) > 0]] = True
+    if not charged.all():  # a copy of the walk on every word would only cost memory
+        walk = walk.restricted(np.flatnonzero(charged))
     classes = closed_classes(walk)
     absorbed = absorption(walk, classes, np.eye(len(classes)))
-
-    # combinations of the absorption probabilities constant on every fibre
-    extended, first, fibre = np.unique(
-        shift.prefix_indices(dw, depth), return_index=True, return_inverse=True
-    )
-    harmonic = absorbed[first]
     if depth < dw:  # at depth dw every fibre is one word
-        harmonic = harmonic @ _null_space(absorbed - absorbed[first[fibre]])
-
-    n_unknowns = shift.word_count(depth)
-    free = np.ones(n_unknowns, dtype=bool)
-    free[extended] = False
-    free = np.flatnonzero(free)
-    k = harmonic.shape[1]
-    basis = np.zeros((n_unknowns, k + len(free)))
-    basis[extended, :k] = harmonic
-    basis[free, k + np.arange(len(free))] = 1.0
-    basis, _ = np.linalg.qr(basis)
+        charged, first = np.unique(shift.prefix_indices(dw, depth)[charged], return_index=True)
+        absorbed = (_glued(absorbed, first) if len(classes) > 1 else absorbed)[first]
+    basis = np.zeros((shift.word_count(depth), absorbed.shape[1]))
+    basis[charged] = absorbed
     dim = basis.shape[1]
     return ErgodicityReport(
         depth=depth,
@@ -132,13 +158,13 @@ def relative_ergodicity_dimension(shift, mu0, v, depth, tol=1e-10):
 
 
 class Decomposition(Record):
-    __slots__ = ("lam", "f1", "f2", "mu1", "mu2", "report")
+    __slots__ = ("weights", "densities", "components", "report")
 
 
 def decompose(shift, mu0, v, depth, tol=1e-10):
-    """Split a non-extremal fixed point into two distinct fixed components.
+    """The components of a non-extremal fixed point and their weights.
 
-    Solves for the depth-d invariant-function space; see decompose_report.
+    Solves for the depth-d invariant functions; see decompose_report.
     """
     report = relative_ergodicity_dimension(shift, mu0, v, depth, tol=tol)
     return decompose_report(shift, mu0, report)
@@ -147,51 +173,21 @@ def decompose(shift, mu0, v, depth, tol=1e-10):
 def decompose_report(shift, mu0, report):
     """Decomposition of mu0 along an already solved invariant-function space.
 
-    Picks, from the invariant-function space at the report's depth, the
-    first direction whose deviation from its mu0-mean on the support of
-    mu0, the words of positive mass, is largest to within ESSENTIAL_FLOOR
-    (rounding in an orthonormal column), so ties pick alike at any scale.
-    Directions invisible to mu0 separate nothing: with no deviation above
-    the floor, one dimension or no mass, it returns None.  The chosen b
-    gives f1 = (b - min b) / integral, f2 = (1 - lam f1) / (1 - lam) with
-    lam = 1 / (2 sup f1), and the components mu_i = f_i d(mu0) satisfy
+    Each basis column a_c, a component's absorption column at the
+    report's depth, gives the weight lam_c = (integral of a_c d(mu0)) /
+    mu0(1), the density f_c = a_c / lam_c and the component
+    mu_c = f_c d(mu0), a fixed point of the same total mass as mu0; then
 
-        mu0 = lam mu1 + (1 - lam) mu2
+        mu0 = sum_c lam_c mu_c
 
-    exactly, with both components again fixed under the transformer.
+    to rounding, and the weights sum to 1.  With one component or none
+    there is nothing to split, and it returns None.
     """
     if report.solution_dim <= 1:
         return None
-    depth = report.depth
-
-    masses = mu0.masses_at(depth)
-    support = masses > 0
-    if not support.any():
-        return None
-    total = masses.sum()
-    best = None
-    best_score = 0.0
-    for j in range(report.basis.shape[1]):
-        b = report.basis[:, j]
-        centered = b - np.sum(b * masses) / total
-        score = np.abs(centered[support]).max()
-        if score > best_score + ESSENTIAL_FLOOR:
-            best_score = score
-            best = centered
-    if best_score <= ESSENTIAL_FLOOR:
-        return None
-
-    first = int(np.argmax(support))
-    if best[first] < 0:
-        best = -best
-
-    g = best - best.min()
-    g_mean = np.sum(g * masses) / total
-    f1_vals = g / g_mean
-    f1 = CylinderFunction(shift, depth, f1_vals)
-    lam = 1.0 / (2.0 * f1_vals.max())
-    f2 = (CylinderFunction.constant(shift, 1.0, depth) - lam * f1) * (
-        1.0 / (1.0 - lam)
-    )
-    mu1, mu2 = mu0.reweighted(f1), mu0.reweighted(f2)
-    return Decomposition(lam=lam, f1=f1, f2=f2, mu1=mu1, mu2=mu2, report=report)
+    masses = mu0.masses_at(report.depth)
+    weights = np.array([np.sum(column * masses) for column in report.basis.T]) / masses.sum()
+    densities = [CylinderFunction(shift, report.depth, column / lam)
+                 for column, lam in zip(report.basis.T, weights)]
+    return Decomposition(weights=weights, densities=densities,
+                         components=[mu0.reweighted(f) for f in densities], report=report)

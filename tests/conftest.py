@@ -268,23 +268,6 @@ def dense_absorption(chain, classes, values):
     return out
 
 
-def scipy_null_space(matrix):
-    """The former null space by scipy's pivoted QR, with the same rank rule as the library's."""
-    from scipy.linalg import qr, solve_triangular
-
-    from shiftpath.extremality import NULL_SPACE_RTOL
-
-    m = matrix.shape[1]
-    r, perm = qr(matrix, mode="r", pivoting=True)
-    diag = np.abs(np.diag(r))
-    rank = int((diag > NULL_SPACE_RTOL * max(diag.max(initial=0.0), 1.0)).sum())
-    null = np.zeros((m, m - rank))
-    null[perm[rank:], np.arange(m - rank)] = 1.0
-    if rank:
-        null[perm[:rank]] = -solve_triangular(r[:rank, :rank], r[:rank, rank:])
-    return null
-
-
 # ---------------------------------------------------------------------------
 # the former sampler, with its dense (states x branches) kernel, kept as an oracle
 

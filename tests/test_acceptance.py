@@ -338,11 +338,11 @@ def test_c10_extremality_and_decomposition():
         dec = decompose(shift, mu0, v, 1)
         assert dec is not None
         for depth in (1, 2):
-            mix = dec.lam * dec.mu1.masses_at(depth) + (1 - dec.lam) * dec.mu2.masses_at(depth)
+            mix = sum(lam * comp.masses_at(depth) for lam, comp in zip(dec.weights, dec.components))
             gap = np.abs(mix - mu0.masses_at(depth)).max()
             worst = max(worst, gap)
             assert gap <= 1e-13
-            for comp in (dec.mu1, dec.mu2):
+            for comp in dec.components:
                 defect = check_fixed_point(shift, v, comp, depth)
                 worst = max(worst, defect)
                 assert defect <= 1e-11

@@ -278,17 +278,20 @@ def test_ergodicity_command_decomposes(tmp_path):
     report = load(tmp_path, "ergodicity_report.json")
     assert report["solution_dim"] == 2
     assert report["closed_classes"] == [2, 2]
-    assert report["decomposition"]["lambda"] == pytest.approx(0.25, abs=1e-12)
+    decomposition = report["decomposition"]
+    assert decomposition["weights"] == pytest.approx([0.5, 0.5], abs=1e-12)
+    assert decomposition["lambda"] == decomposition["weights"][0]
+    assert decomposition["component_masses"] == pytest.approx([1.0, 1.0], abs=1e-12)
     c1 = (tmp_path / "component_1.csv").read_text().splitlines()
     c2 = (tmp_path / "component_2.csv").read_text().splitlines()
     assert c1[0] == "word,mass" and len(c1) == 5 and len(c2) == 5
-    word, mass = c1[1].split(",")
-    assert word == "1"
-    assert float(mass) == pytest.approx(0.5, abs=1e-12)
+    assert [float(line.split(",")[1]) for line in c1[1:]] == pytest.approx([0.5, 0.5, 0, 0], abs=1e-12)
+    assert [float(line.split(",")[1]) for line in c2[1:]] == pytest.approx([0, 0, 0.5, 0.5], abs=1e-12)
+    assert not (tmp_path / "component_3.csv").exists()
 
 
 def test_ergodicity_splits_a_base_of_small_total_mass(tmp_path):
-    """BLOCK4's flat base at density 1e-13 splits with lambda 1/4, as at density 1.
+    """BLOCK4's flat base at density 1e-13 splits into its two blocks, of weight 1/2 each, as at density 1.
 
     Masses are read as given, so a total far below 1 keeps its support.
     """
@@ -298,7 +301,48 @@ def test_ergodicity_splits_a_base_of_small_total_mass(tmp_path):
     assert code == 6
     report = load(tmp_path, "ergodicity_report.json")
     assert report["closed_classes"] == [4, 4]
-    assert report["decomposition"]["lambda"] == pytest.approx(0.25, abs=1e-12)
+    assert report["decomposition"]["weights"] == pytest.approx([0.5, 0.5], abs=1e-12)
+    # each component has the base's own total mass
+    assert report["decomposition"]["component_masses"] == pytest.approx([1e-13, 1e-13], rel=1e-12, abs=0)
+
+
+def test_ergodicity_certifies_a_base_on_one_block(tmp_path):
+    """BLOCK4's base on the block {1, 2} alone is ergodic: exit 0, one class, no component.
+
+    The words of the uncharged block are null; each was once a closed
+    class and a free dimension, for solution_dim 9 and exit 6 at depth 3.
+    """
+    cfg = write_config(tmp_path, dict(BLOCK_FLAT, mu0={
+        "depth": 1, "values": {"1": 2.0, "2": 2.0, "3": 0.0, "4": 0.0}}))
+    code = run(["ergodicity", "--config", cfg, "--depth", "3", "--out", str(tmp_path)])
+    assert code == 0
+    report = load(tmp_path, "ergodicity_report.json")
+    assert report["solution_dim"] == 1 and report["extremal"]
+    assert report["closed_classes"] == [8]
+    assert report["decomposition"] is None
+    assert not list(tmp_path.glob("component_*.csv"))
+
+
+def test_ergodicity_factorises_nothing_at_the_conditioning_depth(tmp_path, monkeypatch):
+    """On the seed-201 ergodicity-split bench config neither numpy's QR nor its SVD runs.
+
+    The components are the absorption columns themselves, so the split at
+    the conditioning depth needs no orthonormal basis.
+    """
+    workload = _load_bench_workloads().generate("ergodicity-split", 201, str(tmp_path))
+    calls = []
+    for name in ("qr", "svd"):
+        factor = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, _name=name, _factor=factor, **k: calls.append(_name) or _factor(*a, **k))
+    out = tmp_path / "out"
+    assert run([*workload.argv, "--out", str(out)]) == 6
+    assert calls == []
+    report = load(out, "ergodicity_report.json")
+    assert report["solution_dim"] == 2
+    assert sum(report["decomposition"]["weights"]) == pytest.approx(1.0, abs=1e-12)
+    assert sorted(path.name for path in out.glob("component_*.csv")) == [
+        "component_1.csv", "component_2.csv"]
 
 
 def block_split(seed, depth=10):

@@ -27,7 +27,7 @@ from shiftpath import (
     relative_ergodicity_dimension,
     strongly_invariant_measure,
 )
-from shiftpath.extremality import _null_space
+from shiftpath.measures import require_fixed_point
 
 
 def flat_system(shift):
@@ -92,27 +92,41 @@ def test_block_shift_decomposition_frozen(block4):
     v, mu0 = flat_system(block4)
     dec = decompose(block4, mu0, v, 1)
     assert dec is not None
-    assert dec.lam == pytest.approx(0.25, abs=1e-12)
-    assert np.allclose(dec.f1.values, [2.0, 2.0, 0.0, 0.0], atol=1e-12)
-    assert np.allclose(
-        dec.f2.values, [2.0 / 3.0, 2.0 / 3.0, 4.0 / 3.0, 4.0 / 3.0], atol=1e-12
-    )
-    assert np.allclose(dec.mu1.masses_at(1), [0.5, 0.5, 0.0, 0.0], atol=1e-13)
-    assert np.allclose(
-        dec.mu2.masses_at(1),
-        [1.0 / 6.0, 1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0],
-        atol=1e-13,
-    )
+    assert dec.weights == pytest.approx([0.5, 0.5], abs=1e-12)
+    assert np.allclose(dec.densities[0].values, [2.0, 2.0, 0.0, 0.0], atol=1e-12)
+    assert np.allclose(dec.densities[1].values, [0.0, 0.0, 2.0, 2.0], atol=1e-12)
+    assert np.allclose(dec.components[0].masses_at(1), [0.5, 0.5, 0.0, 0.0], atol=1e-13)
+    assert np.allclose(dec.components[1].masses_at(1), [0.0, 0.0, 0.5, 0.5], atol=1e-13)
 
 
 def test_identity_shift_decomposition_frozen(ident2):
     v, mu0 = flat_system(ident2)
     dec = decompose(ident2, mu0, v, 1)
     assert dec is not None
-    assert dec.lam == pytest.approx(0.25, abs=1e-12)
-    assert np.allclose(dec.f1.values, [2.0, 0.0], atol=1e-12)
-    assert np.allclose(dec.f2.values, [2.0 / 3.0, 4.0 / 3.0], atol=1e-12)
-    assert np.allclose(dec.mu2.masses_at(1), [1.0 / 3.0, 2.0 / 3.0], atol=1e-13)
+    assert dec.weights == pytest.approx([0.5, 0.5], abs=1e-12)
+    assert np.allclose(dec.densities[0].values, [2.0, 0.0], atol=1e-12)
+    assert np.allclose(dec.densities[1].values, [0.0, 2.0], atol=1e-12)
+    assert np.allclose(dec.components[1].masses_at(1), [0.0, 1.0], atol=1e-13)
+
+
+def assert_exact_decomposition(shift, mu0, v, dec, depths):
+    """The components are fixed points, each certified extremal, and recombine to mu0.
+
+    Each passes the fixed-point gate and has one component of its own at
+    the decomposition's depth; the weights sum to 1, each component has
+    mu0's total mass, and sum_c lam_c mu_c is mu0 to rounding at every
+    depth in `depths`.
+    """
+    depth = dec.report.depth
+    assert sum(dec.weights) == pytest.approx(1.0, abs=1e-12)
+    for comp in dec.components:
+        assert comp.total_mass() == pytest.approx(mu0.total_mass(), rel=1e-12)
+        require_fixed_point(shift, v, comp, 1e-10)
+        rep = relative_ergodicity_dimension(shift, comp, v, depth)
+        assert rep.solution_dim == 1 and rep.extremal_certificate
+    for d in depths:
+        mix = sum(lam * comp.masses_at(d) for lam, comp in zip(dec.weights, dec.components))
+        assert np.abs(mix - mu0.masses_at(d)).max() <= 1e-15 * mu0.total_mass()
 
 
 def test_decomposition_recombines_and_components_fixed():
@@ -120,33 +134,37 @@ def test_decomposition_recombines_and_components_fixed():
         shift = build_subshift(matrix)
         v, mu0 = flat_system(shift)
         dec = decompose(shift, mu0, v, 1)
-        for depth in range(1, 4):
-            mix = dec.lam * dec.mu1.masses_at(depth) + (1 - dec.lam) * dec.mu2.masses_at(depth)
-            assert np.abs(mix - mu0.masses_at(depth)).max() <= 1e-13
-        for comp in (dec.mu1, dec.mu2):
-            assert comp.total_mass() == pytest.approx(1.0, abs=1e-12)
+        assert_exact_decomposition(shift, mu0, v, dec, range(1, 4))
+        for comp in dec.components:
             for depth in range(1, 4):
                 assert check_fixed_point(shift, v, comp, depth) <= 1e-11
         # the components are genuinely different measures
-        assert np.abs(dec.mu1.masses_at(1) - dec.mu2.masses_at(1)).max() > 0.1
+        assert np.abs(dec.components[0].masses_at(1) - dec.components[1].masses_at(1)).max() > 0.1
 
 
 def test_components_are_distinct_from_base(block4):
     v, mu0 = flat_system(block4)
     dec = decompose(block4, mu0, v, 1)
-    assert np.abs(dec.mu1.masses_at(1) - mu0.masses_at(1)).max() > 0.1
+    assert np.abs(dec.components[0].masses_at(1) - mu0.masses_at(1)).max() > 0.1
 
 
 def test_no_essential_direction_returns_none(ident2):
-    """A base charging one class only cannot be split at depth 1, nor can a base of no mass."""
+    """A base charging one class only has one component, and a base of no mass has none.
+
+    The uncharged word of the first is mu0-null: it once counted as a
+    second closed class and a second dimension that no mass could split.
+    """
     one = CylinderFunction.constant(ident2, 1.0)
     mu0 = RawMeasure(ident2, 2, np.array([1.0, 0.0]))
     rep = relative_ergodicity_dimension(ident2, mu0, one, 1)
-    assert rep.solution_dim == 2
+    assert rep.solution_dim == 1 and rep.extremal_certificate
+    assert rep.basis.tolist() == [[1.0], [0.0]]
     assert decompose(ident2, mu0, one, 1) is None
     empty = RawMeasure(ident2, 2, np.zeros(2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no mean is taken over an empty support
+        rep = relative_ergodicity_dimension(ident2, empty, one, 1)
+        assert rep.solution_dim == 0 and not rep.extremal_certificate
         assert decompose(ident2, empty, one, 1) is None
 
 
@@ -192,10 +210,10 @@ def test_report_carries_class_sizes(full2, ident2):
     assert rep.class_sizes == [4]
     assert rep.base_residual <= 1e-11
     # a base on one class of the identity shift: the charged word is one
-    # closed class, the uncharged word has no positive branch and is another
+    # closed class, and the uncharged word leaves the walk
     one = CylinderFunction.constant(ident2, 1.0)
     mu0 = RawMeasure(ident2, 2, np.array([1.0, 0.0]))
-    assert relative_ergodicity_dimension(ident2, mu0, one, 1).class_sizes == [1, 1]
+    assert relative_ergodicity_dimension(ident2, mu0, one, 1).class_sizes == [1]
 
 
 def test_deep_block_shift_stays_sparse():
@@ -213,47 +231,116 @@ def test_deep_block_shift_stays_sparse():
     assert rep.class_sizes == [16384, 16384]
     assert peak < 64 * 2**20
     dec = decompose_report(shift, mu0, rep)
-    assert dec.lam == pytest.approx(0.25, abs=1e-12)
+    assert dec.weights == pytest.approx([0.5, 0.5], abs=1e-12)
 
 
-def test_null_space_of_a_tall_matrix_forms_no_tall_factor():
-    """4096 x 8 probability differences: a full U factor alone would take 128 MiB."""
-    rng = np.random.default_rng(7)
-    probabilities = rng.dirichlet(np.ones(8), 4096)
-    matrix = probabilities - probabilities[rng.permutation(4096)]
+def one_block_base(shift):
+    """BLOCK4's base of density 2 on the block {1, 2} and 0 on {3, 4}: one irreducible block, ergodic."""
+    return DensityMeasure(CylinderFunction(shift, 1, np.array([2.0, 2.0, 0.0, 0.0])),
+                          strongly_invariant_measure(shift))
+
+
+@pytest.mark.parametrize("depth", [3, 10, 11])
+def test_a_base_on_one_block_is_extremal(depth):
+    """The uncharged words of the block {3, 4} are mu0-null: they leave the walk and the basis.
+
+    Each once counted as a closed class and a free dimension: solution_dim
+    was 9, 1025 and 2049 at depths 3, 10 and 11.
+    """
+    shift = build_subshift(BLOCK4)
+    one = CylinderFunction.constant(shift, 1.0)
+    rep = relative_ergodicity_dimension(shift, one_block_base(shift), one, depth)
+    assert rep.solution_dim == 1 and rep.extremal_certificate
+    assert rep.class_sizes == [2**depth]
+    assert rep.basis.shape == (2 ** (depth + 1), 1)
+    # 1 on the charged words of the block {1, 2}, which come first, and 0 on the null ones
+    assert rep.basis[: 2**depth].min() == 1.0 and not rep.basis[2**depth :].any()
+
+
+def test_a_deep_base_on_one_block_stays_small():
+    """32768 words at depth 14, half of them null: the free columns alone once took 4 GiB."""
+    shift = build_subshift(BLOCK4)
+    one = CylinderFunction.constant(shift, 1.0)
+    mu0 = one_block_base(shift)
     tracemalloc.start()
     try:
-        null = _null_space(matrix)
+        rep = relative_ergodicity_dimension(shift, mu0, one, 14)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2**20
-    # rows of probabilities differ only along directions that sum to zero
-    assert null.shape == (8, 1)
-    assert np.allclose(matrix @ null, 0.0, atol=1e-12)
+    assert rep.solution_dim == 1 and rep.class_sizes == [16384]
+    assert peak < 64 * 2**20
 
 
 def test_many_classes_below_the_conditioning_depth():
-    """Base mass on one block of BLOCK4: every uncharged depth-8 word is a closed class."""
+    """Base mass on one block of BLOCK4 at depth 6 of a depth-8 walk: one class, one component.
+
+    The 256 uncharged depth-8 words are mu0-null and leave the walk; each
+    was once a closed class of its own, for solution_dim 65 and class
+    sizes [256] + [1] * 256.
+    """
     shift = build_subshift(BLOCK4)
     v = CylinderFunction.constant(shift, 1.0, 9)
-    mu0 = DensityMeasure(CylinderFunction(shift, 1, np.array([2.0, 2.0, 0.0, 0.0])),
-                         strongly_invariant_measure(shift))
+    mu0 = one_block_base(shift)
     rep = relative_ergodicity_dimension(shift, mu0, v, 6)
-    assert rep.solution_dim == 65
-    assert rep.class_sizes == [256] + [1] * 256
+    assert rep.solution_dim == 1
+    assert rep.class_sizes == [256]
     assert decompose_report(shift, mu0, rep) is None
 
 
-def test_three_blocks_decompose_below_the_conditioning_depth():
-    """Three closed 2-symbol blocks, split at depth 1 through the null space of depth 3."""
+def flat_block4():
+    shift = build_subshift(BLOCK4)
+    return (shift, *flat_system(shift))
+
+
+def three_blocks():
+    """Three closed 2-symbol blocks, with a depth-4 weight and its solved base."""
     shift = build_subshift([[1 if i // 2 == j // 2 else 0 for j in range(6)] for i in range(6)])
     v = CylinderFunction.constant(shift, 1.0, 4)
-    mu0 = solved_base(shift, v)
+    return shift, v, solved_base(shift, v)
+
+
+def full3_two_loops():
+    """The full 3-shift, its depth-2 weight 3 on 11 and 33, 0 on 21 31 13 23, and 1.2, 0.9, 0.9 on
+    12 22 32, and its solved base: two loops, 1...1 and 3...3, that the words through 2 lead into."""
+    shift = build_subshift([[1, 1, 1]] * 3)
+    table = {(1, 1): 3.0, (3, 3): 3.0, (2, 1): 0.0, (3, 1): 0.0, (1, 3): 0.0, (2, 3): 0.0,
+             (1, 2): 1.2, (2, 2): 0.9, (3, 2): 0.9}
+    v = CylinderFunction.from_table(shift, 2, table)
+    return shift, v, solved_base(shift, v)
+
+
+def test_three_blocks_decompose_below_the_conditioning_depth():
+    """Three closed 2-symbol blocks, split at depth 1 below the conditioning depth 3."""
+    shift, v, mu0 = three_blocks()
     rep = relative_ergodicity_dimension(shift, mu0, v, 1)
     assert rep.solution_dim == 3
     dec = decompose_report(shift, mu0, rep)
-    assert dec.lam == pytest.approx(1.0 / 6.0, abs=1e-12)
-    for comp in (dec.mu1, dec.mu2):
+    assert dec.weights == pytest.approx([1 / 3] * 3, abs=1e-12)
+    assert_exact_decomposition(shift, mu0, v, dec, range(1, 4))
+    for comp in dec.components:
         for depth in range(1, 4):
             assert check_fixed_point(shift, v, comp, depth) <= 1e-10
+
+
+@pytest.mark.parametrize("system, depth, weights", [
+    (flat_block4, 1, [0.5, 0.5]),
+    (three_blocks, 3, [1 / 3] * 3),
+    (full3_two_loops, 3, [11 / 21, 10 / 21]),
+], ids=["block4", "three-blocks", "full3-two-loops"])
+def test_components_at_the_conditioning_depth_are_extremal_fixed_points(system, depth, weights):
+    """At the conditioning depth every component passes the gate and its own certificate."""
+    shift, v, mu0 = system()
+    dec = decompose(shift, mu0, v, depth)
+    assert dec.weights == pytest.approx(weights, abs=1e-12)
+    assert_exact_decomposition(shift, mu0, v, dec, range(1, depth + 2))
+
+
+def test_components_below_the_conditioning_depth_recombine():
+    """Below the conditioning depth the glued components still pass the gate and recombine to mu0."""
+    shift, v, mu0 = full3_two_loops()
+    for depth in (1, 2):
+        rep = relative_ergodicity_dimension(shift, mu0, v, depth)
+        dec = decompose_report(shift, mu0, rep)
+        assert dec.weights == pytest.approx([11 / 21, 10 / 21], abs=1e-12)
+        assert_exact_decomposition(shift, mu0, v, dec, range(1, 4))

@@ -12,8 +12,9 @@ searched one on bases with zero, dyadic and tiny masses, and on more
 states than the guide has buckets.  h, nu and rho are compared with the exact
 rational solves of `exact_chain` (the same zeros, relative errors of at
 most EXACT_RTOL elsewhere), nu also with a dense eigenvector, and the
-extremality solve with the exact null space of its system on bases from
-the exact h and rho, also scaled by 1e-13 and by 1e13.  A solved base
+extremality solve with the exact null space of its system on the charged
+words, on bases from the exact h and rho, also scaled by 1e-13 and by
+1e13; its components pass the fixed-point gate and recombine to the base.  A solved base
 perturbed below the depth of its fixed-point identity gets one verdict
 from the path family and from the extremality solve at every depth, and
 `verify` gives a solved base scaled by 1e-13 to 1e13 the verdict and the
@@ -25,7 +26,6 @@ and the sparse LU); at the default cut the two LU solves equal the
 former dense bodies bit for bit; on chains of up to 300 states and on
 prepend walks the colour search gives csgraph's and the boolean
 closure's classes and masks.
-The null space by numpy's QR and SVD is compared with scipy's pivoted QR.
 """
 
 import json
@@ -48,7 +48,6 @@ from conftest import (
     dense_stationary_vector,
     function_dict,
     leaf_up_prefix_indices,
-    scipy_null_space,
     slow_leak_weight,
     solved_base,
     stock_systems,
@@ -81,8 +80,8 @@ from shiftpath import (
 )
 from shiftpath import invariant, pathspace
 from shiftpath.cli import main as cli_main
-from shiftpath.extremality import _null_space
 from shiftpath.invariant import Chain, _reaching, _stationary_vector, absorption, closed_classes
+from shiftpath.measures import require_fixed_point
 from shiftpath.subshift import branch_sum, prepend_walk, word_string
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
@@ -565,8 +564,8 @@ RESIDUE_EXAMPLES = (
 # moves by 3.6e-12 after 10000 steps (h = 0); residue cost the sparse solve one of its
 # 8 invariant functions; h d(rho) has no mass, as h charges only words rho does not;
 # an exact null space whose echelon basis has entries near 1e17, too ill-conditioned
-# for a float QR; and two split directions of equal deviation, which rounding ranked
-# one way at base scale 1 and the other at 1e13 (lam 0.1875 against 0.3125)
+# for a float QR; and two split directions of equal deviation, which rounding once
+# ranked one way at base scale 1 and the other at 1e13 (lam 0.1875 against 0.3125)
 PINNED_EXAMPLES = (
     ([[1, 1, 1, 0], [0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1]], 3,
      [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0,
@@ -600,9 +599,26 @@ def exact_invariant_projector(shift, mu0, v, depth):
     basis = exact_chain.invariant_functions(
         shift.matrix.tolist(), function_dict(v), mu0.masses_at(dw + 1).tolist(), depth, dw
     )
-    q = np.array([[float(x) for x in u] for u in basis]).T
+    q = np.array([[float(x) for x in u] for u in basis]).reshape(-1, shift.word_count(depth)).T
     q /= np.linalg.norm(q, axis=0)
     return len(basis), q @ q.T
+
+
+def span_projector(basis):
+    """The orthogonal projector onto the span of the columns of `basis`, by numpy's QR."""
+    q, _ = np.linalg.qr(basis)
+    return q @ q.T
+
+
+def assert_recombines(shift, mu0, v, dec):
+    """The components pass the fixed-point gate, each has mu0's mass, and they mix back to mu0."""
+    e = conditioning_depth(mu0, v, dec.report.depth) + 1
+    assert sum(dec.weights) == pytest.approx(1.0, abs=1e-12)
+    for comp in dec.components:
+        require_fixed_point(shift, v, comp, 1e-10)
+        assert comp.total_mass() == pytest.approx(mu0.total_mass(), rel=1e-12)
+    mix = sum(lam * comp.masses_at(e) for lam, comp in zip(dec.weights, dec.components))
+    assert np.abs(mix - mu0.masses_at(e)).max() <= 1e-12 * mu0.total_mass()
 
 
 @PROPERTY_SETTINGS
@@ -612,23 +628,27 @@ def test_extremality_matches_the_exact_null_space_at_every_scale(system):
     """Closed classes and absorption give the exact null space of the system, at any base scale.
 
     The sparse solve on the exact base, and on that base scaled by 1e-13 and by 1e13, must
-    give the dimension and projector of the exact base's exact null space, and one split.
-    The fixed-point pre-check scales with the base, so the largest base passes it too."""
+    give the dimension and projector of the exact base's exact null space on the charged
+    words, and components of the same weights that recombine to the base.  The fixed-point
+    pre-check scales with the base, so the largest base passes it too."""
     matrix, v_depth, values, leaky, depth = system
     shift, v, mu0 = solved_system(matrix, v_depth, values, leaky)
     assume(mu0 is not None)
     dim, projector = exact_invariant_projector(shift, mu0, v, depth)
-    lams = []
+    weights = []
     for base in (mu0, *(DensityMeasure(mu0.density * s, mu0.rho) for s in (1e-13, 1e13))):
         rep = relative_ergodicity_dimension(shift, base, v, depth)
         assert rep.solution_dim == dim
-        np.testing.assert_allclose(rep.basis @ rep.basis.T, projector, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(span_projector(rep.basis), projector, rtol=0, atol=1e-8)
         dec = decompose_report(shift, base, rep)
-        lams.append(None if dec is None else dec.lam)
-    if lams[0] is None:
-        assert lams == [None] * 3
+        if dec is not None:
+            assert_recombines(shift, base, v, dec)
+        weights.append(None if dec is None else dec.weights)
+    if weights[0] is None:
+        assert weights == [None] * 3
     else:
-        assert lams[1:] == pytest.approx([lams[0]] * 2, rel=1e-12, abs=0)
+        for scaled in weights[1:]:
+            np.testing.assert_allclose(scaled, weights[0], rtol=1e-12, atol=0)
 
 
 @PROPERTY_SETTINGS
@@ -647,16 +667,17 @@ def test_solved_bases_need_no_mass_floor(system):
     dim, projector = exact_invariant_projector(shift, mu0, v, depth)
     rep = relative_ergodicity_dimension(shift, solved, v, depth)
     assert rep.solution_dim == dim
-    np.testing.assert_allclose(rep.basis @ rep.basis.T, projector, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(span_projector(rep.basis), projector, rtol=0, atol=1e-8)
 
 
 def test_extremality_examples_have_transient_words_below_the_conditioning_depth():
+    """Some example has charged words in no closed class, below the conditioning depth, and two classes."""
     kinds = set()
     for matrix, v_depth, values, leaky, depth in EXTREMALITY_EXAMPLES:
         shift, v, mu0 = solved_system(matrix, v_depth, values, leaky)
         dw = conditioning_depth(mu0, v, depth)
         rep = relative_ergodicity_dimension(shift, mu0, v, depth)
-        transient = sum(rep.class_sizes) < shift.word_count(dw)
+        transient = sum(rep.class_sizes) < np.count_nonzero(mu0.masses_at(dw) > 0)
         kinds.add((transient, depth < dw, len(rep.class_sizes) > 1))
     assert (True, True, True) in kinds
 
@@ -671,22 +692,23 @@ def test_pinned_systems_without_a_base_have_none():
 
 
 def test_small_masses_join_two_point_masses():
-    """A base of 2/9 at 1...1 and 1/9 at 4...4 splits, and does not with 1e-13 between them.
+    """A base of 2/9 at 1...1 and 1/9 at 4...4 splits in two, and does not with 1e-13 between them.
 
     With 1e-13 on each zero of h and q, the words between the two point
     masses carry positive mass, so their steps join the two into one fixed
-    point that no depth-1 function splits: the exact null space, and the
-    solve with it, drop from 4 dimensions to 1.
+    point that no depth-1 function splits: the exact null space on the
+    charged words, and the solve with it, drop from 2 dimensions to 1.  The
+    two components weigh 2/3 and 1/3, their shares of the base.
     """
-    dims, lams = [], []
+    dims, weights = [], []
     for residue in (0.0, 1e-13):
         shift, v, mu0 = solved_system(*RESIDUE_EXAMPLES[2][:4], residue=residue)
         dims.append(exact_invariant_projector(shift, mu0, v, 1)[0])
         assert relative_ergodicity_dimension(shift, mu0, v, 1).solution_dim == dims[-1]
         dec = decompose(shift, mu0, v, 1)
-        lams.append(None if dec is None else dec.lam)
-    assert dims == [4, 1]
-    assert lams == [pytest.approx(1 / 3, abs=1e-12), None]
+        weights.append(None if dec is None else dec.weights.tolist())
+    assert dims == [2, 1]
+    assert weights == [pytest.approx([2 / 3, 1 / 3], abs=1e-12), None]
 
 
 def stationarity_rows(shift, v, rho, depth):
@@ -931,41 +953,3 @@ def test_lu_solves_equal_the_former_dense_bodies(chain, data):
             states = np.arange(len(members))
             q = _stationary_vector(kernel, states)
             assert q.tobytes() == dense_stationary_vector(kernel, states).tobytes()
-
-
-def null_space_projector(null):
-    q, _ = np.linalg.qr(null)
-    return q @ q.T
-
-
-@PROPERTY_SETTINGS
-@given(st.integers(1, 8), st.integers(1, 6),
-       st.sampled_from(["product", "perturbed", "zero", "residue"]), st.data())
-def test_null_space_matches_scipy_pivoted_qr(rows, cols, kind, data):
-    """numpy's QR and SVD find scipy's pivoted-QR rank and null space, residue included.
-
-    A product of two matrices of quarter units has a rank well clear of
-    the threshold, and keeps it under a rank-one term at 1e-12 of its
-    norm, which in general raises the exact rank; entries of about 1e-12 are
-    rounding residue, rank 0.
-    """
-    if kind in ("product", "perturbed"):
-        inner = data.draw(st.integers(0, min(rows, cols)))
-        left = int_array(data, rows * inner, 8).reshape(rows, inner) - 4
-        right = int_array(data, inner * cols, 8).reshape(inner, cols) - 4
-        matrix = (left / 4.0) @ (right / 4.0)
-        if kind == "perturbed":  # norm at most 1/2, so the term moves matrix @ null by < 1e-12
-            matrix /= 2 * max(np.linalg.norm(matrix), 1.0)
-            term = np.outer(int_array(data, rows, 8) - 3.5, int_array(data, cols, 8) - 3.5)
-            matrix += 1e-12 * np.linalg.norm(matrix) * term / np.linalg.norm(term)
-    elif kind == "zero":
-        matrix = np.zeros((rows, cols))
-    else:
-        matrix = (int_array(data, rows * cols, 8).reshape(rows, cols) - 4) * 2.5e-13
-    null, expected = _null_space(matrix), scipy_null_space(matrix)
-    assert null.shape == expected.shape
-    if kind in ("zero", "residue"):
-        assert null.shape == (cols, cols)
-    np.testing.assert_allclose(null_space_projector(null), null_space_projector(expected),
-                               rtol=0, atol=1e-10)
-    np.testing.assert_allclose(matrix @ null, 0.0, rtol=0, atol=1e-12)

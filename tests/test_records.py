@@ -37,7 +37,7 @@ FIELDS = {
     MartingaleCoordinates: ("pm", "level", "depth", "coordinates"),
     ErgodicityReport: ("depth", "solution_dim", "basis", "extremal_certificate", "class_sizes",
                        "base_residual"),
-    Decomposition: ("lam", "f1", "f2", "mu1", "mu2", "report"),
+    Decomposition: ("weights", "densities", "components", "report"),
 }
 # the fields that neither compare nor show
 HIDDEN = {EmpiricalReport: ("batch",)}
