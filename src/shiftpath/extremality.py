@@ -28,7 +28,7 @@ Inside `invariant` the walk's closed classes come from one numpy colour
 search at every size, and its transient block is solved dense, with
 numpy, up to 1024 words (`invariant.DENSE_STATES`), and sparse, with
 scipy, above.  No dense matrix of all words by all words is formed, and
-no QR or SVD runs.
+at the conditioning depth no QR or SVD runs.
 
 At the conditioning depth the decomposition is exact and complete: with
 lam_c = (integral of a_c d(mu0)) / mu0(1) and mu_c = (a_c / lam_c) mu0,
@@ -37,9 +37,13 @@ lam_c = (integral of a_c d(mu0)) / mu0(1) and mu_c = (a_c / lam_c) mu0,
 
 each mu_c a fixed point whose own walk has the one closed class c.
 Below it, a solution must also be constant on every depth-d fibre, the
-charged words of one depth-d prefix; classes whose absorption
-probabilities differ within a fibre are glued into one component, and
-the components are the groups so glued.  Base masses are read as given:
+charged words of one depth-d prefix.  The class weights g that make
+sum_c g_c a_c so are the null space of the fibre differences, one
+column per class, from numpy's QR and SVD; its dimension is the
+solution dimension, and the components are nonnegative combinations
+that sum to 1 and span it (`_fibre_components`).  Where classes fall
+into groups that fibres tie together, each spanning one dimension, the
+components are the groups' summed columns.  Base masses are read as given:
 every positive mass is a step of the walk and part of the support,
 however small, so scaling a base changes neither the components nor
 their weights, nor the fixed-point gate (`measures.require_fixed_point`,
@@ -52,16 +56,17 @@ from .invariant import Record, absorption, closed_classes
 from .measures import require_fixed_point
 from .subshift import CylinderFunction, step_walk
 
-# a difference of absorption probabilities within one fibre above this glues the classes
-GLUE_TOL = 1e-10
+NULL_SPACE_RTOL = 1e-10
+# a row within this share of the largest residual norm ties with it, and the lowest class wins
+PIVOT_TIE = 1e-8
 
 
 class ErgodicityReport(Record):
     """The components of a fixed point's depth-d invariant functions, from the charged walk.
 
     basis holds one column per component, its absorption probability read
-    at depth d and 0 on null words; the columns are not orthonormalised,
-    and none of them needs a QR or an SVD.
+    at depth d and 0 on null words; the columns are not orthonormalised.
+    At the conditioning depth none of them needs a QR or an SVD.
     """
 
     __slots__ = (
@@ -74,29 +79,52 @@ class ErgodicityReport(Record):
     )
 
 
-def _glued(absorbed, first):
-    """Absorption columns summed over the groups of classes that fibres glue.
+def _null_space(matrix):
+    """Null-space basis of a matrix of probability differences, from numpy's QR and SVD.
+
+    The SVD runs on the R factor, at most (columns x columns), whose
+    right singular vectors are the matrix's.  The rank counts the
+    singular values above NULL_SPACE_RTOL times the largest one, or
+    times 1 when all are smaller: the entries are differences of
+    probabilities, so a matrix of rounding residue has rank 0 and its
+    null space is the identity.  The basis is the trailing rows of V^T.
+    """
+    _, s, vt = np.linalg.svd(np.linalg.qr(matrix, mode="r"))
+    rank = int((s > NULL_SPACE_RTOL * max(s.max(initial=0.0), 1.0)).sum())
+    return vt[rank:].T if rank else np.eye(matrix.shape[1])
+
+
+def _fibre_components(absorbed, first):
+    """Nonnegative combinations of absorption columns, constant on every fibre, that span them all.
 
     absorbed holds one row per charged word, in ascending order, and the
-    fibre of the charged words first[i]:first[i + 1] is the i-th.  Two
-    classes whose columns differ by more than GLUE_TOL within one fibre
-    are glued, and so on through shared classes.  Then every group's
-    column is constant on every fibre, since each row sums to 1.  Groups
-    are ordered by their lowest class.
+    fibre of the charged words first[i]:first[i + 1] is the i-th.  The
+    class weights g whose combination absorbed @ g is constant on every
+    fibre are the null space N of the fibre differences, k columns wide
+    for k classes; its dimension m is the solution dimension.  From N
+    come m pivot classes, each the row of largest residual norm after
+    the rows already picked, and the Lagrange columns N inv(N[pivots]),
+    1 at one pivot and 0 at the others.  They sum to the constant 1, and
+    where each group of classes that fibres tie together spans one
+    dimension, they are the groups' summed columns.  Where some entry is
+    negative, every column is mixed with the constant 1/m just enough
+    that none is.  Returns the combinations, one row per fibre.
     """
-    counts = np.diff(np.r_[first, len(absorbed)])
-    differs = np.abs(absorbed - np.repeat(absorbed[first], counts, axis=0)) > GLUE_TOL
-    glue = np.logical_or.reduceat(differs, first, axis=0)
-    k = absorbed.shape[1]
-    label = np.arange(k)
-    while True:  # each class takes the lowest label of the classes a fibre glues it to
-        lowest = np.where(glue, label, k).min(axis=1)
-        raised = np.minimum(label, np.where(glue, lowest[:, None], k).min(axis=0))
-        if (raised == label).all():
-            break
-        label = raised
-    _, group = np.unique(label, return_inverse=True)
-    return np.column_stack([absorbed[:, group == g].sum(axis=1) for g in range(group.max() + 1)])
+    null = _null_space(absorbed - absorbed[np.repeat(first, np.diff(np.r_[first, len(absorbed)]))])
+    rest, pivots = null.copy(), []
+    for _ in range(null.shape[1]):
+        norms = np.linalg.norm(rest, axis=1)
+        p = int(np.argmax(norms >= (1 - PIVOT_TIE) * norms.max()))
+        pivots.append(p)
+        rest -= np.outer(rest @ rest[p], rest[p]) / norms[p] ** 2  # the residuals off row p
+    pivots.sort()
+    lagrange = np.linalg.solve(null[pivots].T, null.T).T
+    low = lagrange.min(initial=0.0)
+    if low < 0:
+        share = 1 / lagrange.shape[1]
+        mix = -low / (share - low)
+        lagrange = np.maximum((1 - mix) * lagrange + mix * share, 0.0)
+    return absorbed[first] @ lagrange
 
 
 def relative_ergodicity_dimension(shift, mu0, v, depth, tol=1e-10):
@@ -122,8 +150,9 @@ def relative_ergodicity_dimension(shift, mu0, v, depth, tol=1e-10):
     extension is null.
 
     solution_dim counts the components; basis holds each component's
-    absorption column read at depth d, 0 on null words, and the columns
-    sum to 1 on the rest.  The certificate field is True when there is
+    column read at depth d, 0 on null words: an absorption column, or
+    below depth dw a combination of them, and the columns are
+    nonnegative and sum to 1 on the rest.  The certificate field is True when there is
     one component.  class_sizes lists the word count of each closed
     class.  mu0 first passes `measures.require_fixed_point`, the gate of
     `build_path_measure`, at any depth; base_residual is the gate's
@@ -141,11 +170,12 @@ def relative_ergodicity_dimension(shift, mu0, v, depth, tol=1e-10):
         walk = walk.restricted(np.flatnonzero(charged))
     classes = closed_classes(walk)
     absorbed = absorption(walk, classes, np.eye(len(classes)))
-    if depth < dw:  # at depth dw every fibre is one word
-        charged, first = np.unique(shift.prefix_indices(dw, depth)[charged], return_index=True)
-        absorbed = (_glued(absorbed, first) if len(classes) > 1 else absorbed)[first]
+    extended = charged  # at depth dw every fibre is one word
+    if depth < dw:
+        extended, first = np.unique(shift.prefix_indices(dw, depth)[charged], return_index=True)
+        absorbed = _fibre_components(absorbed, first)
     basis = np.zeros((shift.word_count(depth), absorbed.shape[1]))
-    basis[charged] = absorbed
+    basis[extended] = absorbed
     dim = basis.shape[1]
     return ErgodicityReport(
         depth=depth,

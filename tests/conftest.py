@@ -8,6 +8,7 @@ use, live in `exact_chain`.
 """
 
 from concurrent.futures import ThreadPoolExecutor
+from itertools import product
 
 import numpy as np
 import pytest
@@ -85,6 +86,25 @@ def weight_markov_golden(shift):
     return CylinderFunction.from_table(
         shift, 2, {(1, 1): 4.0 / 3.0, (2, 1): 2.0 / 3.0, (1, 2): 1.0}
     )
+
+
+def fed_loop_values(k, fed):
+    """Depth-3 weight values on the full k-shift whose prepend walk feeds words into loops.
+
+    From a depth-2 word xy (0-based symbols) the walk steps, with equal
+    weights, to the words ax for the symbols a in fed[x][y], and to the
+    loop xx when x is not in fed.  Each word's branches average 1.
+    """
+    return [float(k * (a in fed[x][y]) / len(fed[x][y]) if x in fed else k * (a == x))
+            for a, x, y in product(range(k), repeat=3)]
+
+
+# the full 4-shift with loops at 1, 2 and 3; 41 and 42 feed the first two loops half each,
+# 43 and 44 the third, so a depth-1 invariant function has f(3) = (f(1) + f(2)) / 2
+THREE_LOOPS = ([[1] * 4] * 4, fed_loop_values(4, {3: ([0, 1], [0, 1], [2], [2])}))
+# the full 5-shift with loops at 1 to 4; the words of 5 feed the first two loops or the last
+# two, half each, so a depth-1 invariant function has f(1) + f(2) = f(3) + f(4)
+FOUR_LOOPS = ([[1] * 5] * 5, fed_loop_values(5, {4: ([0, 1], [0, 1], [2, 3], [2, 3], [0, 1])}))
 
 
 def stock_systems():
@@ -266,6 +286,23 @@ def dense_absorption(chain, classes, values):
     entering = np.column_stack([chain @ column for column in out.T])
     out[live] = np.linalg.solve(system, entering[live])
     return out
+
+
+def scipy_null_space(matrix):
+    """The former null space by scipy's pivoted QR, with the same rank rule as the library's."""
+    from scipy.linalg import qr, solve_triangular
+
+    from shiftpath.extremality import NULL_SPACE_RTOL
+
+    m = matrix.shape[1]
+    r, perm = qr(matrix, mode="r", pivoting=True)
+    diag = np.abs(np.diag(r))
+    rank = int((diag > NULL_SPACE_RTOL * max(diag.max(initial=0.0), 1.0)).sum())
+    null = np.zeros((m, m - rank))
+    null[perm[rank:], np.arange(m - rank)] = 1.0
+    if rank:
+        null[perm[:rank]] = -solve_triangular(r[:rank, :rank], r[:rank, rank:])
+    return null
 
 
 # ---------------------------------------------------------------------------

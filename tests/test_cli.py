@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import THREE_LOOPS
 from shiftpath import (
     TableTooLarge,
     build_subshift,
@@ -321,6 +322,26 @@ def test_ergodicity_certifies_a_base_on_one_block(tmp_path):
     assert report["closed_classes"] == [8]
     assert report["decomposition"] is None
     assert not list(tmp_path.glob("component_*.csv"))
+
+
+def test_ergodicity_splits_three_loops_that_one_fibre_ties(tmp_path):
+    """Three loops tied at depth 1 by one equation leave two dimensions: exit 6, two components.
+
+    All three classes vary within the fibre of 4, so a grouping of the
+    classes that vary together would certify the base with exit 0.
+    """
+    matrix, values = THREE_LOOPS
+    words = ("".join(map(str, w)) for w in itertools.product(range(1, 5), repeat=3))
+    cfg = write_config(tmp_path, {"k": 4, "matrix": matrix, "mu0": "auto",
+                                  "V": {"depth": 3, "values": dict(zip(words, values))}})
+    code = run(["ergodicity", "--config", cfg, "--depth", "1", "--out", str(tmp_path)])
+    assert code == 6
+    report = load(tmp_path, "ergodicity_report.json")
+    assert report["solution_dim"] == 2 and not report["extremal"]
+    assert report["closed_classes"] == [1, 1, 1]
+    assert report["decomposition"]["weights"] == pytest.approx([0.5, 0.5], abs=1e-12)
+    assert sorted(p.name for p in tmp_path.glob("component_*.csv")) == [
+        "component_1.csv", "component_2.csv"]
 
 
 def test_ergodicity_factorises_nothing_at_the_conditioning_depth(tmp_path, monkeypatch):

@@ -8,7 +8,9 @@ import pytest
 
 from conftest import (
     BLOCK4,
+    FOUR_LOOPS,
     IDENT2,
+    THREE_LOOPS,
     conditional_expectation,
     solved_base,
     stock_systems,
@@ -27,6 +29,7 @@ from shiftpath import (
     relative_ergodicity_dimension,
     strongly_invariant_measure,
 )
+from shiftpath.extremality import _null_space
 from shiftpath.measures import require_fixed_point
 
 
@@ -272,6 +275,23 @@ def test_a_deep_base_on_one_block_stays_small():
     assert peak < 64 * 2**20
 
 
+def test_null_space_of_a_tall_matrix_forms_no_tall_factor():
+    """4096 x 8 probability differences: a full U factor alone would take 128 MiB."""
+    rng = np.random.default_rng(7)
+    probabilities = rng.dirichlet(np.ones(8), 4096)
+    matrix = probabilities - probabilities[rng.permutation(4096)]
+    tracemalloc.start()
+    try:
+        null = _null_space(matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    # rows of probabilities differ only along directions that sum to zero
+    assert null.shape == (8, 1)
+    assert np.allclose(matrix @ null, 0.0, atol=1e-12)
+
+
 def test_many_classes_below_the_conditioning_depth():
     """Base mass on one block of BLOCK4 at depth 6 of a depth-8 walk: one class, one component.
 
@@ -337,10 +357,56 @@ def test_components_at_the_conditioning_depth_are_extremal_fixed_points(system, 
 
 
 def test_components_below_the_conditioning_depth_recombine():
-    """Below the conditioning depth the glued components still pass the gate and recombine to mu0."""
+    """Below the conditioning depth the components still pass the gate and recombine to mu0."""
     shift, v, mu0 = full3_two_loops()
     for depth in (1, 2):
         rep = relative_ergodicity_dimension(shift, mu0, v, depth)
         dec = decompose_report(shift, mu0, rep)
         assert dec.weights == pytest.approx([11 / 21, 10 / 21], abs=1e-12)
         assert_exact_decomposition(shift, mu0, v, dec, range(1, 4))
+
+
+def fed_loops(system):
+    matrix, values = system
+    shift = build_subshift(matrix)
+    v = CylinderFunction(shift, 3, values)
+    return shift, v, solved_base(shift, v)
+
+
+def test_one_fibre_ties_three_loops_by_one_equation():
+    """Three loops that the fibre of 4 ties by f(3) = (f(1) + f(2)) / 2 leave two dimensions at depth 1.
+
+    Every class varies within that fibre, so a grouping of the classes
+    that vary together would see one dimension.  The components are the two
+    extreme solutions: 1 on one of the first two loops, 0 on the other,
+    1/2 on the fibres of 3 and 4; each is extremal on its own.
+    """
+    shift, v, mu0 = fed_loops(THREE_LOOPS)
+    rep = relative_ergodicity_dimension(shift, mu0, v, 1)
+    assert rep.solution_dim == 2 and not rep.extremal_certificate
+    assert rep.class_sizes == [1, 1, 1]
+    np.testing.assert_allclose(rep.basis, [[1, 0], [0, 1], [0.5, 0.5], [0.5, 0.5]], rtol=0, atol=1e-12)
+    dec = decompose_report(shift, mu0, rep)
+    assert dec.weights == pytest.approx([0.5, 0.5], abs=1e-12)
+    assert_exact_decomposition(shift, mu0, v, dec, range(1, 4))
+
+
+def test_four_loops_tied_by_one_equation_split_into_nonnegative_components():
+    """Four loops tied by f(1) + f(2) = f(3) + f(4) leave three dimensions at depth 1.
+
+    Some Lagrange column of every pivot choice is negative there, so the
+    columns are mixed with the constants: each stays a fixed point, the
+    columns sum to 1 and span the solutions, and the split recombines.
+    """
+    shift, v, mu0 = fed_loops(FOUR_LOOPS)
+    rep = relative_ergodicity_dimension(shift, mu0, v, 1)
+    assert rep.solution_dim == 3 and rep.class_sizes == [1, 1, 1, 1]
+    assert rep.basis.min() >= 0
+    np.testing.assert_allclose(rep.basis.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(rep.basis[:4].T @ [1, 1, -1, -1], 0.0, rtol=0, atol=1e-12)
+    dec = decompose_report(shift, mu0, rep)
+    assert sum(dec.weights) == pytest.approx(1.0, abs=1e-12)
+    for comp in dec.components:
+        require_fixed_point(shift, v, comp, 1e-10)
+    mix = sum(lam * comp.masses_at(3) for lam, comp in zip(dec.weights, dec.components))
+    assert np.abs(mix - mu0.masses_at(3)).max() <= 1e-15 * mu0.total_mass()

@@ -506,7 +506,7 @@ def test_scipy_loads_only_for_chains_above_the_dense_cut(tmp_path):
         ["verify", "--config", str(small), "--depth", "3", "--steps", "2", "--out", out],
         ["sample", "--config", str(small), "--depth", "2", "--steps", "3", "--samples", "200",
          "--seed", "5", "--out", out],
-        # below the conditioning depth: classes glued by shared fibres
+        # below the conditioning depth: the null space of the fibre differences
         ergodicity + ["1"],
         # walks on the 256, 1024 and 2048 words of lengths 7, 9 and 10
         ergodicity + ["7"],

@@ -39,8 +39,10 @@ from hypothesis import strategies as st
 import exact_chain
 from conftest import (
     BLOCK4,
+    FOUR_LOOPS,
     FULL2,
     GOLDEN,
+    THREE_LOOPS,
     conditioning_depth,
     DenseWalkKernel,
     dense_absorption,
@@ -48,6 +50,7 @@ from conftest import (
     dense_stationary_vector,
     function_dict,
     leaf_up_prefix_indices,
+    scipy_null_space,
     slow_leak_weight,
     solved_base,
     stock_systems,
@@ -80,6 +83,7 @@ from shiftpath import (
 )
 from shiftpath import invariant, pathspace
 from shiftpath.cli import main as cli_main
+from shiftpath.extremality import _null_space
 from shiftpath.invariant import Chain, _reaching, _stationary_vector, absorption, closed_classes
 from shiftpath.measures import require_fixed_point
 from shiftpath.subshift import branch_sum, prepend_walk, word_string
@@ -536,11 +540,14 @@ def solved_system(matrix, v_depth, values, leaky, residue=0.0):
 
 
 # one transient word and two classes in one depth-1 fibre; one transient
-# word; two classes joined only by stored zeros
+# word; two classes joined only by stored zeros; three loops that one fibre
+# ties by one equation, for two dimensions; four loops so tied, for three
 EXTREMALITY_EXAMPLES = (
     (FULL2, 3, [2.0, 0.0, 2.0, 1.0, 0.0, 2.0, 0.0, 1.0], None, 1),
     (FULL2, 2, [2.0, 2.0, 0.0, 0.0], None, 1),
     (FULL2, 2, [2.0, 0.0, 0.0, 2.0], None, 1),
+    (THREE_LOOPS[0], 3, THREE_LOOPS[1], None, 1),
+    (FOUR_LOOPS[0], 3, FOUR_LOOPS[1], None, 1),
 )
 
 # bases charged only on self-loops: one point mass at and below the conditioning
@@ -953,3 +960,35 @@ def test_lu_solves_equal_the_former_dense_bodies(chain, data):
             states = np.arange(len(members))
             q = _stationary_vector(kernel, states)
             assert q.tobytes() == dense_stationary_vector(kernel, states).tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 8), st.integers(1, 6),
+       st.sampled_from(["product", "perturbed", "zero", "residue"]), st.data())
+def test_null_space_matches_scipy_pivoted_qr(rows, cols, kind, data):
+    """numpy's QR and SVD find scipy's pivoted-QR rank and null space, residue included.
+
+    A product of two matrices of quarter units has a rank well clear of
+    the threshold, and keeps it under a rank-one term at 1e-12 of its
+    norm, which in general raises the exact rank; entries of about 1e-12 are
+    rounding residue, rank 0.
+    """
+    if kind in ("product", "perturbed"):
+        inner = data.draw(st.integers(0, min(rows, cols)))
+        left = int_array(data, rows * inner, 8).reshape(rows, inner) - 4
+        right = int_array(data, inner * cols, 8).reshape(inner, cols) - 4
+        matrix = (left / 4.0) @ (right / 4.0)
+        if kind == "perturbed":  # norm at most 1/2, so the term moves matrix @ null by < 1e-12
+            matrix /= 2 * max(np.linalg.norm(matrix), 1.0)
+            term = np.outer(int_array(data, rows, 8) - 3.5, int_array(data, cols, 8) - 3.5)
+            matrix += 1e-12 * np.linalg.norm(matrix) * term / np.linalg.norm(term)
+    elif kind == "zero":
+        matrix = np.zeros((rows, cols))
+    else:
+        matrix = (int_array(data, rows * cols, 8).reshape(rows, cols) - 4) * 2.5e-13
+    null, expected = _null_space(matrix), scipy_null_space(matrix)
+    assert null.shape == expected.shape
+    if kind in ("zero", "residue"):
+        assert null.shape == (cols, cols)
+    np.testing.assert_allclose(span_projector(null), span_projector(expected), rtol=0, atol=1e-10)
+    np.testing.assert_allclose(matrix @ null, 0.0, rtol=0, atol=1e-12)
