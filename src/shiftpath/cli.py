@@ -11,9 +11,10 @@ Five subcommands cover the library's checkable claims:
 Exit codes: 0 all checks passed, 1 an identity failed its tolerance,
 2 config or precondition problem (also a flag out of its range, and
 fewer than 100 samples), 3 the invariant vector is not unique (more
-than one closed class), 4 the fixed density is degenerate, 5 sampling
-hit a zero-mass state, 6 the fixed point has more than one component
-at the requested depth (one component_<c>.csv is written for each).
+than one closed class), 4 the fixed density is degenerate (h is zero,
+or the base measure has no mass), 5 sampling hit a zero-mass state, 6
+the fixed point has more than one component at the requested depth
+(one component_<c>.csv is written for each).
 
 Every JSON report embeds the tool version and a sha256 of the
 canonical config so downstream diffs can tell configs apart.  All

@@ -46,7 +46,7 @@ class NotSubNormalized(ShiftPathError):
 
 
 class DegenerateH(ShiftPathError):
-    """The fixed function h is zero: no closed class of the operator keeps its mass."""
+    """h is zero, as no closed class of the operator keeps its mass, or the base has no mass."""
 
 
 class NotFixedPoint(ShiftPathError):

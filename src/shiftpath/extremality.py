@@ -47,7 +47,8 @@ components are the groups' summed columns.  Base masses are read as given:
 every positive mass is a step of the walk and part of the support,
 however small, so scaling a base changes neither the components nor
 their weights, nor the fixed-point gate (`measures.require_fixed_point`,
-the sampler's), whose tol is relative to the base's total mass.
+the sampler's), whose tol is relative to the base's total mass and
+which refuses a base of no mass, so there is always a component.
 """
 
 import numpy as np
@@ -71,7 +72,7 @@ class ErgodicityReport(Record):
 
     __slots__ = (
         "depth",
-        "solution_dim",  # the number of components
+        "solution_dim",  # the number of components, at least 1
         "basis",  # (word_count(depth), solution_dim): each component's absorption column, 0 off mu0
         "extremal_certificate",
         "class_sizes",  # word count of each closed class of the charged walk, by lowest word
@@ -156,9 +157,8 @@ def relative_ergodicity_dimension(shift, mu0, v, depth, tol=1e-10):
     one component.  class_sizes lists the word count of each closed
     class.  mu0 first passes `measures.require_fixed_point`, the gate of
     `build_path_measure`, at any depth; base_residual is the gate's
-    residual.
+    residual; it refuses a signed weight and a base of no mass.
     """
-    v.require_nonnegative()
     residual = require_fixed_point(shift, v, mu0, tol)
     dw = max(v.depth - 1, depth, mu0.depth - 1, 1)
     walk = step_walk(shift, dw, mu0.masses_at(dw + 1) * v.promote(dw + 1).values)
@@ -210,10 +210,10 @@ def decompose_report(shift, mu0, report):
 
         mu0 = sum_c lam_c mu_c
 
-    to rounding, and the weights sum to 1.  With one component or none
-    there is nothing to split, and it returns None.
+    to rounding, and the weights sum to 1.  With one component there is
+    nothing to split, and it returns None.
     """
-    if report.solution_dim <= 1:
+    if report.solution_dim == 1:
         return None
     masses = mu0.masses_at(report.depth)
     weights = np.array([np.sum(column * masses) for column in report.basis.T]) / masses.sum()

@@ -12,7 +12,8 @@ Config files are JSON with the shape
 
 Only "k" and "matrix" are mandatory.  Cylinder tables are keyed by the
 word written as a digit string (hence k <= 9), must list every
-admissible word of the stated depth and nothing else.  "mu0" is either
+admissible word of the stated depth and nothing else; every table but the
+filter is real and nonnegative, which `parse_table` checks once.  "mu0" is either
 "auto" (solve for the fixed density) or a density table against the
 strongly invariant base measure.  Filter values may be numbers or
 [real, imag] pairs.  "marginal_override", {"n": n, "depth": d, "masses":
@@ -74,13 +75,13 @@ def _finite(raw):
     return type(raw) in (int, float) and abs(raw) <= sys.float_info.max
 
 
-def _parse_value(raw, key, allow_complex):
-    if _finite(raw):
+def _parse_value(raw, name, key, allow_complex):
+    if _finite(raw) and (allow_complex or raw >= 0):
         return complex(raw) if allow_complex else float(raw)
     if allow_complex and isinstance(raw, list) and len(raw) == 2 and all(map(_finite, raw)):
         return complex(raw[0], raw[1])
-    kind = "a finite number or a [re, im] pair of them" if allow_complex else "a finite number"
-    raise ConfigError(f"value for {key!r} must be {kind}")
+    kind = "a finite number or a [re, im] pair of them" if allow_complex else "a finite number >= 0"
+    raise ConfigError(f"{name} value for {key!r} must be {kind}")
 
 
 def _integer(section, key, name):
@@ -92,7 +93,7 @@ def _integer(section, key, name):
 
 
 def parse_table(shift, section, name, allow_complex=False):
-    """A {"depth": d, "values": {...}} block as a CylinderFunction."""
+    """A {"depth": d, "values": {...}} block as a CylinderFunction, nonnegative unless complex."""
     if not isinstance(section, dict):
         raise ConfigError(f"{name} must be an object with depth and values")
     depth = _integer(section, "depth", name)
@@ -107,7 +108,7 @@ def parse_table(shift, section, name, allow_complex=False):
             raise ConfigError(f"{name} key {key!r} is not a depth-{depth} digit string")
     digits = np.frombuffer("".join(values).encode("ascii"), dtype=np.uint8)
     words = digits.reshape(len(values), depth) - ord("0")
-    parsed = [_parse_value(raw, key, allow_complex) for key, raw in values.items()]
+    parsed = [_parse_value(raw, name, key, allow_complex) for key, raw in values.items()]
     try:
         return CylinderFunction.from_words(shift, depth, words, parsed)
     except InadmissibleWord as exc:
@@ -130,12 +131,7 @@ def build_subshift_from_config(cfg):
 def build_weight_from_config(shift, cfg):
     if "V" not in cfg:
         raise ConfigError("config has no weight table V")
-    v = parse_table(shift, cfg["V"], "V")
-    try:
-        v.require_nonnegative("V")
-    except Exception as exc:
-        raise ConfigError(str(exc)) from exc
-    return v
+    return parse_table(shift, cfg["V"], "V")
 
 
 def build_base_measure_from_config(shift, cfg, rho):
@@ -144,10 +140,6 @@ def build_base_measure_from_config(shift, cfg, rho):
     if spec_mu0 == "auto":
         return None
     density = parse_table(shift, spec_mu0, "mu0")
-    try:
-        density.require_nonnegative("mu0 density")
-    except Exception as exc:
-        raise ConfigError(str(exc)) from exc
     # measures and the transfer module it imports load only for the commands that build a measure
     from .measures import DensityMeasure
 
@@ -177,8 +169,6 @@ def build_overrides_from_config(shift, cfg):
         {"depth": section.get("depth"), "values": section.get("masses")},
         "marginal_override",
     )
-    if masses.values.min() < 0:
-        raise ConfigError("marginal_override masses must be nonnegative")
     from .measures import RawMeasure
 
     return {n: RawMeasure(shift, masses.depth, masses.values)}

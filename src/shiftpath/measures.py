@@ -104,11 +104,7 @@ class DensityMeasure:
         return float(self.rho.integrate(self.density))
 
     def masses_at(self, depth):
-        f = self.density
-        if depth >= f.depth:
-            return f.promote(depth).values * self.rho.masses_at(depth)
-        fine = f.values * self.rho.masses_at(f.depth)
-        return self.shift.window_sums(fine, f.depth, 0, depth)
+        return _window_masses(self.shift, self.density, self.rho, 0, depth)
 
     def mass(self, word):
         word = tuple(word)
@@ -127,17 +123,17 @@ class DensityMeasure:
         return DensityMeasure(f * self.density, self.rho)
 
 
-def _pushforward_masses(shift, v, mu, out_depth):
-    """Masses of the transformed measure at depth `out_depth`, computed exactly.
+def _window_masses(shift, f, mu, start, width):
+    """Masses of f dmu on the windows w[start:start + width], computed exactly.
 
-    Enumerates words u one level deeper than the evaluation depth
-    e = max(out_depth + 1, depth(v)); each contributes v(u) mu([u]) to
-    the output word obtained by dropping its first symbol and truncating.
+    Each word u of depth e = max(depth(f), start + width) contributes
+    f(u) mu([u]) to its window.  With start 1 and f the weight v these
+    are the masses of the transformed measure at depth `width`.
     """
-    e = max(out_depth + 1, v.depth)
+    e = max(f.depth, start + width)
     # one expression, so that the factors are freed before the sum runs;
     # masses_at raises DepthTooShallow for raw measures that are too coarse
-    return shift.window_sums(v.promote(e).values * mu.masses_at(e), e, 1, out_depth)
+    return shift.window_sums(f.promote(e).values * mu.masses_at(e), e, start, width)
 
 
 def transform_measure(shift, v, mu, out_depth=None):
@@ -167,7 +163,7 @@ def transform_measure(shift, v, mu, out_depth=None):
         out_depth = mu.depth - 1
     if out_depth < 1:
         raise ValueError("out_depth must be >= 1")
-    return RawMeasure(shift, out_depth, _pushforward_masses(shift, v, mu, out_depth))
+    return RawMeasure(shift, out_depth, _window_masses(shift, v, mu, 1, out_depth))
 
 
 def check_fixed_point(shift, v, mu0, depth):
@@ -179,7 +175,7 @@ def check_fixed_point(shift, v, mu0, depth):
     """
     v.require_nonnegative()
     lhs = mu0.masses_at(depth)
-    rhs = _pushforward_masses(shift, v, mu0, depth)
+    rhs = _window_masses(shift, v, mu0, 1, depth)
     return float(np.abs(lhs - rhs).max())
 
 
@@ -189,14 +185,20 @@ def base_depth(mu0):
 
 
 def require_fixed_point(shift, v, mu0, tol):
-    """The fixed-point gate of every object built on mu0: its residual, or NotFixedPoint.
+    """The gate of every object built on mu0: its fixed-point residual, or an error.
 
     Checks at max(base_depth(mu0), depth(v) - 1), where a zero residual is
-    the identity at every depth, against tol times mu0's total mass.
+    the identity at every depth, against tol times mu0's total mass.  A
+    signed weight raises NegativeWeight, a base of no mass DegenerateH, and
+    a residual over the bound NotFixedPoint; so does a NaN residual, which
+    a base of NaN mass has.
     """
     residual = check_fixed_point(shift, v, mu0, max(base_depth(mu0), v.depth - 1))
-    if not residual <= tol * mu0.total_mass():  # a NaN residual fails too
-        raise NotFixedPoint(residual, tol * mu0.total_mass())
+    total = mu0.total_mass()
+    if total == 0:
+        raise DegenerateH("the base measure has no mass")
+    if not residual <= tol * total:  # a NaN residual fails too
+        raise NotFixedPoint(residual, tol * total)
     return residual
 
 
@@ -206,7 +208,9 @@ def masses_along_orbit(shift, v, mu0, n_max):
     A density f drho over a strongly invariant rho takes n transfer steps at depth
     max(depth(v) - 1, depth(f) - 1, 1), by the weight-pushforward identity; any other
     base integrates the n-step weight product, of depth depth(v) + n - 1, against mu0.
+    A signed weight raises NegativeWeight on either route.
     """
+    v.require_nonnegative()
     out, w, mu = [], v, mu0
     for n in range(1, n_max + 1):
         if isinstance(mu0, DensityMeasure) and mu0.rho.strongly_invariant:
@@ -235,7 +239,7 @@ def weight_pushforward_defect(shift, v, rho, depth, n_max):
     for n in range(1, n_max + 1):
         dual = shift.window_sums(ve * (dual / counts)[suf], big + 1, 0, big)
         rhs = shift.window_sums(dual, big, 0, depth)
-        lhs = DensityMeasure(weight_product(v, n), rho).masses_at(depth)
+        lhs = _window_masses(shift, weight_product(v, n), rho, 0, depth)
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import FilterMismatch, TableTooLarge, TooFewSamples, ZeroMassConditioning
 from .invariant import Record
-from .measures import _pushforward_masses, base_depth, check_fixed_point, require_fixed_point
+from .measures import _window_masses, base_depth, check_fixed_point, require_fixed_point
 from .subshift import MAX_SAMPLE_SYMBOLS, CylinderFunction, _row_blocks, step_walk
 from .subshift import weight_product, word_string
 
@@ -82,15 +82,13 @@ def build_path_measure(shift, v, mu0, tol=1e-10, marginal_overrides=None):
     extremality solve shares: the defect is checked on the cylinders fine
     enough to resolve both mu0 and its transform, where a zero defect
     characterizes the fixed-point property exactly.  Raises NotFixedPoint
-    when the residual exceeds tol times mu0's total mass.
+    when the residual exceeds tol times mu0's total mass, DegenerateH when
+    mu0 has no mass and NegativeWeight when v is signed.
 
     `marginal_overrides` replaces selected level measures, which breaks
     the consistency identities on purpose; it exists so the checking and
     sampling code paths can be exercised against corrupted data.
     """
-    v.require_nonnegative()
-    if mu0.total_mass() <= 0:
-        raise ValueError("base measure must have positive mass")
     residual = require_fixed_point(shift, v, mu0, tol)
     return PathMeasure(shift, v, mu0, residual, marginal_overrides)
 
@@ -103,7 +101,7 @@ def check_consistency(pm, n, depth):
     depth.  Returns the max absolute difference.
     """
     one = CylinderFunction.constant(pm.shift, 1.0)
-    lhs = _pushforward_masses(pm.shift, one, pm.marginal(n + 1), depth)
+    lhs = _window_masses(pm.shift, one, pm.marginal(n + 1), 1, depth)
     rhs = pm.marginal(n).masses_at(depth)
     return float(np.abs(lhs - rhs).max())
 
@@ -124,9 +122,7 @@ def check_quasi_invariance(pm, depth, n_max):
     for n in range(n_max):
         if n > 0:
             vn = vn.compose_with_shift()
-        mu_n = pm.marginal(n)
-        e = max(depth, vn.depth)
-        rhs = shift.window_sums(vn.promote(e).values * mu_n.masses_at(e), e, 0, depth)
+        rhs = _window_masses(shift, vn, pm.marginal(n), 0, depth)
         lhs = pm.marginal(n + 1).masses_at(depth)
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst
@@ -425,9 +421,7 @@ def martingale_coordinates(pm, xi, level):
     coords[level] = xi.promote(dw)
     mu_top = pm.marginal(level)
     for n in range(level - 1, -1, -1):
-        long = level - n + dw
-        weighted = xi.promote(long).values * mu_top.masses_at(long)
-        num = shift.window_sums(weighted, long, level - n, dw)
+        num = _window_masses(shift, xi, mu_top, level - n, dw)
         den = pm.marginal(n).masses_at(dw)
         vals = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
         coords[n] = CylinderFunction(shift, dw, vals)
@@ -440,7 +434,7 @@ def project_once(pm, g, n):
     Used to state the tower property: projecting the level-(n+1)
     coordinate one step must reproduce the level-n coordinate exactly.
     """
-    num = _pushforward_masses(pm.shift, g, pm.marginal(n + 1), g.depth)
+    num = _window_masses(pm.shift, g, pm.marginal(n + 1), 1, g.depth)
     den = pm.marginal(n).masses_at(g.depth)
     vals = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
     return CylinderFunction(pm.shift, g.depth, vals)

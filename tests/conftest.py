@@ -22,7 +22,7 @@ from shiftpath import (
     fixed_density_measure,
     strongly_invariant_measure,
 )
-from shiftpath.measures import _pushforward_masses
+from shiftpath.measures import _window_masses
 from shiftpath.pathspace import SampleBatch, _usable_cpus
 from shiftpath.subshift import word_string
 
@@ -250,8 +250,8 @@ def conditional_expectation(shift, mu0, v, g):
     never exceeds the sup of v * g in absolute value.
     """
     dout = max(max(v.depth, g.depth) - 1, mu0.depth - 1, 1)
-    num = _pushforward_masses(shift, v * g, mu0, dout)
-    den = _pushforward_masses(shift, CylinderFunction.constant(shift, 1.0), mu0, dout)
+    num = _window_masses(shift, v * g, mu0, 1, dout)
+    den = _window_masses(shift, CylinderFunction.constant(shift, 1.0), mu0, 1, dout)
     vals = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
     return CylinderFunction(shift, dout, vals)
 

@@ -541,11 +541,41 @@ ZERO_MASS_MU0 = {
     "mu0": {"depth": 1, "values": {"1": 0.0, "2": 0.0}},
 }
 
+# h is 1 on the closed class {2}, while the invariant measure lives on the word 1...1
+# alone (word 2 is never followed by 1), so the solved base h d(rho) has no mass
+NO_MASS_AUTO = {
+    "k": 2,
+    "matrix": [[1, 1], [0, 1]],
+    "V": {"depth": 2, "values": {"11": 0.0, "12": 0.0, "22": 2.0}},
+    "mu0": "auto",
+}
 
-@pytest.mark.parametrize("command", ["verify", "sample", "ergodicity"])
-def test_zero_mass_base_is_a_config_error(tmp_path, command):
-    """A mu0 table with no mass exits 2 with one line, not a traceback, and writes no report."""
-    cfg = write_config(tmp_path, ZERO_MASS_MU0)
+CONFIG_ERROR = "shiftpath: config error:"
+NO_MASS = "shiftpath: degenerate fixed density:"
+EDGE_CONFIGS = [
+    *(pytest.param(NO_MASS_AUTO, command, 4, NO_MASS, id=f"auto-no-mass-{command}")
+      for command in ("verify", "sample", "ergodicity")),
+    *(pytest.param(ZERO_MASS_MU0, command, 2, CONFIG_ERROR, id=f"zero-mu0-{command}")
+      for command in ("verify", "sample", "ergodicity")),
+    pytest.param(DEGENERATE, "verify", 4, NO_MASS, id="h-zero"),
+    pytest.param(dict(FULL_HALF, V={"depth": 1, "values": {"1": 1.5, "2": -0.5}}),
+                 "verify", 2, CONFIG_ERROR, id="negative-V"),
+    pytest.param(dict(FULL_HALF, marginal_override={"n": 1, "depth": 1,
+                                                    "masses": {"1": 0.5, "2": -0.5}}),
+                 "verify", 2, CONFIG_ERROR, id="negative-override"),
+]
+
+
+@pytest.mark.parametrize("config, command, code, prefix", EDGE_CONFIGS)
+def test_edge_configs_exit_with_one_line(tmp_path, config, command, code, prefix):
+    """A base of no mass or a config that breaks an input rule exits with its code.
+
+    The one stderr line names the kind of error; there is no traceback and
+    no report.  A configured mu0 of no mass is a config error (2); a solved
+    base of no mass and a zero h are degenerate (4), refused by the
+    fixed-point gate and by the solve for h.
+    """
+    cfg = write_config(tmp_path, config)
     out = tmp_path / "out"
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run(
@@ -553,9 +583,8 @@ def test_zero_mass_base_is_a_config_error(tmp_path, command):
          "--out", str(out)],
         env=env, capture_output=True, text=True,
     )
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("shiftpath: config error:")
-    assert "Traceback" not in proc.stderr
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == 1, proc.stderr
     assert not list(out.glob("*_report.json"))
 
 

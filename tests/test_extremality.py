@@ -1,7 +1,6 @@
 """Invariant-function dimension, certificates, and constructive splits."""
 
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from conftest import (
 )
 from shiftpath import (
     CylinderFunction,
+    DegenerateH,
     DensityMeasure,
     NotFixedPoint,
     RawMeasure,
@@ -152,10 +152,12 @@ def test_components_are_distinct_from_base(block4):
 
 
 def test_no_essential_direction_returns_none(ident2):
-    """A base charging one class only has one component, and a base of no mass has none.
+    """A base charging one class only has one component, and a base of no mass is refused.
 
     The uncharged word of the first is mu0-null: it once counted as a
     second closed class and a second dimension that no mass could split.
+    The fixed-point gate refuses the base of no mass with DegenerateH,
+    as it does for `build_path_measure`.
     """
     one = CylinderFunction.constant(ident2, 1.0)
     mu0 = RawMeasure(ident2, 2, np.array([1.0, 0.0]))
@@ -164,11 +166,9 @@ def test_no_essential_direction_returns_none(ident2):
     assert rep.basis.tolist() == [[1.0], [0.0]]
     assert decompose(ident2, mu0, one, 1) is None
     empty = RawMeasure(ident2, 2, np.zeros(2))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # no mean is taken over an empty support
-        rep = relative_ergodicity_dimension(ident2, empty, one, 1)
-        assert rep.solution_dim == 0 and not rep.extremal_certificate
-        assert decompose(ident2, empty, one, 1) is None
+    for solve in (relative_ergodicity_dimension, decompose):
+        with pytest.raises(DegenerateH, match="no mass"):
+            solve(ident2, empty, one, 1)
 
 
 @pytest.mark.parametrize("p", [1e-3, 1e-4, 1e-8])

@@ -220,6 +220,14 @@ def test_orbit_of_a_density_base_refuses_a_signed_weight(full2):
         masses_along_orbit(full2, signed, base, 3)
 
 
+def test_orbit_of_a_raw_base_refuses_a_signed_weight(full2):
+    """The table walk of a raw base refuses a signed weight too, before it integrates anything."""
+    signed = CylinderFunction.from_table(full2, 1, {(1,): 1.5, (2,): -0.5})
+    raw = RawMeasure(full2, 4, strongly_invariant_measure(full2).masses_at(4))
+    with pytest.raises(NegativeWeight):
+        masses_along_orbit(full2, signed, raw, 3)
+
+
 def test_orbit_of_a_raw_base_raises_at_its_first_deeper_product(full2):
     """The orbit of a raw base raises where a per-depth loop does: at its first deeper product."""
     v = weight_full_half(full2)
