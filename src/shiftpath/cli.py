@@ -13,8 +13,9 @@ Exit codes: 0 all checks passed, 1 an identity failed its tolerance,
 fewer than 100 samples), 3 the invariant vector is not unique (more
 than one closed class), 4 the fixed density is degenerate (h is zero,
 or the base measure has no mass), 5 sampling hit a zero-mass state, 6
-the fixed point has more than one component at the requested depth
-(one component_<c>.csv is written for each).
+the fixed point has more than one component, decided at the conditioning
+depth and so at every depth above it (one component_<c>.csv of masses
+at --depth is written for each).
 
 Every JSON report embeds the tool version and a sha256 of the
 canonical config so downstream diffs can tell configs apart.  All
@@ -267,10 +268,11 @@ def cmd_ergodicity(args):
     cfg, shift, v, _, mu0 = _load_system(args)
     # hashed before the solve, so that the canonical config text is freed before its peak
     report = _base_report(cfg, "ergodicity")
-    rep = relative_ergodicity_dimension(shift, mu0, v, args.depth, tol=args.tol)
+    rep = relative_ergodicity_dimension(shift, mu0, v, tol=args.tol)
     report.update(
         {
             "depth": args.depth,
+            "conditioning_depth": rep.depth,
             "solution_dim": rep.solution_dim,
             "extremal": rep.extremal_certificate,
             "base_residual": rep.base_residual,

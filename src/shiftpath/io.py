@@ -15,7 +15,8 @@ word written as a digit string (hence k <= 9), must list every
 admissible word of the stated depth and nothing else; every table but the
 filter is real and nonnegative, which `parse_table` checks once.  "mu0" is either
 "auto" (solve for the fixed density) or a density table against the
-strongly invariant base measure.  Filter values may be numbers or
+strongly invariant base measure, whose total mass must be a normal
+float64 (at least about 2.2e-308).  Filter values may be numbers or
 [real, imag] pairs.  "marginal_override", {"n": n, "depth": d, "masses":
 table}, substitutes a raw measure for level n of the path family, which
 is only useful for feeding the verifier deliberately broken data; d must
@@ -144,8 +145,11 @@ def build_base_measure_from_config(shift, cfg, rho):
     from .measures import DensityMeasure
 
     mu0 = DensityMeasure(density, rho)
-    if not mu0.total_mass() > 0:  # a NaN mass fails too
-        raise ConfigError("mu0 density has no mass against the invariant measure")
+    # below the normal range a mass keeps too few digits to pass or fail the fixed-point gate
+    total, tiny = mu0.total_mass(), np.finfo(np.float64).tiny
+    if not total >= tiny:  # a NaN mass fails too
+        raise ConfigError(f"mu0 density has mass {total:.6g} against the invariant measure, "
+                          f"below the smallest normal float64 {tiny:.6g}")
     return mu0
 
 

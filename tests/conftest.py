@@ -229,10 +229,10 @@ def measure_dict(mu, depth):
     return {w: m for w, m in zip(mu.shift.words(depth), mu.masses_at(depth))}
 
 
-def conditioning_depth(mu0, v, depth):
+def conditioning_depth(mu0, v):
     """The word depth the extremality system conditions on."""
     d0 = mu0.density.depth if isinstance(mu0, DensityMeasure) else mu0.depth
-    return max(v.depth - 1, depth, d0 - 1, 1)
+    return max(v.depth - 1, d0 - 1, 1)
 
 
 def conditional_expectation(shift, mu0, v, g):
@@ -286,23 +286,6 @@ def dense_absorption(chain, classes, values):
     entering = np.column_stack([chain @ column for column in out.T])
     out[live] = np.linalg.solve(system, entering[live])
     return out
-
-
-def scipy_null_space(matrix):
-    """The former null space by scipy's pivoted QR, with the same rank rule as the library's."""
-    from scipy.linalg import qr, solve_triangular
-
-    from shiftpath.extremality import NULL_SPACE_RTOL
-
-    m = matrix.shape[1]
-    r, perm = qr(matrix, mode="r", pivoting=True)
-    diag = np.abs(np.diag(r))
-    rank = int((diag > NULL_SPACE_RTOL * max(diag.max(initial=0.0), 1.0)).sum())
-    null = np.zeros((m, m - rank))
-    null[perm[rank:], np.arange(m - rank)] = 1.0
-    if rank:
-        null[perm[:rank]] = -solve_triangular(r[:rank, :rank], r[:rank, rank:])
-    return null
 
 
 # ---------------------------------------------------------------------------

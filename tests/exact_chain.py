@@ -170,30 +170,28 @@ def invariant_measure(matrix):
     return q, len(classes)
 
 
-def invariant_functions(matrix, weight, masses, depth, dw):
+def invariant_functions(matrix, weight, masses, depth):
     """The f on the depth-`depth` words that solve the extremality system, as orthogonal Fractions.
 
-    One equation per charged depth-dw word w: sum_a v(aw) mu0([aw]) (f((aw)[:depth]) - f(w[:depth]))
-    = 0, with the base `masses` given on the depth-(dw + 1) words.  A word is charged when some
-    depth-(dw + 1) extension has positive mass; an uncharged word is mu0-null, so it has no
-    equation, and every basis vector is 0 on the uncharged depth-`depth` words.  The exact null
-    space on the charged words is orthogonalised by Gram-Schmidt with no normalising, so every
-    step stays exact.
+    One equation per charged depth-`depth` word w: sum_a v(aw) mu0([aw]) (f((aw)[:depth]) - f(w))
+    = 0, with the base `masses` given on the depth-(depth + 1) words.  A word is charged when some
+    depth-(depth + 1) extension has positive mass; an uncharged word is mu0-null, so it has no
+    equation, and every basis vector is 0 on it.  The exact null space on the charged words is
+    orthogonalised by Gram-Schmidt with no normalising, so every step stays exact.
     """
-    positive = [aw for aw, mass in zip(brute_words(matrix, dw + 1), masses) if mass > 0]
-    rows = {w: i for i, w in enumerate(sorted({aw[:dw] for aw in positive}))}
-    cols = {w: i for i, w in enumerate(sorted({aw[:depth] for aw in positive}))}
-    system = [[Fraction(0)] * len(cols) for _ in rows]
-    for aw, mass in zip(brute_words(matrix, dw + 1), masses):
+    positive = [aw for aw, mass in zip(brute_words(matrix, depth + 1), masses) if mass > 0]
+    charged = {w: i for i, w in enumerate(sorted({aw[:depth] for aw in positive}))}
+    system = [[Fraction(0)] * len(charged) for _ in charged]
+    for aw, mass in zip(brute_words(matrix, depth + 1), masses):
         coef = Fraction(table_value(weight, aw)) * Fraction(mass)
-        if coef and aw[1:] in rows:  # the row of an uncharged word is dropped, whatever it holds
-            system[rows[aw[1:]]][cols[aw[:depth]]] += coef
-            system[rows[aw[1:]]][cols[aw[1 : depth + 1]]] -= coef
+        if coef and aw[1:] in charged:  # the row of an uncharged word is dropped, whatever it holds
+            system[charged[aw[1:]]][charged[aw[:depth]]] += coef
+            system[charged[aw[1:]]][charged[aw[1:]]] -= coef
     basis = []
-    for x in null_space(system, len(cols)):
+    for x in null_space(system, len(charged)):
         for u in basis:
             c = sum(a * b for a, b in zip(x, u)) / sum(b * b for b in u)
             x = [a - c * b for a, b in zip(x, u)]
         basis.append(x)
-    return [[x[cols[w]] if w in cols else Fraction(0) for w in brute_words(matrix, depth)]
+    return [[x[charged[w]] if w in charged else Fraction(0) for w in brute_words(matrix, depth)]
             for x in basis]

@@ -324,7 +324,7 @@ def test_c10_extremality_and_decomposition():
     full = build_subshift(FULL2)
     v_full = CylinderFunction.constant(full, 1.0)
     mu_full = solved_base(full, v_full)
-    rep = relative_ergodicity_dimension(full, mu_full, v_full, 2)
+    rep = relative_ergodicity_dimension(full, mu_full, v_full)
     assert rep.solution_dim == 1
     assert rep.extremal_certificate
     worst = 0.0
@@ -332,10 +332,10 @@ def test_c10_extremality_and_decomposition():
         shift = build_subshift(matrix)
         v = CylinderFunction.constant(shift, 1.0)
         mu0 = solved_base(shift, v)
-        rep = relative_ergodicity_dimension(shift, mu0, v, 1)
+        rep = relative_ergodicity_dimension(shift, mu0, v)
         assert rep.solution_dim >= 2
         assert not rep.extremal_certificate
-        dec = decompose(shift, mu0, v, 1)
+        dec = decompose(shift, mu0, v)
         assert dec is not None
         for depth in (1, 2):
             mix = sum(lam * comp.masses_at(depth) for lam, comp in zip(dec.weights, dec.components))

@@ -301,7 +301,7 @@ def test_ergodicity_splits_a_base_of_small_total_mass(tmp_path):
     code = run(["ergodicity", "--config", cfg, "--depth", "2", "--out", str(tmp_path)])
     assert code == 6
     report = load(tmp_path, "ergodicity_report.json")
-    assert report["closed_classes"] == [4, 4]
+    assert report["conditioning_depth"] == 1 and report["closed_classes"] == [2, 2]
     assert report["decomposition"]["weights"] == pytest.approx([0.5, 0.5], abs=1e-12)
     # each component has the base's own total mass
     assert report["decomposition"]["component_masses"] == pytest.approx([1e-13, 1e-13], rel=1e-12, abs=0)
@@ -312,6 +312,7 @@ def test_ergodicity_certifies_a_base_on_one_block(tmp_path):
 
     The words of the uncharged block are null; each was once a closed
     class and a free dimension, for solution_dim 9 and exit 6 at depth 3.
+    The class is counted at the conditioning depth 1.
     """
     cfg = write_config(tmp_path, dict(BLOCK_FLAT, mu0={
         "depth": 1, "values": {"1": 2.0, "2": 2.0, "3": 0.0, "4": 0.0}}))
@@ -319,51 +320,63 @@ def test_ergodicity_certifies_a_base_on_one_block(tmp_path):
     assert code == 0
     report = load(tmp_path, "ergodicity_report.json")
     assert report["solution_dim"] == 1 and report["extremal"]
-    assert report["closed_classes"] == [8]
+    assert report["closed_classes"] == [2]
     assert report["decomposition"] is None
     assert not list(tmp_path.glob("component_*.csv"))
 
 
-def test_ergodicity_splits_three_loops_that_one_fibre_ties(tmp_path):
-    """Three loops tied at depth 1 by one equation leave two dimensions: exit 6, two components.
-
-    All three classes vary within the fibre of 4, so a grouping of the
-    classes that vary together would certify the base with exit 0.
-    """
+def three_loops_config(tmp_path):
+    """THREE_LOOPS with its solved base, as a config file."""
     matrix, values = THREE_LOOPS
     words = ("".join(map(str, w)) for w in itertools.product(range(1, 5), repeat=3))
-    cfg = write_config(tmp_path, {"k": 4, "matrix": matrix, "mu0": "auto",
-                                  "V": {"depth": 3, "values": dict(zip(words, values))}})
+    return write_config(tmp_path, {"k": 4, "matrix": matrix, "mu0": "auto",
+                                   "V": {"depth": 3, "values": dict(zip(words, values))}})
+
+
+def test_ergodicity_splits_three_loops_that_one_fibre_ties(tmp_path):
+    """Three loops that one depth-1 fibre ties are three components: exit 6, three depth-1 CSVs.
+
+    The split is decided at the conditioning depth 2, where each loop is a
+    closed class; the tie among functions of the first symbol once left
+    two dimensions at --depth 1.  The CSVs hold the masses at --depth.
+    """
+    cfg = three_loops_config(tmp_path)
     code = run(["ergodicity", "--config", cfg, "--depth", "1", "--out", str(tmp_path)])
     assert code == 6
     report = load(tmp_path, "ergodicity_report.json")
-    assert report["solution_dim"] == 2 and not report["extremal"]
+    assert report["solution_dim"] == 3 and not report["extremal"]
+    assert report["depth"] == 1 and report["conditioning_depth"] == 2
     assert report["closed_classes"] == [1, 1, 1]
-    assert report["decomposition"]["weights"] == pytest.approx([0.5, 0.5], abs=1e-12)
-    assert sorted(p.name for p in tmp_path.glob("component_*.csv")) == [
-        "component_1.csv", "component_2.csv"]
+    assert report["decomposition"]["weights"] == pytest.approx([0.3125, 0.3125, 0.375], abs=1e-12)
+    written = sorted(tmp_path.glob("component_*.csv"))
+    assert [p.name for p in written] == ["component_1.csv", "component_2.csv", "component_3.csv"]
+    assert all(len(p.read_text().splitlines()) == 5 for p in written)
 
 
 def test_ergodicity_factorises_nothing_at_the_conditioning_depth(tmp_path, monkeypatch):
-    """On the seed-201 ergodicity-split bench config neither numpy's QR nor its SVD runs.
+    """Neither numpy's QR nor its SVD runs, at the conditioning depth or below it.
 
-    The components are the absorption columns themselves, so the split at
-    the conditioning depth needs no orthonormal basis.
+    On the seed-201 ergodicity-split bench config the request is the
+    conditioning depth; on THREE_LOOPS, --depth 1 is below its
+    conditioning depth 2, where a fibre null space once ran.  The
+    components are the absorption columns themselves, so no split needs
+    an orthonormal basis.
     """
     workload = _load_bench_workloads().generate("ergodicity-split", 201, str(tmp_path))
+    loops = three_loops_config(tmp_path)
     calls = []
     for name in ("qr", "svd"):
         factor = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name,
                             lambda *a, _name=name, _factor=factor, **k: calls.append(_name) or _factor(*a, **k))
-    out = tmp_path / "out"
-    assert run([*workload.argv, "--out", str(out)]) == 6
-    assert calls == []
-    report = load(out, "ergodicity_report.json")
-    assert report["solution_dim"] == 2
-    assert sum(report["decomposition"]["weights"]) == pytest.approx(1.0, abs=1e-12)
-    assert sorted(path.name for path in out.glob("component_*.csv")) == [
-        "component_1.csv", "component_2.csv"]
+    for argv, dim in ((workload.argv, 2), (["ergodicity", "--config", loops, "--depth", "1"], 3)):
+        out = tmp_path / f"out{dim}"
+        assert run([*argv, "--out", str(out)]) == 6
+        assert calls == []
+        report = load(out, "ergodicity_report.json")
+        assert report["solution_dim"] == dim
+        assert sum(report["decomposition"]["weights"]) == pytest.approx(1.0, abs=1e-12)
+        assert len(list(out.glob("component_*.csv"))) == dim
 
 
 def block_split(seed, depth=10):
@@ -557,6 +570,10 @@ EDGE_CONFIGS = [
       for command in ("verify", "sample", "ergodicity")),
     *(pytest.param(ZERO_MASS_MU0, command, 2, CONFIG_ERROR, id=f"zero-mu0-{command}")
       for command in ("verify", "sample", "ergodicity")),
+    # the solved base h = 1, of mass 1e-318 (subnormal) and 1e-310 (below 2.2e-308, normal's limit)
+    *(pytest.param(dict(FULL_HALF, mu0={"depth": 1, "values": {"1": scale, "2": scale}}),
+                   command, 2, CONFIG_ERROR, id=f"subnormal-{scale:g}-{command}")
+      for scale in (1e-318, 1e-310) for command in ("verify", "sample", "ergodicity")),
     pytest.param(DEGENERATE, "verify", 4, NO_MASS, id="h-zero"),
     pytest.param(dict(FULL_HALF, V={"depth": 1, "values": {"1": 1.5, "2": -0.5}}),
                  "verify", 2, CONFIG_ERROR, id="negative-V"),
@@ -571,7 +588,8 @@ def test_edge_configs_exit_with_one_line(tmp_path, config, command, code, prefix
     """A base of no mass or a config that breaks an input rule exits with its code.
 
     The one stderr line names the kind of error; there is no traceback and
-    no report.  A configured mu0 of no mass is a config error (2); a solved
+    no report.  A configured mu0 of no mass, or of a mass below the
+    normal float64 range, is a config error (2); a solved
     base of no mass and a zero h are degenerate (4), refused by the
     fixed-point gate and by the solve for h.
     """
@@ -632,22 +650,40 @@ def test_invariant_at_depth_14_of_the_full_3_shift_is_refused_before_any_table(t
     assert not (tmp_path / "invariant_report.json").exists()
 
 
-def test_ergodicity_refuses_conditioning_tables_above_the_cap(tmp_path):
-    """At --depth 13 the conditioning tables need depth 14: exit 2, not a kill for want of memory.
+def test_ergodicity_at_depth_13_costs_the_conditioning_depth(tmp_path):
+    """The flat full 3-shift is decided at its conditioning depth 1: --depth 13 builds no depth-13 walk.
 
-    Run in its own process, which builds the 3**13 words of depth 13 first.
+    Its one component writes no CSV.  The peak is the request's word
+    table, about 50 MiB, built by the table-cap check; the depth-13 walk
+    and its tables once took several times that, and exit 2 at the cap.
     """
     cfg = write_config(tmp_path, FULL3_FLAT)
-    out = tmp_path / "out"
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "shiftpath", "ergodicity", "--config", cfg, "--depth", "13",
-         "--out", str(out)],
-        env=env, capture_output=True, text=True,
-    )
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr == f"shiftpath: {table_cap_message()}\n"
-    assert not list(out.glob("*_report.json"))
+    tracemalloc.start()
+    try:
+        code = run(["ergodicity", "--config", cfg, "--depth", "13", "--out", str(tmp_path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 64 * 2**20
+    report = load(tmp_path, "ergodicity_report.json")
+    assert report["depth"] == 13 and report["conditioning_depth"] == 1
+    assert report["closed_classes"] == [3] and report["extremal"]
+
+
+def test_ergodicity_refuses_a_request_above_the_cap(tmp_path, capsys):
+    """--depth 14 exits 2 with the cap's message before any table is built."""
+    cfg = write_config(tmp_path, FULL3_FLAT)
+    tracemalloc.start()
+    try:
+        code = run(["ergodicity", "--config", cfg, "--depth", "14", "--out", str(tmp_path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == f"shiftpath: {table_cap_message()}\n"
+    assert peak < 2**23
+    assert not (tmp_path / "ergodicity_report.json").exists()
 
 
 def readme_example():

@@ -41,17 +41,17 @@ def test_a_rank_deficient_system_has_one_null_vector_per_free_column():
 
 
 def test_the_flat_full_2_shift_has_only_the_constants_at_depth_1():
-    assert exact_chain.invariant_functions(FULL2, {(1,): 1.0, (2,): 1.0}, [0.25] * 4, 1, 1) == [[1, 1]]
+    assert exact_chain.invariant_functions(FULL2, {(1,): 1.0, (2,): 1.0}, [0.25] * 4, 1) == [[1, 1]]
 
 
 def test_flat_block4_has_the_two_block_indicators_at_depth_1():
     flat = {(a,): 1.0 for a in range(1, 5)}
-    basis = exact_chain.invariant_functions(BLOCK4, flat, [0.125] * 8, 1, 1)
+    basis = exact_chain.invariant_functions(BLOCK4, flat, [0.125] * 8, 1)
     assert basis == [[1, 1, 0, 0], [0, 0, 1, 1]]
 
 
 def test_a_base_on_one_block_of_block4_has_only_its_indicator():
     """The words of the uncharged block are mu0-null: no equation, and 0 in the basis."""
     flat = {(a,): 1.0 for a in range(1, 5)}
-    basis = exact_chain.invariant_functions(BLOCK4, flat, [0.25] * 4 + [0.0] * 4, 1, 1)
+    basis = exact_chain.invariant_functions(BLOCK4, flat, [0.25] * 4 + [0.0] * 4, 1)
     assert basis == [[1, 1, 0, 0]]

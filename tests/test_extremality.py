@@ -29,7 +29,6 @@ from shiftpath import (
     relative_ergodicity_dimension,
     strongly_invariant_measure,
 )
-from shiftpath.extremality import _null_space
 from shiftpath.measures import require_fixed_point
 
 
@@ -70,30 +69,28 @@ def test_extremal_systems_have_dimension_one():
         if name in ("block_flat",):
             continue
         mu0 = solved_base(shift, v)
-        for depth in (1, 2):
-            rep = relative_ergodicity_dimension(shift, mu0, v, depth)
-            assert rep.solution_dim == 1, name
-            assert rep.extremal_certificate, name
-            assert decompose(shift, mu0, v, depth) is None, name
+        rep = relative_ergodicity_dimension(shift, mu0, v)
+        assert rep.solution_dim == 1, name
+        assert rep.extremal_certificate, name
+        assert decompose(shift, mu0, v) is None, name
 
 
 def test_identity_shift_dimension_two(ident2):
     v, mu0 = flat_system(ident2)
-    rep = relative_ergodicity_dimension(ident2, mu0, v, 1)
+    rep = relative_ergodicity_dimension(ident2, mu0, v)
     assert rep.solution_dim == 2
     assert not rep.extremal_certificate
 
 
 def test_block_shift_dimension_two(block4):
     v, mu0 = flat_system(block4)
-    for depth in (1, 2):
-        rep = relative_ergodicity_dimension(block4, mu0, v, depth)
-        assert rep.solution_dim == 2
+    rep = relative_ergodicity_dimension(block4, mu0, v)
+    assert rep.solution_dim == 2
 
 
 def test_block_shift_decomposition_frozen(block4):
     v, mu0 = flat_system(block4)
-    dec = decompose(block4, mu0, v, 1)
+    dec = decompose(block4, mu0, v)
     assert dec is not None
     assert dec.weights == pytest.approx([0.5, 0.5], abs=1e-12)
     assert np.allclose(dec.densities[0].values, [2.0, 2.0, 0.0, 0.0], atol=1e-12)
@@ -104,7 +101,7 @@ def test_block_shift_decomposition_frozen(block4):
 
 def test_identity_shift_decomposition_frozen(ident2):
     v, mu0 = flat_system(ident2)
-    dec = decompose(ident2, mu0, v, 1)
+    dec = decompose(ident2, mu0, v)
     assert dec is not None
     assert dec.weights == pytest.approx([0.5, 0.5], abs=1e-12)
     assert np.allclose(dec.densities[0].values, [2.0, 0.0], atol=1e-12)
@@ -115,17 +112,15 @@ def test_identity_shift_decomposition_frozen(ident2):
 def assert_exact_decomposition(shift, mu0, v, dec, depths):
     """The components are fixed points, each certified extremal, and recombine to mu0.
 
-    Each passes the fixed-point gate and has one component of its own at
-    the decomposition's depth; the weights sum to 1, each component has
-    mu0's total mass, and sum_c lam_c mu_c is mu0 to rounding at every
-    depth in `depths`.
+    Each passes the fixed-point gate and has one component of its own;
+    the weights sum to 1, each component has mu0's total mass, and
+    sum_c lam_c mu_c is mu0 to rounding at every depth in `depths`.
     """
-    depth = dec.report.depth
     assert sum(dec.weights) == pytest.approx(1.0, abs=1e-12)
     for comp in dec.components:
-        assert comp.total_mass() == pytest.approx(mu0.total_mass(), rel=1e-12)
+        assert comp.total_mass() == pytest.approx(mu0.total_mass(), rel=1e-12, abs=0)
         require_fixed_point(shift, v, comp, 1e-10)
-        rep = relative_ergodicity_dimension(shift, comp, v, depth)
+        rep = relative_ergodicity_dimension(shift, comp, v)
         assert rep.solution_dim == 1 and rep.extremal_certificate
     for d in depths:
         mix = sum(lam * comp.masses_at(d) for lam, comp in zip(dec.weights, dec.components))
@@ -136,7 +131,7 @@ def test_decomposition_recombines_and_components_fixed():
     for matrix in (BLOCK4, IDENT2):
         shift = build_subshift(matrix)
         v, mu0 = flat_system(shift)
-        dec = decompose(shift, mu0, v, 1)
+        dec = decompose(shift, mu0, v)
         assert_exact_decomposition(shift, mu0, v, dec, range(1, 4))
         for comp in dec.components:
             for depth in range(1, 4):
@@ -147,7 +142,7 @@ def test_decomposition_recombines_and_components_fixed():
 
 def test_components_are_distinct_from_base(block4):
     v, mu0 = flat_system(block4)
-    dec = decompose(block4, mu0, v, 1)
+    dec = decompose(block4, mu0, v)
     assert np.abs(dec.components[0].masses_at(1) - mu0.masses_at(1)).max() > 0.1
 
 
@@ -161,14 +156,14 @@ def test_no_essential_direction_returns_none(ident2):
     """
     one = CylinderFunction.constant(ident2, 1.0)
     mu0 = RawMeasure(ident2, 2, np.array([1.0, 0.0]))
-    rep = relative_ergodicity_dimension(ident2, mu0, one, 1)
+    rep = relative_ergodicity_dimension(ident2, mu0, one)
     assert rep.solution_dim == 1 and rep.extremal_certificate
     assert rep.basis.tolist() == [[1.0], [0.0]]
-    assert decompose(ident2, mu0, one, 1) is None
+    assert decompose(ident2, mu0, one) is None
     empty = RawMeasure(ident2, 2, np.zeros(2))
     for solve in (relative_ergodicity_dimension, decompose):
         with pytest.raises(DegenerateH, match="no mass"):
-            solve(ident2, empty, one, 1)
+            solve(ident2, empty, one)
 
 
 @pytest.mark.parametrize("p", [1e-3, 1e-4, 1e-8])
@@ -177,11 +172,12 @@ def test_small_bernoulli_masses_are_steps(full2, p):
 
     Base masses are read as given: a floor of 1e-12 of the total once cut
     the words with many 2s out of the walk, which gave dimension 7, 17 and
-    27 at depth 5 and a false split at p = 1e-4.
+    27 at the conditioning depth 5 and a false split at p = 1e-4.
     """
     twos = np.array([word.count(2) for word in full2.words(6)])
     mu0 = RawMeasure(full2, 6, p**twos * (1 - p) ** (6 - twos))
-    rep = relative_ergodicity_dimension(full2, mu0, CylinderFunction.constant(full2, 1.0), 5)
+    rep = relative_ergodicity_dimension(full2, mu0, CylinderFunction.constant(full2, 1.0))
+    assert rep.depth == 5
     assert rep.solution_dim == 1
     assert len(rep.class_sizes) == 1
     assert decompose_report(full2, mu0, rep) is None
@@ -194,7 +190,7 @@ def test_precheck_rejects_non_fixed_point(full2):
         CylinderFunction.from_table(full2, 1, {(1,): 1.7, (2,): 0.3}), rho
     )
     with pytest.raises(NotFixedPoint):
-        relative_ergodicity_dimension(full2, skew, v, 1)
+        relative_ergodicity_dimension(full2, skew, v)
 
 
 def test_precheck_rejects_a_nan_residual(full2):
@@ -203,29 +199,30 @@ def test_precheck_rejects_a_nan_residual(full2):
     rho = strongly_invariant_measure(full2)
     broken = DensityMeasure(CylinderFunction(full2, 1, np.array([np.nan, 1.0])), rho)
     with pytest.raises(NotFixedPoint):
-        relative_ergodicity_dimension(full2, broken, v, 1, tol=float("inf"))
+        relative_ergodicity_dimension(full2, broken, v, tol=float("inf"))
 
 
 def test_report_carries_class_sizes(full2, ident2):
     v = weight_markov_full(full2)
     mu0 = solved_base(full2, v)
-    rep = relative_ergodicity_dimension(full2, mu0, v, 2)
-    assert rep.class_sizes == [4]
+    rep = relative_ergodicity_dimension(full2, mu0, v)
+    assert rep.depth == 1 and rep.class_sizes == [2]
     assert rep.base_residual <= 1e-11
     # a base on one class of the identity shift: the charged word is one
     # closed class, and the uncharged word leaves the walk
     one = CylinderFunction.constant(ident2, 1.0)
     mu0 = RawMeasure(ident2, 2, np.array([1.0, 0.0]))
-    assert relative_ergodicity_dimension(ident2, mu0, one, 1).class_sizes == [1]
+    assert relative_ergodicity_dimension(ident2, mu0, one).class_sizes == [1]
 
 
 def test_deep_block_shift_stays_sparse():
-    """32768 words: the dense system alone would take 8 GiB."""
+    """A depth-15 weight conditions on the 32768 words of depth 14: the dense system alone would take 8 GiB."""
     shift = build_subshift(BLOCK4)
-    v, mu0 = flat_system(shift)
+    _, mu0 = flat_system(shift)
+    v = CylinderFunction.constant(shift, 1.0, 15)
     tracemalloc.start()
     try:
-        rep = relative_ergodicity_dimension(shift, mu0, v, 14)
+        rep = relative_ergodicity_dimension(shift, mu0, v)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -247,12 +244,13 @@ def one_block_base(shift):
 def test_a_base_on_one_block_is_extremal(depth):
     """The uncharged words of the block {3, 4} are mu0-null: they leave the walk and the basis.
 
-    Each once counted as a closed class and a free dimension: solution_dim
-    was 9, 1025 and 2049 at depths 3, 10 and 11.
+    A flat weight of depth depth + 1 conditions on the words of `depth`.
+    Each uncharged word once counted as a closed class and a free
+    dimension: solution_dim was 9, 1025 and 2049 at depths 3, 10 and 11.
     """
     shift = build_subshift(BLOCK4)
-    one = CylinderFunction.constant(shift, 1.0)
-    rep = relative_ergodicity_dimension(shift, one_block_base(shift), one, depth)
+    one = CylinderFunction.constant(shift, 1.0, depth + 1)
+    rep = relative_ergodicity_dimension(shift, one_block_base(shift), one)
     assert rep.solution_dim == 1 and rep.extremal_certificate
     assert rep.class_sizes == [2**depth]
     assert rep.basis.shape == (2 ** (depth + 1), 1)
@@ -263,11 +261,11 @@ def test_a_base_on_one_block_is_extremal(depth):
 def test_a_deep_base_on_one_block_stays_small():
     """32768 words at depth 14, half of them null: the free columns alone once took 4 GiB."""
     shift = build_subshift(BLOCK4)
-    one = CylinderFunction.constant(shift, 1.0)
+    one = CylinderFunction.constant(shift, 1.0, 15)
     mu0 = one_block_base(shift)
     tracemalloc.start()
     try:
-        rep = relative_ergodicity_dimension(shift, mu0, one, 14)
+        rep = relative_ergodicity_dimension(shift, mu0, one)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -275,35 +273,19 @@ def test_a_deep_base_on_one_block_stays_small():
     assert peak < 64 * 2**20
 
 
-def test_null_space_of_a_tall_matrix_forms_no_tall_factor():
-    """4096 x 8 probability differences: a full U factor alone would take 128 MiB."""
-    rng = np.random.default_rng(7)
-    probabilities = rng.dirichlet(np.ones(8), 4096)
-    matrix = probabilities - probabilities[rng.permutation(4096)]
-    tracemalloc.start()
-    try:
-        null = _null_space(matrix)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20
-    # rows of probabilities differ only along directions that sum to zero
-    assert null.shape == (8, 1)
-    assert np.allclose(matrix @ null, 0.0, atol=1e-12)
-
-
 def test_many_classes_below_the_conditioning_depth():
-    """Base mass on one block of BLOCK4 at depth 6 of a depth-8 walk: one class, one component.
+    """Base mass on one block of BLOCK4 under a depth-9 weight: one class, one component.
 
-    The 256 uncharged depth-8 words are mu0-null and leave the walk; each
-    was once a closed class of its own, for solution_dim 65 and class
-    sizes [256] + [1] * 256.
+    The walk runs at the conditioning depth 8, whatever depth its result
+    is read at.  The 256 uncharged depth-8 words are mu0-null and leave
+    the walk; each was once a closed class of its own, for solution_dim 65
+    at depth 6 and class sizes [256] + [1] * 256.
     """
     shift = build_subshift(BLOCK4)
     v = CylinderFunction.constant(shift, 1.0, 9)
     mu0 = one_block_base(shift)
-    rep = relative_ergodicity_dimension(shift, mu0, v, 6)
-    assert rep.solution_dim == 1
+    rep = relative_ergodicity_dimension(shift, mu0, v)
+    assert rep.depth == 8 and rep.solution_dim == 1
     assert rep.class_sizes == [256]
     assert decompose_report(shift, mu0, rep) is None
 
@@ -331,39 +313,48 @@ def full3_two_loops():
 
 
 def test_three_blocks_decompose_below_the_conditioning_depth():
-    """Three closed 2-symbol blocks, split at depth 1 below the conditioning depth 3."""
+    """Three closed 2-symbol blocks, split at the conditioning depth 3 and read at depth 1 below it.
+
+    Each component's symbol masses are mu0's on its own block and 0 on the others.
+    """
     shift, v, mu0 = three_blocks()
-    rep = relative_ergodicity_dimension(shift, mu0, v, 1)
-    assert rep.solution_dim == 3
+    rep = relative_ergodicity_dimension(shift, mu0, v)
+    assert rep.depth == 3 and rep.solution_dim == 3
     dec = decompose_report(shift, mu0, rep)
     assert dec.weights == pytest.approx([1 / 3] * 3, abs=1e-12)
+    symbols = mu0.masses_at(1)
+    for c, comp in enumerate(dec.components):
+        block = np.arange(6) // 2 == c
+        np.testing.assert_allclose(comp.masses_at(1), np.where(block, 3 * symbols, 0.0), rtol=1e-12, atol=0)
     assert_exact_decomposition(shift, mu0, v, dec, range(1, 4))
     for comp in dec.components:
         for depth in range(1, 4):
             assert check_fixed_point(shift, v, comp, depth) <= 1e-10
 
 
-@pytest.mark.parametrize("system, depth, weights", [
-    (flat_block4, 1, [0.5, 0.5]),
-    (three_blocks, 3, [1 / 3] * 3),
-    (full3_two_loops, 3, [11 / 21, 10 / 21]),
+@pytest.mark.parametrize("system, weights", [
+    (flat_block4, [0.5, 0.5]),
+    (three_blocks, [1 / 3] * 3),
+    (full3_two_loops, [11 / 21, 10 / 21]),
 ], ids=["block4", "three-blocks", "full3-two-loops"])
-def test_components_at_the_conditioning_depth_are_extremal_fixed_points(system, depth, weights):
+def test_components_at_the_conditioning_depth_are_extremal_fixed_points(system, weights):
     """At the conditioning depth every component passes the gate and its own certificate."""
     shift, v, mu0 = system()
-    dec = decompose(shift, mu0, v, depth)
+    dec = decompose(shift, mu0, v)
     assert dec.weights == pytest.approx(weights, abs=1e-12)
-    assert_exact_decomposition(shift, mu0, v, dec, range(1, depth + 2))
+    assert_exact_decomposition(shift, mu0, v, dec, range(1, dec.report.depth + 2))
 
 
 def test_components_below_the_conditioning_depth_recombine():
-    """Below the conditioning depth the components still pass the gate and recombine to mu0."""
-    shift, v, mu0 = full3_two_loops()
-    for depth in (1, 2):
-        rep = relative_ergodicity_dimension(shift, mu0, v, depth)
-        dec = decompose_report(shift, mu0, rep)
-        assert dec.weights == pytest.approx([11 / 21, 10 / 21], abs=1e-12)
-        assert_exact_decomposition(shift, mu0, v, dec, range(1, 4))
+    """The loops' components, solved at the conditioning depth 2, recombine to mu0 at depth 1 below it.
+
+    Those depth-1 masses are what `ergodicity --depth 1` writes.
+    """
+    for system in (THREE_LOOPS, FOUR_LOOPS):
+        shift, v, mu0 = fed_loops(system)
+        dec = decompose(shift, mu0, v)
+        assert dec.report.depth == 2
+        assert_exact_decomposition(shift, mu0, v, dec, (1,))
 
 
 def fed_loops(system):
@@ -374,39 +365,39 @@ def fed_loops(system):
 
 
 def test_one_fibre_ties_three_loops_by_one_equation():
-    """Three loops that the fibre of 4 ties by f(3) = (f(1) + f(2)) / 2 leave two dimensions at depth 1.
+    """Three loops that the depth-1 fibre of 4 ties by f(3) = (f(1) + f(2)) / 2 are three components.
 
-    Every class varies within that fibre, so a grouping of the classes
-    that vary together would see one dimension.  The components are the two
-    extreme solutions: 1 on one of the first two loops, 0 on the other,
-    1/2 on the fibres of 3 and 4; each is extremal on its own.
+    The tie binds only functions of the first symbol, which are not the
+    invariant functions of mu0: at the conditioning depth 2 each loop is a
+    closed class, and 41 and 42 are absorbed into the first two half each.
+    A solve at depth 1 once saw two dimensions, and certified neither the
+    two components it returned.
     """
     shift, v, mu0 = fed_loops(THREE_LOOPS)
-    rep = relative_ergodicity_dimension(shift, mu0, v, 1)
-    assert rep.solution_dim == 2 and not rep.extremal_certificate
-    assert rep.class_sizes == [1, 1, 1]
-    np.testing.assert_allclose(rep.basis, [[1, 0], [0, 1], [0.5, 0.5], [0.5, 0.5]], rtol=0, atol=1e-12)
+    rep = relative_ergodicity_dimension(shift, mu0, v)
+    assert rep.solution_dim == 3 and not rep.extremal_certificate
+    assert rep.depth == 2 and rep.class_sizes == [1, 1, 1]
+    loops = np.repeat(np.eye(3), 4, axis=0)
+    np.testing.assert_allclose(rep.basis, np.r_[loops, [[0.5, 0.5, 0], [0.5, 0.5, 0], [0, 0, 1], [0, 0, 1]]],
+                               rtol=0, atol=1e-12)
     dec = decompose_report(shift, mu0, rep)
-    assert dec.weights == pytest.approx([0.5, 0.5], abs=1e-12)
+    assert dec.weights == pytest.approx([0.3125, 0.3125, 0.375], abs=1e-12)
     assert_exact_decomposition(shift, mu0, v, dec, range(1, 4))
 
 
 def test_four_loops_tied_by_one_equation_split_into_nonnegative_components():
-    """Four loops tied by f(1) + f(2) = f(3) + f(4) leave three dimensions at depth 1.
+    """Four loops that the depth-1 fibre of 5 ties by f(1) + f(2) = f(3) + f(4) are four extremal components.
 
-    Some Lagrange column of every pivot choice is negative there, so the
-    columns are mixed with the constants: each stays a fixed point, the
-    columns sum to 1 and span the solutions, and the split recombines.
+    Below the conditioning depth 2 that tie once left three dimensions,
+    and Lagrange columns mixed with the constants gave three components
+    whose own certificates read 3, 3 and 2.  At depth 2 every component is
+    a nonnegative absorption column, extremal on its own.
     """
     shift, v, mu0 = fed_loops(FOUR_LOOPS)
-    rep = relative_ergodicity_dimension(shift, mu0, v, 1)
-    assert rep.solution_dim == 3 and rep.class_sizes == [1, 1, 1, 1]
+    rep = relative_ergodicity_dimension(shift, mu0, v)
+    assert rep.solution_dim == 4 and rep.class_sizes == [1, 1, 1, 1]
     assert rep.basis.min() >= 0
     np.testing.assert_allclose(rep.basis.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(rep.basis[:4].T @ [1, 1, -1, -1], 0.0, rtol=0, atol=1e-12)
     dec = decompose_report(shift, mu0, rep)
-    assert sum(dec.weights) == pytest.approx(1.0, abs=1e-12)
-    for comp in dec.components:
-        require_fixed_point(shift, v, comp, 1e-10)
-    mix = sum(lam * comp.masses_at(3) for lam, comp in zip(dec.weights, dec.components))
-    assert np.abs(mix - mu0.masses_at(3)).max() <= 1e-15 * mu0.total_mass()
+    assert dec.weights == pytest.approx([0.26, 0.26, 0.24, 0.24], abs=1e-12)
+    assert_exact_decomposition(shift, mu0, v, dec, range(1, 4))
