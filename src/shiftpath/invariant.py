@@ -17,11 +17,14 @@ the reachability mask `_reaching` (one breadth-first search back along
 the steps) and the stationary vector of a closed class, each one body
 at every size.  The closed classes come from one numpy colour search
 (`_components`); only a search past SEARCH_ROUNDS rounds, as on a long
-path or cycle, falls back to scipy's strong components.  The LU
-solve `_lu_solve` picks by the state count: numpy's dense LU at or below
-DENSE_STATES states, scipy's sparse LU above.  Only these two fallbacks
-import scipy.  `Record`, the immutable field record of the package's
-result types, lives here too, since every command loads this module.
+path or cycle, falls back to scipy's strong components.  Every fixed
+vector is one solve of I - Q, for Q a chain on the states that are not
+yet fixed (`_identity_minus`): `absorption` solves it, and the
+stationary vector its transpose.  The LU solve `_lu_solve` picks by the
+state count: numpy's dense LU at or below DENSE_STATES states, scipy's
+sparse LU above.  Only these two fallbacks import scipy.  `Record`, the
+immutable field record of the package's result types, lives here too,
+since every command loads this module.
 """
 
 import numpy as np
@@ -278,11 +281,11 @@ def _components(chain):
     return labels, leaving
 
 
-def _lu_solve(n, rows, cols, values, rhs, **options):
+def _lu_solve(n, rows, cols, values, rhs):
     """Solve A x = rhs for the n x n matrix A with entries values at (rows, cols); duplicates add.
 
     numpy's LU of the dense A at or below DENSE_STATES states; above,
-    scipy's sparse LU with `options`, stored zeros dropped.
+    scipy's sparse LU at its default ordering, stored zeros dropped.
     """
     if n <= DENSE_STATES:
         dense = np.bincount(rows * n + cols, values, minlength=n * n).reshape(n, n)
@@ -292,26 +295,34 @@ def _lu_solve(n, rows, cols, values, rhs, **options):
 
     system = csc_matrix((values, (rows, cols)), shape=(n, n))
     system.eliminate_zeros()
-    return splu(system, **options).solve(rhs)
+    return splu(system).solve(rhs)
+
+
+def _identity_minus(n, rows, cols, values):
+    """The entries of I - Q, for the n x n matrix Q with entries values at (rows, cols), for `_lu_solve`.
+
+    Swapped rows and columns give the entries of (I - Q)^T.
+    """
+    diagonal = np.arange(n)
+    return np.r_[diagonal, rows], np.r_[diagonal, cols], np.r_[np.ones(n), -values]
 
 
 def _stationary_vector(chain, states):
     """Solve q = q P, sum q = 1, for a chain P on `states`, a closed class of one chain.
 
-    One LU of (I - P)^T, whose columns sum to zero, with the first row
-    replaced by ones.
+    The renewal form (Kemeny and Snell 1960, ch. III): the class's first
+    state j is pinned to q_j = 1, and the rest solve
+    (I - Q)^T x = P(j, rest), with Q the class without j, an M-matrix
+    system of the same form as `absorption`'s; (1, x) is scaled to sum 1.
     """
     p = _as_chain(chain).restricted(states)
     k = p.shape[0]
-    diagonal, ones = np.arange(k), np.ones(k)
-    # the entries of (I - P)^T below its first row, and ones in it
-    rows, cols, values = np.r_[diagonal, p.indices], np.r_[diagonal, p.rows()], np.r_[ones, -p.data]
-    below = rows > 0
-    system = np.r_[0 * diagonal, rows[below]], np.r_[diagonal, cols[below]], np.r_[ones, values[below]]
-    # minimum degree on A + A^T eliminates the dense row among the last; the pivots
-    # before it are the diagonal of an M-matrix, stable without row exchanges
-    q = _lu_solve(k, *system, np.eye(k, 1).ravel(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
-    q = np.clip(q, 0.0, None)
+    rows, cols = p.rows(), p.indices
+    # state 0 is j: its steps into the rest are the right-hand side
+    from_j, inside = rows == 0, (rows > 0) & (cols > 0)
+    entering = np.bincount(cols[from_j], p.data[from_j], minlength=k)[1:]
+    system = _identity_minus(k - 1, cols[inside] - 1, rows[inside] - 1, p.data[inside])
+    q = np.clip(np.r_[1.0, _lu_solve(k - 1, *system, entering)], 0.0, None)
     return q / q.sum()
 
 
@@ -379,10 +390,9 @@ def absorption(chain, classes, values):
         return out
     # out is 0 off the closed states, so chain @ out is P_TC X_C on the live rows
     entering = np.column_stack([chain @ column for column in out.T])
-    k = len(live)
-    block, diagonal = chain.restricted(live), np.arange(k)
-    system = np.r_[diagonal, block.rows()], np.r_[diagonal, block.indices], np.r_[np.ones(k), -block.data]
-    out[live] = _lu_solve(k, *system, entering[live])
+    block = chain.restricted(live)
+    system = _identity_minus(len(live), block.rows(), block.indices, block.data)
+    out[live] = _lu_solve(len(live), *system, entering[live])
     return out
 
 

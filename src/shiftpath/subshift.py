@@ -181,18 +181,7 @@ class Subshift:
 
     def _grow(self, depth):
         """Build the tables down to `depth`, refusing any above MAX_TABLE_WORDS."""
-        if depth < 1:
-            raise ValueError("depth must be >= 1")
-        if depth < len(self._last):
-            return
-        # 1^T A^(depth-1) 1 in Python ints; counts never shrink with depth
-        rows, ends = self.matrix.tolist(), [1] * self.k
-        for _ in range(depth - 1):
-            if sum(ends) > MAX_TABLE_WORDS:
-                break
-            ends = [sum(e for e, r in zip(ends, rows) if r[b]) for b in range(self.k)]
-        if sum(ends) > MAX_TABLE_WORDS:
-            raise TableTooLarge(f"depth {depth} has over {MAX_TABLE_WORDS} words")
+        self.word_count(depth)
         while len(self._last) <= depth:
             d = len(self._last)
             prev = self._last[d - 1]
@@ -208,8 +197,23 @@ class Subshift:
         return list(zip(*self.symbols_array(depth).T.tolist()))
 
     def word_count(self, depth):
-        self._grow(depth)
-        return len(self._last[depth])
+        """The number of admissible words of length `depth`, counted without building their table.
+
+        Raises TableTooLarge when it is above MAX_TABLE_WORDS.
+        """
+        if depth < 1:
+            raise ValueError("depth must be >= 1")
+        if depth < len(self._last):
+            return len(self._last[depth])
+        # 1^T A^(depth-1) 1 in Python ints; counts never shrink with depth
+        rows, ends = self.matrix.tolist(), [1] * self.k
+        for _ in range(depth - 1):
+            if sum(ends) > MAX_TABLE_WORDS:
+                break
+            ends = [sum(e for e, r in zip(ends, rows) if r[b]) for b in range(self.k)]
+        if sum(ends) > MAX_TABLE_WORDS:
+            raise TableTooLarge(f"depth {depth} has over {MAX_TABLE_WORDS} words")
+        return sum(ends)
 
     def word_index(self, words):
         """Table positions of one word (an int) or an (n, depth) array of words.

@@ -257,17 +257,18 @@ def conditional_expectation(shift, mu0, v, g):
 
 
 # ---------------------------------------------------------------------------
-# the former dense bodies of the chain solver's two LU solves, kept as bit-identity oracles
+# dense bodies of the chain solver's two LU solves, kept as bit-identity oracles
 
 
 def dense_stationary_vector(chain, states):
-    """q = q P, sum q = 1, for the `Chain` P on `states`: numpy's solve of (I - P)^T, row 0 ones."""
-    p = chain.restricted(states)
+    """q = q P, sum q = 1, for the `Chain` P on `states`: numpy's solve of the renewal form.
+
+    State 0 is pinned to 1; the rest solve (I - P[1:, 1:])^T x = P[0, 1:].
+    """
+    p = chain.restricted(states).toarray()
     k = p.shape[0]
-    system = np.eye(k) - p.toarray().T
-    system[0] = 1.0
-    q = np.linalg.solve(system, np.eye(k, 1).ravel())
-    q = np.clip(q, 0.0, None)
+    x = np.linalg.solve(np.eye(k - 1) - p[1:, 1:].T, p[0, 1:])
+    q = np.clip(np.r_[1.0, x], 0.0, None)
     return q / q.sum()
 
 

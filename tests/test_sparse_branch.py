@@ -7,8 +7,8 @@ dense at or below `invariant.DENSE_STATES` states, and almost every
 chain of the test suite is that small.  This module collects the tests
 of `test_invariant.py`, `test_transfer.py` and `test_extremality.py`,
 the property tests of the chain solver and the extremality solve
-against the exact oracle and a dense eigenvector, and the pin of the
-fixed density against h and nu, and runs them with the cut at 0 and no
+against the exact oracle and a dense eigenvector, nu and rho across a
+weak join, and the pin of the fixed density against h and nu, and runs them with the cut at 0 and no
 search rounds, so that every closed-class search, absorption and
 stationary vector goes through scipy.  Their own modules run them at
 the defaults.  The reachability mask (`invariant._reaching`) reads
@@ -30,6 +30,7 @@ DENSE_ORACLE_TESTS = (
     "test_fixed_density_is_h_and_h_pairs_to_one_with_nu",
     "test_left_functional_matches_the_exact_chain",
     "test_non_unique_means_a_null_space_above_one",
+    "test_nu_and_rho_hold_across_a_weak_join",
     "test_extremality_matches_the_exact_null_space_at_every_scale",
     "test_solved_bases_need_no_mass_floor",
 )
