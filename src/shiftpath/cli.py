@@ -138,12 +138,12 @@ def cmd_invariant(args):
 
 
 def cmd_fixpoint(args):
-    from .transfer import iterate_fixed_function, left_fixed_functional
+    from .transfer import _fixed_objects
 
     cfg, shift = _load(args)
     v = build_weight_from_config(shift, cfg)
-    result = iterate_fixed_function(shift, v)
-    nu = left_fixed_functional(shift, v)
+    # h and nu from one operator and one class search
+    result, nu = _fixed_objects(shift, v, max(v.depth - 1, 1))
     h = result.h
     write_function_csv(_outpath(args, "fixed_function.csv"), h)
     if nu is not None:

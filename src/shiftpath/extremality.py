@@ -27,12 +27,12 @@ the strongly connected classes that no positive-weight step leaves
 (`invariant.closed_classes`; Kemeny and Snell, Finite Markov Chains,
 ch. III).  So the solve is one walk in CSR form (`subshift.step_walk`,
 the walk the trajectory sampler steps along), restricted to the charged
-words, and one LU solve for its transient words (`invariant.absorption`).
-Inside `invariant` the walk's closed classes come from one numpy colour
-search at every size, and its transient block is solved dense, with
-numpy, up to 1024 words (`invariant.DENSE_STATES`), and sparse, with
-scipy, above.  No dense matrix of all words by all words is formed, and
-no QR or SVD runs.
+words, and one absorption solve for its transient words
+(`invariant.absorption`).  Inside `invariant` the walk's closed classes
+come from one numpy colour search at every size, and its transient
+block is iterated between two bounds of every column, with one LU as the
+fallback.  No dense matrix of all words by all words is formed, and no
+QR or SVD runs.
 
 The decomposition is exact and complete: with
 lam_c = (integral of a_c d(mu0)) / mu0(1) and mu_c = (a_c / lam_c) mu0,

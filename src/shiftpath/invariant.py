@@ -18,19 +18,52 @@ the steps) and the stationary vector of a closed class, each one body
 at every size.  The closed classes come from one numpy colour search
 (`_components`); only a search past SEARCH_ROUNDS rounds, as on a long
 path or cycle, falls back to scipy's strong components.  Every fixed
-vector is one solve of I - Q, for Q a chain on the states that are not
-yet fixed (`_identity_minus`): `absorption` solves it, and the
-stationary vector its transpose.  The LU solve `_lu_solve` picks by the
-state count: numpy's dense LU at or below DENSE_STATES states, scipy's
-sparse LU above.  Only these two fallbacks import scipy.  `Record`, the
-immutable field record of the package's result types, lives here too,
-since every command loads this module.
+vector is iterated by one kernel, `_iterate`, x <- A x + c with A a
+`Chain` (Stewart, Introduction to the Numerical Solution of Markov
+Chains, 1994, ch. 3): `absorption` runs two monotone bounds of its
+transient values until they meet, and the stationary vector runs the
+lazy chain (I + P)/2, whose fixed vector is P's and which settles on a
+periodic class too.  Each product is a `Chain` product, a bincount in
+stored order, so no fixed vector calls BLAS or LAPACK and every one has
+the same bits at any BLAS thread count.  An iteration stops on an
+error estimate of its iterate, never on the bare change of one step;
+when its contraction rate says that ITERATION_BUDGET steps will not
+reach ITERATION_TOL, as across a weak join or along a slow leak, it
+gives up early and the same fixed vector is one LU solve of I - Q, for
+Q a chain on the states that are not yet fixed (`_identity_minus`).
+The LU solve `_lu_solve` picks by the state count: numpy's dense LU at
+or below DENSE_STATES states, scipy's sparse LU above.  Only the two
+fallbacks, the LU and the strong components, import scipy, and only
+the LU calls LAPACK.  SOLVE_COUNTS counts the solves by the path that
+ran.  `Record`, the immutable field record of the package's result
+types, lives here too, since every command loads this module.
 """
+
+import math
+from collections import Counter
 
 import numpy as np
 
 # chains of at most this many states get numpy's dense LU; scipy's sparse LU loads only above it
 DENSE_STATES = 1024
+
+# steps an iterated fixed vector may take before the LU solves it instead
+ITERATION_BUDGET = 1000
+
+# the error, relative to each entry, at which an iterated fixed vector is taken
+ITERATION_TOL = 1e-14
+
+# steps over which an iteration reads its contraction rate
+RATE_WINDOW = 8
+
+# a relative change of one step this small is rounding: it no longer shows the rate
+ROUNDING = 4 * np.finfo(np.float64).eps
+
+# the stationary iteration starts from 1 + frac(i * GOLDEN) on state i: no two in a simple ratio
+GOLDEN = (5**0.5 - 1) / 2
+
+# fixed-vector solves by the path that ran: "iterated" (and their "steps") or "lu"
+SOLVE_COUNTS = Counter()
 
 # rounds the colour search for closed classes may take before scipy's strong components run
 SEARCH_ROUNDS = 64
@@ -189,7 +222,13 @@ class MarkovMeasure:
         return complex(out) if np.iscomplexobj(vals) else float(out)
 
 
-class Chain(Record):
+class _Derived(Record):
+    """A `Record` with one slot more, not a field, that keeps a value derived from the fields."""
+
+    __slots__ = ("_derived",)
+
+
+class Chain(_Derived):
     """The steps of a finite chain in CSR form, held in numpy arrays.
 
     Row i steps to the states indices[indptr[i]:indptr[i + 1]] with the
@@ -204,7 +243,14 @@ class Chain(Record):
         return n, n
 
     def rows(self):
-        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        """The row of each stored step, read-only; built on the first call and kept."""
+        try:
+            return self._derived
+        except AttributeError:
+            rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+            rows.setflags(write=False)
+            object.__setattr__(self, "_derived", rows)
+            return rows
 
     def __matmul__(self, x):
         """The chain applied to a vector, each row summed in stored order."""
@@ -225,13 +271,22 @@ class Chain(Record):
         return Chain(indptr, cols[keep], self.data[keep])
 
 
+def _from_steps(n, rows, cols, data):
+    """The `Chain` on n states with a step of weight data[e] from rows[e] to cols[e].
+
+    A stable sort by row keeps each row's steps in the order given.
+    """
+    order = np.argsort(rows, kind="stable")
+    return Chain(np.r_[0, np.cumsum(np.bincount(rows, minlength=n))], cols[order], data[order])
+
+
 def _as_chain(graph):
     """A dense array or a `Chain`, as a `Chain`; a dense zero is no step."""
     if isinstance(graph, Chain):
         return graph
     graph = np.asarray(graph)
     rows, cols = np.nonzero(graph)
-    return Chain(np.r_[0, np.cumsum(np.bincount(rows, minlength=len(graph)))], cols, graph[rows, cols])
+    return _from_steps(len(graph), rows, cols, graph[rows, cols])
 
 
 def _components(chain):
@@ -287,6 +342,7 @@ def _lu_solve(n, rows, cols, values, rhs):
     numpy's LU of the dense A at or below DENSE_STATES states; above,
     scipy's sparse LU at its default ordering, stored zeros dropped.
     """
+    SOLVE_COUNTS["lu"] += 1
     if n <= DENSE_STATES:
         dense = np.bincount(rows * n + cols, values, minlength=n * n).reshape(n, n)
         return np.linalg.solve(dense, rhs)
@@ -307,22 +363,95 @@ def _identity_minus(n, rows, cols, values):
     return np.r_[diagonal, rows], np.r_[diagonal, cols], np.r_[np.ones(n), -values]
 
 
+def _iterate(step, source, x, spread, bracket):
+    """x <- step @ x + source until an error estimate reaches ITERATION_TOL: (x, steps), or None.
+
+    spread(old, new) sizes one step, relative to the iterate entry by
+    entry.  In a `bracket` it is the width between two bounds of the
+    fixed vector, itself a bound on the error, or inf while the bounds
+    are not yet comparable.  Otherwise it is the change of the step,
+    and the error estimate is change * rate / (1 - rate), the rest of a
+    geometric series, and a change of exactly 0 is a fixed point.  The
+    rate is read over the last RATE_WINDOW steps, from a window that
+    starts above ROUNDING: below it a change is rounding, which shows
+    no rate, and the last rate read stands.  Once the estimate is
+    within the tolerance, up to RATE_WINDOW more steps, which cost
+    little, settle the last bits, unless a size of 0 comes first.  None
+    when ITERATION_BUDGET steps run out, or as soon as a rate read over
+    a whole window says that they will: a rate of 1 or more, or more
+    steps still needed at that rate than are left.
+    """
+    sizes, rate, settled = [], None, None
+    for steps in range(1, ITERATION_BUDGET + 1):
+        new = step @ x + source
+        sizes.append(spread(x, new))
+        x, size = new, sizes[-1]
+        back = sizes[max(0, steps - 1 - RATE_WINDOW)]
+        if steps > 1 and size > 0 and ROUNDING < back < math.inf:
+            rate = (size / back) ** (1.0 / min(steps - 1, RATE_WINDOW))
+        shows = rate is not None and size > ROUNDING
+        if bracket or size == 0:
+            error = size
+        else:
+            error = size * rate / (1.0 - rate) if rate is not None and rate < 1.0 else math.inf
+        if settled is None and error <= ITERATION_TOL:
+            settled = steps
+        if settled is not None:
+            if size == 0 or steps - settled == RATE_WINDOW:
+                SOLVE_COUNTS["iterated"] += 1
+                SOLVE_COUNTS["steps"] += steps
+                return x, steps
+        elif shows and steps > RATE_WINDOW:
+            needed = math.log(ITERATION_TOL / error) / math.log(rate) if rate < 1.0 else math.inf
+            if steps + needed > ITERATION_BUDGET:
+                return None
+    return None
+
+
+def _relative_change(old, new):
+    """The largest change of one step, relative to the entry it ends at."""
+    change = new - old
+    np.abs(change, out=change)
+    change /= new
+    return float(change.max())
+
+
 def _stationary_vector(chain, states):
     """Solve q = q P, sum q = 1, for a chain P on `states`, a closed class of one chain.
 
-    The renewal form (Kemeny and Snell 1960, ch. III): the class's first
-    state j is pinned to q_j = 1, and the rest solve
-    (I - Q)^T x = P(j, rest), with Q the class without j, an M-matrix
-    system of the same form as `absorption`'s; (1, x) is scaled to sum 1.
+    Iterated on the lazy chain (I + P)/2, whose fixed vector is the
+    same and which settles on a periodic class too: q <- q (I + P)/2,
+    each product one `Chain` product of the reversed steps.  Each
+    entry's relative change does not grow from one step to the next,
+    and the iteration stops on its error estimate (`_iterate`).  When
+    the contraction rate says that the budget will not do, as across two
+    blocks joined by weak steps, the renewal form solves it (Kemeny and
+    Snell 1960, ch. III): the class's first state j is pinned to
+    q_j = 1, and the rest solve (I - Q)^T x = P(j, rest), with Q the
+    class without j, an M-matrix system of the same form as
+    `absorption`'s, by one LU; (1, x) is scaled to sum 1.
+
+    The iteration starts from 1 + frac(i * GOLDEN) on state i, scaled:
+    no two of its entries stand in a simple ratio, so it is almost never
+    a fixed vector, or one up to rounding alone, as the uniform vector
+    is for many chains, whose first change would then show no rate.
     """
     p = _as_chain(chain).restricted(states)
     k = p.shape[0]
     rows, cols = p.rows(), p.indices
-    # state 0 is j: its steps into the rest are the right-hand side
-    from_j, inside = rows == 0, (rows > 0) & (cols > 0)
-    entering = np.bincount(cols[from_j], p.data[from_j], minlength=k)[1:]
-    system = _identity_minus(k - 1, cols[inside] - 1, rows[inside] - 1, p.data[inside])
-    q = np.clip(np.r_[1.0, _lu_solve(k - 1, *system, entering)], 0.0, None)
+    diagonal = np.arange(k)
+    lazy = _from_steps(k, np.r_[cols, diagonal], np.r_[rows, diagonal],
+                       np.r_[p.data, np.ones(k)] / 2)
+    start = 1.0 + np.arange(k) * GOLDEN % 1.0
+    iterated = _iterate(lazy, 0.0, start / start.sum(), _relative_change, bracket=False)
+    if iterated is not None:
+        q = iterated[0]
+    else:
+        # state 0 is j: its steps into the rest are the right-hand side
+        from_j, inside = rows == 0, (rows > 0) & (cols > 0)
+        entering = np.bincount(cols[from_j], p.data[from_j], minlength=k)[1:]
+        system = _identity_minus(k - 1, cols[inside] - 1, rows[inside] - 1, p.data[inside])
+        q = np.clip(np.r_[1.0, _lu_solve(k - 1, *system, entering)], 0.0, None)
     return q / q.sum()
 
 
@@ -370,6 +499,15 @@ def _reaching(graph, targets):
     return reach
 
 
+def _columns(chain, m):
+    """The chain acting on m columns at once: state i of column c is state i * m + c."""
+    rows, cols = chain.rows()[:, None] * m, chain.indices[:, None] * m
+    column = np.arange(m)
+    data = np.broadcast_to(chain.data[:, None], (len(cols), m))
+    return _from_steps(chain.shape[0] * m, (rows + column).ravel(), (cols + column).ravel(),
+                       data.ravel())
+
+
 def absorption(chain, classes, values):
     """Expected value held on entering a closed class of a sub-stochastic chain.
 
@@ -377,7 +515,18 @@ def absorption(chain, classes, values):
     lacks of 1 is lost, and a lost walk holds 0.  The states of the
     closed class classes[c] hold values[c].  Elsewhere X = chain X:
     exactly 0 with no path into a class of nonzero values (graph
-    reachability), else one LU of (I - P_TT) X_T = P_TC X_C.
+    reachability), else the fixed point of X_T <- P_TT X_T + P_TC X_C on
+    the transient states T that reach one.  For nonnegative values it
+    is iterated between two monotone bounds (`_iterate`): from below
+    from 0, the value held within n steps, and from above from each
+    column's largest value M, that plus M times the chance w of not
+    being absorbed or lost within n steps, w <- P_TT w from 1.  The two
+    ends run as one product on the columns and w, and they stop when
+    they meet within ITERATION_TOL of the lower one on every entry it
+    has made positive, once those entries stop growing in number: the
+    others are exactly 0.  The midpoint is returned.  Signed values, or
+    bounds the budget cannot close, as on a slowly leaking state, take
+    one LU of (I - P_TT) X_T = P_TC X_C.
     """
     chain = _as_chain(chain)
     out = np.zeros((chain.shape[0], values.shape[1]))
@@ -389,10 +538,34 @@ def absorption(chain, classes, values):
     if not len(live):
         return out
     # out is 0 off the closed states, so chain @ out is P_TC X_C on the live rows
-    entering = np.column_stack([chain @ column for column in out.T])
+    entering = np.column_stack([chain @ column for column in out.T])[live]
     block = chain.restricted(live)
+    if values.min() >= 0:
+        m, top = values.shape[1], values.max(axis=0)
+        source = np.c_[entering, np.zeros(len(live))].ravel()
+        start = np.c_[np.zeros(entering.shape), np.ones(len(live))].ravel()
+        shown, settled = None, False  # the lower bound's positive entries at the step before
+
+        def width(_, new):
+            nonlocal shown, settled
+            held = new.reshape(-1, m + 1)
+            if not settled:  # once two steps agree, no entry turns positive any more
+                positive = held[:, :m] > 0
+                settled = shown is not None and (positive == shown).all()
+                shown = positive
+                if not settled:
+                    return math.inf
+            gap = held[:, m:] * top
+            np.divide(gap, held[:, :m], out=gap, where=shown)
+            return float(gap.max(initial=0.0, where=shown))
+
+        iterated = _iterate(_columns(block, m + 1), source, start, width, bracket=True)
+        if iterated is not None:
+            held = iterated[0].reshape(-1, m + 1)
+            out[live] = np.where(held[:, :m] > 0, held[:, :m] + held[:, m:] * (top / 2), 0.0)
+            return out
     system = _identity_minus(len(live), block.rows(), block.indices, block.data)
-    out[live] = _lu_solve(len(live), *system, entering[live])
+    out[live] = _lu_solve(len(live), *system, entering)
     return out
 
 
@@ -480,7 +653,8 @@ def _strong_invariance_defects(rho, depth):
     shift = rho.shift
     rho.masses_at(depth)  # one walk caches every depth
     avg_kernel = shift.matrix / shift.column_sums
-    defects = [np.abs(rho.masses_at(1) - avg_kernel @ rho.masses_at(1)).max()]
+    # each row summed by np.sum, not a BLAS product: thread-count free
+    defects = [np.abs(rho.masses_at(1) - np.sum(avg_kernel * rho.masses_at(1), axis=1)).max()]
     # padded for symbol 0, so that symbols index it directly
     front = np.pad(avg_kernel, ((1, 0), (1, 0)))
     levels = _levels(shift, depth)

@@ -94,29 +94,49 @@ def _kept_classes(op):
     return [m for m in closed_classes(op) if row_sums[m].min() >= 1.0 - NORMALIZED_SLACK]
 
 
+def _fixed_objects(shift, v, depth, function=True, functional=True):
+    """h's result and nu at one depth, from one operator and one search for its kept classes.
+
+    Either is skipped, and None, when not asked for; see
+    `iterate_fixed_function` and `left_fixed_functional`.
+    """
+    op = _operator_matrix(shift, v, depth)
+    kept = _kept_classes(op)
+    result = nu = None
+    if function:
+        h = absorption(op, kept, np.ones((len(kept), 1)))[:, 0]
+        residual = float(np.abs(op @ h - h).max())
+        status = "converged" if kept else "degenerate"
+        result = FixedFunctionResult(CylinderFunction(shift, depth, h), 1, status, residual)
+    if functional and kept:
+        from .measures import RawMeasure
+
+        masses = np.zeros(op.shape[0])
+        masses[kept[0]] = _stationary_vector(op, kept[0])
+        nu = RawMeasure(shift, depth, masses)
+    return result, nu
+
+
 def iterate_fixed_function(shift, v):
     """The fixed function h = lim T^n 1 of a sub-normalized transfer operator T.
 
     The iterates T^n 1 decrease pointwise when T1 <= 1.  Their limit,
     the probability that the chain of the operator matrix never loses
-    its mass, is solved directly (`invariant.absorption`): 1 on the
-    closed classes whose rows sum to 1 (`_kept_classes`), exactly 0 on
-    the words with no path into one.  The status is "degenerate" when no
-    closed class keeps its mass, so h is zero.  n_used is 1, the step T1
-    that the checks take.
+    its mass, is the absorption value of that chain
+    (`invariant.absorption`): 1 on the closed classes whose rows sum to
+    1 (`_kept_classes`), exactly 0 on the words with no path into one,
+    and in between iterated from below and from above until the two
+    bounds meet, or solved by one LU when they cannot meet within the
+    iteration budget.  The status is "degenerate" when no closed class
+    keeps its mass, so h is zero.  n_used is 1, the step T1 that the
+    checks take.
 
     Raises
     ------
     NotSubNormalized
         If the averaged weight exceeds 1 + NORMALIZED_SLACK somewhere.
     """
-    depth = max(v.depth - 1, 1)
-    op = _operator_matrix(shift, v, depth)
-    kept = _kept_classes(op)
-    h = absorption(op, kept, np.ones((len(kept), 1)))[:, 0]
-    residual = float(np.abs(op @ h - h).max())
-    status = "converged" if kept else "degenerate"
-    return FixedFunctionResult(CylinderFunction(shift, depth, h), 1, status, residual)
+    return _fixed_objects(shift, v, max(v.depth - 1, 1), functional=False)[0]
 
 
 def left_fixed_functional(shift, v, depth=None):
@@ -126,19 +146,14 @@ def left_fixed_functional(shift, v, depth=None):
     depth-d operator matrix is sub-stochastic and its fixed vectors live
     on the closed classes of its graph whose rows sum to 1
     (`_kept_classes`).  Returns the stationary masses of the first such
-    class, by lowest word index, or None when every closed class loses mass.
+    class, by lowest word index, or None when every closed class loses
+    mass.  They are iterated on the class's lazy chain, and solved by
+    one LU only when the iteration's contraction rate says that its
+    budget will not do (`invariant._stationary_vector`).
     """
     if depth is None:
         depth = max(v.depth - 1, 1)
-    op = _operator_matrix(shift, v, depth)
-    kept = _kept_classes(op)
-    if not kept:
-        return None
-    from .measures import RawMeasure
-
-    masses = np.zeros(op.shape[0])
-    masses[kept[0]] = _stationary_vector(op, kept[0])
-    return RawMeasure(shift, depth, masses)
+    return _fixed_objects(shift, v, depth, function=False)[1]
 
 
 def check_weight_pushforward(shift, v, f, rho, n):

@@ -18,8 +18,10 @@ records, so no module generates code when it is imported.
 scipy is imported only inside the two fallbacks of the chain solver:
 its strong components for a closed-class search past
 `invariant.SEARCH_ROUNDS` rounds, and its sparse LU for more than
-`invariant.DENSE_STATES` live states, so the commands that never meet
-such a chain do not load it.  Nor do the
+`invariant.DENSE_STATES` live states when their iteration gives up, so
+the commands that never meet such a chain do not load it.  `linalg`
+appears only in that LU fallback, and no module multiplies arrays with
+BLAS: each `@` has a `Chain` on its left.  Nor do the
 setup and the `invariant`, `verify`, `sample` and `ergodicity` commands
 load `numpy.ma`, which costs every run the time of its import.  The
 tests' exact chain oracle imports no package code.
@@ -302,6 +304,68 @@ def test_package_states_its_bounds_as_absolute_ones():
     assert {name: calls for name, calls in found.items() if calls} == {}
 
 
+# the names that hold an `invariant.Chain` where the package multiplies with `@`
+CHAIN_OPERANDS = {"chain", "op", "step"}
+
+# numpy's products, each of which may hand its work to BLAS
+BLAS_PRODUCTS = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "multi_dot"}
+
+
+def linear_algebra_uses(source):
+    """Where a module reaches for BLAS or LAPACK, by function: `linalg`, numpy's products, and `@`.
+
+    Each `@` whose left operand is a name in CHAIN_OPERANDS is a `Chain`
+    product, a bincount, and is not listed; any other `@` is.
+    """
+    found = set()
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Attribute) and (node.attr == "linalg" or node.attr in BLAS_PRODUCTS):
+            found.add((function, node.attr))
+        elif isinstance(node, ast.ImportFrom) and "linalg" in (node.module or "").split("."):
+            found.add((function, "linalg"))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            left = node.left if isinstance(node, ast.BinOp) else node.target
+            if not (isinstance(left, ast.Name) and left.id in CHAIN_OPERANDS):
+                found.add((function, "@"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_linear_algebra_uses_are_found():
+    source = (
+        "import numpy as np\n"
+        "def f(a, chain, x):\n    return a @ x + chain @ x\n"
+        "def g(a):\n    a @= a\n    return np.linalg.solve(a, a)\n"
+        "def h(a):\n    from scipy.sparse.linalg import splu\n    return np.dot(a, a)\n"
+        "def k(chain, x):\n    return chain @ x\n"
+    )
+    assert linear_algebra_uses(source) == {
+        ("f", "@"), ("g", "@"), ("g", "linalg"), ("h", "linalg"), ("h", "dot"),
+    }
+
+
+def test_only_the_lu_fallback_reaches_for_blas_or_lapack():
+    """`linalg` appears only in `invariant._lu_solve`, and no module multiplies arrays with BLAS.
+
+    Every fixed vector is iterated with `Chain` products, and every sum
+    is a numpy reduction in a fixed order, so the bytes a command writes
+    do not depend on the BLAS thread count unless the LU fallback runs.
+    """
+    found = {
+        path.name: linear_algebra_uses(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {name: uses for name, uses in found.items() if uses} == {
+        "invariant.py": {("_lu_solve", "linalg")},
+    }
+
+
 def private_shift_reads(source):
     """Reads of a private attribute, `shift._x` or `obj.shift._x`, of a subshift, by line."""
     return [
@@ -460,11 +524,12 @@ print(json.dumps(seen))
 """
 
 
-# solves three chains and prints each result and the scipy modules then loaded: the closed
+# solves four chains and prints each result and the scipy modules then loaded: the closed
 # classes of a star, whose 2 * DENSE_STATES outer states each step half to themselves and
-# half to state 0, which steps to itself alone; the star's absorption into state 0, one LU
-# of 2 * DENSE_STATES live transient states; and the closed classes of a 100-state path,
-# whose colour search needs 101 rounds
+# half to state 0, which steps to itself alone; the star's absorption into state 0, iterated
+# on 2 * DENSE_STATES live transient states; the absorption of the same star when each outer
+# state keeps 1 - 2**-20 of its mass, whose bounds close too slowly, so one LU solves it; and
+# the closed classes of a 100-state path, whose colour search needs 101 rounds
 CHAIN_PROBE = """
 import json, sys
 import numpy as np
@@ -473,13 +538,17 @@ from shiftpath.invariant import DENSE_STATES, Chain, absorption, closed_classes
 def scipy_loaded():
     return [m for m in ("scipy.sparse.csgraph", "scipy.sparse.linalg") if m in sys.modules]
 
+def star(stay):
+    others = np.arange(1, n)
+    return Chain(np.r_[0, np.arange(1, 2 * n, 2)], np.r_[0, np.column_stack([others, 0 * others]).ravel()],
+                 np.r_[1.0, np.tile([stay, 1.0 - stay], n - 1)])
+
 n = 2 * DENSE_STATES + 1
-others = np.arange(1, n)
-star = Chain(np.r_[0, np.arange(1, 2 * n, 2)], np.r_[0, np.column_stack([others, 0 * others]).ravel()],
-             np.r_[1.0, np.full(2 * n - 2, 0.5)])
-classes = closed_classes(star)
+classes = closed_classes(star(0.5))
 seen = [[c.tolist() for c in classes], scipy_loaded()]
-held = absorption(star, classes, np.ones((1, 1)))[:, 0]
+held = absorption(star(0.5), classes, np.ones((1, 1)))[:, 0]
+seen += [sorted(set(held.tolist())), scipy_loaded()]
+held = absorption(star(1.0 - 2.0**-20), classes, np.ones((1, 1)))[:, 0]
 seen += [sorted(set(held.tolist())), scipy_loaded()]
 path = Chain(np.minimum(np.arange(101), 99), np.arange(1, 100), np.ones(99))
 seen += [[c.tolist() for c in closed_classes(path)], scipy_loaded()]
@@ -488,13 +557,15 @@ print(json.dumps(seen))
 
 
 def test_scipy_loads_only_for_chains_above_the_dense_cut(tmp_path):
-    """No command here loads scipy; the sparse LU loads above the cut, csgraph past the round budget.
+    """No command here loads scipy; a fallback sparse LU loads it, and csgraph past the round budget.
 
     BLOCK4's walks on 256, 1024 and 2048 words settle inside the colour
     search's budget and have no transient word, so even `ergodicity
-    --depth 10` loads no scipy.  `scipy.sparse.linalg` loads for an LU of
-    more than DENSE_STATES live states, and `scipy.sparse.csgraph` only
-    for a closed-class search past SEARCH_ROUNDS rounds.
+    --depth 10` loads no scipy.  An absorption on more than DENSE_STATES
+    live states is iterated and loads none either; `scipy.sparse.linalg`
+    loads only when the iteration gives up and one LU of more than
+    DENSE_STATES live states runs, and `scipy.sparse.csgraph` only for a
+    closed-class search past SEARCH_ROUNDS rounds.
     """
     small, block = tmp_path / "small.json", tmp_path / "block.json"
     small.write_text(json.dumps(SMALL))
@@ -518,7 +589,8 @@ def test_scipy_loads_only_for_chains_above_the_dense_cut(tmp_path):
     assert [loaded for _, loaded in seen] == [[]] * 8
 
     assert run_probe(CHAIN_PROBE) == [
-        [[0]], [], [1.0], ["scipy.sparse.linalg"], [[99]], ["scipy.sparse.csgraph", "scipy.sparse.linalg"]
+        [[0]], [], [1.0], [], [1.0], ["scipy.sparse.linalg"],
+        [[99]], ["scipy.sparse.csgraph", "scipy.sparse.linalg"],
     ]
 
 

@@ -23,11 +23,14 @@ family and from the extremality solve, and
 residuals of the base itself.
 On random sub-stochastic chains the chain solver gives the same
 classes, masks, absorption and stationary vectors with numpy and with
-scipy (the colour search and csgraph's strong components, the dense
-and the sparse LU); at the default cut the two LU solves equal dense
-bodies bit for bit, the stationary vector in its renewal form; nu and
-rho's q hold within WEAK_JOIN_RTOL of the exact one on two blocks
-joined by steps of WEAK_JOIN; on chains of up to 300 states and on
+scipy (the colour search and csgraph's strong components, the
+iteration and the dense LU, the sparse LU); with no iteration budget
+the two LU fallbacks equal dense bodies bit for bit, the stationary
+vector in its renewal form; the iterated absorption values and
+stationary vectors are the exact ones within ITERATED_SAFETY times
+ITERATION_TOL; nu and rho's q take the LU fallback and hold within
+WEAK_JOIN_RTOL of the exact one on two blocks joined by steps of
+WEAK_JOIN; on chains of up to 300 states and on
 prepend walks the colour search gives csgraph's and the boolean
 closure's classes and masks.
 """
@@ -86,7 +89,15 @@ from shiftpath import (
 )
 from shiftpath import invariant, pathspace
 from shiftpath.cli import main as cli_main
-from shiftpath.invariant import Chain, _reaching, _stationary_vector, absorption, closed_classes
+from shiftpath.invariant import (
+    Chain,
+    _identity_minus,
+    _lu_solve,
+    _reaching,
+    _stationary_vector,
+    absorption,
+    closed_classes,
+)
 from shiftpath.measures import require_fixed_point
 from shiftpath.subshift import branch_sum, prepend_walk, word_string
 
@@ -415,13 +426,17 @@ def test_nu_and_rho_hold_across_a_weak_join(system):
     entries, so a float solve loses about u / WEAK_JOIN.
     """
     shift, v = system
+    before = invariant.SOLVE_COUNTS["lu"]
     nu = left_fixed_functional(shift, v)
     _, exact_nu = exact_chain.fixed_vectors(shift.matrix.tolist(), function_dict(v), 1)
     rho = markov_measure_for_weight(shift, v)
+    lu_solves = invariant.SOLVE_COUNTS["lu"] - before
     # the kernel moves mass from column j to row a: the chain steps from j to a
     chain = [[Fraction(x) for x in column] for column in rho.kernel.T.tolist()]
     (members,) = exact_chain.closed_classes(chain)
     exact_q = exact_chain.stationary_vector(chain, members)
+    # the lazy iteration contracts at a rate of about 1 - WEAK_JOIN, so both give up and take the LU
+    assert lu_solves == 2
     assert not rho.non_unique
     for solved, exact in ((nu.masses, exact_nu), (rho.q, exact_q)):
         for value, x in zip(solved.tolist(), exact):
@@ -912,12 +927,14 @@ def leaky_chains(draw):
 def on_both_branches(solve):
     """solve() at the defaults, and with every chain on scipy's side.
 
-    At the defaults these chains are solved dense and their classes come
-    from the colour search; with the cut at 0 and no search rounds, from
+    At the defaults these chains are iterated, or solved dense when an
+    iteration gives up, and their classes come from the colour search;
+    with no iteration budget, the cut at 0 and no search rounds, from
     scipy's sparse LU and strong components.
     """
     dense = solve()
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(invariant, "ITERATION_BUDGET", 0)
         patch.setattr(invariant, "DENSE_STATES", 0)
         patch.setattr(invariant, "SEARCH_ROUNDS", -1)
         return dense, solve()
@@ -1006,10 +1023,13 @@ def test_graph_search_matches_csgraph_and_the_closure(chain, data):
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(leaky_chains(), wide_chains()), st.data())
 def test_lu_solves_equal_the_former_dense_bodies(chain, data):
-    """At the default cut, absorption and the stationary vectors are the bits of dense solves.
+    """The LU fallbacks of absorption and the stationary vectors are the bits of dense solves.
 
-    The oracles are numpy's solves of the same systems: absorption's
-    former body, and the renewal form of the stationary vector.
+    With no iteration budget every fixed vector takes its fallback, one
+    `_lu_solve` at the default cut, and the oracles are numpy's solves
+    of the same systems: absorption's former body, and the renewal form
+    of the stationary vector.  `_lu_solve` itself, called directly on a
+    dense body's system, gives its bits too.
 
     Rows are scaled to sum to at most 1.  A self-loop puts a second
     entry on the diagonal of I - P, which the LU leaf adds.
@@ -1020,14 +1040,65 @@ def test_lu_solves_equal_the_former_dense_bodies(chain, data):
     chain = Chain(chain.indptr, chain.indices, chain.data / sums[chain.rows()])
     classes = closed_classes(chain)
     values = int_array(data, 2 * len(classes), 4).reshape(len(classes), 2) / 4.0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(invariant, "ITERATION_BUDGET", 0)
+        solved = absorption(chain, classes, values)
+        assert solved.tobytes() == dense_absorption(chain, classes, values).tobytes()
+        for members in classes:
+            block = chain.restricted(members)
+            sums = block @ np.ones(len(members))
+            # a lone state with no step to itself has no stationary vector
+            if sums.min() > 0:
+                kernel = Chain(block.indptr, block.indices, block.data / sums[block.rows()])
+                states = np.arange(len(members))
+                q = _stationary_vector(kernel, states)
+                assert q.tobytes() == dense_stationary_vector(kernel, states).tobytes()
+    # I - P/2 is nonsingular: its rows are diagonally dominant
+    system = _identity_minus(n, chain.rows(), chain.indices, chain.data / 2)
+    rhs = int_array(data, n, 4) / 4.0
+    dense = np.linalg.solve(np.eye(n) - chain.toarray() / 2, rhs)
+    assert _lu_solve(n, *system, rhs).tobytes() == dense.tobytes()
+
+
+# the iterated fixed vectors are within this many times ITERATION_TOL of the exact ones,
+# entry by entry; measured up to 0.15 times for absorption and 0.5 times for the
+# stationary vectors on 1800 random chains of up to 12 states
+ITERATED_SAFETY = 10
+
+
+@settings(max_examples=100, deadline=None)
+@given(leaky_chains(), st.data())
+def test_iterated_vectors_are_exact_within_their_tolerance(chain, data):
+    """Iterated absorption values and stationary vectors are the exact ones, to a stated factor.
+
+    The error is relative to each exact entry of `exact_chain`'s solve,
+    at most ITERATED_SAFETY times ITERATION_TOL, and a zero is exact.
+    Only the solves the iteration took are checked: a chain that gives
+    up takes the LU, which the dense bodies check.
+    """
+    classes = closed_classes(chain)
+    values = int_array(data, 2 * len(classes), 4).reshape(len(classes), 2) / 4.0
+    bound = ITERATED_SAFETY * invariant.ITERATION_TOL
+    exact = [[Fraction(x) for x in row] for row in chain.toarray().tolist()]
+    before = invariant.SOLVE_COUNTS["lu"]
     solved = absorption(chain, classes, values)
-    assert solved.tobytes() == dense_absorption(chain, classes, values).tobytes()
+    if invariant.SOLVE_COUNTS["lu"] == before:
+        chances = [exact_chain.absorption(exact, [members.tolist()]) for members in classes]
+        for column in range(values.shape[1]):
+            held = [sum(Fraction(row[column]) * p[i] for row, p in zip(values, chances))
+                    for i in range(chain.shape[0])]
+            for value, x in zip(solved[:, column].tolist(), held):
+                assert (value == 0) == (x == 0)
+                assert abs(Fraction(value) - x) <= bound * x
     for members in classes:
         block = chain.restricted(members)
         sums = block @ np.ones(len(members))
-        # a lone state with no step to itself has no stationary vector
         if sums.min() > 0:
             kernel = Chain(block.indptr, block.indices, block.data / sums[block.rows()])
-            states = np.arange(len(members))
-            q = _stationary_vector(kernel, states)
-            assert q.tobytes() == dense_stationary_vector(kernel, states).tobytes()
+            before = invariant.SOLVE_COUNTS["lu"]
+            q = _stationary_vector(kernel, np.arange(len(members)))
+            if invariant.SOLVE_COUNTS["lu"] == before:
+                steps = [[Fraction(x) for x in row] for row in kernel.toarray().tolist()]
+                exact_q = exact_chain.stationary_vector(steps, list(range(len(members))))
+                for value, x in zip(q.tolist(), exact_q):
+                    assert abs(Fraction(value) - x) <= bound * x

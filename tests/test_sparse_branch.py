@@ -2,13 +2,15 @@
 
 Two kernels of `invariant` fall back to scipy.  The closed-class search
 `_components` runs a numpy colour search and calls scipy's strong
-components only past SEARCH_ROUNDS rounds; the LU solve `_lu_solve` is
-dense at or below `invariant.DENSE_STATES` states, and almost every
-chain of the test suite is that small.  This module collects the tests
-of `test_invariant.py`, `test_transfer.py` and `test_extremality.py`,
-the property tests of the chain solver and the extremality solve
-against the exact oracle and a dense eigenvector, nu and rho across a
-weak join, and the pin of the fixed density against h and nu, and runs them with the cut at 0 and no
+components only past SEARCH_ROUNDS rounds; every fixed vector is
+iterated, and takes the LU solve `_lu_solve` only when the iteration
+gives up, which is dense at or below `invariant.DENSE_STATES` states;
+almost every chain of the test suite is that small.  This module
+collects the tests of `test_invariant.py`, `test_transfer.py` and
+`test_extremality.py`, the property tests of the chain solver and the
+extremality solve against the exact oracle and a dense eigenvector, nu
+and rho across a weak join, and the pin of the fixed density against h
+and nu, and runs them with no iteration budget, the cut at 0 and no
 search rounds, so that every closed-class search, absorption and
 stationary vector goes through scipy.  Their own modules run them at
 the defaults.  The reachability mask (`invariant._reaching`) reads
@@ -44,6 +46,7 @@ globals().update({name: getattr(test_properties, name) for name in DENSE_ORACLE_
 def every_chain_sparse():
     # module scope: hypothesis refuses function-scoped fixtures around @given tests
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(invariant, "ITERATION_BUDGET", 0)
         patch.setattr(invariant, "DENSE_STATES", 0)
         patch.setattr(invariant, "SEARCH_ROUNDS", -1)
         yield
