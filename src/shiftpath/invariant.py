@@ -29,23 +29,20 @@ the same bits at any BLAS thread count.  An iteration stops on an
 error estimate of its iterate, never on the bare change of one step;
 when its contraction rate says that ITERATION_BUDGET steps will not
 reach ITERATION_TOL, as across a weak join or along a slow leak, it
-gives up early and the same fixed vector is one LU solve of I - Q, for
-Q a chain on the states that are not yet fixed (`_identity_minus`).
-The LU solve `_lu_solve` picks by the state count: numpy's dense LU at
-or below DENSE_STATES states, scipy's sparse LU above.  Only the two
-fallbacks, the LU and the strong components, import scipy, and only
-the LU calls LAPACK.  SOLVE_COUNTS counts the solves by the path that
-ran.  `Record`, the immutable field record of the package's result
-types, lives here too, since every command loads this module.
+gives up early and the same fixed vector is one LU solve of I - Q, or
+of its transpose, for Q a chain on the states that are not yet fixed:
+`_lu_solve`, scipy's sparse LU at every size, whose bits do not depend
+on the BLAS thread count either.  Only the two fallbacks, the LU and
+the strong components, import scipy, and no module calls numpy's
+`linalg`.  SOLVE_COUNTS counts the solves by the path that ran.
+`Record`, the immutable field record of the package's result types,
+lives here too, since every command loads this module.
 """
 
 import math
 from collections import Counter
 
 import numpy as np
-
-# chains of at most this many states get numpy's dense LU; scipy's sparse LU loads only above it
-DENSE_STATES = 1024
 
 # steps an iterated fixed vector may take before the LU solves it instead
 ITERATION_BUDGET = 1000
@@ -336,31 +333,23 @@ def _components(chain):
     return labels, leaving
 
 
-def _lu_solve(n, rows, cols, values, rhs):
-    """Solve A x = rhs for the n x n matrix A with entries values at (rows, cols); duplicates add.
+def _lu_solve(q, rhs, trans="N"):
+    """Solve (I - Q) x = rhs for the `Chain` Q, or (I - Q)^T x = rhs when trans is "T".
 
-    numpy's LU of the dense A at or below DENSE_STATES states; above,
-    scipy's sparse LU at its default ordering, stored zeros dropped.
+    One scipy sparse LU of I - Q at its default ordering, at every size;
+    a duplicate step adds to its entry and a stored zero is dropped.
+    The transpose is solved with the same factors.
     """
     SOLVE_COUNTS["lu"] += 1
-    if n <= DENSE_STATES:
-        dense = np.bincount(rows * n + cols, values, minlength=n * n).reshape(n, n)
-        return np.linalg.solve(dense, rhs)
     from scipy.sparse import csc_matrix
     from scipy.sparse.linalg import splu
 
-    system = csc_matrix((values, (rows, cols)), shape=(n, n))
-    system.eliminate_zeros()
-    return splu(system).solve(rhs)
-
-
-def _identity_minus(n, rows, cols, values):
-    """The entries of I - Q, for the n x n matrix Q with entries values at (rows, cols), for `_lu_solve`.
-
-    Swapped rows and columns give the entries of (I - Q)^T.
-    """
+    n = q.shape[0]
     diagonal = np.arange(n)
-    return np.r_[diagonal, rows], np.r_[diagonal, cols], np.r_[np.ones(n), -values]
+    entries = np.r_[np.ones(n), -q.data], (np.r_[diagonal, q.rows()], np.r_[diagonal, q.indices])
+    system = csc_matrix(entries, shape=(n, n))
+    system.eliminate_zeros()
+    return splu(system).solve(rhs, trans=trans)
 
 
 def _iterate(step, source, x, spread, bracket):
@@ -428,8 +417,9 @@ def _stationary_vector(chain, states):
     blocks joined by weak steps, the renewal form solves it (Kemeny and
     Snell 1960, ch. III): the class's first state j is pinned to
     q_j = 1, and the rest solve (I - Q)^T x = P(j, rest), with Q the
-    class without j, an M-matrix system of the same form as
-    `absorption`'s, by one LU; (1, x) is scaled to sum 1.
+    class without j, the transpose of an M-matrix system of the form of
+    `absorption`'s, by the same sparse LU of I - Q (`_lu_solve`); (1, x)
+    is scaled to sum 1.
 
     The iteration starts from 1 + frac(i * GOLDEN) on state i, scaled:
     no two of its entries stand in a simple ratio, so it is almost never
@@ -448,10 +438,9 @@ def _stationary_vector(chain, states):
         q = iterated[0]
     else:
         # state 0 is j: its steps into the rest are the right-hand side
-        from_j, inside = rows == 0, (rows > 0) & (cols > 0)
+        from_j = rows == 0
         entering = np.bincount(cols[from_j], p.data[from_j], minlength=k)[1:]
-        system = _identity_minus(k - 1, cols[inside] - 1, rows[inside] - 1, p.data[inside])
-        q = np.clip(np.r_[1.0, _lu_solve(k - 1, *system, entering)], 0.0, None)
+        q = np.clip(np.r_[1.0, _lu_solve(p.restricted(np.arange(1, k)), entering, "T")], 0.0, None)
     return q / q.sum()
 
 
@@ -526,7 +515,7 @@ def absorption(chain, classes, values):
     has made positive, once those entries stop growing in number: the
     others are exactly 0.  The midpoint is returned.  Signed values, or
     bounds the budget cannot close, as on a slowly leaking state, take
-    one LU of (I - P_TT) X_T = P_TC X_C.
+    one sparse LU (`_lu_solve`) of (I - P_TT) X_T = P_TC X_C.
     """
     chain = _as_chain(chain)
     out = np.zeros((chain.shape[0], values.shape[1]))
@@ -564,8 +553,7 @@ def absorption(chain, classes, values):
             held = iterated[0].reshape(-1, m + 1)
             out[live] = np.where(held[:, :m] > 0, held[:, :m] + held[:, m:] * (top / 2), 0.0)
             return out
-    system = _identity_minus(len(live), block.rows(), block.indices, block.data)
-    out[live] = _lu_solve(len(live), *system, entering)
+    out[live] = _lu_solve(block, entering)
     return out
 
 

@@ -23,6 +23,9 @@ from .invariant import Chain, closed_classes
 
 # Largest word table built at any depth; 3**13 words fit, 2**22 do not.
 MAX_TABLE_WORDS = 2**21
+# Deepest word table built: each level keeps about 1.4 KiB of arrays even when its word
+# count stops growing, so 2**14 levels hold about 20 MiB (2-cycle `invariant`: 50 MiB peak).
+MAX_TABLE_DEPTH = 2**14
 # Largest sampled batch in symbols, samples x (base depth + steps): 128 MiB of uint8.
 MAX_SAMPLE_SYMBOLS = 2**27
 
@@ -180,7 +183,7 @@ class Subshift:
         return len(classes) == 1 and len(classes[0]) == self.k
 
     def _grow(self, depth):
-        """Build the tables down to `depth`, refusing any above MAX_TABLE_WORDS."""
+        """Build the tables down to `depth`, refusing any above MAX_TABLE_WORDS or MAX_TABLE_DEPTH."""
         self.word_count(depth)
         while len(self._last) <= depth:
             d = len(self._last)
@@ -199,10 +202,13 @@ class Subshift:
     def word_count(self, depth):
         """The number of admissible words of length `depth`, counted without building their table.
 
-        Raises TableTooLarge when it is above MAX_TABLE_WORDS.
+        Raises TableTooLarge when it is above MAX_TABLE_WORDS, or the
+        depth above MAX_TABLE_DEPTH.
         """
         if depth < 1:
             raise ValueError("depth must be >= 1")
+        if depth > MAX_TABLE_DEPTH:
+            raise TableTooLarge(f"depth {depth} is above {MAX_TABLE_DEPTH}")
         if depth < len(self._last):
             return len(self._last[depth])
         # 1^T A^(depth-1) 1 in Python ints; counts never shrink with depth

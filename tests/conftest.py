@@ -13,7 +13,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from exact_chain import brute_column_sums, brute_words, closure_reaching, table_value
+from exact_chain import brute_column_sums, brute_words, table_value
 from shiftpath import (
     CylinderFunction,
     DensityMeasure,
@@ -254,39 +254,6 @@ def conditional_expectation(shift, mu0, v, g):
     den = _window_masses(shift, CylinderFunction.constant(shift, 1.0), mu0, 1, dout)
     vals = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
     return CylinderFunction(shift, dout, vals)
-
-
-# ---------------------------------------------------------------------------
-# dense bodies of the chain solver's two LU solves, kept as bit-identity oracles
-
-
-def dense_stationary_vector(chain, states):
-    """q = q P, sum q = 1, for the `Chain` P on `states`: numpy's solve of the renewal form.
-
-    State 0 is pinned to 1; the rest solve (I - P[1:, 1:])^T x = P[0, 1:].
-    """
-    p = chain.restricted(states).toarray()
-    k = p.shape[0]
-    x = np.linalg.solve(np.eye(k - 1) - p[1:, 1:].T, p[0, 1:])
-    q = np.clip(np.r_[1.0, x], 0.0, None)
-    return q / q.sum()
-
-
-def dense_absorption(chain, classes, values):
-    """The absorption values of a sub-stochastic `Chain` by numpy's solve of the dense transient block."""
-    out = np.zeros((chain.shape[0], values.shape[1]))
-    closed = np.zeros(chain.shape[0], dtype=bool)
-    for members, row in zip(classes, values):
-        out[members] = row
-        closed[members] = True
-    live = np.flatnonzero(closure_reaching(chain.toarray(), out.any(axis=1)) & ~closed)
-    if not len(live):
-        return out
-    system = np.eye(len(live)) - chain.restricted(live).toarray()
-    # out is 0 off the closed states, so chain @ out is P_TC X_C on the live rows
-    entering = np.column_stack([chain @ column for column in out.T])
-    out[live] = np.linalg.solve(system, entering[live])
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from shiftpath import (
 )
 from shiftpath.cli import main
 from shiftpath.io import write_csv
-from shiftpath.subshift import word_string
+from shiftpath.subshift import MAX_TABLE_DEPTH, word_string
 
 GOLDEN_FLAT = {
     "k": 2,
@@ -430,20 +430,68 @@ def files_in(out):
     return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
 
 
+def run_at_blas_threads(threads, argv):
+    """A Python run of argv at `threads` BLAS threads, with the package on its path."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+               OPENBLAS_NUM_THREADS=threads)
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+
+
 def written_at_blas_threads(tmp_path, argv, code):
     """The files a subcommand writes at one and at two BLAS threads, each run exiting `code`."""
     written = []
     for threads in ("1", "2"):
         out = tmp_path / threads
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
-                   OPENBLAS_NUM_THREADS=threads)
-        proc = subprocess.run(
-            [sys.executable, "-m", "shiftpath", *argv, "--out", str(out)],
-            env=env, capture_output=True, text=True,
-        )
+        proc = run_at_blas_threads(threads, ["-m", "shiftpath", *argv, "--out", str(out)])
         assert proc.returncode == code, proc.stderr
         written.append(files_in(out))
     return written
+
+
+# nu of two random 128-state blocks joined by steps of 1e-9, and h of the same chain when
+# each row keeps 1 - 1e-6 of its mass and sends a random part of the rest into a closed
+# state; prints [LU solves run, sha256 of nu, sha256 of h]
+WEAK_JOIN_PROBE = """
+import hashlib, json
+import numpy as np
+from shiftpath import invariant
+from shiftpath.invariant import Chain, _stationary_vector, absorption
+
+def chain_of(steps):
+    rows, cols = np.nonzero(steps)
+    return Chain(np.r_[0, np.cumsum(np.bincount(rows, minlength=len(steps)))], cols, steps[rows, cols])
+
+half, rng = 128, np.random.default_rng(0)
+n = 2 * half
+steps = np.zeros((n, n))
+for lo in (0, half):
+    steps[lo:lo + half, lo:lo + half] = rng.random((half, half))
+steps *= (1.0 - 1e-9) / steps.sum(axis=1, keepdims=True)
+steps[np.arange(n), (np.arange(n) + half) % n] += 1e-9
+nu = _stationary_vector(chain_of(steps), np.arange(n))
+leaky = np.zeros((n + 1, n + 1))
+leaky[:n, :n] = steps * (1.0 - 1e-6)
+leaky[:n, n] = 1e-6 * rng.random(n)
+leaky[n, n] = 1.0
+h = absorption(chain_of(leaky), [np.array([n])], np.ones((1, 1)))
+print(json.dumps([invariant.SOLVE_COUNTS["lu"], hashlib.sha256(nu.tobytes()).hexdigest(),
+                  hashlib.sha256(h.tobytes()).hexdigest()]))
+"""
+
+
+def test_lu_fallbacks_keep_their_bytes_at_any_blas_thread_count():
+    """nu across a weak join and h along a slow leak, on 256 states, have the same bits at 1 and 2 threads.
+
+    Both iterations give up, so both vectors come from the LU fallback,
+    whose bits once followed the BLAS thread count on chains this large.
+    """
+    solved = []
+    for threads in ("1", "2"):
+        proc = run_at_blas_threads(threads, ["-c", WEAK_JOIN_PROBE])
+        assert proc.returncode == 0, proc.stderr
+        solved.append(json.loads(proc.stdout))
+    assert solved[0][0] == 2
+    assert solved[0] == solved[1]
 
 
 def test_ergodicity_bytes_do_not_depend_on_blas_threads(tmp_path):
@@ -476,15 +524,15 @@ BENCH_WORKLOADS = ("verify-deep", "sample-stream", "ergodicity-split", "invarian
 
 
 @pytest.mark.parametrize("name", BENCH_WORKLOADS)
-def test_bench_commands_run_without_lapack(tmp_path, monkeypatch, name):
-    """Each seed-201 bench config runs its command with numpy.linalg.solve refusing every call.
+def test_no_bench_command_reaches_the_lu(tmp_path, monkeypatch, name):
+    """Each seed-201 bench config runs its command with `invariant._lu_solve` refusing every call.
 
     Their fixed vectors are all iterated, so no command reaches the LU fallback.
     """
     def refuse(*args, **kwargs):
-        raise AssertionError("numpy.linalg.solve was called")
+        raise AssertionError("invariant._lu_solve was called")
 
-    monkeypatch.setattr(np.linalg, "solve", refuse)
+    monkeypatch.setattr(invariant, "_lu_solve", refuse)
     workload = _load_bench_workloads().generate(name, 201, str(tmp_path))
     assert run([*workload.argv, "--out", str(tmp_path / "out")]) == workload.expected_exit
 
@@ -660,6 +708,33 @@ def test_oversized_depth_exits_two_before_allocating(tmp_path):
     tracemalloc.start()
     try:
         code = run(["invariant", "--config", cfg, "--depth", "40", "--out", str(tmp_path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 2**23
+    assert not (tmp_path / "invariant_report.json").exists()
+
+
+CYCLE2 = {
+    "k": 2,
+    "matrix": [[0, 1], [1, 0]],
+    "V": {"depth": 1, "values": {"1": 1.0, "2": 1.0}},
+    "mu0": "auto",
+}
+
+
+def test_a_depth_above_the_depth_bound_exits_two_before_any_table(tmp_path):
+    """The 2-cycle has 2 words at every depth: depth 2000 runs, and one above MAX_TABLE_DEPTH is refused unbuilt.
+
+    Each level of a table keeps about 1.4 KiB whatever its word count,
+    so only the depth bound keeps, say, depth 10**7 from taking 14 GiB.
+    """
+    cfg = write_config(tmp_path, CYCLE2)
+    assert run(["invariant", "--config", cfg, "--depth", "2000", "--out", str(tmp_path / "2000")]) == 0
+    tracemalloc.start()
+    try:
+        code = run(["invariant", "--config", cfg, "--depth", str(MAX_TABLE_DEPTH + 1), "--out", str(tmp_path)])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

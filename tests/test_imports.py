@@ -17,9 +17,9 @@ Nor does any load `dataclasses`: the result types are plain slotted
 records, so no module generates code when it is imported.
 scipy is imported only inside the two fallbacks of the chain solver:
 its strong components for a closed-class search past
-`invariant.SEARCH_ROUNDS` rounds, and its sparse LU for more than
-`invariant.DENSE_STATES` live states when their iteration gives up, so
-the commands that never meet such a chain do not load it.  `linalg`
+`invariant.SEARCH_ROUNDS` rounds, and its sparse LU when an iteration
+gives up, at any size, so the commands that never meet such a chain do
+not load it.  No module calls numpy's `linalg`; `scipy.sparse.linalg`
 appears only in that LU fallback, and no module multiplies arrays with
 BLAS: each `@` has a `Chain` on its left.  Nor do the
 setup and the `invariant`, `verify`, `sample` and `ergodicity` commands
@@ -260,7 +260,7 @@ def test_only_the_two_leaf_kernels_import_scipy():
     """Only the two fallbacks import scipy.
 
     The closed-class search imports it past its round budget, the LU
-    solve above the dense cut.
+    solve whenever an iteration gives up.
     """
     source = (PACKAGE / "invariant.py").read_text(encoding="utf-8")
     assert scipy_importers(source) == {"_components", "_lu_solve"}
@@ -314,8 +314,10 @@ BLAS_PRODUCTS = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "multi
 def linear_algebra_uses(source):
     """Where a module reaches for BLAS or LAPACK, by function: `linalg`, numpy's products, and `@`.
 
-    Each `@` whose left operand is a name in CHAIN_OPERANDS is a `Chain`
-    product, a bincount, and is not listed; any other `@` is.
+    An attribute `linalg`, as in `np.linalg`, is listed as "linalg", and
+    an import from a `linalg` module by that module's name.  Each `@`
+    whose left operand is a name in CHAIN_OPERANDS is a `Chain` product,
+    a bincount, and is not listed; any other `@` is.
     """
     found = set()
 
@@ -325,7 +327,7 @@ def linear_algebra_uses(source):
         if isinstance(node, ast.Attribute) and (node.attr == "linalg" or node.attr in BLAS_PRODUCTS):
             found.add((function, node.attr))
         elif isinstance(node, ast.ImportFrom) and "linalg" in (node.module or "").split("."):
-            found.add((function, "linalg"))
+            found.add((function, node.module))
         elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
             left = node.left if isinstance(node, ast.BinOp) else node.target
             if not (isinstance(left, ast.Name) and left.id in CHAIN_OPERANDS):
@@ -346,23 +348,25 @@ def test_linear_algebra_uses_are_found():
         "def k(chain, x):\n    return chain @ x\n"
     )
     assert linear_algebra_uses(source) == {
-        ("f", "@"), ("g", "@"), ("g", "linalg"), ("h", "linalg"), ("h", "dot"),
+        ("f", "@"), ("g", "@"), ("g", "linalg"), ("h", "scipy.sparse.linalg"), ("h", "dot"),
     }
 
 
 def test_only_the_lu_fallback_reaches_for_blas_or_lapack():
-    """`linalg` appears only in `invariant._lu_solve`, and no module multiplies arrays with BLAS.
+    """No module calls numpy's `linalg` or multiplies arrays with BLAS; scipy's sparse LU is the one solve.
 
     Every fixed vector is iterated with `Chain` products, and every sum
     is a numpy reduction in a fixed order, so the bytes a command writes
-    do not depend on the BLAS thread count unless the LU fallback runs.
+    do not depend on the BLAS thread count.  Only `invariant._lu_solve`
+    imports `scipy.sparse.linalg`, whose sparse LU gives the same bits
+    at any thread count too.
     """
     found = {
         path.name: linear_algebra_uses(path.read_text(encoding="utf-8"))
         for path in sorted(PACKAGE.glob("*.py"))
     }
     assert {name: uses for name, uses in found.items() if uses} == {
-        "invariant.py": {("_lu_solve", "linalg")},
+        "invariant.py": {("_lu_solve", "scipy.sparse.linalg")},
     }
 
 
@@ -524,48 +528,48 @@ print(json.dumps(seen))
 """
 
 
-# solves four chains and prints each result and the scipy modules then loaded: the closed
-# classes of a star, whose 2 * DENSE_STATES outer states each step half to themselves and
-# half to state 0, which steps to itself alone; the star's absorption into state 0, iterated
-# on 2 * DENSE_STATES live transient states; the absorption of the same star when each outer
-# state keeps 1 - 2**-20 of its mass, whose bounds close too slowly, so one LU solves it; and
-# the closed classes of a 100-state path, whose colour search needs 101 rounds
+# solves five chains and prints each result and the scipy modules then loaded: the closed
+# classes of a star, whose 2048 outer states each step half to themselves and half to state
+# 0, which steps to itself alone; the star's absorption into state 0, iterated on 2048 live
+# transient states; the absorption of a star of 3 outer states when each keeps 1 - 2**-20 of
+# its mass, whose bounds close too slowly, so one LU solves it; the same on the 2048-state
+# star; and the closed classes of a 100-state path, whose colour search needs 101 rounds
 CHAIN_PROBE = """
 import json, sys
 import numpy as np
-from shiftpath.invariant import DENSE_STATES, Chain, absorption, closed_classes
+from shiftpath.invariant import Chain, absorption, closed_classes
 
 def scipy_loaded():
     return [m for m in ("scipy.sparse.csgraph", "scipy.sparse.linalg") if m in sys.modules]
 
-def star(stay):
+def star(n, stay):
     others = np.arange(1, n)
     return Chain(np.r_[0, np.arange(1, 2 * n, 2)], np.r_[0, np.column_stack([others, 0 * others]).ravel()],
                  np.r_[1.0, np.tile([stay, 1.0 - stay], n - 1)])
 
-n = 2 * DENSE_STATES + 1
-classes = closed_classes(star(0.5))
+classes = closed_classes(star(2049, 0.5))
 seen = [[c.tolist() for c in classes], scipy_loaded()]
-held = absorption(star(0.5), classes, np.ones((1, 1)))[:, 0]
+held = absorption(star(2049, 0.5), classes, np.ones((1, 1)))[:, 0]
 seen += [sorted(set(held.tolist())), scipy_loaded()]
-held = absorption(star(1.0 - 2.0**-20), classes, np.ones((1, 1)))[:, 0]
-seen += [sorted(set(held.tolist())), scipy_loaded()]
+for n in (4, 2049):
+    held = absorption(star(n, 1.0 - 2.0**-20), classes, np.ones((1, 1)))[:, 0]
+    seen += [sorted(set(held.tolist())), scipy_loaded()]
 path = Chain(np.minimum(np.arange(101), 99), np.arange(1, 100), np.ones(99))
 seen += [[c.tolist() for c in closed_classes(path)], scipy_loaded()]
 print(json.dumps(seen))
 """
 
 
-def test_scipy_loads_only_for_chains_above_the_dense_cut(tmp_path):
-    """No command here loads scipy; a fallback sparse LU loads it, and csgraph past the round budget.
+def test_a_fallback_loads_scipy_sparse_linalg_and_no_command_here_loads_scipy(tmp_path):
+    """No command here loads scipy; a fallback LU loads scipy.sparse.linalg, even on 3 states.
 
     BLOCK4's walks on 256, 1024 and 2048 words settle inside the colour
     search's budget and have no transient word, so even `ergodicity
-    --depth 10` loads no scipy.  An absorption on more than DENSE_STATES
-    live states is iterated and loads none either; `scipy.sparse.linalg`
-    loads only when the iteration gives up and one LU of more than
-    DENSE_STATES live states runs, and `scipy.sparse.csgraph` only for a
-    closed-class search past SEARCH_ROUNDS rounds.
+    --depth 10` loads no scipy.  An absorption on 2048 live states is
+    iterated and loads none either; `scipy.sparse.linalg` loads when the
+    iteration gives up and one LU runs, already on 3 live states, and
+    `scipy.sparse.csgraph` only for a closed-class search past
+    SEARCH_ROUNDS rounds.
     """
     small, block = tmp_path / "small.json", tmp_path / "block.json"
     small.write_text(json.dumps(SMALL))
@@ -589,7 +593,7 @@ def test_scipy_loads_only_for_chains_above_the_dense_cut(tmp_path):
     assert [loaded for _, loaded in seen] == [[]] * 8
 
     assert run_probe(CHAIN_PROBE) == [
-        [[0]], [], [1.0], [], [1.0], ["scipy.sparse.linalg"],
+        [[0]], [], [1.0], [], [1.0], ["scipy.sparse.linalg"], [1.0], ["scipy.sparse.linalg"],
         [[99]], ["scipy.sparse.csgraph", "scipy.sparse.linalg"],
     ]
 
@@ -627,8 +631,8 @@ def test_the_full_3_shift_walk_at_depth_11_settles_inside_the_round_budget():
 REACHING_PROBE = """
 import json, sys
 import numpy as np
-from shiftpath.invariant import DENSE_STATES, Chain, _reaching
-n = 2 * DENSE_STATES
+from shiftpath.invariant import Chain, _reaching
+n = 2048
 chain = Chain(np.minimum(np.arange(n + 1), n - 1), np.arange(1, n), np.ones(n - 1))
 reached = _reaching(chain, np.arange(n) == n - 1)
 loaded = [m for m in sys.modules if m.split(".")[0] == "scipy" or m == "numpy.ma"]
@@ -638,7 +642,7 @@ print(json.dumps([int(reached.sum()), loaded]))
 
 def test_reachability_above_the_dense_cut_loads_no_scipy():
     """`_reaching` is one numpy search at every size; neither scipy nor numpy.ma loads for it."""
-    assert run_probe(REACHING_PROBE) == [2 * shiftpath.invariant.DENSE_STATES, []]
+    assert run_probe(REACHING_PROBE) == [2048, []]
 
 
 # does the set-up of every command (import the CLI, build the subshift and the weight of

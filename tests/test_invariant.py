@@ -331,7 +331,7 @@ PINNED = {
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_graph_search_walks_1024_states_without_recursion(name, monkeypatch):
-    """Paths and a cycle as long as the dense cut, on both sides of the round budget.
+    """Paths and a cycle of 1024 states, on both sides of the round budget.
 
     The colour search raises a path's colours one state a round and
     walks a cycle once more from its root, so both go to scipy at the
@@ -355,8 +355,7 @@ def test_reachability_above_the_cut_searches_one_level_per_round(monkeypatch):
 
     State 1500 steps half to 1501 and half to the first of 100 branch
     states, which end in a state of no steps, a closed class that holds 0.
-    The search back from the path's end takes 3000 rounds above the dense
-    cut.  The colour search needs 1602 rounds, so at the default budget
+    The search back from the path's end takes 3000 rounds.  The colour search needs 1602 rounds, so at the default budget
     the classes come from scipy's strong components.
     """
     n, branch, fork = 3000, 100, 1500
@@ -366,7 +365,6 @@ def test_reachability_above_the_cut_searches_one_level_per_round(monkeypatch):
     steps[fork], weights[fork] = [fork + 1, n], [0.5, 0.5]
     chain = Chain(np.r_[0, np.cumsum([len(s) for s in steps])], np.array([j for s in steps for j in s]),
                   np.array([x for w in weights for x in w]))
-    assert chain.shape[0] > invariant.DENSE_STATES
     states = np.arange(n + branch)
     assert _reaching(chain, states == n - 1).tolist() == (states < n).tolist()
     into_branch = (states <= fork) | (states >= n)
@@ -381,10 +379,10 @@ def test_reachability_above_the_cut_searches_one_level_per_round(monkeypatch):
 
 
 def test_lu_solve_adds_duplicate_entries():
-    # two entries at (0, 0) make the system [[2, 1], [0, 4]]
-    rows, cols = np.array([0, 1, 0, 0]), np.array([0, 1, 1, 0])
-    x = _lu_solve(2, rows, cols, np.array([1.0, 4.0, 1.0, 1.0]), np.array([4.0, 8.0]))
-    assert x.tolist() == [1.0, 2.0]
+    # two steps from 0 to 0 and a stored zero make I - Q the system [[2, 1], [0, 4]]
+    q = Chain(np.array([0, 3, 5]), np.array([0, 1, 0, 0, 1]), np.array([-0.5, -1.0, -0.5, 0.0, -3.0]))
+    assert _lu_solve(q, np.array([4.0, 8.0])).tolist() == [1.0, 2.0]
+    assert _lu_solve(q, np.array([2.0, 9.0]), "T").tolist() == [1.0, 2.0]
 
 
 def test_closed_classes_and_absorption_densify_no_whole_chain(block4):

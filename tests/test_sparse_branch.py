@@ -3,19 +3,17 @@
 Two kernels of `invariant` fall back to scipy.  The closed-class search
 `_components` runs a numpy colour search and calls scipy's strong
 components only past SEARCH_ROUNDS rounds; every fixed vector is
-iterated, and takes the LU solve `_lu_solve` only when the iteration
-gives up, which is dense at or below `invariant.DENSE_STATES` states;
-almost every chain of the test suite is that small.  This module
+iterated, and takes the sparse LU `_lu_solve` only when the iteration
+gives up, which almost no chain of the test suite does.  This module
 collects the tests of `test_invariant.py`, `test_transfer.py` and
 `test_extremality.py`, the property tests of the chain solver and the
 extremality solve against the exact oracle and a dense eigenvector, nu
 and rho across a weak join, and the pin of the fixed density against h
-and nu, and runs them with no iteration budget, the cut at 0 and no
-search rounds, so that every closed-class search, absorption and
-stationary vector goes through scipy.  Their own modules run them at
-the defaults.  The reachability mask (`invariant._reaching`) reads
-neither: it is one breadth-first search at every size, the same here as
-there.
+and nu, and runs them with no iteration budget and no search rounds,
+so that every closed-class search, absorption and stationary vector
+goes through scipy.  Their own modules run them at the defaults.  The
+reachability mask (`invariant._reaching`) reads neither: it is one
+breadth-first search at every size, the same here as there.
 """
 
 import pytest
@@ -47,6 +45,5 @@ def every_chain_sparse():
     # module scope: hypothesis refuses function-scoped fixtures around @given tests
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(invariant, "ITERATION_BUDGET", 0)
-        patch.setattr(invariant, "DENSE_STATES", 0)
         patch.setattr(invariant, "SEARCH_ROUNDS", -1)
         yield

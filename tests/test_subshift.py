@@ -32,7 +32,7 @@ from shiftpath import (
     verify_strong_invariance,
     weight_product,
 )
-from shiftpath.subshift import word_string
+from shiftpath.subshift import MAX_TABLE_DEPTH, word_string
 
 
 def test_word_enumeration_matches_brute_force():
@@ -86,6 +86,15 @@ def test_oversized_tables_are_refused():
     with pytest.raises(TableTooLarge):
         CylinderFunction.constant(full, 1.0, depth=40)
     assert full.word_count(3) == 8
+
+
+def test_depths_above_the_depth_bound_are_refused():
+    """On the 2-cycle every depth has 2 words, so only MAX_TABLE_DEPTH bounds the depth of its tables."""
+    cycle = build_subshift(PERM2)
+    assert cycle.word_count(MAX_TABLE_DEPTH) == 2
+    for build in (cycle.word_count, cycle.words, cycle.suffix_indices):
+        with pytest.raises(TableTooLarge):
+            build(MAX_TABLE_DEPTH + 1)
 
 
 def test_admissibility_checks():
